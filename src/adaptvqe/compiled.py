@@ -1,0 +1,206 @@
+"""Pauli sums compiled for the dense statevector engine.
+
+A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
+builds it on first use and keeps it on the sum, so a Hamiltonian or a
+generator is analysed once however often it is applied; nothing is built at
+import, at Hamiltonian load or at pool construction.  It holds
+
+* the terms in the sum's canonical ``(x_mask, z_mask)`` order, grouped by X
+  mask, with one int32 flip index ``b -> b ^ x`` per mask and one int8 sign
+  vector ``(-1)^popcount(b & z)`` per distinct Z mask;
+* each term's folded scalar: its coefficient times the unit phase
+  ``i^y (-1)^y = (-i)^y``, where ``y = popcount(x & z)`` counts its Y letters;
+* the Hermitian, anti-Hermitian and mutually-commuting flags, each computed
+  once from the :class:`PauliSum` methods.
+
+A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]`` with
+``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so one gather per X mask serves
+every term of that mask and the constant sign folds into the scalar.
+
+**Bit-exact rule.**  Everything that feeds the optimizer (``apply``,
+``exponential``) replays the arithmetic of the plain term-by-term route
+(kept as the test reference) in the same term order: a product by a unit
+phase or by a sign is exact, so moving it onto the scalar changes no bit.  Summing the terms of a mask into one
+phase vector, a CSR matrix-vector product or a closed-form rotation of a
+single-mask generator each differ by an ulp or so, and the optimizer's
+line-search and evaluation counts flip under such differences.  Only the
+pool sweep (:meth:`CompiledSum.sign_table`), whose output feeds a tolerant
+argmax, sums in another order.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+
+if TYPE_CHECKING:
+    from .paulis import PauliSum
+
+__all__ = ["CompiledSum"]
+
+_DENSE_SUPPORT_CAP = 12
+
+_UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+_LETTER_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
+    """(-1)^popcount(b & z_mask) for every basis index b."""
+    parity = np.bitwise_count(index & np.uint64(z_mask)) & 1
+    return (1 - 2 * parity).astype(np.int8)
+
+
+class CompiledSum:
+    """The statevector form of one :class:`PauliSum` (see the module doc)."""
+
+    def __init__(self, operator: "PauliSum"):
+        self.operator = operator
+        self.n_qubits = operator.n_qubits
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return self.operator.is_hermitian()
+
+    @cached_property
+    def anti_hermitian(self) -> bool:
+        return self.operator.is_anti_hermitian()
+
+    @cached_property
+    def commuting(self) -> bool:
+        return self.operator.terms_mutually_commute()
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """``((flip, terms), ...)`` per X mask in canonical order.
+
+        ``flip`` is None for the Z-only mask; each term is ``(signs, coeff,
+        unit, scalar)`` with ``signs`` None for a Z mask of 0, ``unit`` the
+        folded phase ``(-i)^y`` and ``scalar = coeff * unit``.
+        """
+        index = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        signs_by_z: dict[int, np.ndarray] = {}
+        groups: list[tuple[np.ndarray | None, list]] = []
+        last_x = None
+        for string, coeff in self.operator:
+            x, z = string.x_mask, string.z_mask
+            if x != last_x:
+                flip = (index ^ np.uint64(x)).astype(np.int32) if x else None
+                groups.append((flip, []))
+                last_x = x
+            if z and z not in signs_by_z:
+                signs_by_z[z] = _parity_signs(index, z)
+            unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
+            groups[-1][1].append((signs_by_z.get(z), coeff, unit, coeff * unit))
+        return tuple((flip, tuple(terms)) for flip, terms in groups)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """``O|psi>``: term by term in canonical order, one gather per X mask."""
+        out = np.zeros_like(amps)
+        for flip, terms in self._groups:
+            gathered = amps if flip is None else amps.take(flip)
+            for signs, _, _, scalar in terms:
+                out += scalar * (gathered if signs is None else gathered * signs)
+        return out
+
+    def exponential(self, amps: np.ndarray, theta: float) -> np.ndarray:
+        """``exp(theta * A)|psi>`` for this anti-Hermitian sum ``A``.
+
+        Mutually commuting terms are applied one after another with the
+        closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``; otherwise
+        a dense matrix exponential on the support (up to 12 qubits) or a
+        sparse Krylov exponential is used.
+        """
+        if theta == 0.0 or self.operator.is_zero:
+            return amps
+        if self.commuting:
+            for flip, terms in self._groups:
+                for signs, coeff, unit, _ in terms:
+                    w = theta * coeff.imag
+                    if w == 0.0:
+                        continue
+                    rotated = amps if flip is None else amps.take(flip)
+                    if signs is not None:
+                        rotated = rotated * signs
+                    amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
+            return amps
+        support = sorted(set().union(*(s.support for s in self.operator.strings())))
+        if len(support) <= _DENSE_SUPPORT_CAP:
+            matrix = scipy.linalg.expm(self.dense(support) * theta)
+            return _apply_dense_on_support(amps, self.n_qubits, support, matrix)
+        return scipy.sparse.linalg.expm_multiply(self.sparse() * theta, amps)
+
+    @cached_property
+    def sign_table(self) -> tuple[int, int, np.ndarray] | None:
+        """``(x_mask, z_support, table)`` when every term shares one X mask.
+
+        ``z_support`` is the union of the Z masks, of ``m`` qubits.  For
+        ``w[b] = conj(phi[b ^ x]) psi[b]`` reduced to ``r[c]`` by summing over
+        the qubits outside ``z_support`` (bit ``j`` of ``c`` is the ``j``-th
+        lowest support qubit), ``<phi|A psi> = table @ r``, a table of
+        ``2^m`` entries.  None for a sum of several X masks (or none).
+        """
+        x_masks = {s.x_mask for s in self.operator.strings()}
+        if len(x_masks) != 1:
+            return None
+        z_support = 0
+        for string in self.operator.strings():
+            z_support |= string.z_mask
+        qubits = [q for q in range(self.n_qubits) if z_support >> q & 1]
+        reduced = np.arange(1 << len(qubits), dtype=np.uint64)
+        table = np.zeros(reduced.size, dtype=complex)
+        for string, coeff in self.operator:
+            z = sum(1 << j for j, q in enumerate(qubits) if string.z_mask >> q & 1)
+            phase = _UNIT_PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
+            table += coeff * phase * _parity_signs(reduced, z)
+        return x_masks.pop(), z_support, table
+
+    def dense(self, support: list[int] | None = None) -> np.ndarray:
+        """Dense matrix on ``support`` (all qubits by default), site 0 least
+        significant."""
+        if support is None:
+            support = list(range(self.n_qubits))
+        dim = 1 << len(support)
+        out = np.zeros((dim, dim), dtype=complex)
+        for string, coeff in self.operator:
+            factor = np.eye(1, dtype=complex)
+            for site in reversed(support):
+                factor = np.kron(factor, _LETTER_MATRICES[string.letter(site)])
+            out += coeff * factor
+        return out
+
+    def sparse(self) -> "scipy.sparse.csr_matrix":
+        """Full-dimension sparse matrix, for wide exponentials and
+        eigensolvers."""
+        dim = 1 << self.n_qubits
+        index = np.arange(dim, dtype=np.uint64)
+        cols = np.arange(dim)
+        out = None
+        for string, coeff in self.operator:
+            y_count = (string.x_mask & string.z_mask).bit_count()
+            data = coeff * (1j ** (y_count % 4)) * _parity_signs(index, string.z_mask)
+            rows = cols ^ string.x_mask
+            term = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+            out = term if out is None else out + term
+        return out
+
+
+def _apply_dense_on_support(amps: np.ndarray, n_qubits: int, support: list[int],
+                            matrix: np.ndarray) -> np.ndarray:
+    m = len(support)
+    axes = [n_qubits - 1 - s for s in reversed(support)]
+    tensor = amps.reshape([2] * n_qubits)
+    tensor = np.moveaxis(tensor, axes, range(m))
+    flat = matrix @ tensor.reshape(1 << m, -1)
+    tensor = np.moveaxis(flat.reshape([2] * n_qubits), range(m), axes)
+    return np.ascontiguousarray(tensor).reshape(-1)

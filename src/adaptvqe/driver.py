@@ -27,7 +27,7 @@ from .optimizer import (
 )
 from .paulis import PauliSum
 from .pools import OperatorPool
-from .simulator import AnsatzState, StateVector, expectation, prepare, _apply_sum_raw
+from .simulator import AnsatzState, StateVector, expectation, generator_gradients, prepare
 
 __all__ = [
     "MODES",
@@ -107,8 +107,9 @@ def pool_gradients(
     """Energy derivative of each candidate operator at parameter zero.
 
     Each entry is the expectation of the commutator of the Hamiltonian with
-    the generator, evaluated as 2 Re <H psi | A_k psi>.  The ledger is
-    charged one flat pool sweep (default 8N units) per call.
+    the generator, evaluated as 2 Re <H psi | A_k psi> by
+    :func:`generator_gradients`.  The ledger is charged one flat pool sweep
+    (default 8N units) per call.
     """
     if pool.n_qubits != state.n_qubits or hamiltonian.n_qubits != state.n_qubits:
         raise ValueError("pool/Hamiltonian/state qubit counts disagree")
@@ -116,12 +117,7 @@ def pool_gradients(
         ledger.charge_pool_sweep(
             default_pool_sweep_units(state.n_qubits) if units is None else units
         )
-    h_psi = _apply_sum_raw(state.amplitudes, state.n_qubits, hamiltonian)
-    grads = np.empty(len(pool), dtype=float)
-    for k, op in enumerate(pool.operators):
-        a_psi = _apply_sum_raw(state.amplitudes, state.n_qubits, op)
-        grads[k] = 2.0 * np.real(np.vdot(h_psi, a_psi))
-    return grads
+    return generator_gradients(state, hamiltonian, pool.operators)
 
 
 def select_operator(gradients: np.ndarray, tie_tol: float = 1e-6) -> tuple[int, float]:

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .paulis import PauliString, PauliSum
-from .simulator import _dense_on_support, _sparse_full
 
 __all__ = [
     "HamiltonianFile",
@@ -69,12 +68,12 @@ def dense_matrix(operator: PauliSum) -> np.ndarray:
         raise ValueError(
             f"{operator.n_qubits} qubits exceeds the dense cap of {DIAGONALIZATION_CAP}"
         )
-    return _dense_on_support(operator, list(range(operator.n_qubits)))
+    return operator.compiled().dense()
 
 
 def ground_state_energy(operator: PauliSum) -> float:
     """Lowest eigenvalue by diagonalization (cap: 12 qubits)."""
-    if not operator.is_hermitian():
+    if not operator.compiled().hermitian:
         raise ValueError("ground-state energy needs a Hermitian operator")
     if operator.n_qubits > DIAGONALIZATION_CAP:
         raise ValueError(
@@ -84,7 +83,7 @@ def ground_state_energy(operator: PauliSum) -> float:
     if operator.n_qubits <= _DENSE_DIAG_CAP:
         return float(np.linalg.eigvalsh(dense_matrix(operator))[0])
     values = scipy.sparse.linalg.eigsh(
-        _sparse_full(operator), k=1, which="SA", return_eigenvectors=False
+        operator.compiled().sparse(), k=1, which="SA", return_eigenvectors=False
     )
     return float(values[0])
 

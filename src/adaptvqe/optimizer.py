@@ -121,6 +121,7 @@ def wolfe_line_search(
     conditions hold or a bracket is found, then the bracket is zoomed.  Each
     trial costs one combined function/gradient evaluation.  On exhaustion of
     the trial budget the best point seen is returned with ``success=False``.
+    A non-finite value or gradient at any trial raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(direction, dtype=float)
@@ -135,6 +136,8 @@ def wolfe_line_search(
         nonlocal evals, best
         f_a, g_a = objective.value_and_grad(x + alpha * p)
         evals += 1
+        if not (np.isfinite(f_a) and np.all(np.isfinite(g_a))):
+            raise ValueError(f"non-finite objective or gradient at step {alpha:.6g}")
         if f_a < best.f:
             best = LineSearchResult(x + alpha * p, f_a, g_a, alpha, 0, False)
         return f_a, g_a, float(g_a @ p)
@@ -240,8 +243,9 @@ def freeze_parameters(h: np.ndarray, indices) -> np.ndarray:
     symmetric positive definite whenever the input is.
     """
     n = h.shape[0]
+    indices = list(indices)
     frozen = set(indices)
-    if len(frozen) != len(list(indices)):
+    if len(frozen) != len(indices):
         raise ValueError("frozen indices must be distinct")
     if any(i < 0 or i >= n for i in frozen):
         raise ValueError(f"frozen index out of range for dimension {n}")

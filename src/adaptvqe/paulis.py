@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .compiled import CompiledSum
+
 __all__ = [
     "DEFAULT_PRUNE_TOL",
     "PauliString",
@@ -149,10 +151,11 @@ class PauliSum:
 
     Terms with coefficient magnitude below the pruning tolerance are dropped
     at construction, duplicates are combined, and iteration order is the
-    canonical ``(x_mask, z_mask)`` order.
+    canonical ``(x_mask, z_mask)`` order.  The statevector form is built on
+    first use of :meth:`compiled` and kept on the sum.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_hash")
+    __slots__ = ("n_qubits", "_terms", "_hash", "_compiled")
 
     def __init__(
         self,
@@ -175,6 +178,7 @@ class PauliSum:
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "_terms", tuple(ordered))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -225,6 +229,12 @@ class PauliSum:
     def is_anti_hermitian(self, tol: float = DEFAULT_PRUNE_TOL) -> bool:
         """All coefficients purely imaginary."""
         return all(abs(c.real) <= tol for _, c in self._terms)
+
+    def compiled(self) -> CompiledSum:
+        """The statevector form of this sum, built on first use and kept."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", CompiledSum(self))
+        return self._compiled
 
     def __iter__(self) -> Iterator[tuple[PauliString, complex]]:
         return iter(self._terms)

@@ -1,11 +1,22 @@
 """Dense statevector engine for Pauli-sum Hamiltonians and ansatz generators.
 
 States are dense complex vectors over the 2^n computational basis with qubit
-0 as the least-significant bit of the index.  Generators are applied as
+0 as the least-significant bit of the index.  Every operator is applied
+through its compiled form (:meth:`PauliSum.compiled`, see
+:mod:`adaptvqe.compiled`), built on first use and kept on the sum, which also
+carries the Hermiticity and commutation flags checked here, so each operator
+is validated once rather than on every call.  Generators are applied as
 exponentials: when the Pauli terms of a generator mutually commute (true for
 qubit-excitation and single-string generators) each term is applied with the
 closed-form rotation ``exp(i t P) = cos(t) I + i sin(t) P``; otherwise a
 dense matrix exponential restricted to the generator's support is used.
+
+Compiled application is bit-exact with the plain term-by-term route: one
+gather serves all terms of an X mask, but each term's products and the
+accumulation order are unchanged, because the optimizer's evaluation and
+line-search counts flip under one-ulp differences.  Only
+:func:`generator_gradients`, which feeds the tolerant pool selection, sums
+in another order.
 
 Analytic energy gradients are computed with one forward and one reverse sweep
 over the ansatz elements.  Ledger charges nevertheless follow the hardware
@@ -15,15 +26,11 @@ model (1 unit per energy, 2 per gradient component), not the simulator cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .cost import CostLedger
-from .paulis import PauliString, PauliSum
+from .paulis import PauliSum
 
 __all__ = [
     "MAX_QUBITS",
@@ -36,19 +43,12 @@ __all__ = [
     "expectation",
     "energy_and_gradient",
     "gradient_components",
+    "generator_gradients",
 ]
 
 MAX_QUBITS = 20
 
 _IMAG_TOL = 1e-10
-_DENSE_SUPPORT_CAP = 12
-
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _check_qubit_cap(n_qubits: int) -> None:
@@ -56,35 +56,6 @@ def _check_qubit_cap(n_qubits: int) -> None:
         raise ValueError(
             f"{n_qubits} qubits exceeds the dense-statevector cap of {MAX_QUBITS}"
         )
-
-
-@lru_cache(maxsize=256)
-def _parity_signs(n_qubits: int, z_mask: int) -> np.ndarray:
-    """(-1)^popcount(index & z_mask) for every basis index, cached per mask."""
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.uint64(z_mask)) & 1
-    signs = (1 - 2 * parity).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=256)
-def _flip_indices(n_qubits: int, x_mask: int) -> np.ndarray:
-    """The index permutation b -> b XOR x_mask (an involution)."""
-    idx = (np.arange(1 << n_qubits, dtype=np.int64) ^ x_mask).astype(np.int32)
-    idx.setflags(write=False)
-    return idx
-
-
-def _apply_string(amps: np.ndarray, n_qubits: int, string: PauliString) -> np.ndarray:
-    """P|psi> via phase multiplication plus an index-XOR permutation."""
-    y_count = (string.x_mask & string.z_mask).bit_count()
-    out = amps * _parity_signs(n_qubits, string.z_mask)
-    if y_count % 4:
-        out = out * (1j ** (y_count % 4))
-    if string.x_mask:
-        out = out[_flip_indices(n_qubits, string.x_mask)]
-    return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +124,7 @@ class AnsatzState:
         for generator, theta in self.elements:
             if generator.n_qubits != n_qubits:
                 raise ValueError("generator qubit count does not match reference")
-            if not generator.is_anti_hermitian():
+            if not generator.compiled().anti_hermitian:
                 raise ValueError("ansatz generator is not anti-Hermitian")
             theta = float(theta)
             if not np.isfinite(theta):
@@ -189,88 +160,20 @@ class AnsatzState:
         return AnsatzState(self.reference, self.elements + ((generator, theta),))
 
 
-def _apply_exponential_raw(amps: np.ndarray, n_qubits: int, generator: PauliSum,
-                           theta: float) -> np.ndarray:
-    """exp(theta * generator) |psi> for an anti-Hermitian generator."""
-    if theta == 0.0 or generator.is_zero:
-        return amps
-    if generator.terms_mutually_commute():
-        for string, coeff in generator:
-            w = theta * coeff.imag
-            if w == 0.0:
-                continue
-            amps = np.cos(w) * amps + 1j * np.sin(w) * _apply_string(amps, n_qubits, string)
-        return amps
-    support = sorted(set().union(*(s.support for s in generator.strings())))
-    if len(support) <= _DENSE_SUPPORT_CAP:
-        matrix = _dense_on_support(generator, support) * theta
-        return _apply_dense_on_support(amps, n_qubits, support, scipy.linalg.expm(matrix))
-    return scipy.sparse.linalg.expm_multiply(_sparse_full(generator) * theta, amps)
-
-
-def _sparse_full(operator: PauliSum) -> "scipy.sparse.csr_matrix":
-    """Full-dimension sparse matrix, for exponentials with wide support."""
-    n_qubits = operator.n_qubits
-    dim = 1 << n_qubits
-    cols = np.arange(dim)
-    out = None
-    for string, coeff in operator:
-        y_count = (string.x_mask & string.z_mask).bit_count()
-        data = coeff * (1j ** (y_count % 4)) * _parity_signs(n_qubits, string.z_mask)
-        rows = cols ^ string.x_mask
-        term = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-        out = term if out is None else out + term
-    return out
-
-
-def _dense_on_support(operator: PauliSum, support: list[int]) -> np.ndarray:
-    dim = 1 << len(support)
-    out = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in operator:
-        factor = np.eye(1, dtype=complex)
-        for site in reversed(support):
-            factor = np.kron(factor, _LETTER_MATRICES[string.letter(site)])
-        out += coeff * factor
-    return out
-
-
-def _apply_dense_on_support(amps: np.ndarray, n_qubits: int, support: list[int],
-                            matrix: np.ndarray) -> np.ndarray:
-    m = len(support)
-    axes = [n_qubits - 1 - s for s in reversed(support)]
-    tensor = amps.reshape([2] * n_qubits)
-    tensor = np.moveaxis(tensor, axes, range(m))
-    flat = matrix @ tensor.reshape(1 << m, -1)
-    tensor = np.moveaxis(flat.reshape([2] * n_qubits), range(m), axes)
-    return np.ascontiguousarray(tensor).reshape(-1)
-
-
 def apply_generator_exponential(state: StateVector, generator: PauliSum,
                                 theta: float) -> StateVector:
     if generator.n_qubits != state.n_qubits:
         raise ValueError("generator qubit count does not match state")
-    if not generator.is_anti_hermitian():
+    compiled = generator.compiled()
+    if not compiled.anti_hermitian:
         raise ValueError("generator is not anti-Hermitian")
-    return StateVector(
-        state.n_qubits,
-        _apply_exponential_raw(state.amplitudes, state.n_qubits, generator, theta),
-    )
+    return StateVector(state.n_qubits, compiled.exponential(state.amplitudes, theta))
 
 
 def apply_pauli_sum(state: StateVector, operator: PauliSum) -> StateVector:
     if operator.n_qubits != state.n_qubits:
         raise ValueError("operator qubit count does not match state")
-    return StateVector(
-        state.n_qubits,
-        _apply_sum_raw(state.amplitudes, state.n_qubits, operator),
-    )
-
-
-def _apply_sum_raw(amps: np.ndarray, n_qubits: int, operator: PauliSum) -> np.ndarray:
-    out = np.zeros_like(amps)
-    for string, coeff in operator:
-        out += coeff * _apply_string(amps, n_qubits, string)
-    return out
+    return StateVector(state.n_qubits, operator.compiled().apply(state.amplitudes))
 
 
 def prepare(ansatz: AnsatzState) -> StateVector:
@@ -278,20 +181,18 @@ def prepare(ansatz: AnsatzState) -> StateVector:
     _check_qubit_cap(ansatz.n_qubits)
     amps = basis_state(ansatz.reference).amplitudes
     for generator, theta in ansatz.elements:
-        amps = _apply_exponential_raw(amps, ansatz.n_qubits, generator, theta)
+        amps = generator.compiled().exponential(amps, theta)
     return StateVector(ansatz.n_qubits, amps)
 
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
     """<psi|O|psi> for a Hermitian observable, as a real number."""
-    if not observable.is_hermitian():
+    compiled = observable.compiled()
+    if not compiled.hermitian:
         raise ValueError("observable is not Hermitian")
     if observable.n_qubits != state.n_qubits:
         raise ValueError("observable qubit count does not match state")
-    value = complex(
-        np.vdot(state.amplitudes,
-                _apply_sum_raw(state.amplitudes, state.n_qubits, observable))
-    )
+    value = complex(np.vdot(state.amplitudes, compiled.apply(state.amplitudes)))
     if abs(value.imag) > _IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
@@ -301,9 +202,7 @@ def _forward_states(ansatz: AnsatzState) -> list[np.ndarray]:
     """States after 0, 1, ..., n ansatz elements."""
     states = [basis_state(ansatz.reference).amplitudes]
     for generator, theta in ansatz.elements:
-        states.append(
-            _apply_exponential_raw(states[-1], ansatz.n_qubits, generator, theta)
-        )
+        states.append(generator.compiled().exponential(states[-1], theta))
     return states
 
 
@@ -318,7 +217,7 @@ def energy_and_gradient(
     after the first j elements; the reverse sweep carries H|psi> backwards
     through the inverse unitaries.  Charges 1 + 2n cost units.
     """
-    if not hamiltonian.is_hermitian():
+    if not hamiltonian.compiled().hermitian:
         raise ValueError("Hamiltonian is not Hermitian")
     if hamiltonian.n_qubits != ansatz.n_qubits:
         raise ValueError("Hamiltonian qubit count does not match ansatz")
@@ -328,17 +227,16 @@ def energy_and_gradient(
         ledger.charge_gradient(n)
     states = _forward_states(ansatz)
     psi = states[-1]
-    lam = _apply_sum_raw(psi, ansatz.n_qubits, hamiltonian)
+    lam = hamiltonian.compiled().apply(psi)
     energy = complex(np.vdot(psi, lam))
     if abs(energy.imag) > _IMAG_TOL:
         raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
     grad = np.empty(n, dtype=float)
     for j in range(n - 1, -1, -1):
         generator, theta = ansatz.elements[j]
-        grad[j] = 2.0 * np.real(
-            np.vdot(lam, _apply_sum_raw(states[j + 1], ansatz.n_qubits, generator))
-        )
-        lam = _apply_exponential_raw(lam, ansatz.n_qubits, generator, -theta)
+        compiled = generator.compiled()
+        grad[j] = 2.0 * np.real(np.vdot(lam, compiled.apply(states[j + 1])))
+        lam = compiled.exponential(lam, -theta)
     return energy.real, grad
 
 
@@ -359,13 +257,58 @@ def gradient_components(
         return np.empty(0, dtype=float)
     states = _forward_states(ansatz)
     psi = states[-1]
-    lam = _apply_sum_raw(psi, ansatz.n_qubits, hamiltonian)
+    lam = hamiltonian.compiled().apply(psi)
     values = {}
     for j in range(n - 1, wanted[0] - 1, -1):
         generator, theta = ansatz.elements[j]
+        compiled = generator.compiled()
         if j in wanted:
-            values[j] = 2.0 * np.real(
-                np.vdot(lam, _apply_sum_raw(states[j + 1], ansatz.n_qubits, generator))
-            )
-        lam = _apply_exponential_raw(lam, ansatz.n_qubits, generator, -theta)
+            values[j] = 2.0 * np.real(np.vdot(lam, compiled.apply(states[j + 1])))
+        lam = compiled.exponential(lam, -theta)
     return np.array([values[j] for j in indices], dtype=float)
+
+
+def generator_gradients(
+    state: StateVector,
+    hamiltonian: PauliSum,
+    generators: tuple[PauliSum, ...] | list[PauliSum],
+) -> np.ndarray:
+    """``2 Re <H psi|A_k psi>`` for each generator: the energy derivative of
+    ``exp(t A_k)|psi>`` at ``t = 0``.
+
+    Generators whose strings share one X mask (every qubit-excitation
+    operator and every single string) are evaluated together through their
+    sign tables (:attr:`CompiledSum.sign_table`): per distinct X mask ``x``,
+    ``w[b] = conj((H psi)[b ^ x]) psi[b]`` is formed once from a
+    reversed-axis view, summed over the qubits outside each generator's Z
+    support and dotted with the table.  Other generators are applied in
+    full.  The summation order differs from :func:`apply_pauli_sum`, so the
+    result agrees with it to rounding, not bit for bit.
+    """
+    n = state.n_qubits
+    psi = state.amplitudes
+    h_psi = hamiltonian.compiled().apply(psi)
+    grads = np.empty(len(generators), dtype=float)
+    by_mask: dict[int, dict[int, list[tuple[int, np.ndarray]]]] = {}
+    for k, generator in enumerate(generators):
+        compiled = generator.compiled()
+        if compiled.sign_table is None:
+            grads[k] = 2.0 * np.real(np.vdot(h_psi, compiled.apply(psi)))
+            continue
+        x_mask, z_support, table = compiled.sign_table
+        by_mask.setdefault(x_mask, {}).setdefault(z_support, []).append((k, table))
+    shape = [2] * n
+    h_conj = h_psi.conj().reshape(shape)
+    psi_tensor = psi.reshape(shape)
+    for x_mask, by_support in by_mask.items():
+        # tensor axis a holds qubit n - 1 - a
+        flipped = tuple(slice(None, None, -1) if x_mask >> (n - 1 - a) & 1 else slice(None)
+                        for a in range(n))
+        w = h_conj[flipped] * psi_tensor
+        for z_support, members in by_support.items():
+            kept = [n - 1 - q for q in reversed(range(n)) if z_support >> q & 1]
+            rest = [a for a in range(n) if a not in kept]
+            reduced = w.transpose(kept + rest).reshape(1 << len(kept), -1).sum(axis=1)
+            for k, table in members:
+                grads[k] = 2.0 * float(np.real(table @ reduced))
+    return grads

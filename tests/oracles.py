@@ -6,6 +6,11 @@ statevector engine, so that tests compare two independent routes.
 
 Conventions match the package's documented ones: qubit 0 is the leftmost
 character of a text string and the least-significant bit of a basis index.
+
+The ``reference_*`` functions are the exception: they are the plain
+term-by-term statevector route (a phase, a gather and an accumulation per
+Pauli string, in canonical term order) that the compiled engine replaced.
+The compiled engine must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -79,3 +84,72 @@ def wolfe_admissible_alphas(phi, dphi, f0, d0, alphas, c1=1e-4, c2=0.9):
         if phi(a) <= f0 + c1 * a * d0 and dphi(a) >= c2 * d0:
             good.append(a)
     return np.array(good)
+
+
+def _parity_signs(n_qubits, z_mask):
+    idx = np.arange(1 << n_qubits, dtype=np.uint64)
+    parity = np.bitwise_count(idx & np.uint64(z_mask)) & 1
+    return (1 - 2 * parity).astype(np.int8)
+
+
+def _flip_indices(n_qubits, x_mask):
+    return (np.arange(1 << n_qubits, dtype=np.int64) ^ x_mask).astype(np.int32)
+
+
+def reference_apply_string(amps, n_qubits, string):
+    """P|psi> via phase multiplication plus an index-XOR permutation."""
+    y_count = (string.x_mask & string.z_mask).bit_count()
+    out = amps * _parity_signs(n_qubits, string.z_mask)
+    if y_count % 4:
+        out = out * (1j ** (y_count % 4))
+    if string.x_mask:
+        out = out[_flip_indices(n_qubits, string.x_mask)]
+    return out
+
+
+def reference_apply_sum(amps, n_qubits, operator):
+    out = np.zeros_like(amps)
+    for string, coeff in operator:
+        out += coeff * reference_apply_string(amps, n_qubits, string)
+    return out
+
+
+def reference_exponential(amps, n_qubits, generator, theta):
+    """exp(theta * generator)|psi> for a generator of commuting strings."""
+    if theta == 0.0 or generator.is_zero:
+        return amps
+    assert generator.terms_mutually_commute()
+    for string, coeff in generator:
+        w = theta * coeff.imag
+        if w == 0.0:
+            continue
+        amps = np.cos(w) * amps + 1j * np.sin(w) * reference_apply_string(
+            amps, n_qubits, string)
+    return amps
+
+
+def reference_energy_and_gradient(reference, elements, hamiltonian):
+    """Energy and gradient by the forward/reverse sweep of the plain route."""
+    n_qubits = len(reference)
+    states = [dense_basis_state(reference)]
+    for generator, theta in elements:
+        states.append(reference_exponential(states[-1], n_qubits, generator, theta))
+    psi = states[-1]
+    lam = reference_apply_sum(psi, n_qubits, hamiltonian)
+    energy = complex(np.vdot(psi, lam)).real
+    grad = np.empty(len(elements), dtype=float)
+    for j in range(len(elements) - 1, -1, -1):
+        generator, theta = elements[j]
+        grad[j] = 2.0 * np.real(
+            np.vdot(lam, reference_apply_sum(states[j + 1], n_qubits, generator)))
+        lam = reference_exponential(lam, n_qubits, generator, -theta)
+    return psi, energy, grad
+
+
+def reference_pool_gradients(amps, n_qubits, hamiltonian, operators):
+    """2 Re <H psi|A_k psi>, one full application per pool operator."""
+    h_psi = reference_apply_sum(amps, n_qubits, hamiltonian)
+    return np.array([
+        2.0 * np.real(np.vdot(h_psi, reference_apply_sum(amps, n_qubits, op)))
+        for op in operators
+    ])

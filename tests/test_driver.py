@@ -16,6 +16,8 @@ from adaptvqe.simulator import (
     prepare,
 )
 
+from oracles import reference_pool_gradients
+
 
 def recomputed_fevals(result):
     """Re-derive the ledger's function evaluations from the traces alone."""
@@ -64,6 +66,40 @@ class TestPoolGradients:
                                h2_fixture.operator)
             fd = (up - down) / (2 * step)
             assert abs(g - fd) <= 1e-6 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("case", ["h4", "tfim8"])
+    def test_sweep_matches_per_operator_route(self, case, h4_equilibrium_fixture):
+        if case == "tfim8":
+            hfile = builtin_model("tfim", 8, with_exact=False)
+            pool = build_nearest_neighbor_pool(8)
+        else:
+            hfile = h4_equilibrium_fixture
+            pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        rng = np.random.default_rng(11)
+        picks = rng.integers(0, len(pool), size=4)
+        state = prepare(AnsatzState(hfile.reference_bitstring, tuple(
+            (pool.operators[int(i)], float(t))
+            for i, t in zip(picks, rng.normal(size=4) * 0.5))))
+        assert all(op.compiled().sign_table is not None for op in pool.operators)
+        grads = pool_gradients(state, pool, hfile.operator)
+        expected = reference_pool_gradients(
+            state.amplitudes, state.n_qubits, hfile.operator, pool.operators)
+        np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
+        assert select_operator(grads)[0] == select_operator(expected)[0]
+
+    def test_multi_mask_operator_takes_full_route(self, h2_fixture):
+        mixed = PauliSum.from_text_terms([("XYII", 1j), ("ZIII", 0.5j)])
+        pool = OperatorPool("Qubit", 4, (mixed, build_qe_pool(4, 2).operators[2]),
+                            ("mixed", "double"))
+        assert mixed.compiled().sign_table is None
+        rng = np.random.default_rng(12)
+        state = prepare(AnsatzState(h2_fixture.reference_bitstring,
+                                    ((pool.operators[1], float(rng.normal())),)))
+        grads = pool_gradients(state, pool, h2_fixture.operator)
+        expected = reference_pool_gradients(
+            state.amplitudes, 4, h2_fixture.operator, pool.operators)
+        assert grads[0] == expected[0]
+        assert grads[1] == pytest.approx(expected[1], abs=1e-12)
 
     def test_ledger_charged_flat_rate(self, h2_fixture):
         pool = build_qe_pool(4, 2)

@@ -46,6 +46,13 @@ class TestWolfeLineSearch:
         assert result.x[0] == pytest.approx(0.0)
         assert result.f == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("f,g", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_trial_is_rejected(self, f, g):
+        obj = FunctionObjective(lambda x: f, lambda x: np.array([g]))
+        with pytest.raises(ValueError, match="non-finite"):
+            wolfe_line_search(obj, np.array([1.0]), 1.0, np.array([2.0]),
+                              np.array([-1.0]))
+
     def test_stationary_point_is_a_precondition_violation(self):
         obj = quadratic_objective([[2.0]])
         with pytest.raises(ValueError, match="descent direction"):
@@ -333,6 +340,10 @@ class TestFreezeParameters:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             freeze_parameters(np.eye(3), {3})
+
+    def test_iterator_of_indices(self):
+        out = freeze_parameters(np.diag([4.0, 5.0, 6.0]), iter([0]))
+        np.testing.assert_array_equal(out, np.diag([5.0, 6.0]))
 
 
 class TestSecantInvariantOnQuadratics:

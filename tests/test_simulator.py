@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptvqe.cost import CostLedger
+from adaptvqe.hamiltonians import builtin_model
 from adaptvqe.paulis import PauliString, PauliSum
 from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool, qe_double
 from adaptvqe.simulator import (
@@ -12,11 +15,20 @@ from adaptvqe.simulator import (
     basis_state,
     energy_and_gradient,
     expectation,
+    generator_gradients,
     gradient_components,
     prepare,
 )
 
-from oracles import dense_expectation, dense_pauli_sum, dense_prepare
+from oracles import (
+    dense_expectation,
+    dense_pauli_sum,
+    dense_prepare,
+    reference_apply_sum,
+    reference_energy_and_gradient,
+    reference_exponential,
+    reference_pool_gradients,
+)
 
 
 def random_generator(rng, n_qubits, max_weight=2):
@@ -184,3 +196,103 @@ class TestGradients:
         with pytest.raises(ValueError, match="out of range"):
             gradient_components(AnsatzState(h2_fixture.reference_bitstring),
                                 h2_fixture.operator, [0])
+
+
+def assert_bit_exact(ansatz, hamiltonian, amps):
+    """Compiled application, preparation and gradients against the plain
+    per-term route, with ``np.array_equal``."""
+    n_qubits = ansatz.n_qubits
+    psi, energy, grad = reference_energy_and_gradient(
+        ansatz.reference, ansatz.elements, hamiltonian)
+    assert np.array_equal(prepare(ansatz).amplitudes, psi)
+    got_energy, got_grad = energy_and_gradient(ansatz, hamiltonian)
+    assert got_energy == energy
+    assert np.array_equal(got_grad, grad)
+    if ansatz.n_parameters:
+        wanted = list(range(ansatz.n_parameters))[::2]
+        assert np.array_equal(gradient_components(ansatz, hamiltonian, wanted), grad[wanted])
+    state = StateVector(n_qubits, amps)
+    assert np.array_equal(apply_pauli_sum(state, hamiltonian).amplitudes,
+                          reference_apply_sum(state.amplitudes, n_qubits, hamiltonian))
+    for generator, theta in ansatz.elements:
+        assert np.array_equal(
+            apply_pauli_sum(state, generator).amplitudes,
+            reference_apply_sum(state.amplitudes, n_qubits, generator))
+        assert np.array_equal(
+            apply_generator_exponential(state, generator, theta).amplitudes,
+            reference_exponential(state.amplitudes, n_qubits, generator, theta))
+
+
+def random_amplitudes(rng, n_qubits):
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+_COEFFS = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+
+
+@st.composite
+def hermitian_sums(draw):
+    """Real-coefficient sums with an identity term, a single-Y string and
+    several terms on each of at most three X masks."""
+    n_qubits = draw(st.integers(1, 5))
+    full = (1 << n_qubits) - 1
+    x_masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    terms = [(PauliString.identity(n_qubits), draw(_COEFFS)),
+             (PauliString.single("Y", draw(st.integers(0, n_qubits - 1)), n_qubits),
+              draw(_COEFFS))]
+    for _ in range(draw(st.integers(1, 10))):
+        string = PauliString(n_qubits, draw(st.sampled_from(x_masks)),
+                             draw(st.integers(0, full)))
+        terms.append((string, draw(_COEFFS)))
+    return PauliSum(n_qubits, terms)
+
+
+@st.composite
+def commuting_generators(draw, n_qubits):
+    """Anti-Hermitian sums of 1-8 mutually commuting strings."""
+    full = (1 << n_qubits) - 1
+    strings: list[PauliString] = []
+    for _ in range(draw(st.integers(1, 8))):
+        string = PauliString(n_qubits, draw(st.integers(0, full)),
+                             draw(st.integers(0, full)))
+        if all(string.commutes_with(kept) for kept in strings):
+            strings.append(string)
+    return PauliSum(n_qubits, [(s, 1j * draw(_COEFFS)) for s in strings])
+
+
+class TestCompiledIsBitExact:
+    @pytest.mark.parametrize("case", ["h2", "h4", "tfim8"])
+    def test_fixtures(self, case, request):
+        if case == "tfim8":
+            hfile = builtin_model("tfim", 8, with_exact=False)
+            pool = build_nearest_neighbor_pool(8)
+        else:
+            fixture = {"h2": "h2_fixture", "h4": "h4_equilibrium_fixture"}[case]
+            hfile = request.getfixturevalue(fixture)
+            pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        rng = np.random.default_rng(len(case))
+        picks = rng.integers(0, len(pool), size=6)
+        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
+            (pool.operators[int(i)], float(t))
+            for i, t in zip(picks, rng.normal(size=6) * 0.5)))
+        assert_bit_exact(ansatz, hfile.operator, random_amplitudes(rng, hfile.n_qubits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_sums(self, data):
+        hamiltonian = data.draw(hermitian_sums())
+        n_qubits = hamiltonian.n_qubits
+        generators = [data.draw(commuting_generators(n_qubits))
+                      for _ in range(data.draw(st.integers(1, 3)))]
+        thetas = [data.draw(st.floats(-1.5, 1.5)) for _ in generators]
+        reference = "".join(data.draw(st.sampled_from("01")) for _ in range(n_qubits))
+        ansatz = AnsatzState(reference, tuple(zip(generators, thetas)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = random_amplitudes(rng, n_qubits)
+        assert_bit_exact(ansatz, hamiltonian, amps)
+        # the pool sweep sums in another order: rounding-level agreement
+        np.testing.assert_allclose(
+            generator_gradients(StateVector(n_qubits, amps), hamiltonian, generators),
+            reference_pool_gradients(amps, n_qubits, hamiltonian, generators),
+            rtol=0, atol=1e-12)
