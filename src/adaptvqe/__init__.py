@@ -13,7 +13,6 @@ from .diagnostics import (
     frobenius_distance,
     hessian_distance_series,
     hessian_report,
-    newton_direction,
 )
 from .driver import AdaptIteration, AdaptResult, pool_gradients, run_adapt, select_operator
 from .hamiltonians import (
@@ -31,7 +30,6 @@ from .optimizer import (
     OptimizerResult,
     bfgs_update,
     expand_inverse_hessian,
-    freeze_parameters,
     minimize_canonical,
     minimize_recycled,
     wolfe_line_search,

@@ -86,7 +86,6 @@ def _config_from_args(args) -> ExperimentConfig:
         heatmap_iterations=tuple(int(n) for n in args.heatmaps.split(",") if n),
         output_dir=args.out or "run_output",
         verify_hamiltonian=args.verify,
-        seed=args.seed,
     )
 
 
@@ -162,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated iterations for heatmap export")
     run.add_argument("--verify", action="store_true",
                      help="re-verify recorded exact energies on load")
-    run.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized extensions (core path is "
-                          "deterministic)")
     run.add_argument("--out", help="output directory")
     run.set_defaults(func=_cmd_run)
 

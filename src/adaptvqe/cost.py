@@ -2,9 +2,9 @@
 
 The counters follow the hardware cost model rather than what the simulator
 actually does internally: one unit per energy evaluation, two units per
-gradient component (parameter-shift style), and a configurable flat rate per
-ADAPT iteration for the pool-gradient sweep (default ``8 * n_qubits`` for the
-qubit-excitation pool).
+gradient component (parameter-shift style), and a flat rate of
+``8 * n_qubits`` per ADAPT iteration for the pool-gradient sweep (the
+qubit-excitation pool's cost model).
 """
 
 from __future__ import annotations

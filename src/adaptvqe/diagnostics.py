@@ -1,9 +1,9 @@
-"""Analysis instruments for optimizer runs: exact Hessians, Newton-direction
-distances, Frobenius distances between approximate and exact inverse
-Hessians, per-iteration step sizes, and convergence-rate ratios.
+"""Analysis instruments for optimizer runs: exact Hessians, Frobenius
+distances between approximate and exact inverse Hessians, per-iteration step
+sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 
-Exact Hessians are built from central differences of the analytic gradient
-(optionally Richardson-extrapolated).  All diagnostic evaluations are
+Exact Hessians are built from central differences of the analytic gradient.
+All diagnostic evaluations are
 charged to a caller-supplied shadow ledger so they never pollute a run's
 measurement-cost accounting.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "frobenius_distance",
     "exact_hessian",
     "exact_ansatz_hessian",
-    "newton_direction",
     "is_positive_definite",
     "hessian_report",
     "convergence_report",
@@ -51,30 +50,21 @@ def exact_hessian(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     step: float = _DEFAULT_FD_STEP,
-    richardson: bool = False,
 ) -> np.ndarray:
     """Central differences of an analytic gradient, symmetrized.
 
-    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h.  With
-    ``richardson`` enabled the two-step estimate (4 A(h/2) - A(h)) / 3 is
-    returned, trading 2x the gradient calls for one extra order of accuracy.
+    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h.
     """
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-
-    def estimate(h: float) -> np.ndarray:
-        x0 = np.asarray(x, dtype=float)
-        n = x0.size
-        out = np.empty((n, n), dtype=float)
-        for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = h
-            out[:, i] = (grad_fn(x0 + shift) - grad_fn(x0 - shift)) / (2.0 * h)
-        return 0.5 * (out + out.T)
-
-    if richardson:
-        return (4.0 * estimate(step / 2.0) - estimate(step)) / 3.0
-    return estimate(step)
+    x0 = np.asarray(x, dtype=float)
+    n = x0.size
+    out = np.empty((n, n), dtype=float)
+    for i in range(n):
+        shift = np.zeros(n)
+        shift[i] = step
+        out[:, i] = (grad_fn(x0 + shift) - grad_fn(x0 - shift)) / (2.0 * step)
+    return 0.5 * (out + out.T)
 
 
 def exact_ansatz_hessian(
@@ -82,7 +72,6 @@ def exact_ansatz_hessian(
     hamiltonian: PauliSum,
     x: np.ndarray | None = None,
     step: float = _DEFAULT_FD_STEP,
-    richardson: bool = False,
     shadow_ledger: CostLedger | None = None,
 ) -> np.ndarray:
     """Exact energy Hessian of an ansatz at parameter vector ``x``."""
@@ -94,7 +83,7 @@ def exact_ansatz_hessian(
         )
 
     point = ansatz.parameters if x is None else np.asarray(x, dtype=float)
-    return exact_hessian(grad_fn, point, step=step, richardson=richardson)
+    return exact_hessian(grad_fn, point, step=step)
 
 
 def is_positive_definite(matrix: np.ndarray) -> bool:
@@ -103,22 +92,6 @@ def is_positive_definite(matrix: np.ndarray) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def newton_direction(grad: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """Solve hessian @ p = -grad; least-squares when singular or indefinite.
-
-    Non-positive-definite Hessians are reported by callers via
-    :func:`is_positive_definite`; the direction itself is not modified.
-    """
-    grad = np.asarray(grad, dtype=float)
-    hessian = np.asarray(hessian, dtype=float)
-    if hessian.shape != (grad.size, grad.size):
-        raise ValueError("Hessian shape does not match gradient dimension")
-    try:
-        return np.linalg.solve(hessian, -grad)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(hessian, -grad, rcond=None)[0]
 
 
 @dataclass
@@ -157,28 +130,21 @@ class ConvergenceReport:
 
     error_ratios: np.ndarray
     step_sizes: np.ndarray
-    newton_distances: np.ndarray | None
     superlinear_markers: np.ndarray
     x_star_proxy: np.ndarray
-    hessian_pd_flags: np.ndarray | None
     insufficient: bool
 
 
 def convergence_report(
     opt_result: OptimizerResult,
-    grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     hessian_at_xstar: np.ndarray | None = None,
-    compute_newton: bool = False,
-    normalize_newton: bool = False,
-    step: float = _DEFAULT_FD_STEP,
 ) -> ConvergenceReport:
     """Convergence-rate series from a state-recorded optimizer result.
 
     Requires the optimizer to have been run with ``record_state=True``.
     ``hessian_at_xstar`` feeds the superlinear marker
     ``|(B_k - exact)(p_k)| / |p_k|`` with ``B_k`` the approximate Hessian
-    implied by the optimizer's inverse.  Newton-direction distances need
-    ``grad_fn`` to build an exact Hessian at every iterate and are opt-in.
+    implied by the optimizer's inverse.
     """
     snapshots = opt_result.snapshots
     if snapshots is None:
@@ -186,9 +152,7 @@ def convergence_report(
     x_star = opt_result.x_star
     iterates = [snap.x for snap in snapshots] + [x_star]
     if len(iterates) < 3:
-        return ConvergenceReport(
-            np.empty(0), np.empty(0), None, np.empty(0), x_star, None, True
-        )
+        return ConvergenceReport(np.empty(0), np.empty(0), np.empty(0), x_star, True)
 
     errors = [float(np.linalg.norm(xk - x_star)) for xk in iterates]
     ratios = np.array([
@@ -208,24 +172,7 @@ def convergence_report(
             bk_p = np.linalg.solve(snap.h, p)
             markers[i] = float(np.linalg.norm(bk_p - hessian_at_xstar @ p) / norm_p)
 
-    newton = None
-    pd_flags = None
-    if compute_newton:
-        if grad_fn is None:
-            raise ValueError("Newton-direction distances need grad_fn")
-        newton = np.empty(len(snapshots))
-        pd_flags = np.empty(len(snapshots), dtype=bool)
-        for i, snap in enumerate(snapshots):
-            hess = exact_hessian(grad_fn, snap.x, step=step)
-            pd_flags[i] = is_positive_definite(hess)
-            p_newton = newton_direction(snap.grad, hess)
-            p_qn = snap.direction
-            if normalize_newton:
-                p_newton = p_newton / max(np.linalg.norm(p_newton), 1e-300)
-                p_qn = p_qn / max(np.linalg.norm(p_qn), 1e-300)
-            newton[i] = float(np.linalg.norm(p_qn - p_newton))
-
-    return ConvergenceReport(ratios, alphas, newton, markers, x_star, pd_flags, False)
+    return ConvergenceReport(ratios, alphas, markers, x_star, False)
 
 
 @dataclass

@@ -43,6 +43,8 @@ logger = logging.getLogger(__name__)
 MODES = ("canonical", "recycling")
 
 _ENERGY_RISE_TOL = 1e-10
+_TIE_TOL = 1e-6
+_STALL_LIMIT = 3
 
 
 @dataclass
@@ -102,29 +104,26 @@ def pool_gradients(
     pool: OperatorPool,
     hamiltonian: PauliSum,
     ledger: CostLedger | None = None,
-    units: int | None = None,
 ) -> np.ndarray:
     """Energy derivative of each candidate operator at parameter zero.
 
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
     :func:`generator_gradients`.  The ledger is charged one flat pool sweep
-    (default 8N units) per call.
+    of 8N units per call.
     """
     if pool.n_qubits != state.n_qubits or hamiltonian.n_qubits != state.n_qubits:
         raise ValueError("pool/Hamiltonian/state qubit counts disagree")
     if ledger is not None:
-        ledger.charge_pool_sweep(
-            default_pool_sweep_units(state.n_qubits) if units is None else units
-        )
+        ledger.charge_pool_sweep(default_pool_sweep_units(state.n_qubits))
     return generator_gradients(state, hamiltonian, pool.operators)
 
 
-def select_operator(gradients: np.ndarray, tie_tol: float = 1e-6) -> tuple[int, float]:
+def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     """Index of the largest-magnitude gradient and the Euclidean norm of the
     whole gradient vector.
 
-    Candidates within ``tie_tol`` of the maximum magnitude count as tied and
+    Candidates within 1e-6 of the maximum magnitude count as tied and
     the lowest pool index wins.  Symmetry-degenerate operators differ only
     by numerical noise at converged iterates, so a strict argmax would make
     the selection depend on noise instead of on the pool order.
@@ -134,7 +133,7 @@ def select_operator(gradients: np.ndarray, tie_tol: float = 1e-6) -> tuple[int, 
         raise ValueError("cannot select from an empty pool")
     magnitudes = np.abs(gradients)
     best = float(np.max(magnitudes))
-    index = int(np.argmax(magnitudes >= best - tie_tol))
+    index = int(np.argmax(magnitudes >= best - _TIE_TOL))
     return index, float(np.linalg.norm(gradients))
 
 
@@ -149,16 +148,13 @@ def run_adapt(
     opt_max_iterations: int = 10000,
     ledger: CostLedger | None = None,
     exact_energy: float | None = None,
-    pool_units_per_iteration: int | None = None,
-    stall_limit: int = 3,
     record_optimizer_state: bool = False,
-    strong_wolfe: bool = False,
 ) -> AdaptResult:
     """Run the adaptive growth loop until the pool-gradient norm drops below
     ``eps`` or ``max_iterations`` operators have been added.
 
     A line-search failure inside one optimization is recorded and the loop
-    continues from the best point found; ``stall_limit`` consecutive
+    continues from the best point found; three consecutive
     first-line-search failures abort the loop with a diagnostic.
     """
     if mode not in MODES:
@@ -190,8 +186,7 @@ def run_adapt(
     while n < max_iterations:
         n += 1
         state = prepare(ansatz)
-        grads = pool_gradients(state, pool, hamiltonian, ledger,
-                               pool_units_per_iteration)
+        grads = pool_gradients(state, pool, hamiltonian, ledger)
         pool_sweeps += 1
         index, pool_norm = select_operator(grads)
         ledger.record_iteration(
@@ -209,14 +204,14 @@ def run_adapt(
                 opt = minimize_canonical(
                     objective, np.concatenate([x_star, [0.0]]),
                     grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
-                    record_state=record_optimizer_state, strong_wolfe=strong_wolfe,
+                    record_state=record_optimizer_state,
                 )
             else:
                 h_start = expand_inverse_hessian(h_star, 1)
                 opt = minimize_recycled(
                     objective, x_star, grad_star, h_star, 1,
                     grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
-                    record_state=record_optimizer_state, strong_wolfe=strong_wolfe,
+                    record_state=record_optimizer_state,
                 )
         except Exception as exc:
             raise RuntimeError(f"ADAPT iteration {n} ({mode} mode) failed: {exc}") from exc
@@ -229,7 +224,7 @@ def run_adapt(
         if opt.line_search_failed and opt.line_searches <= 1:
             consecutive_stalls += 1
             logger.warning("ADAPT iteration %d: first line search failed (%d/%d)",
-                           n, consecutive_stalls, stall_limit)
+                           n, consecutive_stalls, _STALL_LIMIT)
         else:
             consecutive_stalls = 0
 
@@ -261,7 +256,7 @@ def run_adapt(
             opt_initial_fevals=opt.initial_fevals,
             opt_snapshots=opt.snapshots,
         ))
-        if consecutive_stalls >= stall_limit:
+        if consecutive_stalls >= _STALL_LIMIT:
             stalled = True
             logger.error("ADAPT aborted after %d consecutive stalled iterations",
                          consecutive_stalls)

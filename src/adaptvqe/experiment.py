@@ -5,14 +5,17 @@ per-optimizer-iteration trace as CSV, the cost ledger as JSON, plus a
 ``summary.json`` comparing modes.  With diagnostics enabled the
 inverse-Hessian distance series, element-wise difference heatmaps and a
 convergence report for the final optimization are emitted as well.  All
-outputs are byte-deterministic for a fixed config; concurrent runs must use
-distinct directories, enforced by a lock file.
+outputs are byte-deterministic for a fixed config, and each file is written
+under a temporary name and renamed into place, so an interrupted run never
+leaves a truncated file; concurrent runs must use distinct directories,
+enforced by a lock file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -61,7 +64,6 @@ class ExperimentConfig:
     heatmap_iterations: tuple[int, ...] = ()
     output_dir: str = "run_output"
     verify_hamiltonian: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if (self.hamiltonian_path is None) == (self.builtin is None):
@@ -94,7 +96,6 @@ class ExperimentConfig:
             "heatmap_iterations": list(self.heatmap_iterations),
             "output_dir": self.output_dir,
             "verify_hamiltonian": self.verify_hamiltonian,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -166,16 +167,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    onto ``path``: an interrupted write leaves the old file whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
+    _write_atomically(path, write)
+
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomically(path, lambda fh: fh.write(text))
 
 
 def write_adapt_trace(path: Path, result: AdaptResult) -> None:

@@ -82,8 +82,11 @@ def ground_state_energy(operator: PauliSum) -> float:
         )
     if operator.n_qubits <= _DENSE_DIAG_CAP:
         return float(np.linalg.eigvalsh(dense_matrix(operator))[0])
+    # A fixed start vector makes ARPACK, and so the result, repeatable.
+    v0 = np.random.default_rng(0).standard_normal(1 << operator.n_qubits)
     values = scipy.sparse.linalg.eigsh(
-        operator.compiled().sparse(), k=1, which="SA", return_eigenvectors=False
+        operator.compiled().sparse(), k=1, which="SA", v0=v0,
+        return_eigenvectors=False,
     )
     return float(values[0])
 

@@ -1,7 +1,7 @@
 """BFGS with a Wolfe line search, in canonical and inverse-Hessian-recycling forms.
 
-Two entry points share the same update rule and line search but differ in
-initialization and loop ordering:
+Both entry points run one BFGS iteration and differ only in how it starts
+and in whether the converging step updates the inverse Hessian:
 
 * :func:`minimize_canonical` starts from ``H_0 = I`` and updates the inverse
   Hessian only when the convergence check fails, so the returned matrix is
@@ -9,13 +9,13 @@ initialization and loop ordering:
 * :func:`minimize_recycled` starts from a previous optimization's final
   ``H*`` expanded by an identity block for the new parameters, reuses the
   previous final gradient for the old entries of the initial gradient, and
-  updates the matrix before the convergence check so the returned ``H*`` is
+  also updates the matrix on the converging step, so the returned ``H*`` is
   current.  Its outputs feed the next call directly.
 
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
-and curvature conditions hold (weak curvature by default, strong behind a
-flag), with ``c1 = 1e-4`` and ``c2 = 0.9``.
+and weak curvature conditions hold, with ``c1 = 1e-4`` and ``c2 = 0.9``, in
+at most 25 trials.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "bfgs_update",
     "curvature_condition_holds",
     "expand_inverse_hessian",
-    "freeze_parameters",
     "minimize_canonical",
     "minimize_recycled",
 ]
@@ -46,9 +45,9 @@ logger = logging.getLogger(__name__)
 
 CURVATURE_SKIP_TOL = 1e-10
 
-_C1_DEFAULT = 1e-4
-_C2_DEFAULT = 0.9
-_MAX_TRIALS_DEFAULT = 25
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_TRIALS = 25
 _EXPANSION_FACTOR = 2.0
 
 
@@ -110,10 +109,6 @@ def wolfe_line_search(
     f_x: float,
     grad_x: np.ndarray,
     direction: np.ndarray,
-    c1: float = _C1_DEFAULT,
-    c2: float = _C2_DEFAULT,
-    max_trials: int = _MAX_TRIALS_DEFAULT,
-    strong: bool = False,
 ) -> LineSearchResult:
     """Find a step satisfying the sufficient-decrease and curvature conditions.
 
@@ -142,11 +137,6 @@ def wolfe_line_search(
             best = LineSearchResult(x + alpha * p, f_a, g_a, alpha, 0, False)
         return f_a, g_a, float(g_a @ p)
 
-    def curvature_ok(d_a: float) -> bool:
-        if strong:
-            return abs(d_a) <= -c2 * d0
-        return d_a >= c2 * d0
-
     def accept(alpha, f_a, g_a):
         return LineSearchResult(x + alpha * p, f_a, g_a, alpha, evals, True)
 
@@ -154,7 +144,7 @@ def wolfe_line_search(
         return LineSearchResult(best.x, best.f, best.grad, best.alpha, evals, False)
 
     def zoom(a_lo, f_lo, d_lo, a_hi, f_hi):
-        while evals < max_trials:
+        while evals < _MAX_TRIALS:
             span = a_hi - a_lo
             if abs(span) < 1e-16 * max(1.0, abs(a_lo)):
                 return fail()
@@ -169,10 +159,10 @@ def wolfe_line_search(
             else:
                 a_j = min(max(a_j, hi_bound), lo_bound)
             f_j, g_j, d_j = probe(a_j)
-            if f_j > f_x + c1 * a_j * d0 or f_j >= f_lo:
+            if f_j > f_x + _C1 * a_j * d0 or f_j >= f_lo:
                 a_hi, f_hi = a_j, f_j
             else:
-                if curvature_ok(d_j):
+                if d_j >= _C2 * d0:
                     return accept(a_j, f_j, g_j)
                 if d_j * span >= 0:
                     a_hi, f_hi = a_lo, f_lo
@@ -181,11 +171,11 @@ def wolfe_line_search(
 
     alpha_prev, f_prev, d_prev = 0.0, f_x, d0
     alpha = 1.0
-    while evals < max_trials:
+    while evals < _MAX_TRIALS:
         f_a, g_a, d_a = probe(alpha)
-        if f_a > f_x + c1 * alpha * d0 or (alpha_prev > 0.0 and f_a >= f_prev):
+        if f_a > f_x + _C1 * alpha * d0 or (alpha_prev > 0.0 and f_a >= f_prev):
             return zoom(alpha_prev, f_prev, d_prev, alpha, f_a)
-        if curvature_ok(d_a):
+        if d_a >= _C2 * d0:
             return accept(alpha, f_a, g_a)
         if d_a >= 0.0:
             return zoom(alpha, f_a, d_a, alpha_prev, f_prev)
@@ -194,10 +184,9 @@ def wolfe_line_search(
     return fail()
 
 
-def curvature_condition_holds(s: np.ndarray, y: np.ndarray,
-                              tol: float = CURVATURE_SKIP_TOL) -> bool:
+def curvature_condition_holds(s: np.ndarray, y: np.ndarray) -> bool:
     """True when y.s is positive enough for a PD-preserving update."""
-    return float(y @ s) > tol * float(np.linalg.norm(y) * np.linalg.norm(s))
+    return float(y @ s) > CURVATURE_SKIP_TOL * float(np.linalg.norm(y) * np.linalg.norm(s))
 
 
 def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -236,48 +225,11 @@ def expand_inverse_hessian(h: np.ndarray, new_parameter_count: int) -> np.ndarra
     return out
 
 
-def freeze_parameters(h: np.ndarray, indices) -> np.ndarray:
-    """Remove the rows and columns of frozen parameters.
-
-    The result is the principal submatrix on the kept indices, which stays
-    symmetric positive definite whenever the input is.
-    """
-    n = h.shape[0]
-    indices = list(indices)
-    frozen = set(indices)
-    if len(frozen) != len(indices):
-        raise ValueError("frozen indices must be distinct")
-    if any(i < 0 or i >= n for i in frozen):
-        raise ValueError(f"frozen index out of range for dimension {n}")
-    keep = [i for i in range(n) if i not in frozen]
-    return h[np.ix_(keep, keep)]
-
-
-def _result(x, f, g, h, line_searches, converged, failed, trace, initial_fevals,
-            snapshots):
-    return OptimizerResult(
-        x_star=np.array(x, dtype=float),
-        f_star=float(f),
-        grad_star=np.array(g, dtype=float),
-        h_star=np.array(h, dtype=float),
-        line_searches=line_searches,
-        converged=converged,
-        line_search_failed=failed,
-        trace=trace,
-        initial_fevals=initial_fevals,
-        snapshots=snapshots,
-    )
-
-
 def minimize_canonical(
     objective: Objective,
     x0: np.ndarray,
     grad_tol: float = 1e-6,
     max_iterations: int = 10000,
-    c1: float = _C1_DEFAULT,
-    c2: float = _C2_DEFAULT,
-    max_line_search_trials: int = _MAX_TRIALS_DEFAULT,
-    strong_wolfe: bool = False,
     record_state: bool = False,
 ) -> OptimizerResult:
     """BFGS from scratch: identity initial inverse Hessian.
@@ -288,62 +240,12 @@ def minimize_canonical(
     the inverse Hessian is not updated.
     """
     x = np.array(x0, dtype=float)
-    n = x.size
     fevals_before = objective.ledger.function_evaluations
     f, g = objective.value_and_grad(x)
     initial_fevals = objective.ledger.function_evaluations - fevals_before
-    h = np.eye(n)
-    trace: list[IterationRecord] = []
-    snapshots: list[OptimizerSnapshot] | None = [] if record_state else None
-
-    if np.linalg.norm(g) < grad_tol:
-        return _result(x, f, g, h, 0, True, False, trace, initial_fevals, snapshots)
-
-    line_searches = 0
-    k = 0
-    while k < max_iterations:
-        p = -h @ g
-        if snapshots is not None:
-            snapshots.append(OptimizerSnapshot(k, x.copy(), f, g.copy(), p.copy(), h.copy()))
-        try:
-            ls = wolfe_line_search(objective, x, f, g, p, c1=c1, c2=c2,
-                                   max_trials=max_line_search_trials,
-                                   strong=strong_wolfe)
-        except ValueError as exc:
-            raise ValueError(f"optimizer iteration {k}: {exc}") from exc
-        line_searches += 1
-        d_start = float(g @ p)
-        d_end = float(ls.grad @ p)
-        if not ls.success:
-            trace.append(IterationRecord(
-                k=k, f=ls.f, grad_norm=float(np.linalg.norm(ls.grad)),
-                alpha=ls.alpha, evals=ls.evals,
-                fevals_cumulative=objective.ledger.function_evaluations,
-                update_skipped=True, f_start=f, dir_deriv_start=d_start,
-                dir_deriv_end=d_end))
-            return _result(ls.x, ls.f, ls.grad, h, line_searches, False, True,
-                           trace, initial_fevals, snapshots)
-        converged = np.linalg.norm(ls.grad) <= grad_tol
-        update_skipped = False
-        if not converged:
-            s = ls.x - x
-            y = ls.grad - g
-            update_skipped = not curvature_condition_holds(s, y)
-            if not update_skipped:
-                h = bfgs_update(h, s, y)
-        trace.append(IterationRecord(
-            k=k, f=ls.f, grad_norm=float(np.linalg.norm(ls.grad)),
-            alpha=ls.alpha, evals=ls.evals,
-            fevals_cumulative=objective.ledger.function_evaluations,
-            update_skipped=update_skipped, f_start=f, dir_deriv_start=d_start,
-            dir_deriv_end=d_end))
-        x, f, g = ls.x, ls.f, ls.grad
-        if converged:
-            return _result(x, f, g, h, line_searches, True, False, trace,
-                           initial_fevals, snapshots)
-        k += 1
-    return _result(x, f, g, h, line_searches, False, False, trace,
-                   initial_fevals, snapshots)
+    return _minimize(objective, x, f, g, np.eye(x.size), initial_fevals,
+                     grad_tol, max_iterations, record_state,
+                     update_on_converged=False)
 
 
 def minimize_recycled(
@@ -354,10 +256,6 @@ def minimize_recycled(
     new_parameter_count: int = 1,
     grad_tol: float = 1e-6,
     max_iterations: int = 10000,
-    c1: float = _C1_DEFAULT,
-    c2: float = _C2_DEFAULT,
-    max_line_search_trials: int = _MAX_TRIALS_DEFAULT,
-    strong_wolfe: bool = False,
     record_state: bool = False,
 ) -> OptimizerResult:
     """BFGS warm-started from a previous optimization one dimension down.
@@ -388,52 +286,63 @@ def minimize_recycled(
     g_new = objective.grad_components(x, list(range(old, n)))
     initial_fevals = objective.ledger.function_evaluations - fevals_before
     g = np.concatenate([grad_prev, g_new])
-    h = expand_inverse_hessian(h_prev, m)
+    return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, m),
+                     initial_fevals, grad_tol, max_iterations, record_state,
+                     update_on_converged=True)
+
+
+def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,
+              record_state, update_on_converged) -> OptimizerResult:
+    """The BFGS iteration shared by both entry points, from a prepared start.
+
+    A failed line search ends the run at the best point it saw, with the
+    matrix that produced the last direction.  Otherwise the matrix is updated
+    from the step, except on the converging step when
+    ``update_on_converged`` is false.
+    """
     trace: list[IterationRecord] = []
     snapshots: list[OptimizerSnapshot] | None = [] if record_state else None
 
-    if np.linalg.norm(g) < grad_tol:
-        return _result(x, f, g, h, 0, True, False, trace, initial_fevals, snapshots)
+    def finish(x, f, g, h, converged, failed):
+        return OptimizerResult(
+            x_star=np.array(x, dtype=float),
+            f_star=float(f),
+            grad_star=np.array(g, dtype=float),
+            h_star=np.array(h, dtype=float),
+            line_searches=len(trace),
+            converged=converged,
+            line_search_failed=failed,
+            trace=trace,
+            initial_fevals=initial_fevals,
+            snapshots=snapshots,
+        )
 
-    line_searches = 0
-    k = 0
-    while k < max_iterations:
+    if np.linalg.norm(g) < grad_tol:
+        return finish(x, f, g, h, True, False)
+
+    for k in range(max_iterations):
         p = -h @ g
         if snapshots is not None:
             snapshots.append(OptimizerSnapshot(k, x.copy(), f, g.copy(), p.copy(), h.copy()))
         try:
-            ls = wolfe_line_search(objective, x, f, g, p, c1=c1, c2=c2,
-                                   max_trials=max_line_search_trials,
-                                   strong=strong_wolfe)
+            ls = wolfe_line_search(objective, x, f, g, p)
         except ValueError as exc:
             raise ValueError(f"optimizer iteration {k}: {exc}") from exc
-        line_searches += 1
-        d_start = float(g @ p)
-        d_end = float(ls.grad @ p)
-        if not ls.success:
-            trace.append(IterationRecord(
-                k=k, f=ls.f, grad_norm=float(np.linalg.norm(ls.grad)),
-                alpha=ls.alpha, evals=ls.evals,
-                fevals_cumulative=objective.ledger.function_evaluations,
-                update_skipped=True, f_start=f, dir_deriv_start=d_start,
-                dir_deriv_end=d_end))
-            return _result(ls.x, ls.f, ls.grad, h, line_searches, False, True,
-                           trace, initial_fevals, snapshots)
-        s = ls.x - x
-        y = ls.grad - g
-        update_skipped = not curvature_condition_holds(s, y)
-        if not update_skipped:
-            h = bfgs_update(h, s, y)
+        grad_norm = float(np.linalg.norm(ls.grad))
+        converged = ls.success and grad_norm < grad_tol
+        update_skipped = not ls.success
+        if ls.success and (update_on_converged or not converged):
+            s = ls.x - x
+            y = ls.grad - g
+            update_skipped = not curvature_condition_holds(s, y)
+            if not update_skipped:
+                h = bfgs_update(h, s, y)
         trace.append(IterationRecord(
-            k=k, f=ls.f, grad_norm=float(np.linalg.norm(ls.grad)),
-            alpha=ls.alpha, evals=ls.evals,
+            k=k, f=ls.f, grad_norm=grad_norm, alpha=ls.alpha, evals=ls.evals,
             fevals_cumulative=objective.ledger.function_evaluations,
-            update_skipped=update_skipped, f_start=f, dir_deriv_start=d_start,
-            dir_deriv_end=d_end))
+            update_skipped=update_skipped, f_start=f,
+            dir_deriv_start=float(g @ p), dir_deriv_end=float(ls.grad @ p)))
         x, f, g = ls.x, ls.f, ls.grad
-        k += 1
-        if np.linalg.norm(g) < grad_tol:
-            return _result(x, f, g, h, line_searches, True, False, trace,
-                           initial_fevals, snapshots)
-    return _result(x, f, g, h, line_searches, False, False, trace,
-                   initial_fevals, snapshots)
+        if not ls.success or converged:
+            return finish(x, f, g, h, converged, not ls.success)
+    return finish(x, f, g, h, False, False)

@@ -9,8 +9,6 @@ from adaptvqe.diagnostics import (
     frobenius_distance,
     hessian_distance_series,
     hessian_report,
-    is_positive_definite,
-    newton_direction,
 )
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import OptimizerResult, OptimizerSnapshot, minimize_canonical
@@ -56,14 +54,6 @@ class TestExactHessian:
         hess = exact_ansatz_hessian(ansatz, ham)
         assert hess[0, 0] == pytest.approx(-4.0, abs=1e-6)
 
-    def test_richardson_tightens_the_estimate(self):
-        grad = lambda x: np.array([np.sin(x[0]) * 10.0])
-        x = np.array([0.4])
-        coarse = exact_hessian(grad, x, step=1e-2)
-        refined = exact_hessian(grad, x, step=1e-2, richardson=True)
-        truth = 10.0 * np.cos(0.4)
-        assert abs(refined[0, 0] - truth) < abs(coarse[0, 0] - truth)
-
     def test_raw_asymmetry_is_small(self, h2_fixture):
         # symmetry of the unsymmetrized central-difference matrix is a
         # smoothness self-consistency check
@@ -99,36 +89,6 @@ class TestExactHessian:
             exact_hessian(lambda x: x, np.zeros(1), step=0.0)
 
 
-class TestNewtonDirection:
-    def test_identity_hessian_reproduces_steepest_descent(self):
-        grad = np.array([0.3, -1.2])
-        np.testing.assert_allclose(newton_direction(grad, np.eye(2)), -grad)
-
-    def test_diagonal_solve(self):
-        p = newton_direction(np.array([2.0, 1.0]), np.diag([2.0, 0.5]))
-        np.testing.assert_allclose(p, [-1.0, -2.0])
-
-    def test_random_spd_matches_dense_solver(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            m = rng.normal(size=(n, n))
-            hess = m @ m.T + 0.5 * np.eye(n)
-            grad = rng.normal(size=n)
-            p = newton_direction(grad, hess)
-            assert np.linalg.norm(hess @ p + grad) < 1e-10
-
-    def test_singular_hessian_falls_back_to_least_squares(self):
-        hess = np.diag([1.0, 0.0])
-        p = newton_direction(np.array([1.0, 0.0]), hess)
-        assert np.isfinite(p).all()
-        assert not is_positive_definite(hess)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            newton_direction(np.ones(3), np.eye(2))
-
-
 class TestConvergenceReport:
     def test_geometric_sequence_is_linear_with_half_ratio(self):
         iterates = [np.array([2.0 ** -k]) for k in range(12)] + [np.array([0.0])]
@@ -152,15 +112,6 @@ class TestConvergenceReport:
         result = minimize_canonical(obj, np.ones(3), grad_tol=1e-8, record_state=True)
         report = convergence_report(result, hessian_at_xstar=diag)
         assert report.superlinear_markers[-1] < 1e-6
-
-    def test_newton_distances_on_quadratic_shrink(self):
-        diag = np.diag([10.0, 40.0])
-        obj = quadratic_objective(diag)
-        result = minimize_canonical(obj, np.ones(2), grad_tol=1e-8, record_state=True)
-        report = convergence_report(
-            result, grad_fn=lambda x: diag @ x, compute_newton=True)
-        assert report.newton_distances[-1] <= report.newton_distances[0] + 1e-12
-        assert report.hessian_pd_flags.all()
 
     def test_requires_snapshots(self):
         result = minimize_canonical(quadratic_objective(np.eye(2)), np.ones(2))

@@ -107,8 +107,6 @@ class TestPoolGradients:
         ledger = CostLedger()
         pool_gradients(state, pool, h2_fixture.operator, ledger)
         assert ledger.pool_gradient_units == 8 * 4
-        pool_gradients(state, pool, h2_fixture.operator, ledger, units=5)
-        assert ledger.pool_gradient_units == 8 * 4 + 5
 
 
 class TestSelectOperator:
@@ -228,6 +226,6 @@ class TestRunAdapt:
 
         monkeypatch.setattr(driver_module, "minimize_canonical", failing_minimize)
         result = run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring,
-                           pool, mode="canonical", max_iterations=10, stall_limit=3)
+                           pool, mode="canonical", max_iterations=10)
         assert result.stalled and not result.converged
         assert len(result.iterations) == 3

@@ -158,6 +158,8 @@ class TestBuiltinModels:
             oracle, k=1, which="SA", return_eigenvectors=False)[0]
         assert model.exact_ground_energy == pytest.approx(float(reference),
                                                           abs=1e-8)
+        # the sparse route starts ARPACK from a fixed vector, so it repeats
+        assert ground_state_energy(model.operator) == model.exact_ground_energy
 
     def test_ground_state_energy_requires_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -233,6 +235,29 @@ class TestRunExperiment:
                      "summary.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_interrupted_rewrite_keeps_old_files_whole(self, tmp_path, monkeypatch):
+        import adaptvqe.experiment as experiment
+
+        config, _ = self.run_small(tmp_path, modes=("canonical",),
+                                   max_adapt_iterations=3)
+        out = Path(config.output_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fmt = experiment._fmt
+        calls = 0
+
+        def failing_fmt(value):
+            nonlocal calls
+            calls += 1
+            if calls == 12:  # in the second row of the first CSV
+                raise RuntimeError("interrupted")
+            return fmt(value)
+
+        monkeypatch.setattr(experiment, "_fmt", failing_fmt)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_experiment(config)
+        # the old files are whole, and no temporary file is left behind
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "locked"

@@ -1,0 +1,45 @@
+"""Static checks on the package's module surface, read with ``ast``.
+
+Modules talk to each other through public names only, and every name a
+module lists in ``__all__`` exists in it.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptvqe"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def test_modules_import_public_names_and_export_defined_ones():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("adaptvqe")):
+                problems += [f"{path.name} imports private {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+        problems += [f"{path.name} exports undefined {name}"
+                     for name in sorted(set(declared_all(tree)) - defined_names(tree))]
+    assert not problems

@@ -6,7 +6,6 @@ from adaptvqe.optimizer import (
     bfgs_update,
     curvature_condition_holds,
     expand_inverse_hessian,
-    freeze_parameters,
     minimize_canonical,
     minimize_recycled,
     wolfe_line_search,
@@ -30,6 +29,16 @@ def quadratic_objective(matrix, linear=None):
         lambda x: 0.5 * x @ matrix @ x - linear @ x,
         lambda x: matrix @ x - linear,
     )
+
+
+def unbounded_objective():
+    """f = sum(x): every line search exhausts its trials."""
+    return FunctionObjective(lambda x: float(np.sum(x)), lambda x: np.ones(x.size))
+
+
+def cosh_objective():
+    """f = sum(cosh(x)), minimized at 0 but not in two line searches from 3."""
+    return FunctionObjective(lambda x: float(np.sum(np.cosh(x))), np.sinh)
 
 
 def random_spd(rng, n, floor=0.5):
@@ -103,11 +112,10 @@ class TestWolfeLineSearch:
             assert result.grad @ p >= C2 * d0
 
     def test_unbounded_descent_exhausts_trials(self):
-        obj = FunctionObjective(lambda x: float(x[0]), lambda x: np.ones(1))
-        result = wolfe_line_search(obj, np.zeros(1), 0.0, np.ones(1),
-                                   np.array([-1.0]), max_trials=10)
+        result = wolfe_line_search(unbounded_objective(), np.zeros(1), 0.0, np.ones(1),
+                                   np.array([-1.0]))
         assert not result.success
-        assert result.evals == 10
+        assert result.evals == 25
         assert result.f < 0.0  # best point seen is still returned
 
 
@@ -205,18 +213,19 @@ class TestMinimizeCanonical:
         np.testing.assert_allclose(result.h_star, np.eye(1))
 
     def test_line_search_failure_reported(self):
-        obj = FunctionObjective(lambda x: float(x[0]), lambda x: np.ones(1))
-        result = minimize_canonical(obj, np.zeros(1), grad_tol=1e-6,
-                                    max_line_search_trials=8)
+        result = minimize_canonical(unbounded_objective(), np.zeros(1),
+                                    grad_tol=1e-6)
         assert result.line_search_failed and not result.converged
         assert result.line_searches == 1
+        assert result.trace[-1].update_skipped is True
+        assert result.trace[-1].evals == 25
+        np.testing.assert_array_equal(result.h_star, np.eye(1))
 
     def test_iteration_cap(self):
-        obj = FunctionObjective(lambda x: float(np.cosh(x[0])),
-                                lambda x: np.array([np.sinh(x[0])]))
-        result = minimize_canonical(obj, np.array([3.0]), grad_tol=1e-14,
-                                    max_iterations=2)
-        assert not result.converged and result.line_searches <= 3
+        result = minimize_canonical(cosh_objective(), np.array([3.0]),
+                                    grad_tol=1e-14, max_iterations=2)
+        assert not result.converged and not result.line_search_failed
+        assert result.line_searches == 2 and len(result.trace) == 2
 
 
 class TestMinimizeRecycled:
@@ -311,39 +320,28 @@ class TestMinimizeRecycled:
         with pytest.raises(ValueError, match="dimensions disagree"):
             minimize_recycled(obj, np.zeros(2), np.zeros(1), np.eye(2), 1)
 
+    def test_line_search_failure_reported(self):
+        h_prev = np.array([[2.0]])
+        result = minimize_recycled(unbounded_objective(), np.zeros(1), np.ones(1),
+                                   h_prev, 1, grad_tol=1e-6)
+        assert result.line_search_failed and not result.converged
+        assert result.line_searches == 1
+        assert result.trace[-1].update_skipped is True
+        np.testing.assert_array_equal(result.h_star, expand_inverse_hessian(h_prev, 1))
+
+    def test_iteration_cap(self):
+        result = minimize_recycled(cosh_objective(), np.array([3.0]),
+                                   np.array([np.sinh(3.0)]), np.eye(1), 1,
+                                   grad_tol=1e-14, max_iterations=2)
+        assert not result.converged and not result.line_search_failed
+        assert result.line_searches == 2 and len(result.trace) == 2
+
     def test_converged_start_returns_immediately(self):
         full = np.diag([2.0, 3.0, 1.0])
         obj = quadratic_objective(full)
         result = minimize_recycled(obj, np.zeros(2), np.zeros(2), np.eye(2), 1,
                                    grad_tol=1e-6)
         assert result.converged and result.line_searches == 0
-
-
-class TestFreezeParameters:
-    def test_leading_principal_submatrix(self):
-        h = np.arange(9.0).reshape(3, 3)
-        h = 0.5 * (h + h.T) + 10 * np.eye(3)
-        np.testing.assert_allclose(freeze_parameters(h, {2}), h[:2, :2])
-
-    def test_freeze_all_but_one(self):
-        h = np.diag([4.0, 5.0, 6.0])
-        out = freeze_parameters(h, {0, 2})
-        assert out.shape == (1, 1) and out[0, 0] == 5.0
-
-    def test_random_spd_stays_spd(self):
-        rng = np.random.default_rng(35)
-        h = random_spd(rng, 5)
-        out = freeze_parameters(h, {1, 3})
-        assert out.shape == (3, 3)
-        assert np.min(np.linalg.eigvalsh(out)) > 0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            freeze_parameters(np.eye(3), {3})
-
-    def test_iterator_of_indices(self):
-        out = freeze_parameters(np.diag([4.0, 5.0, 6.0]), iter([0]))
-        np.testing.assert_array_equal(out, np.diag([5.0, 6.0]))
 
 
 class TestSecantInvariantOnQuadratics:
