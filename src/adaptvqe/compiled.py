@@ -26,6 +26,11 @@ single-mask generator each differ by an ulp or so, and the optimizer's
 line-search and evaluation counts flip under such differences.  Only the
 pool sweep (:meth:`CompiledSum.sign_table`), whose output feeds a tolerant
 argmax, sums in another order.
+
+**Stacks.**  ``apply`` and ``exponential`` also take a stack of states of
+shape ``(m, 2^q)``.  The gather runs along the last axis and the sign
+vectors broadcast over the rows; each term's arithmetic and order are
+those of the 1-D call, so every row is bit for bit the 1-D result.
 """
 
 from __future__ import annotations
@@ -105,10 +110,13 @@ class CompiledSum:
         return tuple((flip, tuple(terms)) for flip, terms in groups)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """``O|psi>``: term by term in canonical order, one gather per X mask."""
+        """``O|psi>``: term by term in canonical order, one gather per X mask.
+
+        ``amps`` is one state or a stack of states, one per row.
+        """
         out = np.zeros_like(amps)
         for flip, terms in self._groups:
-            gathered = amps if flip is None else amps.take(flip)
+            gathered = amps if flip is None else amps.take(flip, axis=-1)
             for signs, _, _, scalar in terms:
                 out += scalar * (gathered if signs is None else gathered * signs)
         return out
@@ -119,7 +127,9 @@ class CompiledSum:
         Mutually commuting terms are applied one after another with the
         closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``; otherwise
         a dense matrix exponential on the support (up to 12 qubits) or a
-        sparse Krylov exponential is used.
+        sparse Krylov exponential is used.  ``amps`` is one state or a stack
+        of states, one per row; the non-commuting routes take a stack row by
+        row.
         """
         if theta == 0.0 or self.operator.is_zero:
             return amps
@@ -129,11 +139,13 @@ class CompiledSum:
                     w = theta * coeff.imag
                     if w == 0.0:
                         continue
-                    rotated = amps if flip is None else amps.take(flip)
+                    rotated = amps if flip is None else amps.take(flip, axis=-1)
                     if signs is not None:
                         rotated = rotated * signs
                     amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
             return amps
+        if amps.ndim == 2:
+            return np.stack([self.exponential(row, theta) for row in amps])
         support = sorted(set().union(*(s.support for s in self.operator.strings())))
         if len(support) <= _DENSE_SUPPORT_CAP:
             matrix = scipy.linalg.expm(self.dense(support) * theta)

@@ -2,10 +2,11 @@
 distances between approximate and exact inverse Hessians, per-iteration step
 sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 
-Exact Hessians are built from central differences of the analytic gradient.
-All diagnostic evaluations are
-charged to a caller-supplied shadow ledger so they never pollute a run's
-measurement-cost accounting.
+Exact Hessians are built from central differences of the analytic gradient;
+the 2n shifted gradients of one Hessian are evaluated as one stacked
+statevector sweep, bit for bit equal to 2n separate evaluations.  All
+diagnostic evaluations are charged to a caller-supplied shadow ledger so
+they never pollute a run's measurement-cost accounting.
 """
 
 from __future__ import annotations
@@ -53,17 +54,23 @@ def exact_hessian(
 ) -> np.ndarray:
     """Central differences of an analytic gradient, symmetrized.
 
-    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h.
+    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h.  ``grad_fn`` maps
+    a stack of parameter vectors, one per row, to the stack of their
+    gradients; it is called once, on all 2n shifted points, with x + h e_i
+    and x - h e_i in adjacent rows (a stacked sweep recomputes a row alone
+    where its angle differs from the rest, and the two rows of a pair differ
+    at the same element).
     """
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     x0 = np.asarray(x, dtype=float)
     n = x0.size
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = step
-        out[:, i] = (grad_fn(x0 + shift) - grad_fn(x0 - shift)) / (2.0 * step)
+    shifts = step * np.eye(n)
+    points = np.empty((2 * n, n), dtype=float)
+    points[0::2] = x0 + shifts
+    points[1::2] = x0 - shifts
+    grads = np.asarray(grad_fn(points))
+    out = ((grads[0::2] - grads[1::2]) / (2.0 * step)).T
     return 0.5 * (out + out.T)
 
 
@@ -74,12 +81,13 @@ def exact_ansatz_hessian(
     step: float = _DEFAULT_FD_STEP,
     shadow_ledger: CostLedger | None = None,
 ) -> np.ndarray:
-    """Exact energy Hessian of an ansatz at parameter vector ``x``."""
+    """Exact energy Hessian of an ansatz at parameter vector ``x``; the 2n
+    shifted gradients are one stacked :func:`gradient_components` call."""
     indices = list(range(ansatz.n_parameters))
 
-    def grad_fn(params: np.ndarray) -> np.ndarray:
+    def grad_fn(points: np.ndarray) -> np.ndarray:
         return gradient_components(
-            ansatz.with_parameters(params), hamiltonian, indices, shadow_ledger
+            ansatz, hamiltonian, indices, shadow_ledger, points=points
         )
 
     point = ansatz.parameters if x is None else np.asarray(x, dtype=float)

@@ -126,11 +126,16 @@ def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     Candidates within 1e-6 of the maximum magnitude count as tied and
     the lowest pool index wins.  Symmetry-degenerate operators differ only
     by numerical noise at converged iterates, so a strict argmax would make
-    the selection depend on noise instead of on the pool order.
+    the selection depend on noise instead of on the pool order.  A
+    non-finite gradient raises ``ValueError`` naming its pool index.
     """
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
         raise ValueError("cannot select from an empty pool")
+    bad = np.flatnonzero(~np.isfinite(gradients))
+    if bad.size:
+        raise ValueError(
+            f"pool gradient {bad[0]} is not finite ({gradients[bad[0]]})")
     magnitudes = np.abs(gradients)
     best = float(np.max(magnitudes))
     index = int(np.argmax(magnitudes >= best - _TIE_TOL))
@@ -188,7 +193,10 @@ def run_adapt(
         state = prepare(ansatz)
         grads = pool_gradients(state, pool, hamiltonian, ledger)
         pool_sweeps += 1
-        index, pool_norm = select_operator(grads)
+        try:
+            index, pool_norm = select_operator(grads)
+        except ValueError as exc:
+            raise RuntimeError(f"ADAPT iteration {n} ({mode} mode) failed: {exc}") from exc
         ledger.record_iteration(
             f"adapt-{n}", pool_grad_norm=pool_norm, **ledger.snapshot()
         )

@@ -8,7 +8,8 @@ convergence report for the final optimization are emitted as well.  All
 outputs are byte-deterministic for a fixed config, and each file is written
 under a temporary name and renamed into place, so an interrupted run never
 leaves a truncated file; concurrent runs must use distinct directories,
-enforced by a lock file.
+enforced by a lock file that names the holder's pid and host.  A lock left
+on this host by a process that is no longer running is taken over.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import socket
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -291,6 +293,48 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
     _write_json(out / "diagnostics_ledger.json", shadow.snapshot())
 
 
+def _take_lock(lock: Path) -> None:
+    """Create ``lock`` holding ``"<pid> <host>"``.
+
+    A lock that names this host and a pid that is not running was left by a
+    killed run: it is removed and the lock taken once more.  Any other lock
+    raises :class:`ExperimentError` naming its holder.
+    """
+    host = socket.gethostname()
+    for attempt in range(2):
+        try:
+            with lock.open("x") as handle:
+                handle.write(f"{os.getpid()} {host}")
+            return
+        except FileExistsError:
+            pass
+        try:
+            pid_text, holder_host = lock.read_text().split()
+            pid = int(pid_text)
+        except (OSError, ValueError):
+            pid = 0
+        if pid <= 0:
+            raise ExperimentError(
+                f"output directory {lock.parent} is locked, and {lock} is empty or "
+                "unreadable; delete it by hand if no run is using the directory")
+        if attempt == 0 and holder_host == host and not _pid_running(pid):
+            lock.unlink(missing_ok=True)
+            continue
+        raise ExperimentError(
+            f"output directory {lock.parent} is locked by pid {pid} on {holder_host} "
+            f"({lock})")
+
+
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # running under another user
+        pass
+    return True
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute every configured mode and write the run directory.
 
@@ -300,14 +344,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
+    _take_lock(lock)
     try:
-        lock_handle = lock.open("x")
-    except FileExistsError:
-        raise ExperimentError(
-            f"output directory {out} is locked by another run ({lock})"
-        ) from None
-    try:
-        lock_handle.close()
         hfile = _resolve_hamiltonian(config)
         pool = resolve_pool(config, hfile)
         results: dict[str, AdaptResult] = {}

@@ -12,7 +12,9 @@ chains) make the full pipeline testable without electronic-structure input.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -121,6 +123,8 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
             coeff = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         except (TypeError, ValueError):
             raise fail(f"term {i}: re/im must be numbers") from None
+        if not cmath.isfinite(coeff):
+            raise fail(f"term {i}: coefficient {coeff} is not finite")
         parsed.append((string, coeff))
 
     operator = PauliSum(n_qubits, parsed)
@@ -148,8 +152,8 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
         value = metadata.get(key)
         if value is None:
             return None
-        if not isinstance(value, (int, float)):
-            raise fail(f"metadata.{key} must be a number")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise fail(f"metadata.{key} must be a finite number")
         return float(value)
 
     n_electrons = metadata.get("n_electrons")

@@ -16,6 +16,7 @@ Conventions (fixed globally):
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -149,9 +150,10 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
 class PauliSum:
     """An immutable sparse linear combination of Pauli strings.
 
-    Terms with coefficient magnitude below the pruning tolerance are dropped
-    at construction, duplicates are combined, and iteration order is the
-    canonical ``(x_mask, z_mask)`` order.  The statevector form is built on
+    A non-finite coefficient raises ``ValueError``.  Terms with coefficient
+    magnitude below the pruning tolerance are dropped at construction,
+    duplicates are combined, and iteration order is the canonical
+    ``(x_mask, z_mask)`` order.  The statevector form is built on
     first use of :meth:`compiled` and kept on the sum.
     """
 
@@ -172,7 +174,10 @@ class PauliSum:
                 raise ValueError(
                     f"term on {string.n_qubits} qubits in a {n_qubits}-qubit sum"
                 )
-            combined[string] = combined.get(string, 0j) + complex(coeff)
+            coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"term {string.text()} has non-finite coefficient {coeff}")
+            combined[string] = combined.get(string, 0j) + coeff
         pruned = {s: c for s, c in combined.items() if abs(c) > prune_tol}
         ordered = sorted(pruned.items(), key=lambda item: item[0].sort_key())
         object.__setattr__(self, "n_qubits", n_qubits)

@@ -19,12 +19,17 @@ line-search counts flip under one-ulp differences.  Only
 in another order.
 
 Analytic energy gradients are computed with one forward and one reverse sweep
-over the ansatz elements.  Ledger charges nevertheless follow the hardware
-model (1 unit per energy, 2 per gradient component), not the simulator cost.
+over the ansatz elements.  :func:`gradient_components` also sweeps a stack
+of parameter vectors at once, one state per row (the exact Hessians of
+:mod:`adaptvqe.diagnostics` use it for their 2n shifted points); each row is
+bit for bit the result of its own call.  Ledger charges nevertheless follow
+the hardware model (1 unit per energy, 2 per gradient component), not the
+simulator cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,9 @@ __all__ = [
 MAX_QUBITS = 20
 
 _IMAG_TOL = 1e-10
+
+# Amplitudes per stack in a stacked gradient_components sweep.
+_STACK_CAP = 1 << 13
 
 
 def _check_qubit_cap(n_qubits: int) -> None:
@@ -245,27 +253,77 @@ def gradient_components(
     hamiltonian: PauliSum,
     indices: list[int],
     ledger: CostLedger | None = None,
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partial derivatives for a subset of parameters; charges 2 per component."""
+    """Partial derivatives for a subset of parameters; charges 2 per component.
+
+    With ``points``, an ``(m, n)`` array of parameter vectors for the
+    ansatz's generators, the result is an ``(m, len(indices))`` array whose
+    row ``r`` is bit for bit the result at ``ansatz.with_parameters(points[r])``,
+    and the ledger is charged as for those ``m`` calls.  The rows are swept
+    together in stacks of at most ``_STACK_CAP`` amplitudes: at each element
+    the stack's most common angle is applied to every row, and only the rows
+    whose angle differs are recomputed alone from their previous state.
+    """
     n = ansatz.n_parameters
     wanted = sorted(set(indices))
     if wanted and (wanted[0] < 0 or wanted[-1] >= n):
         raise ValueError(f"gradient index out of range for {n} parameters")
+    stacked = points is not None
+    if stacked:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points must have shape (m, {n}), got {points.shape}")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("ansatz parameter is not finite")
+    else:
+        points = ansatz.parameters[np.newaxis]
     if ledger is not None:
-        ledger.charge_gradient(len(wanted))
-    if not wanted:
-        return np.empty(0, dtype=float)
-    states = _forward_states(ansatz)
-    psi = states[-1]
-    lam = hamiltonian.compiled().apply(psi)
+        ledger.charge_gradient(len(points) * len(wanted))
+    out = np.empty((len(points), len(indices)), dtype=float)
+    if wanted:
+        rows = max(1, _STACK_CAP >> ansatz.n_qubits)
+        for start in range(0, len(points), rows):
+            out[start:start + rows] = _stacked_components(
+                ansatz, hamiltonian, wanted, indices, points[start:start + rows])
+    return out if stacked else out[0]
+
+
+def _stacked_components(ansatz: AnsatzState, hamiltonian: PauliSum, wanted: list[int],
+                        indices: list[int], points: np.ndarray) -> np.ndarray:
+    """The forward and reverse sweep of :func:`energy_and_gradient` on a
+    stack of parameter vectors, one state per row.  A single point is swept
+    as a 1-D state, since numpy's 2-D broadcasting costs more per call."""
+    angles = points.T.tolist()
+    generators = [gen.compiled() for gen in ansatz.generators]
+    reference = basis_state(ansatz.reference).amplitudes
+    states = [reference if len(points) == 1 else np.tile(reference, (len(points), 1))]
+    for compiled, thetas in zip(generators, angles):
+        states.append(_exponential_rows(compiled, states[-1], thetas))
+    lam = hamiltonian.compiled().apply(states[-1])
     values = {}
-    for j in range(n - 1, wanted[0] - 1, -1):
-        generator, theta = ansatz.elements[j]
-        compiled = generator.compiled()
+    for j in range(len(generators) - 1, wanted[0] - 1, -1):
+        compiled = generators[j]
         if j in wanted:
-            values[j] = 2.0 * np.real(np.vdot(lam, compiled.apply(states[j + 1])))
-        lam = compiled.exponential(lam, -theta)
-    return np.array([values[j] for j in indices], dtype=float)
+            applied = compiled.apply(states[j + 1])
+            values[j] = [2.0 * np.real(np.vdot(lam_row, applied_row)) for lam_row, applied_row
+                         in zip(np.atleast_2d(lam), np.atleast_2d(applied))]
+        if j > wanted[0]:
+            lam = _exponential_rows(compiled, lam, [-theta for theta in angles[j]])
+    return np.array([values[j] for j in indices], dtype=float).T
+
+
+def _exponential_rows(compiled, stack: np.ndarray, thetas: list[float]) -> np.ndarray:
+    """Row ``r`` of ``stack`` times ``exp(thetas[r] * A)``: the most common
+    angle on the whole stack, then each other row alone."""
+    common = Counter(thetas).most_common(1)[0][0]
+    out = compiled.exponential(stack, common)
+    for r, theta in enumerate(thetas):
+        if theta != common:
+            if out is stack:
+                out = stack.copy()
+            out[r] = compiled.exponential(stack[r], theta)
+    return out
 
 
 def generator_gradients(

@@ -9,8 +9,9 @@ character of a text string and the least-significant bit of a basis index.
 
 The ``reference_*`` functions are the exception: they are the plain
 term-by-term statevector route (a phase, a gather and an accumulation per
-Pauli string, in canonical term order) that the compiled engine replaced.
-The compiled engine must reproduce them bit for bit.
+Pauli string, in canonical term order) that the compiled engine replaced,
+and the per-column central-difference Hessian built on it that the stacked
+gradient sweep replaced.  The engine must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -153,3 +154,21 @@ def reference_pool_gradients(amps, n_qubits, hamiltonian, operators):
         2.0 * np.real(np.vdot(h_psi, reference_apply_sum(amps, n_qubits, op)))
         for op in operators
     ])
+
+
+def reference_exact_ansatz_hessian(ansatz, hamiltonian, x, step=1e-5):
+    """Central-difference Hessian with one plain-route gradient per shifted
+    point, column by column, symmetrized."""
+    x0 = np.asarray(x, dtype=float)
+    n = x0.size
+
+    def grad(params):
+        elements = tuple(zip(ansatz.generators, params.tolist()))
+        return reference_energy_and_gradient(ansatz.reference, elements, hamiltonian)[2]
+
+    out = np.empty((n, n), dtype=float)
+    for i in range(n):
+        shift = np.zeros(n)
+        shift[i] = step
+        out[:, i] = (grad(x0 + shift) - grad(x0 - shift)) / (2.0 * step)
+    return 0.5 * (out + out.T)

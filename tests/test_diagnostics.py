@@ -12,10 +12,12 @@ from adaptvqe.diagnostics import (
 )
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import OptimizerResult, OptimizerSnapshot, minimize_canonical
+from adaptvqe import simulator
 from adaptvqe.paulis import PauliSum
+from adaptvqe.pools import build_qe_pool
 from adaptvqe.simulator import AnsatzState
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, reference_exact_ansatz_hessian
 
 
 def quadratic_objective(matrix):
@@ -43,7 +45,7 @@ def synthetic_result(iterates, alphas=None):
 class TestExactHessian:
     def test_quadratic_surrogate_recovers_constant_matrix(self):
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        hess = exact_hessian(lambda x: a @ x, np.array([0.3, -0.7]))
+        hess = exact_hessian(lambda points: points @ a.T, np.array([0.3, -0.7]))
         np.testing.assert_allclose(hess, a, atol=1e-6)
 
     def test_single_rotation_ansatz_analytic_value(self):
@@ -86,7 +88,42 @@ class TestExactHessian:
 
     def test_invalid_step(self):
         with pytest.raises(ValueError, match="positive"):
-            exact_hessian(lambda x: x, np.zeros(1), step=0.0)
+            exact_hessian(lambda points: points, np.zeros(1), step=0.0)
+
+
+class TestStackedExactHessian:
+    """The stacked sweep against one plain-route gradient per shifted point."""
+
+    @staticmethod
+    def ansatz_and_point(hfile, n_params, seed):
+        pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(0, len(pool), size=n_params)
+        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
+            (pool.operators[int(i)], float(t))
+            for i, t in zip(picks, rng.normal(size=n_params) * 0.3)))
+        return ansatz, ansatz.parameters
+
+    @pytest.mark.parametrize("case", ["h2_fixture", "h4_equilibrium_fixture"])
+    @pytest.mark.parametrize("n_params", [1, 5])
+    @pytest.mark.parametrize("recycled_start", [False, True])
+    def test_matches_per_column_route(self, case, n_params, recycled_start, request):
+        hfile = request.getfixturevalue(case)
+        ansatz, x = self.ansatz_and_point(hfile, n_params, n_params)
+        if recycled_start:
+            x[-1] = 0.0
+        expected = reference_exact_ansatz_hessian(ansatz, hfile.operator, x)
+        assert np.array_equal(exact_ansatz_hessian(ansatz, hfile.operator, x), expected)
+
+    def test_one_hessian_over_several_stacks(self, h4_equilibrium_fixture, monkeypatch):
+        # 3 rows per stack at 8 qubits: the 12 shifted points take 4 stacks
+        monkeypatch.setattr(simulator, "_STACK_CAP", 3 << 8)
+        hfile = h4_equilibrium_fixture
+        ansatz, x = self.ansatz_and_point(hfile, 6, 7)
+        shadow = CostLedger()
+        got = exact_ansatz_hessian(ansatz, hfile.operator, shadow_ledger=shadow)
+        assert np.array_equal(got, reference_exact_ansatz_hessian(ansatz, hfile.operator, x))
+        assert shadow.function_evaluations == 2 * 6 * 2 * 6
 
 
 class TestConvergenceReport:

@@ -127,6 +127,13 @@ class TestSelectOperator:
         with pytest.raises(ValueError, match="empty pool"):
             select_operator(np.array([]))
 
+    @pytest.mark.parametrize("grads, index", [([np.nan, 0.5, 0.2], 0),
+                                              ([0.1, np.nan, 0.9], 1),
+                                              ([0.1, 0.2, -np.inf], 2)])
+    def test_non_finite_gradient_rejected(self, grads, index):
+        with pytest.raises(ValueError, match=f"pool gradient {index} is not finite"):
+            select_operator(np.array(grads))
+
 
 class TestRunAdapt:
     def test_zero_iteration_budget_returns_reference(self, h2_fixture):
@@ -212,6 +219,25 @@ class TestRunAdapt:
         with pytest.raises(ValueError, match="thresholds"):
             run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
                       eps=0.0)
+
+    def test_non_finite_pool_gradient_names_the_iteration(self, h2_fixture, monkeypatch):
+        pool = build_qe_pool(4, 2)
+        sweep = driver_module.pool_gradients
+        sweeps = 0
+
+        def nan_on_second_sweep(*args):
+            nonlocal sweeps
+            sweeps += 1
+            grads = sweep(*args)
+            if sweeps == 2:
+                grads[1] = np.nan
+            return grads
+
+        monkeypatch.setattr(driver_module, "pool_gradients", nan_on_second_sweep)
+        with pytest.raises(RuntimeError,
+                           match=r"iteration 2 \(recycling mode\).*pool gradient 1"):
+            run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
+                      mode="recycling", max_iterations=5)
 
     def test_stall_limit_aborts(self, h2_fixture, monkeypatch):
         pool = build_qe_pool(4, 2)

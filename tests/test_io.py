@@ -1,4 +1,8 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +70,25 @@ class TestHamiltonianFiles:
         path2.write_text(json.dumps(payload))
         with pytest.raises(HamiltonianFormatError, match="term 1"):
             load_hamiltonian(path2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_names_the_term(self, tmp_path, value):
+        payload = minimal_payload()
+        payload["terms"].append({"pauli": "ZZ", "re": value})
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HamiltonianFormatError, match="term 2: coefficient .* not finite"):
+            load_hamiltonian(path)
+
+    @pytest.mark.parametrize("key", ["exact_ground_energy", "hf_energy"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_metadata_number_rejected(self, tmp_path, key, value):
+        payload = minimal_payload()
+        payload["metadata"][key] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HamiltonianFormatError, match=f"metadata.{key} must be a finite"):
+            load_hamiltonian(path)
 
     def test_reference_bitstring_validated(self, tmp_path):
         payload = minimal_payload()
@@ -267,6 +290,26 @@ class TestRunExperiment:
                                   pool="nn", output_dir=str(out))
         with pytest.raises(ExperimentError, match="locked"):
             run_experiment(config)
+
+    def test_lock_of_a_dead_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        config, _ = self.run_small(tmp_path / "first", max_adapt_iterations=1)
+        out = Path(config.output_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / ".lock").write_text(f"{child.pid} {socket.gethostname()}")
+        run_experiment(config)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_lock_of_a_running_process_names_it(self, tmp_path):
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".lock").write_text(f"{os.getpid()} {socket.gethostname()}")
+        config = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4},
+                                  pool="nn", output_dir=str(out))
+        with pytest.raises(ExperimentError, match=f"locked by pid {os.getpid()} "):
+            run_experiment(config)
+        assert (out / ".lock").read_text() == f"{os.getpid()} {socket.gethostname()}"
 
     def test_diagnostics_outputs(self, tmp_path):
         config, _ = self.run_small(tmp_path, diagnostics=True,

@@ -102,6 +102,11 @@ class TestPauliSum:
                             (PauliString.from_text("Z"), 1.0)],
                         prune_tol=1e-6).n_terms == 1
 
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="ZZ has non-finite coefficient"):
+            PauliSum.from_text_terms([("ZZ", coeff), ("XX", 1.0)])
+
     def test_structural_equality_and_ordering(self):
         a = PauliSum.from_text_terms([("XI", 1.0), ("IZ", 2.0)])
         b = PauliSum.from_text_terms([("IZ", 2.0), ("XI", 1.0)])

@@ -198,6 +198,39 @@ class TestGradients:
                                 h2_fixture.operator, [0])
 
 
+class TestStackedGradientComponents:
+    def test_rows_match_one_call_per_point(self, h4_equilibrium_fixture):
+        hfile = h4_equilibrium_fixture
+        pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        rng = np.random.default_rng(3)
+        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
+            (pool.operators[int(i)], 0.0) for i in rng.integers(0, len(pool), size=4)))
+        points = rng.normal(size=(5, 4)) * 0.4
+        points[1] = points[0]
+        points[2, 1:] = points[0, 1:]
+        points[3, -1] = 0.0
+        indices = [3, 0, 3, 2]
+        stacked_ledger, single_ledger = CostLedger(), CostLedger()
+        got = gradient_components(ansatz, hfile.operator, indices, stacked_ledger,
+                                  points=points)
+        assert got.shape == (5, 4)
+        for point, row in zip(points, got):
+            expected = gradient_components(ansatz.with_parameters(point), hfile.operator,
+                                           indices, single_ledger)
+            assert np.array_equal(row, expected)
+        assert stacked_ledger.function_evaluations == 2 * 5 * 3
+        assert single_ledger.function_evaluations == stacked_ledger.function_evaluations
+
+    def test_points_validated(self, h2_fixture):
+        pool = build_qe_pool(4, 2)
+        ansatz = AnsatzState(h2_fixture.reference_bitstring, ((pool.operators[2], 0.1),))
+        with pytest.raises(ValueError, match="shape"):
+            gradient_components(ansatz, h2_fixture.operator, [0], points=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not finite"):
+            gradient_components(ansatz, h2_fixture.operator, [0],
+                                points=np.array([[0.1], [np.nan]]))
+
+
 def assert_bit_exact(ansatz, hamiltonian, amps):
     """Compiled application, preparation and gradients against the plain
     per-term route, with ``np.array_equal``."""
@@ -221,6 +254,18 @@ def assert_bit_exact(ansatz, hamiltonian, amps):
         assert np.array_equal(
             apply_generator_exponential(state, generator, theta).amplitudes,
             reference_exponential(state.amplitudes, n_qubits, generator, theta))
+
+
+def assert_rows_bit_exact(compiled, stack, theta=None):
+    """``apply`` (and ``exponential`` at ``theta``) on a stack of states
+    against one 1-D call per row, with ``np.array_equal``."""
+    applied = compiled.apply(stack)
+    for row, got in zip(stack, applied):
+        assert np.array_equal(got, compiled.apply(row))
+    if theta is not None:
+        rotated = compiled.exponential(stack, theta)
+        for row, got in zip(stack, rotated):
+            assert np.array_equal(got, compiled.exponential(row, theta))
 
 
 def random_amplitudes(rng, n_qubits):
@@ -278,6 +323,17 @@ class TestCompiledIsBitExact:
             for i, t in zip(picks, rng.normal(size=6) * 0.5)))
         assert_bit_exact(ansatz, hfile.operator, random_amplitudes(rng, hfile.n_qubits))
 
+    @pytest.mark.parametrize("terms", [
+        [("XIY", 1j), ("ZII", 0.7j), ("IYZ", -0.3j)],  # dense on the support
+        [("X" + "I" * 12, 1j), ("Z" * 13, 0.5j)],  # sparse Krylov: 13 qubits
+    ])
+    def test_stack_through_noncommuting_fallback(self, terms):
+        generator = PauliSum.from_text_terms(terms)
+        assert not generator.compiled().commuting
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_amplitudes(rng, generator.n_qubits) for _ in range(2)])
+        assert_rows_bit_exact(generator.compiled(), stack, 0.4)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_generated_sums(self, data):
@@ -291,6 +347,10 @@ class TestCompiledIsBitExact:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         amps = random_amplitudes(rng, n_qubits)
         assert_bit_exact(ansatz, hamiltonian, amps)
+        stack = np.stack([amps] + [random_amplitudes(rng, n_qubits) for _ in range(2)])
+        assert_rows_bit_exact(hamiltonian.compiled(), stack)
+        for generator, theta in zip(generators, thetas):
+            assert_rows_bit_exact(generator.compiled(), stack, theta)
         # the pool sweep sums in another order: rounding-level agreement
         np.testing.assert_allclose(
             generator_gradients(StateVector(n_qubits, amps), hamiltonian, generators),
