@@ -21,15 +21,11 @@ from .experiment import (
     ExperimentError,
     diagnose_run,
     load_config,
+    resolve_hamiltonian,
     resolve_pool,
     run_experiment,
 )
-from .hamiltonians import (
-    HamiltonianFormatError,
-    builtin_model,
-    load_hamiltonian,
-    save_hamiltonian,
-)
+from .hamiltonians import HamiltonianFormatError, builtin_model, save_hamiltonian
 
 
 def _add_hamiltonian_args(parser: argparse.ArgumentParser) -> None:
@@ -98,19 +94,14 @@ def _cmd_run(args) -> int:
 def _cmd_pool(args) -> int:
     if (args.hamiltonian is None) == (args.model is None):
         raise ExperimentError("provide exactly one of --hamiltonian or --model")
-    if args.hamiltonian:
-        hfile = load_hamiltonian(args.hamiltonian)
-    else:
-        spec = _builtin_spec(args)
-        hfile = builtin_model(spec["kind"], spec["n_qubits"], spec["coupling"],
-                              spec["field"], with_exact=False)
+    spec = _builtin_spec(args)
     config = ExperimentConfig(
         hamiltonian_path=args.hamiltonian,
-        builtin=None if args.hamiltonian else _builtin_spec(args),
+        builtin=None if spec is None else {**spec, "with_exact": False},
         pool=args.pool, qe_singles=args.qe_singles == "on",
         pool_scale=args.pool_scale,
     )
-    pool = resolve_pool(config, hfile)
+    pool = resolve_pool(config, resolve_hamiltonian(config))
     payload = pool.to_payload()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

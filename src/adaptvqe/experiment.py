@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import socket
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,15 @@ from .driver import MODES, AdaptResult, run_adapt
 from .hamiltonians import HamiltonianFile, builtin_model, load_hamiltonian
 from .optimizer import OptimizerResult
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
-from .simulator import AnsatzState
 
-__all__ = ["ExperimentConfig", "ExperimentError", "load_config", "run_experiment"]
+__all__ = [
+    "ExperimentConfig",
+    "ExperimentError",
+    "load_config",
+    "resolve_hamiltonian",
+    "resolve_pool",
+    "run_experiment",
+]
 
 ADAPT_TRACE_COLUMNS = (
     "n", "selected_label", "selected_gradient", "pool_grad_norm",
@@ -83,22 +89,7 @@ class ExperimentConfig:
         self.heatmap_iterations = tuple(int(i) for i in self.heatmap_iterations)
 
     def to_payload(self) -> dict:
-        return {
-            "hamiltonian_path": self.hamiltonian_path,
-            "builtin": self.builtin,
-            "pool": self.pool,
-            "qe_singles": self.qe_singles,
-            "pool_scale": self.pool_scale,
-            "modes": list(self.modes),
-            "eps": self.eps,
-            "max_adapt_iterations": self.max_adapt_iterations,
-            "opt_grad_tol": self.opt_grad_tol,
-            "opt_max_iterations": self.opt_max_iterations,
-            "diagnostics": self.diagnostics,
-            "heatmap_iterations": list(self.heatmap_iterations),
-            "output_dir": self.output_dir,
-            "verify_hamiltonian": self.verify_hamiltonian,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExperimentConfig":
@@ -106,11 +97,6 @@ class ExperimentConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        payload = dict(payload)
-        if "modes" in payload:
-            payload["modes"] = tuple(payload["modes"])
-        if "heatmap_iterations" in payload:
-            payload["heatmap_iterations"] = tuple(payload["heatmap_iterations"])
         return cls(**payload)
 
 
@@ -128,7 +114,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ExperimentError(f"{path}: {exc}") from exc
 
 
-def _resolve_hamiltonian(config: ExperimentConfig) -> HamiltonianFile:
+def resolve_hamiltonian(config: ExperimentConfig) -> HamiltonianFile:
     if config.hamiltonian_path is not None:
         return load_hamiltonian(config.hamiltonian_path, verify=config.verify_hamiltonian)
     spec = dict(config.builtin)
@@ -268,11 +254,8 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
         it = result.iterations[-1]
         if it.opt_snapshots is None:
             continue
-        ansatz = AnsatzState(hfile.reference_bitstring)
-        for prev in result.iterations:
-            ansatz = ansatz.grown(pool.operators[prev.selected_index], 0.0)
         hess_star = exact_ansatz_hessian(
-            ansatz, hfile.operator, it.x_star, shadow_ledger=shadow)
+            result.ansatz, hfile.operator, it.x_star, shadow_ledger=shadow)
         opt_result = OptimizerResult(
             x_star=it.x_star, f_star=it.energy, grad_star=it.grad_star,
             h_star=it.h_star, line_searches=it.line_searches,
@@ -346,7 +329,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     lock = out / ".lock"
     _take_lock(lock)
     try:
-        hfile = _resolve_hamiltonian(config)
+        hfile = resolve_hamiltonian(config)
         pool = resolve_pool(config, hfile)
         results: dict[str, AdaptResult] = {}
         for mode in config.modes:

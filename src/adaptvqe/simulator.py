@@ -18,13 +18,15 @@ line-search counts flip under one-ulp differences.  Only
 :func:`generator_gradients`, which feeds the tolerant pool selection, sums
 in another order.
 
-Analytic energy gradients are computed with one forward and one reverse sweep
-over the ansatz elements.  :func:`gradient_components` also sweeps a stack
-of parameter vectors at once, one state per row (the exact Hessians of
-:mod:`adaptvqe.diagnostics` use it for their 2n shifted points); each row is
-bit for bit the result of its own call.  Ledger charges nevertheless follow
-the hardware model (1 unit per energy, 2 per gradient component), not the
-simulator cost.
+Analytic energy gradients come from one forward and reverse sweep over the
+ansatz elements, behind both :func:`energy_and_gradient` and
+:func:`gradient_components`; it checks the Hamiltonian (Hermitian, matching
+qubit count) and stops the reverse pass at the lowest wanted index.  It
+sweeps one parameter vector as a 1-D state, or a stack of them at once, one
+state per row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for
+their 2n shifted points); each row is bit for bit the result of its own
+call.  Ledger charges nevertheless follow the hardware model (1 unit per
+energy, 2 per gradient component), not the simulator cost.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiled import CompiledSum
 from .cost import CostLedger
 from .paulis import PauliSum
 
@@ -206,46 +209,20 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
     return value.real
 
 
-def _forward_states(ansatz: AnsatzState) -> list[np.ndarray]:
-    """States after 0, 1, ..., n ansatz elements."""
-    states = [basis_state(ansatz.reference).amplitudes]
-    for generator, theta in ansatz.elements:
-        states.append(generator.compiled().exponential(states[-1], theta))
-    return states
-
-
 def energy_and_gradient(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
     ledger: CostLedger | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Energy and the full analytic parameter gradient.
-
-    dE/dt_j = 2 Re <psi| H U_n..U_{j+1} A_j |phi_j> with |phi_j> the state
-    after the first j elements; the reverse sweep carries H|psi> backwards
-    through the inverse unitaries.  Charges 1 + 2n cost units.
-    """
-    if not hamiltonian.compiled().hermitian:
-        raise ValueError("Hamiltonian is not Hermitian")
-    if hamiltonian.n_qubits != ansatz.n_qubits:
-        raise ValueError("Hamiltonian qubit count does not match ansatz")
+    """Energy and the full analytic parameter gradient; charges 1 + 2n cost
+    units."""
     n = ansatz.n_parameters
+    energies, grads = _sweep(ansatz, hamiltonian, list(range(n)),
+                             ansatz.parameters[np.newaxis])
     if ledger is not None:
         ledger.charge_energy(1)
         ledger.charge_gradient(n)
-    states = _forward_states(ansatz)
-    psi = states[-1]
-    lam = hamiltonian.compiled().apply(psi)
-    energy = complex(np.vdot(psi, lam))
-    if abs(energy.imag) > _IMAG_TOL:
-        raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
-    grad = np.empty(n, dtype=float)
-    for j in range(n - 1, -1, -1):
-        generator, theta = ansatz.elements[j]
-        compiled = generator.compiled()
-        grad[j] = 2.0 * np.real(np.vdot(lam, compiled.apply(states[j + 1])))
-        lam = compiled.exponential(lam, -theta)
-    return energy.real, grad
+    return energies[0], grads[0]
 
 
 def gradient_components(
@@ -261,9 +238,7 @@ def gradient_components(
     ansatz's generators, the result is an ``(m, len(indices))`` array whose
     row ``r`` is bit for bit the result at ``ansatz.with_parameters(points[r])``,
     and the ledger is charged as for those ``m`` calls.  The rows are swept
-    together in stacks of at most ``_STACK_CAP`` amplitudes: at each element
-    the stack's most common angle is applied to every row, and only the rows
-    whose angle differs are recomputed alone from their previous state.
+    together in stacks of at most ``_STACK_CAP`` amplitudes.
     """
     n = ansatz.n_parameters
     wanted = sorted(set(indices))
@@ -278,42 +253,75 @@ def gradient_components(
             raise ValueError("ansatz parameter is not finite")
     else:
         points = ansatz.parameters[np.newaxis]
+    columns = np.searchsorted(wanted, indices)
+    out = np.empty((len(points), len(indices)), dtype=float)
+    rows = max(1, _STACK_CAP >> ansatz.n_qubits)
+    for start in range(0, len(points), rows):
+        _, grads = _sweep(ansatz, hamiltonian, wanted, points[start:start + rows])
+        out[start:start + rows] = grads[:, columns]
     if ledger is not None:
         ledger.charge_gradient(len(points) * len(wanted))
-    out = np.empty((len(points), len(indices)), dtype=float)
-    if wanted:
-        rows = max(1, _STACK_CAP >> ansatz.n_qubits)
-        for start in range(0, len(points), rows):
-            out[start:start + rows] = _stacked_components(
-                ansatz, hamiltonian, wanted, indices, points[start:start + rows])
     return out if stacked else out[0]
 
 
-def _stacked_components(ansatz: AnsatzState, hamiltonian: PauliSum, wanted: list[int],
-                        indices: list[int], points: np.ndarray) -> np.ndarray:
-    """The forward and reverse sweep of :func:`energy_and_gradient` on a
-    stack of parameter vectors, one state per row.  A single point is swept
-    as a 1-D state, since numpy's 2-D broadcasting costs more per call."""
-    angles = points.T.tolist()
+def _sweep(ansatz: AnsatzState, hamiltonian: PauliSum, wanted: list[int],
+           points: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The energy and the gradient components ``wanted`` (sorted, distinct)
+    at each row of ``points``, an ``(m, n)`` array of parameter vectors.
+
+    dE/dt_j = 2 Re <psi| H U_n..U_{j+1} A_j |phi_j> with |phi_j> the state
+    after the first j elements: the forward pass stores every |phi_j>, the
+    reverse pass carries H|psi> backwards through the inverse unitaries down
+    to the lowest wanted index.  The rows are swept together, one state per
+    row; at each element the stack's most common angle is applied to every
+    row and only the rows whose angle differs are recomputed alone.  A single
+    point is swept as a 1-D state, since numpy's 2-D broadcasting costs more
+    per call.  Returns the energies and an ``(m, len(wanted))`` array.
+    """
+    compiled_h = hamiltonian.compiled()
+    if not compiled_h.hermitian:
+        raise ValueError("Hamiltonian is not Hermitian")
+    if hamiltonian.n_qubits != ansatz.n_qubits:
+        raise ValueError("Hamiltonian qubit count does not match ansatz")
     generators = [gen.compiled() for gen in ansatz.generators]
     reference = basis_state(ansatz.reference).amplitudes
-    states = [reference if len(points) == 1 else np.tile(reference, (len(points), 1))]
-    for compiled, thetas in zip(generators, angles):
-        states.append(_exponential_rows(compiled, states[-1], thetas))
-    lam = hamiltonian.compiled().apply(states[-1])
-    values = {}
-    for j in range(len(generators) - 1, wanted[0] - 1, -1):
+    if len(points) == 1:
+        exponential, vdot = CompiledSum.exponential, np.vdot
+        forward, reverse = points[0].tolist(), (-points[0]).tolist()
+        states = [reference]
+    else:
+        exponential, vdot = _exponential_rows, _vdot_rows
+        forward, reverse = points.T.tolist(), (-points.T).tolist()
+        states = [np.tile(reference, (len(points), 1))]
+    for compiled, theta in zip(generators, forward):
+        states.append(exponential(compiled, states[-1], theta))
+    lam = compiled_h.apply(states[-1])
+    energies = []
+    for energy in np.atleast_1d(vdot(states[-1], lam)).tolist():
+        if abs(energy.imag) > _IMAG_TOL:
+            raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
+        energies.append(energy.real)
+    lowest = wanted[0] if wanted else len(generators)
+    column = len(wanted)
+    values = []
+    for j in range(len(generators) - 1, lowest - 1, -1):
         compiled = generators[j]
-        if j in wanted:
-            applied = compiled.apply(states[j + 1])
-            values[j] = [2.0 * np.real(np.vdot(lam_row, applied_row)) for lam_row, applied_row
-                         in zip(np.atleast_2d(lam), np.atleast_2d(applied))]
-        if j > wanted[0]:
-            lam = _exponential_rows(compiled, lam, [-theta for theta in angles[j]])
-    return np.array([values[j] for j in indices], dtype=float).T
+        if wanted[column - 1] == j:
+            column -= 1
+            values.append(vdot(lam, compiled.apply(states[j + 1])))
+        if j > lowest:
+            lam = exponential(compiled, lam, reverse[j])
+    overlaps = np.array(values[::-1], dtype=complex).reshape(len(wanted), len(points))
+    return energies, 2.0 * overlaps.real.T
 
 
-def _exponential_rows(compiled, stack: np.ndarray, thetas: list[float]) -> np.ndarray:
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> list:
+    """:func:`np.vdot` of each pair of rows."""
+    return [np.vdot(a_row, b_row) for a_row, b_row in zip(a, b)]
+
+
+def _exponential_rows(compiled: CompiledSum, stack: np.ndarray,
+                      thetas: list[float]) -> np.ndarray:
     """Row ``r`` of ``stack`` times ``exp(thetas[r] * A)``: the most common
     angle on the whole stack, then each other row alone."""
     common = Counter(thetas).most_common(1)[0][0]

@@ -27,6 +27,7 @@ from adaptvqe.hamiltonians import (
     save_hamiltonian,
 )
 from adaptvqe.paulis import PauliSum
+from adaptvqe.pools import build_nearest_neighbor_pool
 
 from oracles import dense_pauli_sum
 
@@ -347,6 +348,13 @@ class TestCli:
                          "--pool", "qe", "--out", str(pool_path)]) == 0
         payload = json.loads(pool_path.read_text())
         assert len(payload) == 4
+
+    def test_pool_of_a_builtin_model(self, tmp_path):
+        pool_path = tmp_path / "pool.json"
+        assert cli_main(["pool", "--model", "tfim", "--n-qubits", "4",
+                         "--out", str(pool_path)]) == 0
+        payload = json.loads(pool_path.read_text())
+        assert payload == build_nearest_neighbor_pool(4).to_payload()
 
     def test_missing_hamiltonian_is_a_clean_error(self, tmp_path, capsys):
         code = cli_main(["run", "--hamiltonian", str(tmp_path / "missing.json"),

@@ -218,6 +218,8 @@ class TestStackedGradientComponents:
             expected = gradient_components(ansatz.with_parameters(point), hfile.operator,
                                            indices, single_ledger)
             assert np.array_equal(row, expected)
+            _, full = energy_and_gradient(ansatz.with_parameters(point), hfile.operator)
+            assert np.array_equal(row, full[indices])
         assert stacked_ledger.function_evaluations == 2 * 5 * 3
         assert single_ledger.function_evaluations == stacked_ledger.function_evaluations
 
@@ -231,6 +233,37 @@ class TestStackedGradientComponents:
                                 points=np.array([[0.1], [np.nan]]))
 
 
+# Each gradient route on a one-parameter ansatz.
+GRADIENT_ROUTES = {
+    "full": lambda ansatz, hamiltonian: energy_and_gradient(ansatz, hamiltonian),
+    "single": lambda ansatz, hamiltonian: gradient_components(ansatz, hamiltonian, [0]),
+    "stacked": lambda ansatz, hamiltonian: gradient_components(
+        ansatz, hamiltonian, [0], points=np.array([[0.1], [-0.3]])),
+}
+
+
+class TestHamiltonianValidated:
+    """Every gradient route rejects a bad Hamiltonian before sweeping."""
+
+    @pytest.fixture
+    def ansatz(self, h2_fixture):
+        return AnsatzState(h2_fixture.reference_bitstring,
+                           ((build_qe_pool(4, 2).operators[2], 0.1),))
+
+    @pytest.mark.parametrize("route", GRADIENT_ROUTES.values(), ids=GRADIENT_ROUTES.keys())
+    def test_non_hermitian_rejected(self, ansatz, route):
+        hamiltonian = PauliSum.from_text_terms([("XIII", 1j), ("ZZII", 0.5)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            route(ansatz, hamiltonian)
+
+    @pytest.mark.parametrize("n_qubits", [3, 6])
+    @pytest.mark.parametrize("route", GRADIENT_ROUTES.values(), ids=GRADIENT_ROUTES.keys())
+    def test_qubit_count_mismatch_rejected(self, ansatz, route, n_qubits):
+        hamiltonian = PauliSum.from_text_terms([("Z" + "I" * (n_qubits - 1), 1.0)])
+        with pytest.raises(ValueError, match="qubit count"):
+            route(ansatz, hamiltonian)
+
+
 def assert_bit_exact(ansatz, hamiltonian, amps):
     """Compiled application, preparation and gradients against the plain
     per-term route, with ``np.array_equal``."""
@@ -242,8 +275,15 @@ def assert_bit_exact(ansatz, hamiltonian, amps):
     assert got_energy == energy
     assert np.array_equal(got_grad, grad)
     if ansatz.n_parameters:
-        wanted = list(range(ansatz.n_parameters))[::2]
+        n = ansatz.n_parameters
+        wanted = list(range(n))[::2]
         assert np.array_equal(gradient_components(ansatz, hamiltonian, wanted), grad[wanted])
+        x = ansatz.parameters
+        points = np.stack([x, np.roll(x, 1), 0.5 * x])
+        stacked = gradient_components(ansatz, hamiltonian, range(n), points=points)
+        for point, row in zip(points, stacked):
+            _, full = energy_and_gradient(ansatz.with_parameters(point), hamiltonian)
+            assert np.array_equal(row, full)
     state = StateVector(n_qubits, amps)
     assert np.array_equal(apply_pauli_sum(state, hamiltonian).amplitudes,
                           reference_apply_sum(state.amplitudes, n_qubits, hamiltonian))
