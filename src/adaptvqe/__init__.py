@@ -6,13 +6,11 @@ from .cost import CostLedger, default_pool_sweep_units
 from .diagnostics import (
     ConvergenceReport,
     HessianDistanceRecord,
-    HessianReport,
     convergence_report,
     exact_ansatz_hessian,
     exact_hessian,
     frobenius_distance,
     hessian_distance_series,
-    hessian_report,
 )
 from .driver import AdaptIteration, AdaptResult, pool_gradients, run_adapt, select_operator
 from .hamiltonians import (

@@ -45,8 +45,6 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
                         default="auto", help="operator pool (default: auto)")
     parser.add_argument("--qe-singles", choices=("on", "off"), default="on",
                         help="include single excitations in the QE pool")
-    parser.add_argument("--pool-scale", type=float, default=1.0,
-                        help="uniform generator scale (default 1.0)")
 
 
 def _builtin_spec(args) -> dict | None:
@@ -72,7 +70,6 @@ def _config_from_args(args) -> ExperimentConfig:
         builtin=_builtin_spec(args),
         pool=args.pool,
         qe_singles=args.qe_singles == "on",
-        pool_scale=args.pool_scale,
         modes=tuple(args.modes.split(",")),
         eps=args.eps,
         max_adapt_iterations=args.max_iterations,
@@ -99,7 +96,6 @@ def _cmd_pool(args) -> int:
         hamiltonian_path=args.hamiltonian,
         builtin=None if spec is None else {**spec, "with_exact": False},
         pool=args.pool, qe_singles=args.qe_singles == "on",
-        pool_scale=args.pool_scale,
     )
     pool = resolve_pool(config, resolve_hamiltonian(config))
     payload = pool.to_payload()

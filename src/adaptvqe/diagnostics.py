@@ -2,11 +2,11 @@
 distances between approximate and exact inverse Hessians, per-iteration step
 sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 
-Exact Hessians are built from central differences of the analytic gradient;
-the 2n shifted gradients of one Hessian are evaluated as one stacked
-statevector sweep, bit for bit equal to 2n separate evaluations.  All
-diagnostic evaluations are charged to a caller-supplied shadow ledger so
-they never pollute a run's measurement-cost accounting.
+Exact Hessians are built from central differences of the analytic gradient
+with the fixed step ``FD_STEP``; the 2n shifted gradients of one Hessian are
+evaluated as one stacked statevector sweep, bit for bit equal to 2n separate
+evaluations.  All diagnostic evaluations are charged to a caller-supplied
+shadow ledger so they never pollute a run's measurement-cost accounting.
 """
 
 from __future__ import annotations
@@ -19,27 +19,25 @@ import numpy as np
 
 from .cost import CostLedger
 from .driver import AdaptResult
-from .optimizer import OptimizerResult, expand_inverse_hessian
+from .optimizer import OptimizerResult
 from .paulis import PauliSum
 from .pools import OperatorPool
 from .simulator import AnsatzState, gradient_components
 
 __all__ = [
-    "HessianReport",
+    "FD_STEP",
     "ConvergenceReport",
     "HessianDistanceRecord",
     "frobenius_distance",
     "exact_hessian",
     "exact_ansatz_hessian",
-    "is_positive_definite",
-    "hessian_report",
     "convergence_report",
     "hessian_distance_series",
 ]
 
 logger = logging.getLogger(__name__)
 
-_DEFAULT_FD_STEP = 1e-5
+FD_STEP = 1e-5
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -47,30 +45,24 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b), ord="fro"))
 
 
-def exact_hessian(
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float = _DEFAULT_FD_STEP,
-) -> np.ndarray:
+def exact_hessian(grad_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central differences of an analytic gradient, symmetrized.
 
-    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h.  ``grad_fn`` maps
-    a stack of parameter vectors, one per row, to the stack of their
-    gradients; it is called once, on all 2n shifted points, with x + h e_i
-    and x - h e_i in adjacent rows (a stacked sweep recomputes a row alone
-    where its angle differs from the rest, and the two rows of a pair differ
-    at the same element).
+    Column i is (grad(x + h e_i) - grad(x - h e_i)) / 2h with h = ``FD_STEP``.
+    ``grad_fn`` maps a stack of parameter vectors, one per row, to the stack
+    of their gradients; it is called once, on all 2n shifted points, with
+    x + h e_i and x - h e_i in adjacent rows (a stacked sweep recomputes a
+    row alone where its angle differs from the rest, and the two rows of a
+    pair differ at the same element).
     """
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
     x0 = np.asarray(x, dtype=float)
     n = x0.size
-    shifts = step * np.eye(n)
+    shifts = FD_STEP * np.eye(n)
     points = np.empty((2 * n, n), dtype=float)
     points[0::2] = x0 + shifts
     points[1::2] = x0 - shifts
     grads = np.asarray(grad_fn(points))
-    out = ((grads[0::2] - grads[1::2]) / (2.0 * step)).T
+    out = ((grads[0::2] - grads[1::2]) / (2.0 * FD_STEP)).T
     return 0.5 * (out + out.T)
 
 
@@ -78,7 +70,6 @@ def exact_ansatz_hessian(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
     x: np.ndarray | None = None,
-    step: float = _DEFAULT_FD_STEP,
     shadow_ledger: CostLedger | None = None,
 ) -> np.ndarray:
     """Exact energy Hessian of an ansatz at parameter vector ``x``; the 2n
@@ -91,41 +82,7 @@ def exact_ansatz_hessian(
         )
 
     point = ansatz.parameters if x is None else np.asarray(x, dtype=float)
-    return exact_hessian(grad_fn, point, step=step)
-
-
-def is_positive_definite(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-@dataclass
-class HessianReport:
-    """Comparison of an optimizer's inverse Hessian with the exact one."""
-
-    exact_hessian: np.ndarray
-    exact_inverse: np.ndarray | None
-    approx_inverse: np.ndarray
-    frobenius_distance: float | None
-    elementwise_abs_diff: np.ndarray | None
-    hessian_positive_definite: bool
-
-
-def hessian_report(exact: np.ndarray, approx_inverse: np.ndarray) -> HessianReport:
-    """Invert the exact Hessian (when possible) and measure the distance."""
-    pd = is_positive_definite(exact)
-    try:
-        inverse = np.linalg.inv(exact)
-    except np.linalg.LinAlgError:
-        return HessianReport(exact, None, approx_inverse, None, None, pd)
-    diff = np.abs(inverse - approx_inverse)
-    return HessianReport(
-        exact, inverse, approx_inverse,
-        frobenius_distance(inverse, approx_inverse), diff, pd,
-    )
+    return exact_hessian(grad_fn, point)
 
 
 @dataclass
@@ -209,16 +166,15 @@ def hessian_distance_series(
     hamiltonian: PauliSum,
     pool: OperatorPool,
     reference: str,
-    step: float = _DEFAULT_FD_STEP,
     shadow_ledger: CostLedger | None = None,
     with_evolution: bool = True,
     heatmap_iterations: tuple[int, ...] = (),
 ) -> tuple[list[HessianDistanceRecord], dict[int, dict[str, np.ndarray]]]:
     """Distances between initial approximate and exact inverse Hessians.
 
-    For every growth iteration the exact Hessian is evaluated once, at the
-    recycled run's optimization start point, and shared by both mode
-    comparisons; this keeps the last row/column of the two element-wise
+    For every growth iteration the exact Hessian is evaluated and inverted
+    once, at the recycled run's optimization start point, and shared by both
+    mode comparisons; this keeps the last row/column of the two element-wise
     difference matrices identical by construction, since neither mode starts
     with information about the new parameter.  Iterations where the two runs
     selected different operators, or where the exact Hessian is singular,
@@ -237,33 +193,26 @@ def hessian_distance_series(
             continue
         ansatz = _iteration_ansatz(recycled, pool, reference, n, rec_it.x_start)
         exact = exact_ansatz_hessian(
-            ansatz, hamiltonian, rec_it.x_start, step=step,
-            shadow_ledger=shadow_ledger,
-        )
-        report_can = hessian_report(exact, np.eye(n))
-        report_rec = hessian_report(exact, rec_it.h_start)
-        if report_can.exact_inverse is None:
+            ansatz, hamiltonian, rec_it.x_start, shadow_ledger=shadow_ledger)
+        try:
+            inverse = np.linalg.inv(exact)
+        except np.linalg.LinAlgError:
             records.append(HessianDistanceRecord(
                 n, None, None, None, True, "singular exact Hessian"))
             logger.warning("iteration %d excluded: singular exact Hessian", n)
             continue
+        starts = {"canonical": np.eye(n), "recycling": rec_it.h_start}
         evolution = None
         if with_evolution:
             exact_final = exact_ansatz_hessian(
-                ansatz, hamiltonian, rec_it.x_star, step=step,
-                shadow_ledger=shadow_ledger,
-            )
+                ansatz, hamiltonian, rec_it.x_star, shadow_ledger=shadow_ledger)
             try:
-                evolution = frobenius_distance(
-                    report_can.exact_inverse, np.linalg.inv(exact_final))
+                evolution = frobenius_distance(inverse, np.linalg.inv(exact_final))
             except np.linalg.LinAlgError:
                 evolution = None
         records.append(HessianDistanceRecord(
-            n, report_can.frobenius_distance, report_rec.frobenius_distance,
-            evolution, False))
+            n, frobenius_distance(inverse, starts["canonical"]),
+            frobenius_distance(inverse, starts["recycling"]), evolution, False))
         if n in heatmap_iterations:
-            heatmaps[n] = {
-                "canonical": report_can.elementwise_abs_diff,
-                "recycling": report_rec.elementwise_abs_diff,
-            }
+            heatmaps[n] = {mode: np.abs(inverse - h) for mode, h in starts.items()}
     return records, heatmaps

@@ -151,7 +151,6 @@ def run_adapt(
     max_iterations: int = 50,
     opt_grad_tol: float = 1e-6,
     opt_max_iterations: int = 10000,
-    ledger: CostLedger | None = None,
     exact_energy: float | None = None,
     record_optimizer_state: bool = False,
 ) -> AdaptResult:
@@ -171,7 +170,7 @@ def run_adapt(
     if max_iterations < 0 or opt_max_iterations < 1:
         raise ValueError("iteration caps out of range")
 
-    ledger = ledger if ledger is not None else CostLedger()
+    ledger = CostLedger()
     ansatz = AnsatzState(reference)
     ledger.charge_energy(1)
     energy = expectation(prepare(ansatz), hamiltonian)
@@ -217,7 +216,7 @@ def run_adapt(
             else:
                 h_start = expand_inverse_hessian(h_star, 1)
                 opt = minimize_recycled(
-                    objective, x_star, grad_star, h_star, 1,
+                    objective, x_star, grad_star, h_star,
                     grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
                     record_state=record_optimizer_state,
                 )

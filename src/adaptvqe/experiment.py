@@ -48,6 +48,8 @@ OPT_TRACE_COLUMNS = (
 )
 
 _POOL_CHOICES = ("auto", "qe", "qubit", "nn")
+_BUILTIN_REQUIRED = ("kind", "n_qubits")
+_BUILTIN_OPTIONAL = ("coupling", "field", "with_exact")
 
 
 class ExperimentError(RuntimeError):
@@ -62,7 +64,6 @@ class ExperimentConfig:
     builtin: dict | None = None
     pool: str = "auto"
     qe_singles: bool = True
-    pool_scale: float = 1.0
     modes: tuple[str, ...] = ("canonical", "recycling")
     eps: float = 1e-6
     max_adapt_iterations: int = 50
@@ -76,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.hamiltonian_path is None) == (self.builtin is None):
             raise ValueError("exactly one of hamiltonian_path or builtin is required")
+        if self.builtin is not None:
+            _check_builtin_spec(self.builtin)
         if self.pool not in _POOL_CHOICES:
             raise ValueError(f"pool must be one of {_POOL_CHOICES}")
         if self.eps <= 0 or self.opt_grad_tol <= 0:
@@ -85,6 +88,8 @@ class ExperimentConfig:
         bad = [m for m in self.modes if m not in MODES]
         if bad or not self.modes:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes lists a mode twice: {list(self.modes)}")
         self.modes = tuple(self.modes)
         self.heatmap_iterations = tuple(int(i) for i in self.heatmap_iterations)
 
@@ -98,6 +103,31 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**payload)
+
+
+def _check_builtin_spec(spec) -> None:
+    """A builtin spec is an object with a string ``kind``, an int
+    ``n_qubits``, and optionally numeric ``coupling`` and ``field`` and a
+    bool ``with_exact``; anything else raises ``ValueError``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"builtin must be an object, got {spec!r}")
+    missing = [key for key in _BUILTIN_REQUIRED if key not in spec]
+    if missing:
+        raise ValueError(f"builtin spec missing fields {missing}")
+    unknown = sorted(set(spec) - set(_BUILTIN_REQUIRED) - set(_BUILTIN_OPTIONAL))
+    if unknown:
+        raise ValueError(f"unknown builtin spec fields: {unknown}")
+    if not isinstance(spec["kind"], str):
+        raise ValueError(f"builtin kind must be a string, got {spec['kind']!r}")
+    n_qubits = spec["n_qubits"]
+    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool):
+        raise ValueError(f"builtin n_qubits must be an int, got {n_qubits!r}")
+    for key in ("coupling", "field"):
+        value = spec.get(key, 1.0)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"builtin {key} must be a number, got {value!r}")
+    if not isinstance(spec.get("with_exact", True), bool):
+        raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -117,17 +147,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def resolve_hamiltonian(config: ExperimentConfig) -> HamiltonianFile:
     if config.hamiltonian_path is not None:
         return load_hamiltonian(config.hamiltonian_path, verify=config.verify_hamiltonian)
-    spec = dict(config.builtin)
-    try:
-        return builtin_model(
-            kind=spec.pop("kind"),
-            n_qubits=int(spec.pop("n_qubits")),
-            coupling=float(spec.pop("coupling", 1.0)),
-            field_strength=float(spec.pop("field", 1.0)),
-            with_exact=bool(spec.pop("with_exact", True)),
-        )
-    except KeyError as exc:
-        raise ExperimentError(f"builtin spec missing field {exc}") from exc
+    spec = config.builtin
+    return builtin_model(
+        kind=spec["kind"],
+        n_qubits=spec["n_qubits"],
+        coupling=float(spec.get("coupling", 1.0)),
+        field_strength=float(spec.get("field", 1.0)),
+        with_exact=spec.get("with_exact", True),
+    )
 
 
 def resolve_pool(config: ExperimentConfig, hfile: HamiltonianFile) -> OperatorPool:
@@ -139,10 +166,9 @@ def resolve_pool(config: ExperimentConfig, hfile: HamiltonianFile) -> OperatorPo
             raise ExperimentError(
                 "excitation pools need n_electrons in the Hamiltonian metadata"
             )
-        qe = build_qe_pool(hfile.n_qubits, hfile.n_electrons,
-                           include_singles=config.qe_singles, scale=config.pool_scale)
+        qe = build_qe_pool(hfile.n_qubits, hfile.n_electrons, include_singles=config.qe_singles)
         return qe if choice == "qe" else build_qubit_pool(qe)
-    return build_nearest_neighbor_pool(hfile.n_qubits, scale=config.pool_scale)
+    return build_nearest_neighbor_pool(hfile.n_qubits)
 
 
 def _fmt(value) -> str:

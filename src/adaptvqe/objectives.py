@@ -3,8 +3,9 @@
 The optimizer only needs three operations: evaluate the function, evaluate
 function and gradient together, and evaluate a subset of gradient
 components.  Every call is charged to the adapter's ledger at hardware
-rates (1 unit per energy, 2 per gradient component), independent of how the
-values are actually obtained.
+rates (1 unit per energy, 2 per distinct gradient component, so a repeated
+index is measured once), independent of how the values are actually
+obtained.
 """
 
 from __future__ import annotations
@@ -82,5 +83,5 @@ class FunctionObjective:
 
     def grad_components(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        self.ledger.charge_gradient(len(indices))
+        self.ledger.charge_gradient(len(set(indices)))
         return np.asarray(self._grad(x), dtype=float)[list(indices)]

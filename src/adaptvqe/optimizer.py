@@ -7,10 +7,11 @@ and in whether the converging step updates the inverse Hessian:
   Hessian only when the convergence check fails, so the returned matrix is
   the one that produced the last search direction.
 * :func:`minimize_recycled` starts from a previous optimization's final
-  ``H*`` expanded by an identity block for the new parameters, reuses the
-  previous final gradient for the old entries of the initial gradient, and
-  also updates the matrix on the converging step, so the returned ``H*`` is
-  current.  Its outputs feed the next call directly.
+  ``H*`` expanded by an identity row and column for the one parameter each
+  growth iteration appends, reuses the previous final gradient for the old
+  entries of the initial gradient, and also updates the matrix on the
+  converging step, so the returned ``H*`` is current.  Its outputs feed the
+  next call directly.
 
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
@@ -253,40 +254,35 @@ def minimize_recycled(
     x_prev: np.ndarray,
     grad_prev: np.ndarray,
     h_prev: np.ndarray,
-    new_parameter_count: int = 1,
     grad_tol: float = 1e-6,
     max_iterations: int = 10000,
     record_state: bool = False,
 ) -> OptimizerResult:
     """BFGS warm-started from a previous optimization one dimension down.
 
-    The start point appends zeros for the new parameters, the previous final
-    gradient is reused verbatim for the old entries of the initial gradient
-    (only the new partial derivatives are evaluated), and the initial inverse
-    Hessian is the previous final ``H*`` expanded by an identity block.  The
-    matrix is updated before the convergence check, so the returned ``H*``
-    includes the final step's information.
+    The start point appends a zero for the one new parameter, the previous
+    final gradient is reused verbatim for the old entries of the initial
+    gradient (only the new partial derivative is evaluated), and the initial
+    inverse Hessian is the previous final ``H*`` expanded by an identity
+    row and column.  The matrix is updated before the convergence check, so
+    the returned ``H*`` includes the final step's information.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
-    m = new_parameter_count
     old = x_prev.size
-    n = old + m
     if grad_prev.size != old or h_prev.shape != (old, old):
         raise ValueError(
             f"carried state dimensions disagree: x {old}, grad {grad_prev.size}, "
             f"H {h_prev.shape}"
         )
-    if m < 1:
-        raise ValueError("recycled minimization expects at least one new parameter")
 
-    x = np.concatenate([x_prev, np.zeros(m)])
+    x = np.concatenate([x_prev, np.zeros(1)])
     fevals_before = objective.ledger.function_evaluations
     f = objective.value(x)
-    g_new = objective.grad_components(x, list(range(old, n)))
+    g_new = objective.grad_components(x, [old])
     initial_fevals = objective.ledger.function_evaluations - fevals_before
     g = np.concatenate([grad_prev, g_new])
-    return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, m),
+    return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, 1),
                      initial_fevals, grad_tol, max_iterations, record_state,
                      update_on_converged=True)
 

@@ -12,6 +12,8 @@ Conventions (fixed globally):
 * The text form of a string (``"XYIZ"``) lists site 0 leftmost.
 * Terms are ordered lexicographically on ``(x_mask, z_mask)`` so that
   equality and serialization are structural and deterministic.
+* One tolerance, ``DEFAULT_PRUNE_TOL = 1e-12``, drops negligible terms and
+  decides the Hermitian and anti-Hermitian checks.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class PauliSum:
     """An immutable sparse linear combination of Pauli strings.
 
     A non-finite coefficient raises ``ValueError``.  Terms with coefficient
-    magnitude below the pruning tolerance are dropped at construction,
+    magnitude at or below ``DEFAULT_PRUNE_TOL`` are dropped at construction,
     duplicates are combined, and iteration order is the canonical
     ``(x_mask, z_mask)`` order.  The statevector form is built on
     first use of :meth:`compiled` and kept on the sum.
@@ -163,7 +165,6 @@ class PauliSum:
         self,
         n_qubits: int,
         terms: Mapping[PauliString, complex] | Iterable[tuple[PauliString, complex]] = (),
-        prune_tol: float = DEFAULT_PRUNE_TOL,
     ):
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -178,7 +179,7 @@ class PauliSum:
             if not cmath.isfinite(coeff):
                 raise ValueError(f"term {string.text()} has non-finite coefficient {coeff}")
             combined[string] = combined.get(string, 0j) + coeff
-        pruned = {s: c for s, c in combined.items() if abs(c) > prune_tol}
+        pruned = {s: c for s, c in combined.items() if abs(c) > DEFAULT_PRUNE_TOL}
         ordered = sorted(pruned.items(), key=lambda item: item[0].sort_key())
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "_terms", tuple(ordered))
@@ -198,10 +199,6 @@ class PauliSum:
                 raise ValueError("cannot infer qubit count from empty term list")
             n_qubits = parsed[0][0].n_qubits
         return cls(n_qubits, parsed)
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits, ())
 
     @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
@@ -227,13 +224,14 @@ class PauliSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_hermitian(self, tol: float = DEFAULT_PRUNE_TOL) -> bool:
-        """All coefficients real (each Pauli string is itself Hermitian)."""
-        return all(abs(c.imag) <= tol for _, c in self._terms)
+    def is_hermitian(self) -> bool:
+        """All coefficients real to within ``DEFAULT_PRUNE_TOL`` (each Pauli
+        string is itself Hermitian)."""
+        return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in self._terms)
 
-    def is_anti_hermitian(self, tol: float = DEFAULT_PRUNE_TOL) -> bool:
-        """All coefficients purely imaginary."""
-        return all(abs(c.real) <= tol for _, c in self._terms)
+    def is_anti_hermitian(self) -> bool:
+        """All coefficients purely imaginary to within ``DEFAULT_PRUNE_TOL``."""
+        return all(abs(c.real) <= DEFAULT_PRUNE_TOL for _, c in self._terms)
 
     def compiled(self) -> CompiledSum:
         """The statevector form of this sum, built on first use and kept."""

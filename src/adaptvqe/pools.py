@@ -14,8 +14,7 @@ the documented convention for the built-in lattice-model Hamiltonians.
 Doubles are built as products of single-site (Z-string-free) ladder
 operators and rescaled so each of their eight Pauli strings carries a
 coefficient of unit magnitude; singles keep the two-string
-``(i/2)(X_p Y_q - Y_p X_q)`` form.  A uniform pool-wide scale is
-configurable and defaults to 1, which cannot affect operator selection.
+``(i/2)(X_p Y_q - Y_p X_q)`` form.  Qubit-pool generators are ``i * P``.
 """
 
 from __future__ import annotations
@@ -89,23 +88,18 @@ def _qubit_ladder(site: int, n_qubits: int, creation: bool) -> PauliSum:
     return PauliSum(n_qubits, [(x, 0.5), (y, 0.5 * sign)])
 
 
-def qe_single(p: int, q: int, n_qubits: int, scale: float = 1.0) -> PauliSum:
+def qe_single(p: int, q: int, n_qubits: int) -> PauliSum:
     """Single qubit excitation (i/2)(X_p Y_q - Y_p X_q)."""
     if p == q:
         raise ValueError("single excitation needs two distinct spin-orbitals")
     t = _qubit_ladder(p, n_qubits, True) @ _qubit_ladder(q, n_qubits, False)
-    return (t - t.adjoint()) * scale
+    return t - t.adjoint()
 
 
-def qe_double(
-    source: tuple[int, int],
-    target: tuple[int, int],
-    n_qubits: int,
-    scale: float = 1.0,
-) -> PauliSum:
+def qe_double(source: tuple[int, int], target: tuple[int, int], n_qubits: int) -> PauliSum:
     """Double qubit excitation moving a pair from ``source`` to ``target``.
 
-    Expands to eight weight-4 X/Y strings with coefficients ``+-i * scale``.
+    Expands to eight weight-4 X/Y strings with coefficients ``+-i``.
     """
     p, q = source
     r, s = target
@@ -117,7 +111,7 @@ def qe_double(
         @ _qubit_ladder(p, n_qubits, False)
         @ _qubit_ladder(q, n_qubits, False)
     )
-    return (t - t.adjoint()) * (8.0 * scale)
+    return (t - t.adjoint()) * 8.0
 
 
 def _spin(index: int) -> int:
@@ -125,12 +119,7 @@ def _spin(index: int) -> int:
     return index % 2
 
 
-def build_qe_pool(
-    n_qubits: int,
-    n_electrons: int,
-    include_singles: bool = True,
-    scale: float = 1.0,
-) -> OperatorPool:
+def build_qe_pool(n_qubits: int, n_electrons: int, include_singles: bool = True) -> OperatorPool:
     """All particle-number- and S_z-preserving single and double excitations.
 
     The excitations are generalized (not restricted to occupied->virtual), so
@@ -148,14 +137,14 @@ def build_qe_pool(
     if include_singles:
         for p, q in combinations(range(n_qubits), 2):
             if _spin(p) == _spin(q):
-                operators.append(qe_single(p, q, n_qubits, scale))
+                operators.append(qe_single(p, q, n_qubits))
                 labels.append(f"single ({p})->({q})")
     for quartet in combinations(range(n_qubits), 4):
         i, j, k, l = quartet
         for pair_a, pair_b in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
             if _spin(pair_a[0]) + _spin(pair_a[1]) != _spin(pair_b[0]) + _spin(pair_b[1]):
                 continue
-            operators.append(qe_double(pair_a, pair_b, n_qubits, scale))
+            operators.append(qe_double(pair_a, pair_b, n_qubits))
             labels.append(f"double {pair_a}->{pair_b}")
     return OperatorPool(QE_KIND, n_qubits, tuple(operators), tuple(labels))
 
@@ -182,7 +171,7 @@ def build_qubit_pool(qe_pool: OperatorPool) -> OperatorPool:
     return OperatorPool(QUBIT_KIND, n_qubits, tuple(operators), tuple(labels))
 
 
-def build_nearest_neighbor_pool(n_qubits: int, scale: float = 1.0) -> OperatorPool:
+def build_nearest_neighbor_pool(n_qubits: int) -> OperatorPool:
     """Qubit pool over all weight-1 and adjacent weight-2 Pauli strings.
 
     This is the documented pool convention for the built-in lattice models
@@ -195,13 +184,13 @@ def build_nearest_neighbor_pool(n_qubits: int, scale: float = 1.0) -> OperatorPo
     for site in range(n_qubits):
         for letter in "XYZ":
             string = PauliString.single(letter, site, n_qubits)
-            operators.append(PauliSum(n_qubits, [(string, 1j * scale)]))
+            operators.append(PauliSum(n_qubits, [(string, 1j)]))
             labels.append(_string_label(string))
     for site in range(n_qubits - 1):
         for la, lb in product("XYZ", repeat=2):
             text = "I" * site + la + lb + "I" * (n_qubits - site - 2)
             string = PauliString.from_text(text)
-            operators.append(PauliSum(n_qubits, [(string, 1j * scale)]))
+            operators.append(PauliSum(n_qubits, [(string, 1j)]))
             labels.append(_string_label(string))
     return OperatorPool(QUBIT_KIND, n_qubits, tuple(operators), tuple(labels))
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from adaptvqe import diagnostics
 from adaptvqe.cost import CostLedger
 from adaptvqe.diagnostics import (
     convergence_report,
@@ -8,7 +11,6 @@ from adaptvqe.diagnostics import (
     exact_hessian,
     frobenius_distance,
     hessian_distance_series,
-    hessian_report,
 )
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import OptimizerResult, OptimizerSnapshot, minimize_canonical
@@ -86,10 +88,6 @@ class TestExactHessian:
         exact_ansatz_hessian(ansatz, h2_fixture.operator, shadow_ledger=shadow)
         assert shadow.function_evaluations == 2 * 2 * 1  # 2n grad calls of dim n=1
 
-    def test_invalid_step(self):
-        with pytest.raises(ValueError, match="positive"):
-            exact_hessian(lambda points: points, np.zeros(1), step=0.0)
-
 
 class TestStackedExactHessian:
     """The stacked sweep against one plain-route gradient per shifted point."""
@@ -157,23 +155,13 @@ class TestConvergenceReport:
 
 
 class TestHessianReport:
+    """The distance the series reports between exact and approximate inverses."""
+
     def test_frobenius_definition_matches_elementwise_sum(self):
         rng = np.random.default_rng(42)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         expected = np.sqrt(np.sum(np.abs(a - b) ** 2))
         assert frobenius_distance(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_report_fields(self):
-        exact = np.diag([2.0, 4.0])
-        report = hessian_report(exact, np.eye(2))
-        np.testing.assert_allclose(report.exact_inverse, np.diag([0.5, 0.25]))
-        assert report.frobenius_distance == pytest.approx(
-            np.sqrt(0.25 + 0.5625))
-        assert report.hessian_positive_definite
-
-    def test_singular_exact_hessian_flagged(self):
-        report = hessian_report(np.diag([1.0, 0.0]), np.eye(2))
-        assert report.exact_inverse is None and report.frobenius_distance is None
 
 
 class TestHessianDistanceSeries:
@@ -216,3 +204,50 @@ class TestHessianDistanceSeries:
         wins = sum(r.recycled_distance <= r.canonical_distance for r in late)
         assert wins / len(late) >= 0.9
         assert shadow.function_evaluations > 0
+
+    def test_singular_exact_hessian_excluded(
+            self, h4_equilibrium_fixture, h4_equilibrium_paired, monkeypatch):
+        # a diagonal stand-in: 2 everywhere, singular at the second iteration
+        def stand_in(ansatz, hamiltonian, x, shadow_ledger=None):
+            n = ansatz.n_parameters
+            return np.diag([1.0, 0.0]) if n == 2 else 2.0 * np.eye(n)
+
+        monkeypatch.setattr(diagnostics, "exact_ansatz_hessian", stand_in)
+        pool, results = h4_equilibrium_paired
+        hf = h4_equilibrium_fixture
+        records, heatmaps = hessian_distance_series(
+            results["canonical"], results["recycling"], hf.operator, pool,
+            hf.reference_bitstring, heatmap_iterations=(1, 2, 3))
+        singular = records[1]
+        assert singular.n == 2 and singular.excluded
+        assert singular.reason == "singular exact Hessian"
+        assert singular.canonical_distance is None and singular.recycled_distance is None
+        assert sorted(heatmaps) == [1, 3]
+        third = records[2]
+        assert not third.excluded
+        assert third.canonical_distance == pytest.approx(0.5 * np.sqrt(3))
+        assert third.evolution_distance == 0.0
+        np.testing.assert_array_equal(heatmaps[3]["canonical"], 0.5 * np.eye(3))
+
+    def test_diverged_selection_excluded(
+            self, h4_equilibrium_fixture, h4_equilibrium_paired):
+        pool, results = h4_equilibrium_paired
+        hf = h4_equilibrium_fixture
+        iterations = list(results["canonical"].iterations)
+        moved = iterations[2]
+        iterations[2] = replace(moved, selected_index=(moved.selected_index + 1) % len(pool))
+        canonical = replace(results["canonical"], iterations=iterations)
+        shadow = CostLedger()
+        records, heatmaps = hessian_distance_series(
+            canonical, results["recycling"], hf.operator, pool,
+            hf.reference_bitstring, with_evolution=False, shadow_ledger=shadow,
+            heatmap_iterations=(3,))
+        diverged = records[2]
+        assert diverged.n == 3 and diverged.excluded
+        assert diverged.reason == "operator selection diverged"
+        assert diverged.canonical_distance is None and diverged.recycled_distance is None
+        assert heatmaps == {}
+        assert not records[1].excluded and not records[3].excluded
+        # no exact Hessian is evaluated for the excluded iteration
+        sizes = [r.n for r in records if not r.excluded]
+        assert shadow.function_evaluations == sum(2 * n * 2 * n for n in sizes)

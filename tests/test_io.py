@@ -213,6 +213,38 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentError, match="typo_field"):
             load_config(path)
 
+    def test_retired_pool_scale_field_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"builtin": {"kind": "tfim", "n_qubits": 4},
+                                    "pool_scale": 1.0}))
+        with pytest.raises(ExperimentError, match=r"unknown config fields: \['pool_scale'\]"):
+            load_config(path)
+
+    @pytest.mark.parametrize("builtin, message", [
+        (5, "builtin must be an object"),
+        ({"n_qubits": 4}, r"missing fields \['kind'\]"),
+        ({"kind": "tfim", "n_qubits": 4, "bogus": 1}, r"unknown builtin spec fields: \['bogus'\]"),
+        ({"kind": 1, "n_qubits": 4}, "kind must be a string"),
+        ({"kind": "tfim", "n_qubits": 4.7}, "n_qubits must be an int"),
+        ({"kind": "tfim", "n_qubits": True}, "n_qubits must be an int"),
+        ({"kind": "tfim", "n_qubits": 4, "coupling": "1"}, "coupling must be a number"),
+        ({"kind": "tfim", "n_qubits": 4, "field": None}, "field must be a number"),
+        ({"kind": "tfim", "n_qubits": 4, "with_exact": "false"}, "with_exact must be a bool"),
+    ])
+    def test_builtin_spec_checked(self, builtin, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(builtin=builtin)
+
+    def test_builtin_spec_with_every_field_accepted(self):
+        spec = {"kind": "tfim", "n_qubits": 4, "coupling": 1, "field": 0.5,
+                "with_exact": False}
+        assert ExperimentConfig(builtin=spec).builtin == spec
+
+    def test_duplicate_modes_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4},
+                             modes=("canonical", "canonical"))
+
 
 class TestRunExperiment:
     def run_small(self, tmp_path, **overrides):
@@ -361,6 +393,13 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_builtin_in_config_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"builtin": 5}))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "builtin must be an object" in capsys.readouterr().err
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--out", str(tmp_path / "out")])

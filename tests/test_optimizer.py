@@ -254,7 +254,7 @@ class TestMinimizeRecycled:
         b_full = full @ np.array([1.0, 1.0, 1.0, 1.0])
         recycled = minimize_recycled(
             quadratic_objective(full, b_full), prev.x_star, prev.grad_star,
-            prev.h_star, 1, grad_tol=1e-8)
+            prev.h_star, grad_tol=1e-8)
         assert recycled.converged
         assert recycled.line_searches <= 2
         canonical = minimize_canonical(
@@ -286,7 +286,7 @@ class TestMinimizeRecycled:
 
         before = inner.ledger.function_evaluations
         result = minimize_recycled(Spy(), prev.x_star, prev.grad_star,
-                                   prev.h_star, 1, grad_tol=1e-8)
+                                   prev.h_star, grad_tol=1e-8)
         assert calls[0] == (2,)  # only the new component is evaluated up front
         assert result.initial_fevals == 1 + 2  # one energy, one shifted pair
         assert result.converged
@@ -297,7 +297,7 @@ class TestMinimizeRecycled:
         # the secant-updated matrix
         obj = quadratic_objective(np.diag([10.0]), np.array([10.0]))
         recycled = minimize_recycled(obj, np.zeros(0), np.zeros(0),
-                                     np.zeros((0, 0)), 1, grad_tol=1e-6)
+                                     np.zeros((0, 0)), grad_tol=1e-6)
         assert recycled.converged and recycled.line_searches == 1
         np.testing.assert_allclose(recycled.h_star, [[0.1]], atol=1e-12)
 
@@ -308,7 +308,7 @@ class TestMinimizeRecycled:
         b = full @ np.array([0.2, -0.1, 1.0])
         obj = quadratic_objective(full, b)
         result = minimize_recycled(obj, np.array([0.2, -0.1]), grad_prev, h_prev,
-                                   1, grad_tol=1e-10, record_state=True)
+                                   grad_tol=1e-10, record_state=True)
         x0 = np.array([0.2, -0.1, 0.0])
         g0 = np.concatenate([grad_prev, [(full @ x0 - b)[2]]])
         expected = -expand_inverse_hessian(h_prev, 1) @ g0
@@ -318,12 +318,12 @@ class TestMinimizeRecycled:
     def test_dimension_mismatch_rejected(self):
         obj = quadratic_objective(np.eye(3))
         with pytest.raises(ValueError, match="dimensions disagree"):
-            minimize_recycled(obj, np.zeros(2), np.zeros(1), np.eye(2), 1)
+            minimize_recycled(obj, np.zeros(2), np.zeros(1), np.eye(2))
 
     def test_line_search_failure_reported(self):
         h_prev = np.array([[2.0]])
         result = minimize_recycled(unbounded_objective(), np.zeros(1), np.ones(1),
-                                   h_prev, 1, grad_tol=1e-6)
+                                   h_prev, grad_tol=1e-6)
         assert result.line_search_failed and not result.converged
         assert result.line_searches == 1
         assert result.trace[-1].update_skipped is True
@@ -331,7 +331,7 @@ class TestMinimizeRecycled:
 
     def test_iteration_cap(self):
         result = minimize_recycled(cosh_objective(), np.array([3.0]),
-                                   np.array([np.sinh(3.0)]), np.eye(1), 1,
+                                   np.array([np.sinh(3.0)]), np.eye(1),
                                    grad_tol=1e-14, max_iterations=2)
         assert not result.converged and not result.line_search_failed
         assert result.line_searches == 2 and len(result.trace) == 2
@@ -339,7 +339,7 @@ class TestMinimizeRecycled:
     def test_converged_start_returns_immediately(self):
         full = np.diag([2.0, 3.0, 1.0])
         obj = quadratic_objective(full)
-        result = minimize_recycled(obj, np.zeros(2), np.zeros(2), np.eye(2), 1,
+        result = minimize_recycled(obj, np.zeros(2), np.zeros(2), np.eye(2),
                                    grad_tol=1e-6)
         assert result.converged and result.line_searches == 0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptvqe.paulis import (
+    DEFAULT_PRUNE_TOL,
     PauliString,
     PauliSum,
     commutator,
@@ -95,12 +96,14 @@ class TestPauliSum:
         assert s.n_terms == 1
         assert s.coefficient(PauliString.from_text("Z")) == 1.0
 
-    def test_prune_tolerance_configurable(self):
-        terms = [("X", 1e-9), ("Z", 1.0)]
-        assert PauliSum.from_text_terms(terms).n_terms == 2
-        assert PauliSum(1, [(PauliString.from_text("X"), 1e-9),
-                            (PauliString.from_text("Z"), 1.0)],
-                        prune_tol=1e-6).n_terms == 1
+    def test_one_fixed_tolerance(self):
+        # it prunes terms and decides the Hermitian check
+        tol = DEFAULT_PRUNE_TOL
+        assert PauliSum.from_text_terms([("X", 1e-9), ("Z", 1.0)]).n_terms == 2
+        assert PauliSum.from_text_terms([("X", tol), ("Z", 1.0)]).n_terms == 1
+        assert PauliSum.from_text_terms([("X", 1 + 0.5j * tol)]).is_hermitian()
+        assert not PauliSum.from_text_terms([("X", 1 + 2j * tol)]).is_hermitian()
+        assert PauliSum.from_text_terms([("X", 1j + 0.5 * tol)]).is_anti_hermitian()
 
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
     def test_non_finite_coefficient_rejected(self, coeff):

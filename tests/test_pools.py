@@ -53,10 +53,6 @@ class TestQeDouble:
         with pytest.raises(ValueError, match="distinct"):
             qe_double((0, 1), (1, 2), 4)
 
-    def test_scale_is_uniform(self):
-        tau = qe_double((0, 1), (2, 3), 4, scale=0.25)
-        assert all(abs(c) == pytest.approx(0.25) for _, c in tau)
-
 
 class TestQeSingle:
     def test_two_string_form(self):
