@@ -3,15 +3,22 @@
 A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
 builds it on first use and keeps it on the sum, so a Hamiltonian or a
 generator is analysed once however often it is applied; nothing is built at
-import, at Hamiltonian load or at pool construction.  It holds
+import, at Hamiltonian load or at pool construction.  It keeps the sum's
+term tuple and qubit count, not the sum itself, so a dropped sum and its
+compiled arrays are freed at once rather than at the next full collection.
+It holds
 
 * the terms in the sum's canonical ``(x_mask, z_mask)`` order, grouped by X
   mask, with one int32 flip index ``b -> b ^ x`` per mask and one int8 sign
   vector ``(-1)^popcount(b & z)`` per distinct Z mask;
 * each term's folded scalar: its coefficient times the unit phase
   ``i^y (-1)^y = (-i)^y``, where ``y = popcount(x & z)`` counts its Y letters;
+* once a small state is applied, the term table: one complex row per term,
+  the scalar times the term's sign vector, and one ``np.intp`` gather index
+  per term;
 * the Hermitian, anti-Hermitian and mutually-commuting flags, each computed
-  once from the :class:`PauliSum` methods.
+  on first use from the terms by the checks behind the :class:`PauliSum`
+  methods.
 
 A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]`` with
 ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so one gather per X mask serves
@@ -20,17 +27,30 @@ every term of that mask and the constant sign folds into the scalar.
 **Bit-exact rule.**  Everything that feeds the optimizer (``apply``,
 ``exponential``) replays the arithmetic of the plain term-by-term route
 (kept as the test reference) in the same term order: a product by a unit
-phase or by a sign is exact, so moving it onto the scalar changes no bit.  Summing the terms of a mask into one
-phase vector, a CSR matrix-vector product or a closed-form rotation of a
-single-mask generator each differ by an ulp or so, and the optimizer's
-line-search and evaluation counts flip under such differences.  Only the
-pool sweep (:meth:`CompiledSum.sign_table`), whose output feeds a tolerant
-argmax, sums in another order.
+phase or by a sign is exact, so moving it onto the scalar changes no bit.
+A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes is
+applied as one gather, one product and one sum over the term table, and
+that replays the per-term rounding too: a sign is ``±1`` and rounding is
+symmetric under negation; the table stays the left operand, as the scalar
+was; numpy adds the rows of a C-contiguous array along axis 0 one after
+another (only a single column would be summed pairwise, and a state has
+two amplitudes or more); and the sum starts from ``+0`` as the per-term
+accumulator did, so no negative zero survives.  Larger states keep the
+per-term loop: the table route has been timed end to end only at 8 qubits,
+and at 12 qubits a Hamiltonian's table is tens of MB and slower.
+Summing the terms of a mask into one phase vector, a CSR matrix-vector
+product or a closed-form rotation of a single-mask generator each differ by
+an ulp or so, and the optimizer's line-search and evaluation counts flip
+under such differences.  Only the pool sweep
+(:meth:`CompiledSum.sign_table`), whose output feeds a tolerant argmax,
+sums in another order.
 
 **Stacks.**  ``apply`` and ``exponential`` also take a stack of states of
-shape ``(m, 2^q)``.  The gather runs along the last axis and the sign
-vectors broadcast over the rows; each term's arithmetic and order are
-those of the 1-D call, so every row is bit for bit the 1-D result.
+shape ``(m, 2^q)``.  A stack is applied term by term, never through the
+table, which measured slower on 32-row stacks.  The gather runs along the
+last axis and the sign vectors broadcast over the rows; each term's
+arithmetic and order are those of the per-term 1-D route, so every row is
+bit for bit the 1-D result.
 """
 
 from __future__ import annotations
@@ -49,6 +69,10 @@ if TYPE_CHECKING:
 __all__ = ["CompiledSum"]
 
 _DENSE_SUPPORT_CAP = 12
+
+# 1-D states of at most this many amplitudes are applied through the term
+# table: 8 qubits, the largest size whose runs have been timed end to end.
+_TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -70,20 +94,24 @@ class CompiledSum:
     """The statevector form of one :class:`PauliSum` (see the module doc)."""
 
     def __init__(self, operator: "PauliSum"):
-        self.operator = operator
+        self.terms = operator.items()
         self.n_qubits = operator.n_qubits
 
+    # the checks live in paulis, which imports this module at load
     @cached_property
     def hermitian(self) -> bool:
-        return self.operator.is_hermitian()
+        from .paulis import terms_hermitian
+        return terms_hermitian(self.terms)
 
     @cached_property
     def anti_hermitian(self) -> bool:
-        return self.operator.is_anti_hermitian()
+        from .paulis import terms_anti_hermitian
+        return terms_anti_hermitian(self.terms)
 
     @cached_property
     def commuting(self) -> bool:
-        return self.operator.terms_mutually_commute()
+        from .paulis import terms_commute
+        return terms_commute(self.terms)
 
     @cached_property
     def _groups(self) -> tuple:
@@ -97,7 +125,7 @@ class CompiledSum:
         signs_by_z: dict[int, np.ndarray] = {}
         groups: list[tuple[np.ndarray | None, list]] = []
         last_x = None
-        for string, coeff in self.operator:
+        for string, coeff in self.terms:
             x, z = string.x_mask, string.z_mask
             if x != last_x:
                 flip = (index ^ np.uint64(x)).astype(np.int32) if x else None
@@ -109,11 +137,34 @@ class CompiledSum:
             groups[-1][1].append((signs_by_z.get(z), coeff, unit, coeff * unit))
         return tuple((flip, tuple(terms)) for flip, terms in groups)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, flips)``, one row per term in canonical order: the
+        folded scalar times the term's sign vector (the scalar broadcast for
+        a Z mask of 0) and its gather index ``b -> b ^ x``."""
+        dim = 1 << self.n_qubits
+        index = np.arange(dim, dtype=np.intp)
+        rows, flips = [], []
+        for flip, terms in self._groups:
+            gather = index if flip is None else flip.astype(np.intp)
+            for signs, _, _, scalar in terms:
+                rows.append(np.full(dim, scalar) if signs is None else scalar * signs)
+                flips.append(gather)
+        return (np.array(rows, dtype=complex).reshape(-1, dim),
+                np.array(flips, dtype=np.intp).reshape(-1, dim))
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """``O|psi>``: term by term in canonical order, one gather per X mask.
 
-        ``amps`` is one state or a stack of states, one per row.
+        ``amps`` is one state or a stack of states, one per row.  A state of
+        at most ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the
+        term table in three numpy calls (see the module doc).
         """
+        if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
+            table, flips = self._table
+            gathered = amps.take(flips)
+            np.multiply(table, gathered, out=gathered)
+            return gathered.sum(axis=0, initial=0)
         out = np.zeros_like(amps)
         for flip, terms in self._groups:
             gathered = amps if flip is None else amps.take(flip, axis=-1)
@@ -131,7 +182,7 @@ class CompiledSum:
         of states, one per row; the non-commuting routes take a stack row by
         row.
         """
-        if theta == 0.0 or self.operator.is_zero:
+        if theta == 0.0 or not self.terms:
             return amps
         if self.commuting:
             for flip, terms in self._groups:
@@ -146,7 +197,7 @@ class CompiledSum:
             return amps
         if amps.ndim == 2:
             return np.stack([self.exponential(row, theta) for row in amps])
-        support = sorted(set().union(*(s.support for s in self.operator.strings())))
+        support = sorted(set().union(*(s.support for s, _ in self.terms)))
         if len(support) <= _DENSE_SUPPORT_CAP:
             matrix = scipy.linalg.expm(self.dense(support) * theta)
             return _apply_dense_on_support(amps, self.n_qubits, support, matrix)
@@ -162,16 +213,16 @@ class CompiledSum:
         lowest support qubit), ``<phi|A psi> = table @ r``, a table of
         ``2^m`` entries.  None for a sum of several X masks (or none).
         """
-        x_masks = {s.x_mask for s in self.operator.strings()}
+        x_masks = {s.x_mask for s, _ in self.terms}
         if len(x_masks) != 1:
             return None
         z_support = 0
-        for string in self.operator.strings():
+        for string, _ in self.terms:
             z_support |= string.z_mask
         qubits = [q for q in range(self.n_qubits) if z_support >> q & 1]
         reduced = np.arange(1 << len(qubits), dtype=np.uint64)
         table = np.zeros(reduced.size, dtype=complex)
-        for string, coeff in self.operator:
+        for string, coeff in self.terms:
             z = sum(1 << j for j, q in enumerate(qubits) if string.z_mask >> q & 1)
             phase = _UNIT_PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
             table += coeff * phase * _parity_signs(reduced, z)
@@ -184,7 +235,7 @@ class CompiledSum:
             support = list(range(self.n_qubits))
         dim = 1 << len(support)
         out = np.zeros((dim, dim), dtype=complex)
-        for string, coeff in self.operator:
+        for string, coeff in self.terms:
             factor = np.eye(1, dtype=complex)
             for site in reversed(support):
                 factor = np.kron(factor, _LETTER_MATRICES[string.letter(site)])
@@ -198,7 +249,7 @@ class CompiledSum:
         index = np.arange(dim, dtype=np.uint64)
         cols = np.arange(dim)
         out = None
-        for string, coeff in self.operator:
+        for string, coeff in self.terms:
             y_count = (string.x_mask & string.z_mask).bit_count()
             data = coeff * (1j ** (y_count % 4)) * _parity_signs(index, string.z_mask)
             rows = cols ^ string.x_mask

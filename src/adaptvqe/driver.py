@@ -165,8 +165,8 @@ def run_adapt(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if len(pool) == 0:
         raise ValueError("operator pool is empty")
-    if eps <= 0 or opt_grad_tol <= 0:
-        raise ValueError("convergence thresholds must be positive")
+    if not all(np.isfinite(t) and t > 0 for t in (eps, opt_grad_tol)):
+        raise ValueError("convergence thresholds must be finite and positive")
     if max_iterations < 0 or opt_max_iterations < 1:
         raise ValueError("iteration caps out of range")
 

@@ -50,6 +50,19 @@ OPT_TRACE_COLUMNS = (
 _POOL_CHOICES = ("auto", "qe", "qubit", "nn")
 _BUILTIN_REQUIRED = ("kind", "n_qubits")
 _BUILTIN_OPTIONAL = ("coupling", "field", "with_exact")
+_FIELD_KINDS = (
+    ("qe_singles", bool, "a bool"),
+    ("diagnostics", bool, "a bool"),
+    ("verify_hamiltonian", bool, "a bool"),
+    ("max_adapt_iterations", int, "an int"),
+    ("opt_max_iterations", int, "an int"),
+    ("eps", (int, float), "a number"),
+    ("opt_grad_tol", (int, float), "a number"),
+    ("hamiltonian_path", (str, type(None)), "a string"),
+    ("output_dir", str, "a string"),
+    ("modes", (list, tuple), "a list"),
+    ("heatmap_iterations", (list, tuple), "a list"),
+)
 
 
 class ExperimentError(RuntimeError):
@@ -79,10 +92,11 @@ class ExperimentConfig:
             raise ValueError("exactly one of hamiltonian_path or builtin is required")
         if self.builtin is not None:
             _check_builtin_spec(self.builtin)
+        _check_field_types(self)
         if self.pool not in _POOL_CHOICES:
             raise ValueError(f"pool must be one of {_POOL_CHOICES}")
-        if self.eps <= 0 or self.opt_grad_tol <= 0:
-            raise ValueError("convergence thresholds must be positive")
+        if not all(np.isfinite(t) and t > 0 for t in (self.eps, self.opt_grad_tol)):
+            raise ValueError("convergence thresholds must be finite and positive")
         if self.max_adapt_iterations < 0 or self.opt_max_iterations < 1:
             raise ValueError("iteration caps out of range")
         bad = [m for m in self.modes if m not in MODES]
@@ -91,7 +105,7 @@ class ExperimentConfig:
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes lists a mode twice: {list(self.modes)}")
         self.modes = tuple(self.modes)
-        self.heatmap_iterations = tuple(int(i) for i in self.heatmap_iterations)
+        self.heatmap_iterations = tuple(self.heatmap_iterations)
 
     def to_payload(self) -> dict:
         return asdict(self)
@@ -103,6 +117,24 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**payload)
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance``, except that a bool is not an int or a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_field_types(config: ExperimentConfig) -> None:
+    """The top-level fields have their declared types: a hand-written
+    ``config.json`` with ``"false"`` for a bool or ``2.5`` for an int raises
+    ``ValueError`` rather than being read loosely."""
+    for name, kind, label in _FIELD_KINDS:
+        value = getattr(config, name)
+        if not _is_a(value, kind):
+            raise ValueError(f"{name} must be {label}, got {value!r}")
+    bad = [i for i in config.heatmap_iterations if not _is_a(i, int)]
+    if bad:
+        raise ValueError(f"heatmap_iterations must be ints, got {bad!r}")
 
 
 def _check_builtin_spec(spec) -> None:
@@ -120,11 +152,11 @@ def _check_builtin_spec(spec) -> None:
     if not isinstance(spec["kind"], str):
         raise ValueError(f"builtin kind must be a string, got {spec['kind']!r}")
     n_qubits = spec["n_qubits"]
-    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool):
+    if not _is_a(n_qubits, int):
         raise ValueError(f"builtin n_qubits must be an int, got {n_qubits!r}")
     for key in ("coupling", "field"):
         value = spec.get(key, 1.0)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_a(value, (int, float)):
             raise ValueError(f"builtin {key} must be a number, got {value!r}")
     if not isinstance(spec.get("with_exact", True), bool):
         raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")

@@ -240,6 +240,7 @@ def minimize_canonical(
     returns immediately with zero line searches.  On the converged iteration
     the inverse Hessian is not updated.
     """
+    _check_grad_tol(grad_tol)
     x = np.array(x0, dtype=float)
     fevals_before = objective.ledger.function_evaluations
     f, g = objective.value_and_grad(x)
@@ -267,6 +268,7 @@ def minimize_recycled(
     row and column.  The matrix is updated before the convergence check, so
     the returned ``H*`` includes the final step's information.
     """
+    _check_grad_tol(grad_tol)
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
     old = x_prev.size
@@ -285,6 +287,11 @@ def minimize_recycled(
     return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, 1),
                      initial_fevals, grad_tol, max_iterations, record_state,
                      update_on_converged=True)
+
+
+def _check_grad_tol(grad_tol: float) -> None:
+    if not (np.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
 
 
 def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,

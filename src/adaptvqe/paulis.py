@@ -149,6 +149,27 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     return phase, PauliString(a.n_qubits, x3, z3)
 
 
+# The checks behind PauliSum.is_hermitian, is_anti_hermitian and
+# terms_mutually_commute, on a term sequence: a CompiledSum keeps the terms
+# but not the sum, and runs them too.
+
+def terms_hermitian(terms: Iterable[tuple[PauliString, complex]]) -> bool:
+    return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in terms)
+
+
+def terms_anti_hermitian(terms: Iterable[tuple[PauliString, complex]]) -> bool:
+    return all(abs(c.real) <= DEFAULT_PRUNE_TOL for _, c in terms)
+
+
+def terms_commute(terms: Iterable[tuple[PauliString, complex]]) -> bool:
+    strings = [s for s, _ in terms]
+    for i in range(len(strings)):
+        for j in range(i + 1, len(strings)):
+            if not strings[i].commutes_with(strings[j]):
+                return False
+    return True
+
+
 class PauliSum:
     """An immutable sparse linear combination of Pauli strings.
 
@@ -227,11 +248,11 @@ class PauliSum:
     def is_hermitian(self) -> bool:
         """All coefficients real to within ``DEFAULT_PRUNE_TOL`` (each Pauli
         string is itself Hermitian)."""
-        return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in self._terms)
+        return terms_hermitian(self._terms)
 
     def is_anti_hermitian(self) -> bool:
         """All coefficients purely imaginary to within ``DEFAULT_PRUNE_TOL``."""
-        return all(abs(c.real) <= DEFAULT_PRUNE_TOL for _, c in self._terms)
+        return terms_anti_hermitian(self._terms)
 
     def compiled(self) -> CompiledSum:
         """The statevector form of this sum, built on first use and kept."""
@@ -287,12 +308,7 @@ class PauliSum:
         return PauliSum(self.n_qubits, [(s, c.conjugate()) for s, c in self._terms])
 
     def terms_mutually_commute(self) -> bool:
-        strings = self.strings()
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                if not strings[i].commutes_with(strings[j]):
-                    return False
-        return True
+        return terms_commute(self._terms)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c:.6g})*{s.text()}" for s, c in self._terms[:6])

@@ -14,7 +14,10 @@ dense matrix exponential restricted to the generator's support is used.
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
 accumulation order are unchanged, because the optimizer's evaluation and
-line-search counts flip under one-ulp differences.  Only
+line-search counts flip under one-ulp differences.  A single state of at
+most 2^8 amplitudes (8 qubits) is applied through the sum's term table in
+three numpy calls, with the same products added in the same order; stacks
+and larger states go term by term.  Only
 :func:`generator_gradients`, which feeds the tolerant pool selection, sums
 in another order.
 

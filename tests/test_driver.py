@@ -220,6 +220,14 @@ class TestRunAdapt:
             run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
                       eps=0.0)
 
+    @pytest.mark.parametrize("threshold", ["eps", "opt_grad_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, h2_fixture, threshold, value):
+        pool = build_qe_pool(4, 2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
+                      max_iterations=3, **{threshold: value})
+
     def test_non_finite_pool_gradient_names_the_iteration(self, h2_fixture, monkeypatch):
         pool = build_qe_pool(4, 2)
         sweep = driver_module.pool_gradients

@@ -240,6 +240,40 @@ class TestExperimentConfig:
                 "with_exact": False}
         assert ExperimentConfig(builtin=spec).builtin == spec
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("qe_singles", "false", "qe_singles must be a bool"),
+        ("diagnostics", 1, "diagnostics must be a bool"),
+        ("verify_hamiltonian", "no", "verify_hamiltonian must be a bool"),
+        ("max_adapt_iterations", 2.5, "max_adapt_iterations must be an int"),
+        ("opt_max_iterations", True, "opt_max_iterations must be an int"),
+        ("eps", "1e-6", "eps must be a number"),
+        ("opt_grad_tol", None, "opt_grad_tol must be a number"),
+        ("output_dir", 5, "output_dir must be a string"),
+        ("modes", "canonical", "modes must be a list"),
+        ("heatmap_iterations", (3.7,), r"heatmap_iterations must be ints, got \[3.7\]"),
+        ("heatmap_iterations", (2, True), r"heatmap_iterations must be ints, got \[True\]"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}, **{field: value})
+
+    def test_hamiltonian_path_must_be_a_string(self):
+        with pytest.raises(ValueError, match="hamiltonian_path must be a string"):
+            ExperimentConfig(hamiltonian_path=5)
+
+    @pytest.mark.parametrize("field", ["eps", "opt_grad_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_thresholds_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}, **{field: value})
+
+    def test_loose_config_file_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"builtin": {"kind": "tfim", "n_qubits": 4},
+                                    "qe_singles": "false"}))
+        with pytest.raises(ExperimentError, match="qe_singles must be a bool"):
+            load_config(path)
+
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ValueError, match="twice"):
             ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4},
@@ -387,6 +421,14 @@ class TestCli:
                          "--out", str(pool_path)]) == 0
         payload = json.loads(pool_path.read_text())
         assert payload == build_nearest_neighbor_pool(4).to_payload()
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--opt-eps", "inf")])
+    def test_non_finite_threshold_is_a_clean_error(self, tmp_path, capsys, flag, value):
+        code = cli_main(["run", "--model", "tfim", "--n-qubits", "4", flag, value,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: convergence thresholds must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_hamiltonian_is_a_clean_error(self, tmp_path, capsys):
         code = cli_main(["run", "--hamiltonian", str(tmp_path / "missing.json"),

@@ -228,6 +228,16 @@ class TestMinimizeCanonical:
         assert result.line_searches == 2 and len(result.trace) == 2
 
 
+@pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_grad_tol_finite_and_positive(grad_tol):
+    obj = quadratic_objective(np.eye(2))
+    with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+        minimize_canonical(obj, np.ones(2), grad_tol=grad_tol)
+    with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+        minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1), grad_tol=grad_tol)
+    assert obj.ledger.function_evaluations == 0
+
+
 class TestMinimizeRecycled:
     def test_expansion_block_form(self):
         h = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,32 @@ class TestPauliSum:
         b = PauliSum.from_text_terms([("IZ", 2.0), ("XI", 1.0)])
         assert a == b
         assert [s.text() for s, _ in a] == [s.text() for s, _ in b]
+
+    def test_compiled_form_freed_with_its_sum(self):
+        # no reference cycle: the compiled arrays go with the sum, not at
+        # the next full collection
+        op = PauliSum.from_text_terms([("XZ", 0.5), ("ZZ", 1.0), ("YY", -0.3)])
+        op.compiled().apply(np.ones(4, dtype=complex))
+        op.compiled().apply(np.ones((2, 4), dtype=complex))
+        compiled = weakref.ref(op.compiled())
+        gc.disable()
+        try:
+            del op
+            assert compiled() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("terms", [
+        [("XX", 1.0), ("ZZ", -0.5)],  # Hermitian and commuting
+        [("XY", 1j), ("YX", -1j)],  # anti-Hermitian and commuting
+        [("XI", 0.5j), ("ZI", 1.0)],  # neither, and not commuting
+    ])
+    def test_compiled_flags_match_the_sum_checks(self, terms):
+        op = PauliSum.from_text_terms(terms)
+        compiled = op.compiled()
+        assert compiled.hermitian == op.is_hermitian()
+        assert compiled.anti_hermitian == op.is_anti_hermitian()
+        assert compiled.commuting == op.terms_mutually_commute()
 
     def test_hermiticity_classification(self):
         assert PauliSum.from_text_terms([("X", 1.0), ("Z", -2.5)]).is_hermitian()

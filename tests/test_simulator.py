@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP
 from adaptvqe.cost import CostLedger
 from adaptvqe.hamiltonians import builtin_model
 from adaptvqe.paulis import PauliString, PauliSum
@@ -266,7 +267,8 @@ class TestHamiltonianValidated:
 
 def assert_bit_exact(ansatz, hamiltonian, amps):
     """Compiled application, preparation and gradients against the plain
-    per-term route, with ``np.array_equal``."""
+    per-term route, with ``np.array_equal``; applications byte for byte,
+    since ``np.array_equal`` cannot tell a signed zero."""
     n_qubits = ansatz.n_qubits
     psi, energy, grad = reference_energy_and_gradient(
         ansatz.reference, ansatz.elements, hamiltonian)
@@ -285,12 +287,10 @@ def assert_bit_exact(ansatz, hamiltonian, amps):
             _, full = energy_and_gradient(ansatz.with_parameters(point), hamiltonian)
             assert np.array_equal(row, full)
     state = StateVector(n_qubits, amps)
-    assert np.array_equal(apply_pauli_sum(state, hamiltonian).amplitudes,
-                          reference_apply_sum(state.amplitudes, n_qubits, hamiltonian))
+    for operator in (hamiltonian,) + ansatz.generators:
+        assert (apply_pauli_sum(state, operator).amplitudes.tobytes()
+                == reference_apply_sum(state.amplitudes, n_qubits, operator).tobytes())
     for generator, theta in ansatz.elements:
-        assert np.array_equal(
-            apply_pauli_sum(state, generator).amplitudes,
-            reference_apply_sum(state.amplitudes, n_qubits, generator))
         assert np.array_equal(
             apply_generator_exponential(state, generator, theta).amplitudes,
             reference_exponential(state.amplitudes, n_qubits, generator, theta))
@@ -298,14 +298,23 @@ def assert_bit_exact(ansatz, hamiltonian, amps):
 
 def assert_rows_bit_exact(compiled, stack, theta=None):
     """``apply`` (and ``exponential`` at ``theta``) on a stack of states
-    against one 1-D call per row, with ``np.array_equal``."""
+    against one 1-D call per row, byte for byte.  A small 1-D state goes
+    through the term table and a stack term by term, so for ``apply`` this
+    compares the two routes."""
     applied = compiled.apply(stack)
     for row, got in zip(stack, applied):
-        assert np.array_equal(got, compiled.apply(row))
+        assert got.tobytes() == compiled.apply(row).tobytes()
+    assert ("_table" in vars(compiled)) == (stack.shape[-1] <= _TABLE_AMPLITUDE_CAP)
     if theta is not None:
         rotated = compiled.exponential(stack, theta)
         for row, got in zip(stack, rotated):
-            assert np.array_equal(got, compiled.exponential(row, theta))
+            assert got.tobytes() == compiled.exponential(row, theta).tobytes()
+
+
+def basis_amplitudes(n_qubits, index):
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def random_amplitudes(rng, n_qubits):
@@ -387,6 +396,8 @@ class TestCompiledIsBitExact:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         amps = random_amplitudes(rng, n_qubits)
         assert_bit_exact(ansatz, hamiltonian, amps)
+        index = data.draw(st.integers(0, (1 << n_qubits) - 1))
+        assert_bit_exact(ansatz, hamiltonian, basis_amplitudes(n_qubits, index))
         stack = np.stack([amps] + [random_amplitudes(rng, n_qubits) for _ in range(2)])
         assert_rows_bit_exact(hamiltonian.compiled(), stack)
         for generator, theta in zip(generators, thetas):
@@ -396,3 +407,50 @@ class TestCompiledIsBitExact:
             generator_gradients(StateVector(n_qubits, amps), hamiltonian, generators),
             reference_pool_gradients(amps, n_qubits, hamiltonian, generators),
             rtol=0, atol=1e-12)
+
+
+def random_sum(rng, n_qubits, n_terms, n_masks):
+    """Random Hermitian sum of ``n_terms`` strings on ``n_masks`` X masks."""
+    full = 1 << n_qubits
+    x_masks = rng.integers(0, full, size=n_masks).tolist() + [0]
+    return PauliSum(n_qubits, [
+        (PauliString(n_qubits, int(rng.choice(x_masks)), int(rng.integers(0, full))),
+         float(rng.normal())) for _ in range(n_terms)])
+
+
+class TestTermTable:
+    """A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied
+    through the term table, byte for byte the per-term reference (the
+    generated sums of ``TestCompiledIsBitExact`` cover 1-5 qubits)."""
+
+    @pytest.mark.parametrize("n_qubits", [8, 9])
+    def test_either_side_of_the_size_key(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        operator = random_sum(rng, n_qubits, n_terms=40, n_masks=5)
+        compiled = operator.compiled()
+        for amps in (random_amplitudes(rng, n_qubits), basis_amplitudes(n_qubits, 37)):
+            expected = reference_apply_sum(amps, n_qubits, operator)
+            assert compiled.apply(amps).tobytes() == expected.tobytes()
+        # the key is pinned at 8 qubits: larger states keep the per-term route
+        assert ("_table" in vars(compiled)) == (n_qubits == 8)
+
+    def test_stack_stays_term_by_term(self, h4_equilibrium_fixture):
+        compiled = PauliSum(8, h4_equilibrium_fixture.operator.items()).compiled()
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_amplitudes(rng, 8) for _ in range(3)])
+        compiled.apply(stack)
+        assert "_table" not in vars(compiled)
+        assert_rows_bit_exact(compiled, stack)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (200, 2), (16, 4), (185, 256), (60, 1024)])
+    def test_numpy_sums_axis_zero_row_by_row(self, shape):
+        """The table route relies on numpy adding the rows of a C-contiguous
+        array in order along axis 0; a numpy whose order differs fails here."""
+        rng = np.random.default_rng(shape[0])
+        scale = 10.0 ** rng.integers(-8, 8, size=shape)
+        rows = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+        rows[:, 0] = -0.0  # all-negative-zero column: the sum starts at +0
+        expected = np.zeros(shape[1], dtype=complex)
+        for row in rows:
+            expected += row
+        assert rows.sum(axis=0, initial=0).tobytes() == expected.tobytes()
