@@ -20,6 +20,13 @@ It holds
   on first use from the terms by the checks behind the :class:`PauliSum`
   methods.
 
+**Generators.**  A generator is an anti-Hermitian sum of mutually commuting
+Pauli strings: every qubit-excitation, qubit-pool and nearest-neighbour
+operator is one.  :meth:`CompiledSum.exponential` applies it as one
+closed-form rotation per term and raises on any other sum; there is no
+general matrix exponential.  :meth:`CompiledSum.sparse` is the one matrix
+form of a sum, for eigensolvers and dense diagonalization.
+
 A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]`` with
 ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so one gather per X mask serves
 every term of that mask and the constant sign folds into the scalar.
@@ -39,7 +46,7 @@ accumulator did, so no negative zero survives.  Larger states keep the
 per-term loop: the table route has been timed end to end only at 8 qubits,
 and at 12 qubits a Hamiltonian's table is tens of MB and slower.
 Summing the terms of a mask into one phase vector, a CSR matrix-vector
-product or a closed-form rotation of a single-mask generator each differ by
+product or one Givens rotation of a whole single-mask generator each differ by
 an ulp or so, and the optimizer's line-search and evaluation counts flip
 under such differences.  Only the pool sweep
 (:meth:`CompiledSum.sign_table`), whose output feeds a tolerant argmax,
@@ -59,29 +66,18 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 if TYPE_CHECKING:
     from .paulis import PauliSum
 
 __all__ = ["CompiledSum"]
 
-_DENSE_SUPPORT_CAP = 12
-
 # 1-D states of at most this many amplitudes are applied through the term
 # table: 8 qubits, the largest size whose runs have been timed end to end.
 _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
@@ -112,6 +108,14 @@ class CompiledSum:
     def commuting(self) -> bool:
         from .paulis import terms_commute
         return terms_commute(self.terms)
+
+    def check_generator(self) -> None:
+        """Raise ``ValueError`` unless this sum is a generator: anti-Hermitian,
+        with mutually commuting Pauli strings."""
+        if not self.anti_hermitian:
+            raise ValueError("generator is not anti-Hermitian")
+        if not self.commuting:
+            raise ValueError("generator terms do not mutually commute")
 
     @cached_property
     def _groups(self) -> tuple:
@@ -173,35 +177,27 @@ class CompiledSum:
         return out
 
     def exponential(self, amps: np.ndarray, theta: float) -> np.ndarray:
-        """``exp(theta * A)|psi>`` for this anti-Hermitian sum ``A``.
+        """``exp(theta * A)|psi>`` for this generator ``A``.
 
-        Mutually commuting terms are applied one after another with the
-        closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``; otherwise
-        a dense matrix exponential on the support (up to 12 qubits) or a
-        sparse Krylov exponential is used.  ``amps`` is one state or a stack
-        of states, one per row; the non-commuting routes take a stack row by
-        row.
+        ``A`` must be an anti-Hermitian sum of mutually commuting Pauli
+        strings, as every pool operator is; any other sum raises
+        ``ValueError``.  The terms are applied one after another with the
+        closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``.
+        ``amps`` is one state or a stack of states, one per row.
         """
-        if theta == 0.0 or not self.terms:
+        self.check_generator()
+        if theta == 0.0:
             return amps
-        if self.commuting:
-            for flip, terms in self._groups:
-                for signs, coeff, unit, _ in terms:
-                    w = theta * coeff.imag
-                    if w == 0.0:
-                        continue
-                    rotated = amps if flip is None else amps.take(flip, axis=-1)
-                    if signs is not None:
-                        rotated = rotated * signs
-                    amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
-            return amps
-        if amps.ndim == 2:
-            return np.stack([self.exponential(row, theta) for row in amps])
-        support = sorted(set().union(*(s.support for s, _ in self.terms)))
-        if len(support) <= _DENSE_SUPPORT_CAP:
-            matrix = scipy.linalg.expm(self.dense(support) * theta)
-            return _apply_dense_on_support(amps, self.n_qubits, support, matrix)
-        return scipy.sparse.linalg.expm_multiply(self.sparse() * theta, amps)
+        for flip, terms in self._groups:
+            for signs, coeff, unit, _ in terms:
+                w = theta * coeff.imag
+                if w == 0.0:
+                    continue
+                rotated = amps if flip is None else amps.take(flip, axis=-1)
+                if signs is not None:
+                    rotated = rotated * signs
+                amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
+        return amps
 
     @cached_property
     def sign_table(self) -> tuple[int, int, np.ndarray] | None:
@@ -228,42 +224,21 @@ class CompiledSum:
             table += coeff * phase * _parity_signs(reduced, z)
         return x_masks.pop(), z_support, table
 
-    def dense(self, support: list[int] | None = None) -> np.ndarray:
-        """Dense matrix on ``support`` (all qubits by default), site 0 least
-        significant."""
-        if support is None:
-            support = list(range(self.n_qubits))
-        dim = 1 << len(support)
-        out = np.zeros((dim, dim), dtype=complex)
-        for string, coeff in self.terms:
-            factor = np.eye(1, dtype=complex)
-            for site in reversed(support):
-                factor = np.kron(factor, _LETTER_MATRICES[string.letter(site)])
-            out += coeff * factor
-        return out
-
     def sparse(self) -> "scipy.sparse.csr_matrix":
-        """Full-dimension sparse matrix, for wide exponentials and
-        eigensolvers."""
+        """The full-dimension matrix, site 0 least significant: the one
+        matrix form of a sum, for eigensolvers and, through ``toarray()``,
+        for dense diagonalization.
+
+        The terms are added in canonical order to an all-zero matrix, so
+        each entry is rounded as in a dense sum of the terms' matrices.
+        """
         dim = 1 << self.n_qubits
         index = np.arange(dim, dtype=np.uint64)
         cols = np.arange(dim)
-        out = None
+        out = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
         for string, coeff in self.terms:
             y_count = (string.x_mask & string.z_mask).bit_count()
             data = coeff * (1j ** (y_count % 4)) * _parity_signs(index, string.z_mask)
             rows = cols ^ string.x_mask
-            term = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-            out = term if out is None else out + term
+            out = out + scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
         return out
-
-
-def _apply_dense_on_support(amps: np.ndarray, n_qubits: int, support: list[int],
-                            matrix: np.ndarray) -> np.ndarray:
-    m = len(support)
-    axes = [n_qubits - 1 - s for s in reversed(support)]
-    tensor = amps.reshape([2] * n_qubits)
-    tensor = np.moveaxis(tensor, axes, range(m))
-    flat = matrix @ tensor.reshape(1 << m, -1)
-    tensor = np.moveaxis(flat.reshape([2] * n_qubits), range(m), axes)
-    return np.ascontiguousarray(tensor).reshape(-1)

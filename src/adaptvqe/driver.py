@@ -22,6 +22,7 @@ from .optimizer import (
     IterationRecord,
     OptimizerSnapshot,
     expand_inverse_hessian,
+    is_iteration_cap,
     minimize_canonical,
     minimize_recycled,
 )
@@ -167,8 +168,11 @@ def run_adapt(
         raise ValueError("operator pool is empty")
     if not all(np.isfinite(t) and t > 0 for t in (eps, opt_grad_tol)):
         raise ValueError("convergence thresholds must be finite and positive")
-    if max_iterations < 0 or opt_max_iterations < 1:
-        raise ValueError("iteration caps out of range")
+    if not (is_iteration_cap(max_iterations) and is_iteration_cap(opt_max_iterations)
+            and opt_max_iterations >= 1):
+        raise ValueError(
+            "iteration caps must be ints, max_iterations >= 0 and opt_max_iterations >= 1, "
+            f"got {max_iterations!r} and {opt_max_iterations!r}")
 
     ledger = CostLedger()
     ansatz = AnsatzState(reference)

@@ -26,7 +26,7 @@ import numpy as np
 from .cost import CostLedger
 from .diagnostics import convergence_report, exact_ansatz_hessian, hessian_distance_series
 from .driver import MODES, AdaptResult, run_adapt
-from .hamiltonians import HamiltonianFile, builtin_model, load_hamiltonian
+from .hamiltonians import HamiltonianFile, builtin_model, is_a, load_hamiltonian
 from .optimizer import OptimizerResult
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
 
@@ -119,20 +119,15 @@ class ExperimentConfig:
         return cls(**payload)
 
 
-def _is_a(value, kind) -> bool:
-    """``isinstance``, except that a bool is not an int or a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def _check_field_types(config: ExperimentConfig) -> None:
     """The top-level fields have their declared types: a hand-written
     ``config.json`` with ``"false"`` for a bool or ``2.5`` for an int raises
     ``ValueError`` rather than being read loosely."""
     for name, kind, label in _FIELD_KINDS:
         value = getattr(config, name)
-        if not _is_a(value, kind):
+        if not is_a(value, kind):
             raise ValueError(f"{name} must be {label}, got {value!r}")
-    bad = [i for i in config.heatmap_iterations if not _is_a(i, int)]
+    bad = [i for i in config.heatmap_iterations if not is_a(i, int)]
     if bad:
         raise ValueError(f"heatmap_iterations must be ints, got {bad!r}")
 
@@ -152,11 +147,11 @@ def _check_builtin_spec(spec) -> None:
     if not isinstance(spec["kind"], str):
         raise ValueError(f"builtin kind must be a string, got {spec['kind']!r}")
     n_qubits = spec["n_qubits"]
-    if not _is_a(n_qubits, int):
+    if not is_a(n_qubits, int):
         raise ValueError(f"builtin n_qubits must be an int, got {n_qubits!r}")
     for key in ("coupling", "field"):
         value = spec.get(key, 1.0)
-        if not _is_a(value, (int, float)):
+        if not is_a(value, (int, float)):
             raise ValueError(f"builtin {key} must be a number, got {value!r}")
     if not isinstance(spec.get("with_exact", True), bool):
         raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")

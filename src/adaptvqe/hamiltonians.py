@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse.linalg
 
-from .paulis import PauliString, PauliSum
+from .paulis import DEFAULT_PRUNE_TOL, PauliString, PauliSum
 
 __all__ = [
     "HamiltonianFile",
@@ -34,11 +34,11 @@ __all__ = [
     "builtin_model",
     "ground_state_energy",
     "dense_matrix",
+    "is_a",
     "bundled_fixture_path",
     "list_bundled_fixtures",
 ]
 
-HERMITICITY_TOL = 1e-12
 DIAGONALIZATION_CAP = 12
 _DENSE_DIAG_CAP = 11
 
@@ -64,13 +64,20 @@ class HamiltonianFile:
     extra_metadata: dict = field(default_factory=dict)
 
 
+def is_a(value, kind) -> bool:
+    """``isinstance``, except that a bool (a JSON ``true`` or ``false``) is
+    not an int or a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def dense_matrix(operator: PauliSum) -> np.ndarray:
-    """Dense matrix of an operator (guarded by the diagonalization cap)."""
+    """Dense matrix of an operator, site 0 least significant (guarded by the
+    diagonalization cap): its sparse matrix, expanded."""
     if operator.n_qubits > DIAGONALIZATION_CAP:
         raise ValueError(
             f"{operator.n_qubits} qubits exceeds the dense cap of {DIAGONALIZATION_CAP}"
         )
-    return operator.compiled().dense()
+    return operator.compiled().sparse().toarray()
 
 
 def ground_state_energy(operator: PauliSum) -> float:
@@ -102,7 +109,7 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
     if not isinstance(payload, dict):
         raise fail("top level must be a JSON object")
     n_qubits = payload.get("n_qubits")
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+    if not is_a(n_qubits, int) or n_qubits < 1:
         raise fail(f"n_qubits must be a positive integer, got {n_qubits!r}")
     terms = payload.get("terms")
     if not isinstance(terms, list) or not terms:
@@ -119,16 +126,16 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
             string = PauliString.from_text(pauli)
         except ValueError as exc:
             raise fail(f"term {i}: {exc}") from None
-        try:
-            coeff = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise fail(f"term {i}: re/im must be numbers") from None
+        parts = (term.get("re", 0.0), term.get("im", 0.0))
+        if not all(is_a(part, (int, float)) for part in parts):
+            raise fail(f"term {i}: re/im must be numbers")
+        coeff = complex(float(parts[0]), float(parts[1]))
         if not cmath.isfinite(coeff):
             raise fail(f"term {i}: coefficient {coeff} is not finite")
         parsed.append((string, coeff))
 
     operator = PauliSum(n_qubits, parsed)
-    bad = [(s.text(), c.imag) for s, c in operator if abs(c.imag) > HERMITICITY_TOL]
+    bad = [(s.text(), c.imag) for s, c in operator if abs(c.imag) > DEFAULT_PRUNE_TOL]
     if bad:
         string, imag = bad[0]
         raise fail(
@@ -152,12 +159,12 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
         value = metadata.get(key)
         if value is None:
             return None
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not is_a(value, (int, float)) or not math.isfinite(value):
             raise fail(f"metadata.{key} must be a finite number")
         return float(value)
 
     n_electrons = metadata.get("n_electrons")
-    if n_electrons is not None and (not isinstance(n_electrons, int) or n_electrons < 0):
+    if n_electrons is not None and (not is_a(n_electrons, int) or n_electrons < 0):
         raise fail("metadata.n_electrons must be a non-negative integer")
 
     known = {"name", "reference_bitstring", "units", "n_electrons",

@@ -38,6 +38,7 @@ __all__ = [
     "bfgs_update",
     "curvature_condition_holds",
     "expand_inverse_hessian",
+    "is_iteration_cap",
     "minimize_canonical",
     "minimize_recycled",
 ]
@@ -240,7 +241,7 @@ def minimize_canonical(
     returns immediately with zero line searches.  On the converged iteration
     the inverse Hessian is not updated.
     """
-    _check_grad_tol(grad_tol)
+    _check_limits(grad_tol, max_iterations)
     x = np.array(x0, dtype=float)
     fevals_before = objective.ledger.function_evaluations
     f, g = objective.value_and_grad(x)
@@ -268,7 +269,7 @@ def minimize_recycled(
     row and column.  The matrix is updated before the convergence check, so
     the returned ``H*`` includes the final step's information.
     """
-    _check_grad_tol(grad_tol)
+    _check_limits(grad_tol, max_iterations)
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
     old = x_prev.size
@@ -289,9 +290,18 @@ def minimize_recycled(
                      update_on_converged=True)
 
 
-def _check_grad_tol(grad_tol: float) -> None:
+def _check_limits(grad_tol: float, max_iterations: int) -> None:
     if not (np.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if not is_iteration_cap(max_iterations):
+        raise ValueError(
+            f"max_iterations must be a non-negative int, got {max_iterations!r}")
+
+
+def is_iteration_cap(value) -> bool:
+    """A non-negative int; a bool or a float of integral value is not one."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 0)
 
 
 def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,

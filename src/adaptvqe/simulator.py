@@ -5,11 +5,11 @@ States are dense complex vectors over the 2^n computational basis with qubit
 through its compiled form (:meth:`PauliSum.compiled`, see
 :mod:`adaptvqe.compiled`), built on first use and kept on the sum, which also
 carries the Hermiticity and commutation flags checked here, so each operator
-is validated once rather than on every call.  Generators are applied as
-exponentials: when the Pauli terms of a generator mutually commute (true for
-qubit-excitation and single-string generators) each term is applied with the
-closed-form rotation ``exp(i t P) = cos(t) I + i sin(t) P``; otherwise a
-dense matrix exponential restricted to the generator's support is used.
+is validated once rather than on every call.  An ansatz generator must be
+an anti-Hermitian sum of mutually commuting Pauli strings, as every pool
+operator (qubit-excitation, qubit-pool and nearest-neighbour) is;
+:class:`AnsatzState` rejects any other.  Each term of a generator is applied
+with the closed-form rotation ``exp(i t P) = cos(t) I + i sin(t) P``.
 
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
@@ -124,7 +124,8 @@ class AnsatzState:
     """A reference occupation bitstring plus ordered (generator, angle) pairs.
 
     The prepared state is ``exp(t_n A_n) ... exp(t_1 A_1)|ref>`` with element
-    order matching ansatz growth order.  Generators must be anti-Hermitian.
+    order matching ansatz growth order.  Generators must be anti-Hermitian
+    sums of mutually commuting Pauli strings.
     """
 
     reference: str
@@ -138,8 +139,7 @@ class AnsatzState:
         for generator, theta in self.elements:
             if generator.n_qubits != n_qubits:
                 raise ValueError("generator qubit count does not match reference")
-            if not generator.compiled().anti_hermitian:
-                raise ValueError("ansatz generator is not anti-Hermitian")
+            generator.compiled().check_generator()
             theta = float(theta)
             if not np.isfinite(theta):
                 raise ValueError("ansatz parameter is not finite")
@@ -176,12 +176,11 @@ class AnsatzState:
 
 def apply_generator_exponential(state: StateVector, generator: PauliSum,
                                 theta: float) -> StateVector:
+    """``exp(theta * A)|psi>`` for a generator ``A`` (see :class:`AnsatzState`)."""
     if generator.n_qubits != state.n_qubits:
         raise ValueError("generator qubit count does not match state")
-    compiled = generator.compiled()
-    if not compiled.anti_hermitian:
-        raise ValueError("generator is not anti-Hermitian")
-    return StateVector(state.n_qubits, compiled.exponential(state.amplitudes, theta))
+    return StateVector(state.n_qubits,
+                       generator.compiled().exponential(state.amplitudes, theta))
 
 
 def apply_pauli_sum(state: StateVector, operator: PauliSum) -> StateVector:

@@ -228,6 +228,16 @@ class TestRunAdapt:
             run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
                       max_iterations=3, **{threshold: value})
 
+    @pytest.mark.parametrize("caps", [
+        {"max_iterations": 2.5}, {"max_iterations": True}, {"max_iterations": -1},
+        {"opt_max_iterations": 10.0}, {"opt_max_iterations": True},
+        {"opt_max_iterations": 0},
+    ])
+    def test_iteration_caps_are_ints_in_range(self, h2_fixture, caps):
+        with pytest.raises(ValueError, match="iteration caps must be ints"):
+            run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring,
+                      build_qe_pool(4, 2), **caps)
+
     def test_non_finite_pool_gradient_names_the_iteration(self, h2_fixture, monkeypatch):
         pool = build_qe_pool(4, 2)
         sweep = driver_module.pool_gradients

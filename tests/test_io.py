@@ -21,6 +21,7 @@ from adaptvqe.hamiltonians import (
     HamiltonianFormatError,
     builtin_model,
     bundled_fixture_path,
+    dense_matrix,
     ground_state_energy,
     list_bundled_fixtures,
     load_hamiltonian,
@@ -91,6 +92,28 @@ class TestHamiltonianFiles:
         with pytest.raises(HamiltonianFormatError, match=f"metadata.{key} must be a finite"):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize("where, key, value, message", [
+        ((), "n_qubits", True, "n_qubits must be a positive integer"),
+        (("metadata",), "n_electrons", True, "n_electrons must be"),
+        (("terms", 0), "re", True, "term 0: re/im must be numbers"),
+        (("terms", 1), "im", False, "term 1: re/im must be numbers"),
+        (("terms", 0), "re", "0.5", "term 0: re/im must be numbers"),
+        (("metadata",), "exact_ground_energy", True,
+         "exact_ground_energy must be a finite number"),
+        (("metadata",), "hf_energy", False, "hf_energy must be a finite number"),
+    ], ids=["n_qubits", "n_electrons", "re", "im", "re-string",
+            "exact_ground_energy", "hf_energy"])
+    def test_json_booleans_and_strings_are_not_numbers(self, tmp_path, where, key, value, message):
+        payload = minimal_payload()
+        target = payload
+        for step in where:
+            target = target[step]
+        target[key] = value
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HamiltonianFormatError, match=message):
+            load_hamiltonian(path)
+
     def test_reference_bitstring_validated(self, tmp_path):
         payload = minimal_payload()
         payload["metadata"]["reference_bitstring"] = "101"
@@ -116,6 +139,11 @@ class TestHamiltonianFiles:
         eigenvalues = np.linalg.eigvalsh(dense)
         assert h2_fixture.exact_ground_energy == pytest.approx(
             float(eigenvalues[0]), abs=1e-9)
+
+    def test_bundled_exact_energies_are_reproduced_exactly(self):
+        for name in list_bundled_fixtures():
+            hfile = load_hamiltonian(bundled_fixture_path(name))
+            assert ground_state_energy(hfile.operator) == hfile.exact_ground_energy, name
 
     def test_verify_flag_catches_tampered_energy(self, tmp_path, h2_fixture):
         tampered = HamiltonianFile(
@@ -184,6 +212,20 @@ class TestBuiltinModels:
                                                           abs=1e-8)
         # the sparse route starts ARPACK from a fixed vector, so it repeats
         assert ground_state_energy(model.operator) == model.exact_ground_energy
+
+    def test_dense_matrix_matches_oracle_bytes(self):
+        operators = [load_hamiltonian(bundled_fixture_path(name)).operator
+                     for name in list_bundled_fixtures()]
+        operators += [builtin_model(kind, n, with_exact=False).operator
+                      for kind in ("tfim", "heisenberg") for n in range(2, 9)]
+        for operator in operators:
+            assert dense_matrix(operator).tobytes() == dense_pauli_sum(operator).tobytes()
+
+    def test_dense_matrix_of_an_empty_sum_is_zero(self):
+        zero = PauliSum.from_text_terms([("XZ", 1e-15)])
+        assert zero.n_terms == 0
+        assert dense_matrix(zero).tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
+        assert ground_state_energy(zero) == 0.0
 
     def test_ground_state_energy_requires_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

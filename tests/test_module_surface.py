@@ -1,7 +1,8 @@
 """Static checks on the package's module surface, read with ``ast``.
 
-Modules talk to each other through public names only, and every name a
-module lists in ``__all__`` exists in it.
+Modules talk to each other through public names only, every name a
+module lists in ``__all__`` exists in it, and every private name a module
+defines at its top level is read somewhere in that module.
 """
 
 import ast
@@ -42,4 +43,28 @@ def test_modules_import_public_names_and_export_defined_ones():
                              for alias in node.names if alias.name.startswith("_")]
         problems += [f"{path.name} exports undefined {name}"
                      for name in sorted(set(declared_all(tree)) - defined_names(tree))]
+    assert not problems
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Top-level ``_x = ...``, ``def _x`` and ``class _X`` names, dunders
+    excluded."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_private_names_are_read_by_their_module():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        problems += [f"{path.name} never reads {name}"
+                     for name in private_definitions(tree) if name not in read]
     assert not problems

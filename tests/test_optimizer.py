@@ -238,6 +238,17 @@ def test_grad_tol_finite_and_positive(grad_tol):
     assert obj.ledger.function_evaluations == 0
 
 
+@pytest.mark.parametrize("max_iterations", [True, 2.5, 2.0, "3", -1])
+def test_iteration_cap_is_a_non_negative_int(max_iterations):
+    obj = quadratic_objective(np.eye(2))
+    with pytest.raises(ValueError, match="max_iterations must be a non-negative int"):
+        minimize_canonical(obj, np.ones(2), max_iterations=max_iterations)
+    with pytest.raises(ValueError, match="max_iterations must be a non-negative int"):
+        minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1),
+                          max_iterations=max_iterations)
+    assert obj.ledger.function_evaluations == 0
+
+
 class TestMinimizeRecycled:
     def test_expansion_block_form(self):
         h = np.array([[2.0, 0.5], [0.5, 1.0]])

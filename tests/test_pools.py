@@ -149,6 +149,29 @@ class TestNearestNeighborPool:
             build_nearest_neighbor_pool(1)
 
 
+def assert_generators(pool):
+    """Every operator meets the engine's generator contract: an anti-Hermitian
+    sum of mutually commuting Pauli strings."""
+    for label, op in zip(pool.labels, pool.operators):
+        compiled = op.compiled()
+        assert compiled.anti_hermitian and compiled.commuting, label
+
+
+class TestGeneratorContract:
+    @pytest.mark.parametrize("n_qubits", [4, 8, 12])
+    @pytest.mark.parametrize("include_singles", [True, False])
+    def test_qe_pool(self, n_qubits, include_singles):
+        assert_generators(build_qe_pool(n_qubits, n_qubits // 2, include_singles))
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    def test_qubit_pool(self, n_qubits):
+        assert_generators(build_qubit_pool(build_qe_pool(n_qubits, n_qubits // 2)))
+
+    @pytest.mark.parametrize("n_qubits", range(2, 9))
+    def test_nearest_neighbor_pool(self, n_qubits):
+        assert_generators(build_nearest_neighbor_pool(n_qubits))
+
+
 class TestPoolExport:
     def test_payload_shape(self):
         pool = build_qe_pool(4, 2)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP
 from adaptvqe.cost import CostLedger
-from adaptvqe.hamiltonians import builtin_model
+from adaptvqe.hamiltonians import builtin_model, dense_matrix
 from adaptvqe.paulis import PauliString, PauliSum
 from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool, qe_double
 from adaptvqe.simulator import (
@@ -73,13 +73,21 @@ class TestStatePreparation:
         with pytest.raises(ValueError, match="cap"):
             basis_state("0" * 21)
 
-    def test_noncommuting_generator_falls_back_to_dense(self):
+    def test_noncommuting_generator_rejected(self):
         gen = PauliSum.from_text_terms([("XI", 1j), ("ZI", 0.7j)])
-        assert not gen.terms_mutually_commute()
-        ansatz = AnsatzState("00", ((gen, 0.4),))
-        state = prepare(ansatz)
-        oracle = dense_prepare("00", ansatz.elements)
-        assert abs(np.vdot(oracle, state.amplitudes)) ** 2 >= 1 - 1e-10
+        assert gen.is_anti_hermitian() and not gen.terms_mutually_commute()
+        for theta in (0.4, 0.0):
+            with pytest.raises(ValueError, match="do not mutually commute"):
+                AnsatzState("00", ((gen, theta),))
+            with pytest.raises(ValueError, match="do not mutually commute"):
+                apply_generator_exponential(basis_state("00"), gen, theta)
+            with pytest.raises(ValueError, match="do not mutually commute"):
+                gen.compiled().exponential(basis_state("00").amplitudes, theta)
+
+    def test_exponential_rejects_non_anti_hermitian_sum(self):
+        gen = PauliSum.from_text_terms([("XI", 1.0)])
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            gen.compiled().exponential(basis_state("00").amplitudes, 0.0)
 
     def test_unitarity_over_many_applications(self):
         rng = np.random.default_rng(21)
@@ -372,17 +380,6 @@ class TestCompiledIsBitExact:
             for i, t in zip(picks, rng.normal(size=6) * 0.5)))
         assert_bit_exact(ansatz, hfile.operator, random_amplitudes(rng, hfile.n_qubits))
 
-    @pytest.mark.parametrize("terms", [
-        [("XIY", 1j), ("ZII", 0.7j), ("IYZ", -0.3j)],  # dense on the support
-        [("X" + "I" * 12, 1j), ("Z" * 13, 0.5j)],  # sparse Krylov: 13 qubits
-    ])
-    def test_stack_through_noncommuting_fallback(self, terms):
-        generator = PauliSum.from_text_terms(terms)
-        assert not generator.compiled().commuting
-        rng = np.random.default_rng(5)
-        stack = np.stack([random_amplitudes(rng, generator.n_qubits) for _ in range(2)])
-        assert_rows_bit_exact(generator.compiled(), stack, 0.4)
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_generated_sums(self, data):
@@ -407,6 +404,17 @@ class TestCompiledIsBitExact:
             generator_gradients(StateVector(n_qubits, amps), hamiltonian, generators),
             reference_pool_gradients(amps, n_qubits, hamiltonian, generators),
             rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_matrix_matches_oracle_bytes(data):
+    """The sparse matrix expanded is byte for byte the kron-built dense sum,
+    for Hermitian sums and for generators."""
+    hamiltonian = data.draw(hermitian_sums())
+    generator = data.draw(commuting_generators(hamiltonian.n_qubits))
+    for operator in (hamiltonian, generator):
+        assert dense_matrix(operator).tobytes() == dense_pauli_sum(operator).tobytes()
 
 
 def random_sum(rng, n_qubits, n_terms, n_masks):
