@@ -9,10 +9,18 @@ compiled arrays are freed at once rather than at the next full collection.
 It holds
 
 * the terms in the sum's canonical ``(x_mask, z_mask)`` order, grouped by X
-  mask, with one int32 flip index ``b -> b ^ x`` per mask and one int8 sign
-  vector ``(-1)^popcount(b & z)`` per distinct Z mask;
+  mask, with one flip index ``b -> b ^ x`` per mask and one sign vector
+  ``(-1)^popcount(b & z)`` per distinct Z mask.  Up to
+  ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are ``np.intp`` and the
+  signs complex ``±1``, exactly the arrays numpy would otherwise cast to on
+  every gather and product; above it they stay int32 and int8, a half and
+  a sixteenth of those bytes, since a 12-qubit Hamiltonian has hundreds of
+  sign vectors;
 * each term's folded scalar: its coefficient times the unit phase
   ``i^y (-1)^y = (-i)^y``, where ``y = popcount(x & z)`` counts its Y letters;
+* for a generator, once it is first exponentiated, one rotation tuple
+  ``(flip, signs, imag, unit)`` per term, built after the generator check,
+  so neither the check nor the walk over the groups is repeated per call;
 * once a small state is applied, the term table: one complex row per term,
   the scalar times the term's sign vector, and one ``np.intp`` gather index
   per term;
@@ -34,7 +42,8 @@ every term of that mask and the constant sign folds into the scalar.
 **Bit-exact rule.**  Everything that feeds the optimizer (``apply``,
 ``exponential``) replays the arithmetic of the plain term-by-term route
 (kept as the test reference) in the same term order: a product by a unit
-phase or by a sign is exact, so moving it onto the scalar changes no bit.
+phase or by a sign is exact, so moving it onto the scalar changes no bit,
+and holding a small sum's flips and signs precast changes none either.
 A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes is
 applied as one gather, one product and one sum over the term table, and
 that replays the per-term rounding too: a sign is ``±1`` and rounding is
@@ -121,25 +130,41 @@ class CompiledSum:
     def _groups(self) -> tuple:
         """``((flip, terms), ...)`` per X mask in canonical order.
 
-        ``flip`` is None for the Z-only mask; each term is ``(signs, coeff,
-        unit, scalar)`` with ``signs`` None for a Z mask of 0, ``unit`` the
-        folded phase ``(-i)^y`` and ``scalar = coeff * unit``.
+        ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
+        mask; each term is ``(signs, coeff, unit, scalar)`` with ``signs``
+        the vector ``(-1)^popcount(b & z)``, None for a Z mask of 0, ``unit``
+        the folded phase ``(-i)^y`` and ``scalar = coeff * unit``.  The
+        flips are ``np.intp`` and the signs complex up to
+        ``_TABLE_AMPLITUDE_CAP`` amplitudes, int32 and int8 above it (see
+        the module doc).
         """
-        index = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        dim = 1 << self.n_qubits
+        flip_type, sign_type = ((np.intp, complex) if dim <= _TABLE_AMPLITUDE_CAP
+                                else (np.int32, np.int8))
+        index = np.arange(dim, dtype=np.uint64)
         signs_by_z: dict[int, np.ndarray] = {}
         groups: list[tuple[np.ndarray | None, list]] = []
         last_x = None
         for string, coeff in self.terms:
             x, z = string.x_mask, string.z_mask
             if x != last_x:
-                flip = (index ^ np.uint64(x)).astype(np.int32) if x else None
+                flip = (index ^ np.uint64(x)).astype(flip_type) if x else None
                 groups.append((flip, []))
                 last_x = x
             if z and z not in signs_by_z:
-                signs_by_z[z] = _parity_signs(index, z)
+                signs_by_z[z] = _parity_signs(index, z).astype(sign_type, copy=False)
             unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
             groups[-1][1].append((signs_by_z.get(z), coeff, unit, coeff * unit))
         return tuple((flip, tuple(terms)) for flip, terms in groups)
+
+    @cached_property
+    def _rotations(self) -> tuple:
+        """``(flip, signs, imag, unit)`` per term of a generator in canonical
+        order, ``imag`` the imaginary part of its coefficient; raises as
+        :meth:`check_generator` does for any other sum."""
+        self.check_generator()
+        return tuple((flip, signs, coeff.imag, unit)
+                     for flip, terms in self._groups for signs, coeff, unit, _ in terms)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +175,7 @@ class CompiledSum:
         index = np.arange(dim, dtype=np.intp)
         rows, flips = [], []
         for flip, terms in self._groups:
-            gather = index if flip is None else flip.astype(np.intp)
+            gather = index if flip is None else flip
             for signs, _, _, scalar in terms:
                 rows.append(np.full(dim, scalar) if signs is None else scalar * signs)
                 flips.append(gather)
@@ -185,18 +210,17 @@ class CompiledSum:
         closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``.
         ``amps`` is one state or a stack of states, one per row.
         """
-        self.check_generator()
+        rotations = self._rotations
         if theta == 0.0:
             return amps
-        for flip, terms in self._groups:
-            for signs, coeff, unit, _ in terms:
-                w = theta * coeff.imag
-                if w == 0.0:
-                    continue
-                rotated = amps if flip is None else amps.take(flip, axis=-1)
-                if signs is not None:
-                    rotated = rotated * signs
-                amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
+        for flip, signs, imag, unit in rotations:
+            w = theta * imag
+            if w == 0.0:
+                continue
+            rotated = amps if flip is None else amps.take(flip, axis=-1)
+            if signs is not None:
+                rotated = rotated * signs
+            amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
         return amps
 
     @cached_property

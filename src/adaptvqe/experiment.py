@@ -26,7 +26,13 @@ import numpy as np
 from .cost import CostLedger
 from .diagnostics import convergence_report, exact_ansatz_hessian, hessian_distance_series
 from .driver import MODES, AdaptResult, run_adapt
-from .hamiltonians import HamiltonianFile, builtin_model, is_a, load_hamiltonian
+from .hamiltonians import (
+    HamiltonianFile,
+    builtin_model,
+    finite_float,
+    is_a,
+    load_hamiltonian,
+)
 from .optimizer import OptimizerResult
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
 
@@ -95,8 +101,11 @@ class ExperimentConfig:
         _check_field_types(self)
         if self.pool not in _POOL_CHOICES:
             raise ValueError(f"pool must be one of {_POOL_CHOICES}")
-        if not all(np.isfinite(t) and t > 0 for t in (self.eps, self.opt_grad_tol)):
-            raise ValueError("convergence thresholds must be finite and positive")
+        for name in ("eps", "opt_grad_tol"):
+            threshold = finite_float(getattr(self, name))
+            if threshold is None or threshold <= 0:
+                raise ValueError(
+                    f"convergence thresholds must be finite and positive, {name} is not")
         if self.max_adapt_iterations < 0 or self.opt_max_iterations < 1:
             raise ValueError("iteration caps out of range")
         bad = [m for m in self.modes if m not in MODES]
@@ -153,6 +162,8 @@ def _check_builtin_spec(spec) -> None:
         value = spec.get(key, 1.0)
         if not is_a(value, (int, float)):
             raise ValueError(f"builtin {key} must be a number, got {value!r}")
+        if finite_float(value) is None:
+            raise ValueError(f"builtin {key} must be finite and fit a float")
     if not isinstance(spec.get("with_exact", True), bool):
         raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")
 

@@ -35,6 +35,7 @@ __all__ = [
     "ground_state_energy",
     "dense_matrix",
     "is_a",
+    "finite_float",
     "bundled_fixture_path",
     "list_bundled_fixtures",
 ]
@@ -68,6 +69,19 @@ def is_a(value, kind) -> bool:
     """``isinstance``, except that a bool (a JSON ``true`` or ``false``) is
     not an int or a number."""
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def finite_float(value) -> float | None:
+    """``value`` as a float when it is a finite number (not a bool), else
+    None: a JSON integer too large for a float gives None, not
+    ``OverflowError``."""
+    if not is_a(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 def dense_matrix(operator: PauliSum) -> np.ndarray:
@@ -126,10 +140,16 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
             string = PauliString.from_text(pauli)
         except ValueError as exc:
             raise fail(f"term {i}: {exc}") from None
-        parts = (term.get("re", 0.0), term.get("im", 0.0))
-        if not all(is_a(part, (int, float)) for part in parts):
-            raise fail(f"term {i}: re/im must be numbers")
-        coeff = complex(float(parts[0]), float(parts[1]))
+        parts = []
+        for key in ("re", "im"):
+            part = term.get(key, 0.0)
+            if not is_a(part, (int, float)):
+                raise fail(f"term {i}: re/im must be numbers")
+            try:
+                parts.append(float(part))
+            except OverflowError:
+                raise fail(f"term {i}: {key} is too large for a float") from None
+        coeff = complex(*parts)
         if not cmath.isfinite(coeff):
             raise fail(f"term {i}: coefficient {coeff} is not finite")
         parsed.append((string, coeff))
@@ -159,9 +179,10 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
         value = metadata.get(key)
         if value is None:
             return None
-        if not is_a(value, (int, float)) or not math.isfinite(value):
+        number = finite_float(value)
+        if number is None:
             raise fail(f"metadata.{key} must be a finite number")
-        return float(value)
+        return number
 
     n_electrons = metadata.get("n_electrons")
     if n_electrons is not None and (not is_a(n_electrons, int) or n_electrons < 0):

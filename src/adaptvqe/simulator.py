@@ -8,8 +8,11 @@ carries the Hermiticity and commutation flags checked here, so each operator
 is validated once rather than on every call.  An ansatz generator must be
 an anti-Hermitian sum of mutually commuting Pauli strings, as every pool
 operator (qubit-excitation, qubit-pool and nearest-neighbour) is;
-:class:`AnsatzState` rejects any other.  Each term of a generator is applied
-with the closed-form rotation ``exp(i t P) = cos(t) I + i sin(t) P``.
+:class:`AnsatzState` rejects any other.  :meth:`AnsatzState.with_parameters`,
+which the objectives call on every evaluation, keeps the generators its
+ansatz already validated and checks only the new angles.  Each term of a
+generator is applied with the closed-form rotation
+``exp(i t P) = cos(t) I + i sin(t) P``.
 
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
@@ -34,6 +37,7 @@ energy, 2 per gradient component), not the simulator cost.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -119,6 +123,13 @@ def basis_state(bitstring: str) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def _finite_angle(theta) -> float:
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("ansatz parameter is not finite")
+    return theta
+
+
 @dataclass(frozen=True)
 class AnsatzState:
     """A reference occupation bitstring plus ordered (generator, angle) pairs.
@@ -140,10 +151,7 @@ class AnsatzState:
             if generator.n_qubits != n_qubits:
                 raise ValueError("generator qubit count does not match reference")
             generator.compiled().check_generator()
-            theta = float(theta)
-            if not np.isfinite(theta):
-                raise ValueError("ansatz parameter is not finite")
-            normalized.append((generator, theta))
+            normalized.append((generator, _finite_angle(theta)))
         object.__setattr__(self, "elements", tuple(normalized))
 
     @property
@@ -163,12 +171,15 @@ class AnsatzState:
         return tuple(gen for gen, _ in self.elements)
 
     def with_parameters(self, x: np.ndarray) -> "AnsatzState":
+        """This ansatz at the angles ``x``.  The generators were validated
+        when this ansatz was built, so only the angles are checked."""
         if len(x) != self.n_parameters:
             raise ValueError("parameter vector length does not match ansatz")
-        return AnsatzState(
-            self.reference,
-            tuple((gen, float(t)) for (gen, _), t in zip(self.elements, x)),
-        )
+        thetas = [_finite_angle(t) for t in x]
+        state = object.__new__(AnsatzState)
+        object.__setattr__(state, "reference", self.reference)
+        object.__setattr__(state, "elements", tuple(zip(self.generators, thetas)))
+        return state
 
     def grown(self, generator: PauliSum, theta: float = 0.0) -> "AnsatzState":
         return AnsatzState(self.reference, self.elements + ((generator, theta),))

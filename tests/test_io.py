@@ -92,6 +92,23 @@ class TestHamiltonianFiles:
         with pytest.raises(HamiltonianFormatError, match=f"metadata.{key} must be a finite"):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize("where, key, message", [
+        (("terms", 0), "re", "term 0: re is too large for a float"),
+        (("terms", 1), "im", "term 1: im is too large for a float"),
+        (("metadata",), "exact_ground_energy", "metadata.exact_ground_energy must be a finite"),
+        (("metadata",), "hf_energy", "metadata.hf_energy must be a finite"),
+    ], ids=["re", "im", "exact_ground_energy", "hf_energy"])
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, where, key, message):
+        payload = minimal_payload()
+        target = payload
+        for step in where:
+            target = target[step]
+        target[key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HamiltonianFormatError, match=message):
+            load_hamiltonian(path)
+
     @pytest.mark.parametrize("where, key, value, message", [
         ((), "n_qubits", True, "n_qubits must be a positive integer"),
         (("metadata",), "n_electrons", True, "n_electrons must be"),
@@ -272,6 +289,8 @@ class TestExperimentConfig:
         ({"kind": "tfim", "n_qubits": 4, "coupling": "1"}, "coupling must be a number"),
         ({"kind": "tfim", "n_qubits": 4, "field": None}, "field must be a number"),
         ({"kind": "tfim", "n_qubits": 4, "with_exact": "false"}, "with_exact must be a bool"),
+        ({"kind": "tfim", "n_qubits": 4, "coupling": 10**400}, "coupling must be finite"),
+        ({"kind": "tfim", "n_qubits": 4, "field": float("nan")}, "field must be finite"),
     ])
     def test_builtin_spec_checked(self, builtin, message):
         with pytest.raises(ValueError, match=message):
@@ -304,9 +323,10 @@ class TestExperimentConfig:
             ExperimentConfig(hamiltonian_path=5)
 
     @pytest.mark.parametrize("field", ["eps", "opt_grad_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6,
+                                       pytest.param(10**400, id="int-too-large")])
     def test_thresholds_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match=f"finite and positive, {field} is not"):
             ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}, **{field: value})
 
     def test_loose_config_file_rejected(self, tmp_path):
@@ -484,6 +504,20 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "builtin must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"eps": 10**400}, "eps is not"),
+        ({"opt_grad_tol": 10**400}, "opt_grad_tol is not"),
+        ({"builtin": {"kind": "tfim", "n_qubits": 4, "coupling": 10**400}},
+         "coupling must be finite"),
+    ], ids=["eps", "opt_grad_tol", "coupling"])
+    def test_huge_integer_in_config_is_a_clean_error(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"builtin": {"kind": "tfim", "n_qubits": 4}, **fields}))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--out", str(tmp_path / "out")])

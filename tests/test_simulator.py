@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP
+from adaptvqe import compiled as compiled_module
+from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum
 from adaptvqe.cost import CostLedger
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
 from adaptvqe.paulis import PauliString, PauliSum
@@ -110,6 +111,38 @@ class TestStatePreparation:
             shuffled = prepare(AnsatzState("1100", tuple(
                 (PauliSum(4, [t]), 0.37) for t in terms)))
             assert reference_state.fidelity(shuffled) >= 1 - 1e-10
+
+
+class TestWithParameters:
+    @pytest.fixture
+    def ansatz(self):
+        pool = build_qe_pool(4, 2)
+        return AnsatzState("1100", tuple((op, 0.1 * k) for k, op in enumerate(pool.operators[:3])))
+
+    def test_generators_are_not_checked_again(self, ansatz, monkeypatch):
+        calls = []
+        check = CompiledSum.check_generator
+        monkeypatch.setattr(CompiledSum, "check_generator",
+                            lambda self: calls.append(self) or check(self))
+        x = np.array([0.3, -1.2, 2.5])
+        moved = ansatz.with_parameters(x)
+        assert calls == []
+        built = AnsatzState(ansatz.reference, tuple(zip(ansatz.generators, x)))
+        assert len(calls) == 3  # a full build checks every generator
+        assert moved == built
+        assert all(type(theta) is float for _, theta in moved.elements)
+        assert prepare(moved).amplitudes.tobytes() == prepare(built).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("x, message", [
+        ([0.1, 0.2], "parameter vector length does not match ansatz"),
+        ([0.1, 0.2, 0.3, 0.4], "parameter vector length does not match ansatz"),
+        ([0.1, np.nan, 0.2], "ansatz parameter is not finite"),
+        ([np.inf, 0.1, 0.2], "ansatz parameter is not finite"),
+        ([0.1, 0.2, -np.inf], "ansatz parameter is not finite"),
+    ], ids=["short", "long", "nan", "inf", "-inf"])
+    def test_bad_parameters_rejected(self, ansatz, x, message):
+        with pytest.raises(ValueError, match=message):
+            ansatz.with_parameters(np.array(x))
 
 
 class TestExpectation:
@@ -441,6 +474,56 @@ class TestTermTable:
             assert compiled.apply(amps).tobytes() == expected.tobytes()
         # the key is pinned at 8 qubits: larger states keep the per-term route
         assert ("_table" in vars(compiled)) == (n_qubits == 8)
+
+    @pytest.mark.parametrize("n_qubits", [8, 9])
+    def test_rotations_either_side_of_the_size_key(self, monkeypatch, n_qubits):
+        """Up to the key a sum holds ``np.intp`` flips and complex signs,
+        above it int32 flips and int8 signs that numpy casts on every call.
+        QE generators match the per-term reference either way, as a 1-D
+        exponential and as a stacked exponential and apply, and each stacked
+        row is the 1-D result byte for byte.  At 8 qubits the key is also
+        moved to 0, so the cast route runs, and its bytes are the precast
+        route's.  (Against the reference only the values are compared: on a
+        basis state the two routes can differ in the sign of a zero.)"""
+        pool = build_qe_pool(n_qubits, 4)
+        rng = np.random.default_rng(n_qubits)
+        doubles = [op for op in pool.operators if op.n_terms == 8]
+        singles = [op for op in pool.operators if op.n_terms == 2]
+        generators = [doubles[0], singles[0]] + [
+            pool.operators[int(i)] for i in rng.choice(len(pool), 4, replace=False)]
+        thetas = rng.normal(size=len(generators)).tolist()
+        states = [random_amplitudes(rng, n_qubits), basis_amplitudes(n_qubits, 0b1111),
+                  basis_amplitudes(n_qubits, 37)]
+        stack = np.stack([states[0], states[1], random_amplitudes(rng, n_qubits)])
+
+        def outputs(precast):
+            out = []
+            for generator, theta in zip(generators, thetas):
+                # a fresh compiled form, built under the current key
+                compiled = PauliSum(n_qubits, generator.items()).compiled()
+                flips = {flip.dtype for flip, _ in compiled._groups if flip is not None}
+                signs = {signs.dtype for _, terms in compiled._groups
+                         for signs, *_ in terms if signs is not None}
+                assert flips == {np.dtype(np.intp if precast else np.int32)}
+                assert signs == {np.dtype(complex if precast else np.int8)}
+                for amps in states:
+                    got = compiled.exponential(amps, theta)
+                    assert np.array_equal(
+                        got, reference_exponential(amps, n_qubits, generator, theta))
+                    out.append(got.tobytes())
+                for rotated, applied, row in zip(compiled.exponential(stack, theta),
+                                                 compiled.apply(stack), stack):
+                    assert rotated.tobytes() == compiled.exponential(row, theta).tobytes()
+                    assert np.array_equal(
+                        applied, reference_apply_sum(row, n_qubits, generator))
+                    out += [rotated.tobytes(), applied.tobytes()]
+            return out
+
+        key_route = outputs(precast=n_qubits == 8)
+        if n_qubits == 8:
+            with monkeypatch.context() as patch:
+                patch.setattr(compiled_module, "_TABLE_AMPLITUDE_CAP", 0)
+                assert outputs(precast=False) == key_route
 
     def test_stack_stays_term_by_term(self, h4_equilibrium_fixture):
         compiled = PauliSum(8, h4_equilibrium_fixture.operator.items()).compiled()

@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Time the engine layer by layer and write ``BENCH_layers.json``.
+
+Run from the repository root:
+
+    python tools/layer_bench.py [--out BENCH_layers.json]
+
+Each case is one call into the package, timed as the median microseconds
+per call over ``SAMPLES`` samples (with the quartiles), each sample being
+enough back-to-back calls to take about ``SAMPLE_SECONDS``.  Every case runs
+once before it is timed, so compiled operators and their caches are built.
+The cases are
+
+* one Pauli-string application (8 and 12 qubits);
+* one Hamiltonian application: H4 STO-3G 1.0 A (8 qubits, bundled), TFIM-8
+  and H6 STO-3G 1.0 A (12 qubits, built here, which takes a few seconds);
+* one generator exponential: a qubit-excitation double and single and a
+  nearest-neighbour string at 8 qubits, and a double at 12 qubits;
+* one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators;
+* one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool;
+* one BFGS inverse-Hessian update at 30 parameters.
+
+The script uses only the package's public names, so a copy of it times any
+checkout of the package it sits in.  No benchmark gate reads its output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+from adaptvqe.driver import pool_gradients
+from adaptvqe.hamiltonians import (
+    builtin_model,
+    bundled_fixture_path,
+    load_hamiltonian,
+)
+from adaptvqe.optimizer import bfgs_update
+from adaptvqe.paulis import PauliSum
+from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool
+from adaptvqe.simulator import (
+    AnsatzState,
+    energy_and_gradient,
+    prepare,
+)
+from generate_fixtures import build_hydrogen_chain
+
+SAMPLES = 15
+SAMPLE_SECONDS = 0.02
+THETA = 0.3
+
+
+def time_call(fn) -> dict:
+    """Median and quartiles of microseconds per call of ``fn()``."""
+    fn()
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < SAMPLE_SECONDS:
+        fn()
+        calls += 1
+    per_sample = max(calls, 1)
+    samples = []
+    for _ in range(SAMPLES):
+        start = time.perf_counter()
+        for _ in range(per_sample):
+            fn()
+        samples.append((time.perf_counter() - start) / per_sample * 1e6)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3,
+            "samples": SAMPLES, "calls_per_sample": per_sample}
+
+
+def random_state(rng, n_qubits: int) -> np.ndarray:
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def first_with_terms(pool, n_terms: int):
+    return next(op for op in pool.operators if op.n_terms == n_terms)
+
+
+def cases(rng) -> dict:
+    """Case name -> zero-argument callable."""
+    h4 = load_hamiltonian(bundled_fixture_path("h4_sto3g_1p00.json"))
+    tfim8 = builtin_model("tfim", 8, with_exact=False)
+    h6 = build_hydrogen_chain("h6", 1.0, 6)
+    h4_pool = build_qe_pool(8, h4.n_electrons)
+    h6_pool = build_qe_pool(12, h6.n_electrons)
+    nn_pool = build_nearest_neighbor_pool(8)
+    psi8, psi12 = random_state(rng, 8), random_state(rng, 12)
+
+    out = {}
+    for n_qubits, psi in ((8, psi8), (12, psi12)):
+        string = PauliSum.from_text_terms([(("XYZ" * 4)[:n_qubits], 1.0)])
+        out[f"string_apply.{n_qubits}q"] = lambda c=string.compiled(), p=psi: c.apply(p)
+    for name, hfile, psi in (("h4", h4, psi8), ("tfim8", tfim8, psi8), ("h6", h6, psi12)):
+        compiled = hfile.operator.compiled()
+        out[f"hamiltonian_apply.{name}"] = lambda c=compiled, p=psi: c.apply(p)
+    generators = {
+        "qe_double": (first_with_terms(h4_pool, 8), psi8),
+        "qe_single": (first_with_terms(h4_pool, 2), psi8),
+        "nn_string": (first_with_terms(nn_pool, 1), psi8),
+        "qe_double_12q": (first_with_terms(h6_pool, 8), psi12),
+    }
+    for name, (generator, psi) in generators.items():
+        compiled = generator.compiled()
+        out[f"exponential.{name}"] = lambda c=compiled, p=psi: c.exponential(p, THETA)
+    for n in (10, 30):
+        picks = rng.integers(0, len(h4_pool), size=n)
+        ansatz = AnsatzState(h4.reference_bitstring, tuple(
+            (h4_pool.operators[int(i)], float(t))
+            for i, t in zip(picks, rng.normal(size=n) * 0.2)))
+        out[f"energy_and_gradient.h4_n{n}"] = (
+            lambda a=ansatz: energy_and_gradient(a, h4.operator))
+    for name, hfile, pool in (("h4", h4, h4_pool), ("h6", h6, h6_pool)):
+        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
+            (op, 0.1) for op in pool.operators[:4]))
+        state = prepare(ansatz)
+        out[f"pool_sweep.{name}"] = (
+            lambda s=state, p=pool, h=hfile.operator: pool_gradients(s, p, h))
+    n = 30
+    a = rng.normal(size=(n, n))
+    h = a @ a.T / n + np.eye(n)
+    s, y = rng.normal(size=n), rng.normal(size=n)
+    y += 2.0 * abs(s @ y) / (s @ s) * s  # positive curvature: the update runs
+    out["bfgs_update.n30"] = lambda: bfgs_update(h, s, y)
+    return out
+
+
+def environment() -> dict:
+    import scipy
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    args = parser.parse_args(argv)
+    rng = np.random.default_rng(0)
+    results = {}
+    for name, fn in cases(rng).items():
+        results[name] = time_call(fn)
+        print(f"{name:32s} {results[name]['median_us']:12.1f} us", flush=True)
+    payload = {"environment": environment(), "unit": "us per call", "cases": results}
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
