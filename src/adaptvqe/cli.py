@@ -27,6 +27,8 @@ from .experiment import (
 )
 from .hamiltonians import HamiltonianFormatError, builtin_model, save_hamiltonian
 
+_UNSET = object()
+
 
 def _add_hamiltonian_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hamiltonian", help="path to a Hamiltonian JSON file")
@@ -45,6 +47,41 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
                         default="auto", help="operator pool (default: auto)")
     parser.add_argument("--qe-singles", choices=("on", "off"), default="on",
                         help="include single excitations in the QE pool")
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    _add_hamiltonian_args(parser)
+    _add_pool_args(parser)
+    parser.add_argument("--config", help="JSON config file; no other run flag but --out")
+    parser.add_argument("--modes", default="canonical,recycling",
+                        help="comma-separated mode list (default both)")
+    parser.add_argument("--eps", type=float, default=1e-6,
+                        help="pool-gradient-norm stop threshold")
+    parser.add_argument("--max-iterations", type=int, default=50,
+                        help="growth-iteration cap")
+    parser.add_argument("--opt-eps", type=float, default=1e-6,
+                        help="optimizer gradient-norm threshold")
+    parser.add_argument("--opt-max-iterations", type=int, default=10000,
+                        help="optimizer line-search cap")
+    parser.add_argument("--diagnostics", action="store_true",
+                        help="emit Hessian-distance and convergence diagnostics")
+    parser.add_argument("--heatmaps", default="",
+                        help="comma-separated iterations for heatmap export")
+    parser.add_argument("--verify", action="store_true",
+                        help="re-verify recorded exact energies on load")
+    parser.add_argument("--out", help="output directory")
+
+
+def _flags_beside_config(argv: list[str]) -> list[str]:
+    """The run flags on the command line besides ``--config`` and ``--out``,
+    as the run parser resolves them: the config file holds every other
+    setting, so such a flag would be dropped."""
+    probe = argparse.ArgumentParser(add_help=False)
+    _add_run_args(probe)
+    probe.set_defaults(**dict.fromkeys(vars(probe.parse_args([])), _UNSET))
+    given = vars(probe.parse_known_args(argv)[0])
+    return [f"--{dest.replace('_', '-')}" for dest, value in given.items()
+            if value is not _UNSET and dest not in ("config", "out")]
 
 
 def _builtin_spec(args) -> dict | None:
@@ -129,26 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment")
-    _add_hamiltonian_args(run)
-    _add_pool_args(run)
-    run.add_argument("--config", help="JSON config file (overrides other flags)")
-    run.add_argument("--modes", default="canonical,recycling",
-                     help="comma-separated mode list (default both)")
-    run.add_argument("--eps", type=float, default=1e-6,
-                     help="pool-gradient-norm stop threshold")
-    run.add_argument("--max-iterations", type=int, default=50,
-                     help="growth-iteration cap")
-    run.add_argument("--opt-eps", type=float, default=1e-6,
-                     help="optimizer gradient-norm threshold")
-    run.add_argument("--opt-max-iterations", type=int, default=10000,
-                     help="optimizer line-search cap")
-    run.add_argument("--diagnostics", action="store_true",
-                     help="emit Hessian-distance and convergence diagnostics")
-    run.add_argument("--heatmaps", default="",
-                     help="comma-separated iterations for heatmap export")
-    run.add_argument("--verify", action="store_true",
-                     help="re-verify recorded exact energies on load")
-    run.add_argument("--out", help="output directory")
+    _add_run_args(run)
     run.set_defaults(func=_cmd_run)
 
     pool = sub.add_parser("pool", help="export an operator pool as JSON")
@@ -178,6 +196,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            beside = _flags_beside_config(sys.argv[1:] if argv is None else argv)
+            if beside:
+                raise ExperimentError(
+                    f"--config takes no other run flag but --out; got {', '.join(beside)}")
         return args.func(args)
     except (ExperimentError, HamiltonianFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

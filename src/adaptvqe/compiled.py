@@ -32,8 +32,13 @@ It holds
 Pauli strings: every qubit-excitation, qubit-pool and nearest-neighbour
 operator is one.  :meth:`CompiledSum.exponential` applies it as one
 closed-form rotation per term and raises on any other sum; there is no
-general matrix exponential.  :meth:`CompiledSum.sparse` is the one matrix
-form of a sum, for eigensolvers and dense diagonalization.
+general matrix exponential.
+
+**One operator form.**  :meth:`CompiledSum.dense` is the one matrix form of
+a sum, built from the same groups as ``apply``; the 12-qubit eigensolver
+uses ``apply`` itself as its matrix-vector product.  So every matrix,
+matvec and apply reads one encoding, and no sparse matrix (nor scipy) is
+needed.
 
 A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]`` with
 ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so one gather per X mask serves
@@ -44,6 +49,14 @@ every term of that mask and the constant sign folds into the scalar.
 (kept as the test reference) in the same term order: a product by a unit
 phase or by a sign is exact, so moving it onto the scalar changes no bit,
 and holding a small sum's flips and signs precast changes none either.
+Which equality holds: ``apply`` is byte for byte the reference
+``tests/oracles.reference_apply_sum``.  ``exponential`` is equal in value
+(``np.array_equal``) to ``tests/oracles.reference_exponential`` but may
+differ from it in the sign of a zero: the reference multiplies by the signs
+and ``i^y`` before it gathers, this route gathers and then multiplies by
+the folded ``i sin(w) (-i)^y``.  For the first QE double of
+``build_qe_pool(8, 4)`` at ``theta = -2.31`` on basis states 15 and 37,
+some zero amplitudes come out ``-0j`` where the reference has ``0j``.
 A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes is
 applied as one gather, one product and one sum over the term table, and
 that replays the per-term rounding too: a sign is ``±1`` and rounding is
@@ -75,7 +88,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 if TYPE_CHECKING:
     from .paulis import PauliSum
@@ -248,21 +260,16 @@ class CompiledSum:
             table += coeff * phase * _parity_signs(reduced, z)
         return x_masks.pop(), z_support, table
 
-    def sparse(self) -> "scipy.sparse.csr_matrix":
-        """The full-dimension matrix, site 0 least significant: the one
-        matrix form of a sum, for eigensolvers and, through ``toarray()``,
-        for dense diagonalization.
-
-        The terms are added in canonical order to an all-zero matrix, so
-        each entry is rounded as in a dense sum of the terms' matrices.
-        """
+    def dense(self) -> np.ndarray:
+        """The full-dimension matrix, site 0 least significant: each term in
+        canonical order adds its folded scalar times its sign vector at the
+        entries ``(b, b ^ x)`` of an all-zero matrix, so each entry is
+        rounded as in a dense sum of the terms' matrices."""
         dim = 1 << self.n_qubits
-        index = np.arange(dim, dtype=np.uint64)
-        cols = np.arange(dim)
-        out = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        for string, coeff in self.terms:
-            y_count = (string.x_mask & string.z_mask).bit_count()
-            data = coeff * (1j ** (y_count % 4)) * _parity_signs(index, string.z_mask)
-            rows = cols ^ string.x_mask
-            out = out + scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        index = np.arange(dim)
+        out = np.zeros((dim, dim), dtype=complex)
+        for flip, terms in self._groups:
+            cols = index if flip is None else flip
+            for signs, _, _, scalar in terms:
+                out[index, cols] += scalar if signs is None else scalar * signs
         return out

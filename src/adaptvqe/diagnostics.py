@@ -96,7 +96,6 @@ class ConvergenceReport:
     error_ratios: np.ndarray
     step_sizes: np.ndarray
     superlinear_markers: np.ndarray
-    x_star_proxy: np.ndarray
     insufficient: bool
 
 
@@ -117,7 +116,7 @@ def convergence_report(
     x_star = opt_result.x_star
     iterates = [snap.x for snap in snapshots] + [x_star]
     if len(iterates) < 3:
-        return ConvergenceReport(np.empty(0), np.empty(0), np.empty(0), x_star, True)
+        return ConvergenceReport(np.empty(0), np.empty(0), np.empty(0), True)
 
     errors = [float(np.linalg.norm(xk - x_star)) for xk in iterates]
     ratios = np.array([
@@ -137,7 +136,7 @@ def convergence_report(
             bk_p = np.linalg.solve(snap.h, p)
             markers[i] = float(np.linalg.norm(bk_p - hessian_at_xstar @ p) / norm_p)
 
-    return ConvergenceReport(ratios, alphas, markers, x_star, False)
+    return ConvergenceReport(ratios, alphas, markers, False)
 
 
 @dataclass

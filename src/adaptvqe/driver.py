@@ -61,7 +61,6 @@ class AdaptIteration:
     error: float | None
     line_searches: int
     fevals_cumulative: int
-    pool_units_cumulative: int
     opt_converged: bool
     line_search_failed: bool
     x_start: np.ndarray
@@ -255,7 +254,6 @@ def run_adapt(
             error=None if exact_energy is None else energy - exact_energy,
             line_searches=opt.line_searches,
             fevals_cumulative=ledger.function_evaluations,
-            pool_units_cumulative=ledger.pool_gradient_units,
             opt_converged=opt.converged,
             line_search_failed=opt.line_search_failed,
             x_start=x_start,

@@ -3,8 +3,14 @@
 The on-disk format is JSON: a qubit count, a list of Pauli terms with real
 and imaginary coefficient parts, and a metadata block carrying the reference
 occupation bitstring plus optional exact and mean-field energies.  Loading
-canonicalizes term order and validates Hermiticity; saving emits canonical,
+canonicalizes term order and validates Hermiticity and the name, which
+becomes part of output file names; saving emits canonical,
 byte-deterministic JSON so files round-trip exactly.
+
+Exact ground-state energies come from the compiled form of the operator:
+dense diagonalization of :meth:`CompiledSum.dense` up to 11 qubits, and at
+12 ARPACK's Lanczos with ``CompiledSum.apply`` as the matrix-vector product.
+scipy is imported only there.
 
 Built-in chemistry-free models (transverse-field Ising and Heisenberg open
 chains) make the full pipeline testable without electronic-structure input.
@@ -20,7 +26,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .paulis import DEFAULT_PRUNE_TOL, PauliString, PauliSum
 
@@ -86,16 +91,17 @@ def finite_float(value) -> float | None:
 
 def dense_matrix(operator: PauliSum) -> np.ndarray:
     """Dense matrix of an operator, site 0 least significant (guarded by the
-    diagonalization cap): its sparse matrix, expanded."""
+    diagonalization cap): :meth:`CompiledSum.dense` of its compiled form."""
     if operator.n_qubits > DIAGONALIZATION_CAP:
         raise ValueError(
             f"{operator.n_qubits} qubits exceeds the dense cap of {DIAGONALIZATION_CAP}"
         )
-    return operator.compiled().sparse().toarray()
+    return operator.compiled().dense()
 
 
 def ground_state_energy(operator: PauliSum) -> float:
-    """Lowest eigenvalue by diagonalization (cap: 12 qubits)."""
+    """Lowest eigenvalue by diagonalization (cap: 12 qubits); above
+    ``_DENSE_DIAG_CAP`` qubits by Lanczos on the compiled ``apply``."""
     if not operator.compiled().hermitian:
         raise ValueError("ground-state energy needs a Hermitian operator")
     if operator.n_qubits > DIAGONALIZATION_CAP:
@@ -105,13 +111,13 @@ def ground_state_energy(operator: PauliSum) -> float:
         )
     if operator.n_qubits <= _DENSE_DIAG_CAP:
         return float(np.linalg.eigvalsh(dense_matrix(operator))[0])
+    from scipy.sparse.linalg import LinearOperator, eigsh  # scipy only here
+
+    dim = 1 << operator.n_qubits
+    matrix = LinearOperator((dim, dim), matvec=operator.compiled().apply, dtype=complex)
     # A fixed start vector makes ARPACK, and so the result, repeatable.
-    v0 = np.random.default_rng(0).standard_normal(1 << operator.n_qubits)
-    values = scipy.sparse.linalg.eigsh(
-        operator.compiled().sparse(), k=1, which="SA", v0=v0,
-        return_eigenvectors=False,
-    )
-    return float(values[0])
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    return float(eigsh(matrix, k=1, which="SA", v0=v0, return_eigenvectors=False)[0])
 
 
 def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> HamiltonianFile:
@@ -171,6 +177,12 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
         raise fail(f"metadata.reference_bitstring must have length {n_qubits}")
     if any(c not in "01" for c in reference):
         raise fail("metadata.reference_bitstring must be over {0,1}")
+    name = metadata.get("name", "unnamed")
+    # the name is part of output file names
+    if (not isinstance(name, str) or name in (".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise fail("metadata.name must be a string with no '/', '\\' or NUL "
+                   f"and not '.' or '..', got {name!r}")
     units = metadata.get("units", "hartree")
     if units not in _VALID_UNITS:
         raise fail(f"metadata.units must be one of {_VALID_UNITS}, got {units!r}")
@@ -193,7 +205,7 @@ def parse_hamiltonian_payload(payload: dict, source: str = "<payload>") -> Hamil
     return HamiltonianFile(
         n_qubits=n_qubits,
         operator=operator,
-        name=str(metadata.get("name", "unnamed")),
+        name=name,
         reference_bitstring=reference,
         units=units,
         n_electrons=n_electrons,

@@ -149,9 +149,9 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     return phase, PauliString(a.n_qubits, x3, z3)
 
 
-# The checks behind PauliSum.is_hermitian, is_anti_hermitian and
-# terms_mutually_commute, on a term sequence: a CompiledSum keeps the terms
-# but not the sum, and runs them too.
+# The checks behind the CompiledSum flags that PauliSum.is_hermitian,
+# is_anti_hermitian and terms_mutually_commute read, on a term sequence: a
+# CompiledSum keeps the terms but not the sum.
 
 def terms_hermitian(terms: Iterable[tuple[PauliString, complex]]) -> bool:
     return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in terms)
@@ -247,12 +247,13 @@ class PauliSum:
 
     def is_hermitian(self) -> bool:
         """All coefficients real to within ``DEFAULT_PRUNE_TOL`` (each Pauli
-        string is itself Hermitian)."""
-        return terms_hermitian(self._terms)
+        string is itself Hermitian); computed once, by the compiled form."""
+        return self.compiled().hermitian
 
     def is_anti_hermitian(self) -> bool:
-        """All coefficients purely imaginary to within ``DEFAULT_PRUNE_TOL``."""
-        return terms_anti_hermitian(self._terms)
+        """All coefficients purely imaginary to within ``DEFAULT_PRUNE_TOL``;
+        computed once, by the compiled form."""
+        return self.compiled().anti_hermitian
 
     def compiled(self) -> CompiledSum:
         """The statevector form of this sum, built on first use and kept."""
@@ -308,7 +309,7 @@ class PauliSum:
         return PauliSum(self.n_qubits, [(s, c.conjugate()) for s, c in self._terms])
 
     def terms_mutually_commute(self) -> bool:
-        return terms_commute(self._terms)
+        return self.compiled().commuting
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c:.6g})*{s.text()}" for s, c in self._terms[:6])

@@ -41,7 +41,13 @@ QUBIT_KIND = "Qubit"
 
 @dataclass(frozen=True)
 class OperatorPool:
-    """A fixed, ordered set of anti-Hermitian generators with labels."""
+    """A fixed, ordered set of generators with labels.
+
+    Each operator must be an anti-Hermitian sum of mutually commuting Pauli
+    strings, the rule :class:`AnsatzState` applies, so a bad operator fails
+    here and not when it is selected mid-run.  The flags are cached on each
+    operator's compiled form and reused when the ansatz grows.
+    """
 
     kind: str
     n_qubits: int
@@ -52,13 +58,14 @@ class OperatorPool:
         if len(self.operators) != len(self.labels):
             raise ValueError("operator and label counts differ")
         seen = set()
-        for op in self.operators:
+        for op, label in zip(self.operators, self.labels):
             if op.n_qubits != self.n_qubits:
                 raise ValueError("pool operator qubit count mismatch")
             if op.is_zero:
                 raise ValueError("pool contains a zero operator")
-            if not op.is_anti_hermitian():
-                raise ValueError("pool operator is not anti-Hermitian")
+            if not (op.is_anti_hermitian() and op.terms_mutually_commute()):
+                raise ValueError(f"pool operator {label!r} is not an anti-Hermitian "
+                                 "sum of mutually commuting Pauli strings")
             if op in seen:
                 raise ValueError("pool contains duplicate operators")
             seen.add(op)

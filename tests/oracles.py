@@ -11,7 +11,9 @@ The ``reference_*`` functions are the exception: they are the plain
 term-by-term statevector route (a phase, a gather and an accumulation per
 Pauli string, in canonical term order) that the compiled engine replaced,
 and the per-column central-difference Hessian built on it that the stacked
-gradient sweep replaced.  The engine must reproduce them bit for bit.
+gradient sweep replaced.  The engine must reproduce them bit for bit, with
+one exception: a compiled exponential may give ``-0j`` where
+``reference_exponential`` gives ``0j`` (equal under ``np.array_equal``).
 """
 
 from __future__ import annotations

@@ -88,7 +88,8 @@ class TestPoolGradients:
         assert select_operator(grads)[0] == select_operator(expected)[0]
 
     def test_multi_mask_operator_takes_full_route(self, h2_fixture):
-        mixed = PauliSum.from_text_terms([("XYII", 1j), ("ZIII", 0.5j)])
+        # a generator on two X masks: XY and ZZ commute
+        mixed = PauliSum.from_text_terms([("XYII", 1j), ("ZZII", 0.5j)])
         pool = OperatorPool("Qubit", 4, (mixed, build_qe_pool(4, 2).operators[2]),
                             ("mixed", "double"))
         assert mixed.compiled().sign_table is None

@@ -131,6 +131,17 @@ class TestHamiltonianFiles:
         with pytest.raises(HamiltonianFormatError, match=message):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", ".", "..", 12345, None],
+                             ids=["slash", "backslash", "nul", "dot", "dotdot", "int", "null"])
+    def test_name_must_be_usable_in_a_file_name(self, tmp_path, name):
+        # the name becomes part of output file names (hessdist_<name>.csv)
+        payload = minimal_payload()
+        payload["metadata"]["name"] = name
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HamiltonianFormatError, match="metadata.name must be a string"):
+            load_hamiltonian(path)
+
     def test_reference_bitstring_validated(self, tmp_path):
         payload = minimal_payload()
         payload["metadata"]["reference_bitstring"] = "101"
@@ -234,7 +245,8 @@ class TestBuiltinModels:
         operators = [load_hamiltonian(bundled_fixture_path(name)).operator
                      for name in list_bundled_fixtures()]
         operators += [builtin_model(kind, n, with_exact=False).operator
-                      for kind in ("tfim", "heisenberg") for n in range(2, 9)]
+                      for kind in ("tfim", "heisenberg") for n in range(2, 11)]
+        # above 8 qubits the compiled form holds int8 signs, not complex ones
         for operator in operators:
             assert dense_matrix(operator).tobytes() == dense_pauli_sum(operator).tobytes()
 
@@ -518,6 +530,33 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--eps", "0.5", "--modes", "recycling"], "--modes, --eps"),
+        (["--eps", "1e-6"], "--eps"),
+        (["--diag"], "--diagnostics"),
+        (["--model", "heisenberg", "--n-qubits", "4"], "--model, --n-qubits"),
+    ], ids=["two-flags", "default-value", "abbreviated", "source"])
+    def test_config_takes_no_other_run_flag(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"builtin": {"kind": "tfim", "n_qubits": 4}}))
+        code = cli_main(["run", "--config", str(path), *flags,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: --config takes no other run flag but --out; got {named}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_name_fails_before_any_run(self, tmp_path, capsys):
+        payload = json.loads(bundled_fixture_path("h2_sto3g_0p7414.json").read_text())
+        payload["metadata"]["name"] = "a/b"
+        path = tmp_path / "h2bad.json"
+        path.write_text(json.dumps(payload))
+        code = cli_main(["run", "--hamiltonian", str(path), "--diagnostics",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "metadata.name must be a string" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []  # no optimization ran
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--out", str(tmp_path / "out")])

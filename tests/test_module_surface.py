@@ -2,10 +2,14 @@
 
 Modules talk to each other through public names only, every name a
 module lists in ``__all__`` exists in it, and every private name a module
-defines at its top level is read somewhere in that module.
+defines at its top level is read somewhere in that module.  Importing the
+package and running it below 12 qubits loads no scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptvqe"
@@ -68,3 +72,26 @@ def test_private_names_are_read_by_their_module():
         problems += [f"{path.name} never reads {name}"
                      for name in private_definitions(tree) if name not in read]
     assert not problems
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from adaptvqe import build_qe_pool, builtin_model
+from adaptvqe.driver import run_adapt
+from adaptvqe.hamiltonians import bundled_fixture_path, load_hamiltonian
+
+assert builtin_model("tfim", 8).exact_ground_energy is not None
+hfile = load_hamiltonian(bundled_fixture_path("h4_sto3g_1p00.json"))
+pool = build_qe_pool(8, 4)
+result = run_adapt(hfile.operator, hfile.reference_bitstring, pool, max_iterations=1)
+assert len(result.iterations) == 1
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_scipy_is_loaded_only_for_twelve_qubit_energies():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -139,11 +139,17 @@ class TestPauliSum:
         [("XI", 0.5j), ("ZI", 1.0)],  # neither, and not commuting
     ])
     def test_compiled_flags_match_the_sum_checks(self, terms):
+        # the sum's checks read the compiled flags; both must agree with
+        # the dense matrices
         op = PauliSum.from_text_terms(terms)
         compiled = op.compiled()
-        assert compiled.hermitian == op.is_hermitian()
-        assert compiled.anti_hermitian == op.is_anti_hermitian()
-        assert compiled.commuting == op.terms_mutually_commute()
+        matrix = dense_pauli_sum(op)
+        strings = [dense_string(text) for text, _ in terms]
+        commuting = all(np.array_equal(a @ b, b @ a) for a in strings for b in strings)
+        assert compiled.hermitian == op.is_hermitian() == np.allclose(matrix, matrix.conj().T)
+        assert (compiled.anti_hermitian == op.is_anti_hermitian()
+                == np.allclose(matrix, -matrix.conj().T))
+        assert compiled.commuting == op.terms_mutually_commute() == commuting
 
     def test_hermiticity_classification(self):
         assert PauliSum.from_text_terms([("X", 1.0), ("Z", -2.5)]).is_hermitian()

@@ -5,6 +5,7 @@ import pytest
 
 from adaptvqe.paulis import PauliSum, commutator
 from adaptvqe.pools import (
+    OperatorPool,
     build_nearest_neighbor_pool,
     build_qe_pool,
     build_qubit_pool,
@@ -170,6 +171,26 @@ class TestGeneratorContract:
     @pytest.mark.parametrize("n_qubits", range(2, 9))
     def test_nearest_neighbor_pool(self, n_qubits):
         assert_generators(build_nearest_neighbor_pool(n_qubits))
+
+
+class TestPoolChecksGenerators:
+    def test_non_commuting_operator_rejected_at_construction(self):
+        # anti-Hermitian, but YI and XI anticommute: AnsatzState would reject
+        # it, so the pool does too, before it could be selected mid-run
+        op = PauliSum.from_text_terms([("YI", 1j), ("IZ", 0.5j), ("XI", 0.1j)])
+        assert op.is_anti_hermitian() and not op.terms_mutually_commute()
+        with pytest.raises(ValueError, match="pool operator 'bad' is not an anti-Hermitian sum of mutually commuting"):
+            OperatorPool("Qubit", 2, (op,), ("bad",))
+
+    def test_hermitian_operator_rejected(self):
+        op = PauliSum.from_text_terms([("XY", 1.0)])
+        with pytest.raises(ValueError, match="pool operator 'h' is not an anti-Hermitian sum"):
+            OperatorPool("Qubit", 2, (op,), ("h",))
+
+    def test_checked_flags_are_kept_for_the_ansatz(self):
+        pool = build_qe_pool(4, 2)
+        for op in pool.operators:
+            assert {"anti_hermitian", "commuting"} <= set(vars(op.compiled()))
 
 
 class TestPoolExport:

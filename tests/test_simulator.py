@@ -442,12 +442,28 @@ class TestCompiledIsBitExact:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_dense_matrix_matches_oracle_bytes(data):
-    """The sparse matrix expanded is byte for byte the kron-built dense sum,
+    """The compiled dense matrix is byte for byte the kron-built dense sum,
     for Hermitian sums and for generators."""
     hamiltonian = data.draw(hermitian_sums())
     generator = data.draw(commuting_generators(hamiltonian.n_qubits))
     for operator in (hamiltonian, generator):
         assert dense_matrix(operator).tobytes() == dense_pauli_sum(operator).tobytes()
+
+
+def test_exponential_matches_reference_up_to_the_sign_of_a_zero():
+    """The compiled exponential gathers before it multiplies, the reference
+    after, so a zero amplitude may differ in sign and in nothing else."""
+    pool = build_qe_pool(8, 4)
+    generator = pool.operators[pool.labels.index("double (0, 1)->(2, 3)")]
+    for theta in (-2.31, 0.3):
+        for index in (15, 37):
+            amps = basis_amplitudes(8, index)
+            got = generator.compiled().exponential(amps, theta)
+            expected = reference_exponential(amps, 8, generator, theta)
+            assert np.array_equal(got, expected)
+            parts, reference_parts = got.view(np.float64), expected.view(np.float64)
+            differ = parts.view(np.uint64) != reference_parts.view(np.uint64)
+            assert np.all(parts[differ] == 0.0)
 
 
 def random_sum(rng, n_qubits, n_terms, n_masks):
