@@ -48,6 +48,7 @@ from .simulator import (
     apply_pauli_sum,
     basis_state,
     energy_and_gradient,
+    energy_then_gradient,
     expectation,
     gradient_components,
     prepare,

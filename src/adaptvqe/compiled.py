@@ -10,7 +10,10 @@ It holds
 
 * the terms in the sum's canonical ``(x_mask, z_mask)`` order, grouped by X
   mask, with one flip index ``b -> b ^ x`` per mask and one sign vector
-  ``(-1)^popcount(b & z)`` per distinct Z mask.  Up to
+  ``(-1)^popcount(b & z)`` per distinct Z mask.  A sign vector is
+  read-only and shared by every sum of the process with the same qubit
+  count, Z mask and dtype, so a pool and its Hamiltonian, or a Hamiltonian
+  loaded again, build none twice.  Up to
   ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are ``np.intp`` and the
   signs complex ``±1``, exactly the arrays numpy would otherwise cast to on
   every gather and product; above it they stay int32 and int8, a half and
@@ -100,11 +103,29 @@ _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# One read-only sign vector per (n_qubits, z_mask, dtype), shared by every
+# compiled sum for the life of the process.
+_SIGN_VECTORS: dict[tuple[int, int, type], np.ndarray] = {}
+
 
 def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
     """(-1)^popcount(b & z_mask) for every basis index b."""
     parity = np.bitwise_count(index & np.uint64(z_mask)) & 1
     return (1 - 2 * parity).astype(np.int8)
+
+
+def _shared_signs(n_qubits: int, index: np.ndarray, z_mask: int,
+                  dtype: type) -> np.ndarray:
+    """The read-only ``dtype`` sign vector of ``z_mask`` on ``n_qubits``,
+    built from the basis ``index`` on first request and shared from then
+    on."""
+    key = (n_qubits, z_mask, dtype)
+    signs = _SIGN_VECTORS.get(key)
+    if signs is None:
+        signs = _parity_signs(index, z_mask).astype(dtype, copy=False)
+        signs.setflags(write=False)
+        _SIGN_VECTORS[key] = signs
+    return signs
 
 
 class CompiledSum:
@@ -144,7 +165,7 @@ class CompiledSum:
 
         ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
         mask; each term is ``(signs, coeff, unit, scalar)`` with ``signs``
-        the vector ``(-1)^popcount(b & z)``, None for a Z mask of 0, ``unit``
+        the shared vector ``(-1)^popcount(b & z)``, None for a Z mask of 0, ``unit``
         the folded phase ``(-i)^y`` and ``scalar = coeff * unit``.  The
         flips are ``np.intp`` and the signs complex up to
         ``_TABLE_AMPLITUDE_CAP`` amplitudes, int32 and int8 above it (see
@@ -154,7 +175,6 @@ class CompiledSum:
         flip_type, sign_type = ((np.intp, complex) if dim <= _TABLE_AMPLITUDE_CAP
                                 else (np.int32, np.int8))
         index = np.arange(dim, dtype=np.uint64)
-        signs_by_z: dict[int, np.ndarray] = {}
         groups: list[tuple[np.ndarray | None, list]] = []
         last_x = None
         for string, coeff in self.terms:
@@ -163,10 +183,9 @@ class CompiledSum:
                 flip = (index ^ np.uint64(x)).astype(flip_type) if x else None
                 groups.append((flip, []))
                 last_x = x
-            if z and z not in signs_by_z:
-                signs_by_z[z] = _parity_signs(index, z).astype(sign_type, copy=False)
+            signs = _shared_signs(self.n_qubits, index, z, sign_type) if z else None
             unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
-            groups[-1][1].append((signs_by_z.get(z), coeff, unit, coeff * unit))
+            groups[-1][1].append((signs, coeff, unit, coeff * unit))
         return tuple((flip, tuple(terms)) for flip, terms in groups)
 
     @cached_property

@@ -386,15 +386,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute every configured mode and write the run directory.
 
     Returns the summary payload.  Raises :class:`ExperimentError` with the
-    growth-loop iteration attached when a run fails mid-flight.
+    growth-loop iteration attached when a run fails mid-flight.  The
+    Hamiltonian and the pool are loaded and checked before the output
+    directory is created, so bad inputs leave nothing behind.
     """
+    hfile = resolve_hamiltonian(config)
+    pool = resolve_pool(config, hfile)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     _take_lock(lock)
     try:
-        hfile = resolve_hamiltonian(config)
-        pool = resolve_pool(config, hfile)
         results: dict[str, AdaptResult] = {}
         for mode in config.modes:
             try:

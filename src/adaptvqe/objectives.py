@@ -1,11 +1,13 @@
 """Objective adapters connecting the optimizer to cost functions.
 
-The optimizer only needs three operations: evaluate the function, evaluate
-function and gradient together, and evaluate a subset of gradient
-components.  Every call is charged to the adapter's ledger at hardware
-rates (1 unit per energy, 2 per distinct gradient component, so a repeated
-index is measured once), independent of how the values are actually
-obtained.
+The optimizer needs four calls: the function alone; the function and
+gradient together; a subset of gradient components; and ``evaluate``, the
+function now and the full gradient on demand, which each line-search trial
+uses.  Every call is charged to the adapter's ledger when it is made, at
+hardware rates (1 unit per energy, 2 per distinct gradient component, so a
+repeated index is measured once), independent of how or whether the values
+are actually computed: ``evaluate`` is charged for its gradient even when
+the gradient is never read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import numpy as np
 
 from .cost import CostLedger
 from .paulis import PauliSum
-from .simulator import AnsatzState, energy_and_gradient, expectation, gradient_components, prepare
+from .simulator import (
+    AnsatzState,
+    energy_and_gradient,
+    energy_then_gradient,
+    expectation,
+    gradient_components,
+    prepare,
+)
 
 __all__ = ["Objective", "AnsatzObjective", "FunctionObjective"]
 
@@ -31,6 +40,8 @@ class Objective(Protocol):
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
 
     def grad_components(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray: ...
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]: ...
 
 
 class AnsatzObjective:
@@ -60,6 +71,13 @@ class AnsatzObjective:
             self.ansatz.with_parameters(x), self.hamiltonian, list(indices), self.ledger
         )
 
+    def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        """The energy now, the gradient when the returned callable is first
+        called (see :func:`energy_then_gradient`)."""
+        return energy_then_gradient(
+            self.ansatz.with_parameters(x), self.hamiltonian, self.ledger
+        )
+
 
 class FunctionObjective:
     """Wrap plain ``f`` and ``grad`` callables (used by tests and examples)."""
@@ -85,3 +103,11 @@ class FunctionObjective:
         x = np.asarray(x, dtype=float)
         self.ledger.charge_gradient(len(set(indices)))
         return np.asarray(self._grad(x), dtype=float)[list(indices)]
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        """``f`` and ``grad`` computed at once, so a non-finite gradient
+        raises ``ValueError`` here even if the caller never reads it."""
+        f, g = self.value_and_grad(x)
+        if not (np.isfinite(f) and np.all(np.isfinite(g))):
+            raise ValueError("non-finite objective or gradient")
+        return f, lambda: g

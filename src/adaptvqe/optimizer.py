@@ -16,7 +16,13 @@ and in whether the converging step updates the inverse Hessian:
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
 and weak curvature conditions hold, with ``c1 = 1e-4`` and ``c2 = 0.9``, in
-at most 25 trials.
+at most 25 trials.  Each trial is charged one combined function/gradient
+evaluation (``Objective.evaluate``), but the gradient is computed on
+demand: the search reads it only where it needs the slope ``g.p``, that is
+at a trial that passes the sufficient-decrease test, and at the best point
+when the search fails.  A non-finite value raises at every trial; a
+deferred gradient is checked when it is read, so a non-finite gradient at a
+trial whose gradient is never read does not raise.
 """
 
 from __future__ import annotations
@@ -116,9 +122,11 @@ def wolfe_line_search(
 
     The first trial is always ``alpha = 1``; the step doubles until the
     conditions hold or a bracket is found, then the bracket is zoomed.  Each
-    trial costs one combined function/gradient evaluation.  On exhaustion of
-    the trial budget the best point seen is returned with ``success=False``.
-    A non-finite value or gradient at any trial raises ``ValueError``.
+    trial is charged one combined function/gradient evaluation, whose
+    gradient is computed only when read (see the module doc).  On
+    exhaustion of the trial budget the best point seen is returned with
+    ``success=False``.  A non-finite value at any trial, or a non-finite
+    gradient where it is read, raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(direction, dtype=float)
@@ -127,23 +135,41 @@ def wolfe_line_search(
         raise ValueError(f"line search needs a descent direction (g.p = {d0:.3e})")
 
     evals = 0
-    best = LineSearchResult(x, f_x, grad_x, 0.0, 0, False)
+    # The lowest point so far, (x, f, gradient callable, alpha), and the
+    # latest trial's gradient callable.  An unread callable holds its
+    # trial's states, so the latest is dropped before the next evaluation.
+    best = (x, f_x, lambda: grad_x, 0.0)
+    latest = None
 
-    def probe(alpha: float):
-        nonlocal evals, best
-        f_a, g_a = objective.value_and_grad(x + alpha * p)
+    def probe(alpha: float) -> float:
+        nonlocal evals, best, latest
+        latest = None
+        x_a = x + alpha * p
+        f_a, latest = objective.evaluate(x_a)
         evals += 1
-        if not (np.isfinite(f_a) and np.all(np.isfinite(g_a))):
-            raise ValueError(f"non-finite objective or gradient at step {alpha:.6g}")
-        if f_a < best.f:
-            best = LineSearchResult(x + alpha * p, f_a, g_a, alpha, 0, False)
-        return f_a, g_a, float(g_a @ p)
+        if not np.isfinite(f_a):
+            raise ValueError(f"non-finite objective at step {alpha:.6g}")
+        if f_a < best[1]:
+            best = (x_a, f_a, latest, alpha)
+        return f_a
+
+    def read(alpha: float, gradient) -> np.ndarray:
+        g_a = gradient()
+        if not np.all(np.isfinite(g_a)):
+            raise ValueError(f"non-finite gradient at step {alpha:.6g}")
+        return g_a
+
+    def slope(alpha: float) -> tuple[np.ndarray, float]:
+        """The latest trial's gradient and its derivative along ``p``."""
+        g_a = read(alpha, latest)
+        return g_a, float(g_a @ p)
 
     def accept(alpha, f_a, g_a):
         return LineSearchResult(x + alpha * p, f_a, g_a, alpha, evals, True)
 
     def fail():
-        return LineSearchResult(best.x, best.f, best.grad, best.alpha, evals, False)
+        x_b, f_b, gradient, alpha = best
+        return LineSearchResult(x_b, f_b, read(alpha, gradient), alpha, evals, False)
 
     def zoom(a_lo, f_lo, d_lo, a_hi, f_hi):
         while evals < _MAX_TRIALS:
@@ -160,10 +186,11 @@ def wolfe_line_search(
                 a_j = min(max(a_j, lo_bound), hi_bound)
             else:
                 a_j = min(max(a_j, hi_bound), lo_bound)
-            f_j, g_j, d_j = probe(a_j)
+            f_j = probe(a_j)
             if f_j > f_x + _C1 * a_j * d0 or f_j >= f_lo:
                 a_hi, f_hi = a_j, f_j
             else:
+                g_j, d_j = slope(a_j)
                 if d_j >= _C2 * d0:
                     return accept(a_j, f_j, g_j)
                 if d_j * span >= 0:
@@ -174,9 +201,10 @@ def wolfe_line_search(
     alpha_prev, f_prev, d_prev = 0.0, f_x, d0
     alpha = 1.0
     while evals < _MAX_TRIALS:
-        f_a, g_a, d_a = probe(alpha)
+        f_a = probe(alpha)
         if f_a > f_x + _C1 * alpha * d0 or (alpha_prev > 0.0 and f_a >= f_prev):
             return zoom(alpha_prev, f_prev, d_prev, alpha, f_a)
+        g_a, d_a = slope(alpha)
         if d_a >= _C2 * d0:
             return accept(alpha, f_a, g_a)
         if d_a >= 0.0:

@@ -25,14 +25,22 @@ and larger states go term by term.  Only
 in another order.
 
 Analytic energy gradients come from one forward and reverse sweep over the
-ansatz elements, behind both :func:`energy_and_gradient` and
-:func:`gradient_components`; it checks the Hamiltonian (Hermitian, matching
-qubit count) and stops the reverse pass at the lowest wanted index.  It
-sweeps one parameter vector as a 1-D state, or a stack of them at once, one
-state per row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for
-their 2n shifted points); each row is bit for bit the result of its own
-call.  Ledger charges nevertheless follow the hardware model (1 unit per
-energy, 2 per gradient component), not the simulator cost.
+ansatz elements, split in two halves.  The forward half checks the
+Hamiltonian (Hermitian, matching qubit count), stores every intermediate
+state and ``H|psi>``, and yields the energy; the reverse half carries
+``H|psi>`` back through the elements and stops at the lowest wanted index.
+:func:`energy_then_gradient` runs the forward half and returns the
+gradient as a callable that runs the reverse half on its first call, so a
+line-search trial whose gradient is never read costs only the forward
+half; :func:`energy_and_gradient` calls it at once, and
+:func:`gradient_components` runs both halves.  The sweep takes one
+parameter vector as a 1-D state, or a stack of them at once, one state per
+row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for their 2n
+shifted points); each row is bit for bit the result of its own call.
+Ledger charges nevertheless follow the hardware model (1 unit per energy,
+2 per gradient component), not the simulator cost, and are made when a
+function is called: :func:`energy_then_gradient` is charged for its
+gradient whether or not it is read.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +65,7 @@ __all__ = [
     "apply_pauli_sum",
     "apply_generator_exponential",
     "expectation",
+    "energy_then_gradient",
     "energy_and_gradient",
     "gradient_components",
     "generator_gradients",
@@ -222,6 +232,37 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
     return value.real
 
 
+def energy_then_gradient(
+    ansatz: AnsatzState,
+    hamiltonian: PauliSum,
+    ledger: CostLedger | None = None,
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """The energy now and the full analytic gradient on demand; charges
+    1 + 2n cost units when called.
+
+    Only the forward half of the sweep runs here.  The returned
+    ``gradient()`` runs the reverse half over the stored forward states on
+    its first call, then drops them and returns the same cached array on
+    every later call.  Energy and gradient are bit for bit those of
+    :func:`energy_and_gradient`.
+    """
+    n = ansatz.n_parameters
+    sweep = _Sweep(ansatz, hamiltonian, ansatz.parameters[np.newaxis])
+    if ledger is not None:
+        ledger.charge_energy(1)
+        ledger.charge_gradient(n)
+    grad = None
+
+    def gradient() -> np.ndarray:
+        nonlocal sweep, grad
+        if grad is None:
+            grad = sweep.gradient(list(range(n)))[0]
+            sweep = None
+        return grad
+
+    return sweep.energies[0], gradient
+
+
 def energy_and_gradient(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
@@ -229,13 +270,8 @@ def energy_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Energy and the full analytic parameter gradient; charges 1 + 2n cost
     units."""
-    n = ansatz.n_parameters
-    energies, grads = _sweep(ansatz, hamiltonian, list(range(n)),
-                             ansatz.parameters[np.newaxis])
-    if ledger is not None:
-        ledger.charge_energy(1)
-        ledger.charge_gradient(n)
-    return energies[0], grads[0]
+    energy, gradient = energy_then_gradient(ansatz, hamiltonian, ledger)
+    return energy, gradient()
 
 
 def gradient_components(
@@ -270,62 +306,73 @@ def gradient_components(
     out = np.empty((len(points), len(indices)), dtype=float)
     rows = max(1, _STACK_CAP >> ansatz.n_qubits)
     for start in range(0, len(points), rows):
-        _, grads = _sweep(ansatz, hamiltonian, wanted, points[start:start + rows])
+        grads = _Sweep(ansatz, hamiltonian, points[start:start + rows]).gradient(wanted)
         out[start:start + rows] = grads[:, columns]
     if ledger is not None:
         ledger.charge_gradient(len(points) * len(wanted))
     return out if stacked else out[0]
 
 
-def _sweep(ansatz: AnsatzState, hamiltonian: PauliSum, wanted: list[int],
-           points: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The energy and the gradient components ``wanted`` (sorted, distinct)
-    at each row of ``points``, an ``(m, n)`` array of parameter vectors.
+class _Sweep:
+    """One forward/reverse sweep over the ansatz elements at each row of
+    ``points``, an ``(m, n)`` array of parameter vectors.
 
     dE/dt_j = 2 Re <psi| H U_n..U_{j+1} A_j |phi_j> with |phi_j> the state
-    after the first j elements: the forward pass stores every |phi_j>, the
-    reverse pass carries H|psi> backwards through the inverse unitaries down
-    to the lowest wanted index.  The rows are swept together, one state per
-    row; at each element the stack's most common angle is applied to every
-    row and only the rows whose angle differs are recomputed alone.  A single
-    point is swept as a 1-D state, since numpy's 2-D broadcasting costs more
-    per call.  Returns the energies and an ``(m, len(wanted))`` array.
+    after the first j elements.  Building the sweep runs the forward half:
+    it checks the Hamiltonian, stores every |phi_j> and H|psi>, and sets
+    ``energies`` (one per row, each checked for an imaginary residue).
+    :meth:`gradient` runs the reverse half, carrying H|psi> backwards
+    through the inverse unitaries down to the lowest wanted index.  The rows
+    are swept together, one state per row; at each element the stack's most
+    common angle is applied to every row and only the rows whose angle
+    differs are recomputed alone.  A single point is swept as a 1-D state,
+    since numpy's 2-D broadcasting costs more per call.
     """
-    compiled_h = hamiltonian.compiled()
-    if not compiled_h.hermitian:
-        raise ValueError("Hamiltonian is not Hermitian")
-    if hamiltonian.n_qubits != ansatz.n_qubits:
-        raise ValueError("Hamiltonian qubit count does not match ansatz")
-    generators = [gen.compiled() for gen in ansatz.generators]
-    reference = basis_state(ansatz.reference).amplitudes
-    if len(points) == 1:
-        exponential, vdot = CompiledSum.exponential, np.vdot
-        forward, reverse = points[0].tolist(), (-points[0]).tolist()
-        states = [reference]
-    else:
-        exponential, vdot = _exponential_rows, _vdot_rows
-        forward, reverse = points.T.tolist(), (-points.T).tolist()
-        states = [np.tile(reference, (len(points), 1))]
-    for compiled, theta in zip(generators, forward):
-        states.append(exponential(compiled, states[-1], theta))
-    lam = compiled_h.apply(states[-1])
-    energies = []
-    for energy in np.atleast_1d(vdot(states[-1], lam)).tolist():
-        if abs(energy.imag) > _IMAG_TOL:
-            raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
-        energies.append(energy.real)
-    lowest = wanted[0] if wanted else len(generators)
-    column = len(wanted)
-    values = []
-    for j in range(len(generators) - 1, lowest - 1, -1):
-        compiled = generators[j]
-        if wanted[column - 1] == j:
-            column -= 1
-            values.append(vdot(lam, compiled.apply(states[j + 1])))
-        if j > lowest:
-            lam = exponential(compiled, lam, reverse[j])
-    overlaps = np.array(values[::-1], dtype=complex).reshape(len(wanted), len(points))
-    return energies, 2.0 * overlaps.real.T
+
+    def __init__(self, ansatz: AnsatzState, hamiltonian: PauliSum, points: np.ndarray):
+        compiled_h = hamiltonian.compiled()
+        if not compiled_h.hermitian:
+            raise ValueError("Hamiltonian is not Hermitian")
+        if hamiltonian.n_qubits != ansatz.n_qubits:
+            raise ValueError("Hamiltonian qubit count does not match ansatz")
+        self.generators = [gen.compiled() for gen in ansatz.generators]
+        reference = basis_state(ansatz.reference).amplitudes
+        self.rows = len(points)
+        if self.rows == 1:
+            self.exponential, self.vdot = CompiledSum.exponential, np.vdot
+            forward, self.reverse = points[0].tolist(), (-points[0]).tolist()
+            states = [reference]
+        else:
+            self.exponential, self.vdot = _exponential_rows, _vdot_rows
+            forward, self.reverse = points.T.tolist(), (-points.T).tolist()
+            states = [np.tile(reference, (self.rows, 1))]
+        for compiled, theta in zip(self.generators, forward):
+            states.append(self.exponential(compiled, states[-1], theta))
+        self.states = states
+        self.lam = compiled_h.apply(states[-1])
+        self.energies = []
+        for energy in np.atleast_1d(self.vdot(states[-1], self.lam)).tolist():
+            if abs(energy.imag) > _IMAG_TOL:
+                raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
+            self.energies.append(energy.real)
+
+    def gradient(self, wanted: list[int]) -> np.ndarray:
+        """The gradient components ``wanted`` (sorted, distinct), an
+        ``(m, len(wanted))`` array."""
+        generators, states, reverse = self.generators, self.states, self.reverse
+        exponential, vdot, lam = self.exponential, self.vdot, self.lam
+        lowest = wanted[0] if wanted else len(generators)
+        column = len(wanted)
+        values = []
+        for j in range(len(generators) - 1, lowest - 1, -1):
+            compiled = generators[j]
+            if wanted[column - 1] == j:
+                column -= 1
+                values.append(vdot(lam, compiled.apply(states[j + 1])))
+            if j > lowest:
+                lam = exponential(compiled, lam, reverse[j])
+        overlaps = np.array(values[::-1], dtype=complex).reshape(len(wanted), self.rows)
+        return 2.0 * overlaps.real.T
 
 
 def _vdot_rows(a: np.ndarray, b: np.ndarray) -> list:

@@ -452,6 +452,21 @@ class TestRunExperiment:
             run_experiment(config)
         assert (out / ".lock").read_text() == f"{os.getpid()} {socket.gethostname()}"
 
+    def test_bad_inputs_create_no_output_directory(self, tmp_path):
+        payload = json.loads(bundled_fixture_path("h2_sto3g_0p7414.json").read_text())
+        payload["metadata"]["name"] = "a/b"
+        path = tmp_path / "h2bad.json"
+        path.write_text(json.dumps(payload))
+        bad_name = ExperimentConfig(hamiltonian_path=str(path),
+                                    output_dir=str(tmp_path / "name"))
+        with pytest.raises(HamiltonianFormatError, match="metadata.name"):
+            run_experiment(bad_name)
+        bad_pool = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}, pool="qe",
+                                    output_dir=str(tmp_path / "pool"))
+        with pytest.raises(ExperimentError, match="n_electrons"):
+            run_experiment(bad_pool)
+        assert not (tmp_path / "name").exists() and not (tmp_path / "pool").exists()
+
     def test_diagnostics_outputs(self, tmp_path):
         config, _ = self.run_small(tmp_path, diagnostics=True,
                                    heatmap_iterations=(2,),
@@ -556,7 +571,7 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "metadata.name must be a string" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []  # no optimization ran
+        assert not (tmp_path / "out").exists()  # nothing was created
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--out", str(tmp_path / "out")])

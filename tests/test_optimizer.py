@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,31 @@ def unbounded_objective():
 def cosh_objective():
     """f = sum(cosh(x)), minimized at 0 but not in two line searches from 3."""
     return FunctionObjective(lambda x: float(np.sum(np.cosh(x))), np.sinh)
+
+
+class DeferredObjective(FunctionObjective):
+    """``evaluate`` computes the gradient when it is first read, as the
+    ansatz objective does, and counts the gradients computed; ``poisoned``
+    lists the trial points whose gradient reads NaN."""
+
+    def __init__(self, f, grad, poisoned=()):
+        super().__init__(f, grad)
+        self.poisoned = [np.asarray(point, dtype=float) for point in poisoned]
+        self.gradients_computed = 0
+
+    def evaluate(self, x):
+        x = np.array(x, dtype=float)
+        self.ledger.charge_energy(1)
+        self.ledger.charge_gradient(x.size)
+
+        @functools.cache
+        def gradient():
+            self.gradients_computed += 1
+            if any(np.array_equal(x, point) for point in self.poisoned):
+                return np.full(x.size, np.nan)
+            return np.asarray(self._grad(x), dtype=float)
+
+        return float(self._f(x)), gradient
 
 
 def random_spd(rng, n, floor=0.5):
@@ -91,6 +118,39 @@ class TestWolfeLineSearch:
         assert admissible.size > 0
         assert np.min(np.abs(admissible - result.alpha)) < 1e-4
         assert result.alpha == pytest.approx(17.0 / 65.0, abs=1e-12)
+
+    def test_gradient_read_only_where_the_search_needs_it(self):
+        # the scan-oracle search above: alpha = 1 fails sufficient decrease,
+        # so its gradient is never read, and the accepted zoom trial's is
+        diag = np.diag([1.0, 4.0])
+        x = np.array([1.0, 1.0])
+        grad = diag @ x
+        deferred = DeferredObjective(lambda v: 0.5 * v @ diag @ v, lambda v: diag @ v)
+        eager = quadratic_objective(diag)
+        got = wolfe_line_search(deferred, x, 2.5, grad, -grad)
+        expected = wolfe_line_search(eager, x, 2.5, grad, -grad)
+        assert got.success and got.evals == 2
+        assert deferred.gradients_computed == got.evals - 1
+        assert (got.x.tobytes(), got.f, got.grad.tobytes(), got.alpha, got.evals) == (
+            expected.x.tobytes(), expected.f, expected.grad.tobytes(), expected.alpha,
+            expected.evals)
+        assert deferred.ledger.function_evaluations == eager.ledger.function_evaluations
+
+    def test_non_finite_gradient_raises_where_it_is_read(self):
+        def parabola(poisoned):
+            return DeferredObjective(lambda v: float(v @ v), lambda v: 2.0 * v, poisoned)
+
+        # f = x^2 from 1 along -1: alpha = 1 passes sufficient decrease, so
+        # its gradient is read
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            wolfe_line_search(parabola([[0.0]]), np.array([1.0]), 1.0,
+                              np.array([2.0]), np.array([-1.0]))
+        # from 1 along -3: alpha = 1 fails it, and its gradient is never read
+        objective = parabola([[-2.0]])
+        result = wolfe_line_search(objective, np.array([1.0]), 1.0, np.array([2.0]),
+                                   np.array([-3.0]))
+        assert result.success and np.all(np.isfinite(result.grad))
+        assert objective.gradients_computed == result.evals - 1
 
     def test_accepted_steps_satisfy_both_conditions(self):
         rng = np.random.default_rng(31)
@@ -300,6 +360,9 @@ class TestMinimizeRecycled:
 
             def value_and_grad(self, x):
                 return inner.value_and_grad(x)
+
+            def evaluate(self, x):
+                return inner.evaluate(x)
 
             def grad_components(self, x, indices):
                 calls.append(tuple(indices))

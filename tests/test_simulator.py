@@ -16,6 +16,7 @@ from adaptvqe.simulator import (
     apply_pauli_sum,
     basis_state,
     energy_and_gradient,
+    energy_then_gradient,
     expectation,
     generator_gradients,
     gradient_components,
@@ -396,21 +397,28 @@ def commuting_generators(draw, n_qubits):
     return PauliSum(n_qubits, [(s, 1j * draw(_COEFFS)) for s in strings])
 
 
+def fixture_case(case, request):
+    """``(hfile, pool)`` for H2, H4 1.0 A or TFIM-8 with its nn pool."""
+    if case == "tfim8":
+        return builtin_model("tfim", 8, with_exact=False), build_nearest_neighbor_pool(8)
+    fixture = {"h2": "h2_fixture", "h4": "h4_equilibrium_fixture"}[case]
+    hfile = request.getfixturevalue(fixture)
+    return hfile, build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+
+
+def random_ansatz(rng, hfile, pool, n):
+    picks = rng.integers(0, len(pool), size=n)
+    return AnsatzState(hfile.reference_bitstring, tuple(
+        (pool.operators[int(i)], float(t))
+        for i, t in zip(picks, rng.normal(size=n) * 0.5)))
+
+
 class TestCompiledIsBitExact:
     @pytest.mark.parametrize("case", ["h2", "h4", "tfim8"])
     def test_fixtures(self, case, request):
-        if case == "tfim8":
-            hfile = builtin_model("tfim", 8, with_exact=False)
-            pool = build_nearest_neighbor_pool(8)
-        else:
-            fixture = {"h2": "h2_fixture", "h4": "h4_equilibrium_fixture"}[case]
-            hfile = request.getfixturevalue(fixture)
-            pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        hfile, pool = fixture_case(case, request)
         rng = np.random.default_rng(len(case))
-        picks = rng.integers(0, len(pool), size=6)
-        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
-            (pool.operators[int(i)], float(t))
-            for i, t in zip(picks, rng.normal(size=6) * 0.5)))
+        ansatz = random_ansatz(rng, hfile, pool, 6)
         assert_bit_exact(ansatz, hfile.operator, random_amplitudes(rng, hfile.n_qubits))
 
     @settings(max_examples=60, deadline=None)
@@ -439,6 +447,39 @@ class TestCompiledIsBitExact:
             rtol=0, atol=1e-12)
 
 
+class TestEnergyThenGradient:
+    """The energy-first route against the eager sweep and the plain
+    per-term reference."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("case", ["h2", "h4", "tfim8"])
+    def test_bytes_match_eager_and_reference(self, case, n, request):
+        hfile, pool = fixture_case(case, request)
+        ansatz = random_ansatz(np.random.default_rng(n), hfile, pool, n)
+        ledger = CostLedger()
+        energy, gradient = energy_then_gradient(ansatz, hfile.operator, ledger)
+        assert ledger.function_evaluations == 1 + 2 * n  # charged at call time
+        eager_energy, eager_grad = energy_and_gradient(ansatz, hfile.operator)
+        _, reference_energy, reference_grad = reference_energy_and_gradient(
+            ansatz.reference, ansatz.elements, hfile.operator)
+        assert (float(energy).hex() == float(eager_energy).hex()
+                == float(reference_energy).hex())
+        grad = gradient()
+        assert grad.shape == (n,)
+        assert grad.tobytes() == eager_grad.tobytes() == reference_grad.tobytes()
+        assert gradient() is grad  # computed once, then cached
+        assert ledger.function_evaluations == 1 + 2 * n  # reading is not charged
+
+    def test_bad_hamiltonian_raises_before_any_charge(self, h2_fixture):
+        ansatz = AnsatzState(h2_fixture.reference_bitstring,
+                             ((build_qe_pool(4, 2).operators[2], 0.1),))
+        ledger = CostLedger()
+        hamiltonian = PauliSum.from_text_terms([("XIII", 1j), ("ZZII", 0.5)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            energy_then_gradient(ansatz, hamiltonian, ledger)
+        assert ledger.function_evaluations == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_dense_matrix_matches_oracle_bytes(data):
@@ -464,6 +505,60 @@ def test_exponential_matches_reference_up_to_the_sign_of_a_zero():
             parts, reference_parts = got.view(np.float64), expected.view(np.float64)
             differ = parts.view(np.uint64) != reference_parts.view(np.uint64)
             assert np.all(parts[differ] == 0.0)
+
+
+def signs_by_z_mask(compiled):
+    """Z mask -> the sign vector a compiled sum holds for it."""
+    held = [signs for _, terms in compiled._groups for signs, *_ in terms]
+    return {string.z_mask: signs for (string, _), signs in zip(compiled.terms, held)
+            if string.z_mask}
+
+
+class TestSharedSigns:
+    @pytest.mark.parametrize("n_qubits", [8, 12])
+    def test_sums_with_a_common_z_mask_share_one_read_only_vector(self, n_qubits):
+        pad = "I" * (n_qubits - 4)
+        first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
+        second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
+        first_signs = signs_by_z_mask(first.compiled())
+        second_signs = signs_by_z_mask(second.compiled())
+        common = set(first_signs) & set(second_signs)
+        assert common == {0b0011}  # ZZ.. and YY.. read the same Z mask
+        for z in common:
+            assert first_signs[z] is second_signs[z]
+        for signs in (*first_signs.values(), *second_signs.values()):
+            assert not signs.flags.writeable
+            assert signs.dtype == (complex if n_qubits == 8 else np.int8)
+
+    def test_h4_bytes_do_not_depend_on_sharing(self, h4_equilibrium_fixture, monkeypatch):
+        """``apply`` and ``exponential`` of the H4 Hamiltonian and QE pool
+        with the shared vectors against sums that each build their own."""
+        hamiltonian = h4_equilibrium_fixture.operator
+        pool = build_qe_pool(8, h4_equilibrium_fixture.n_electrons)
+        rng = np.random.default_rng(4)
+        states = [random_amplitudes(rng, 8), basis_amplitudes(8, 0b1111)]
+        stack = np.stack(states)
+
+        def outputs():
+            out = []
+            for operator in (hamiltonian, *pool.operators):
+                compiled = CompiledSum(operator)
+                for amps in (*states, stack):
+                    out.append(compiled.apply(amps).tobytes())
+                    if operator is not hamiltonian:
+                        out.append(compiled.exponential(amps, 0.3).tobytes())
+            return out
+
+        shared = outputs()
+        for amps in states:
+            assert (CompiledSum(hamiltonian).apply(amps).tobytes()
+                    == reference_apply_sum(amps, 8, hamiltonian).tobytes())
+
+        def own_signs(n_qubits, index, z_mask, dtype):
+            return compiled_module._parity_signs(index, z_mask).astype(dtype)
+
+        monkeypatch.setattr(compiled_module, "_shared_signs", own_signs)
+        assert outputs() == shared
 
 
 def random_sum(rng, n_qubits, n_terms, n_masks):

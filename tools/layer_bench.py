@@ -16,7 +16,9 @@ The cases are
   and H6 STO-3G 1.0 A (12 qubits, built here, which takes a few seconds);
 * one generator exponential: a qubit-excitation double and single and a
   nearest-neighbour string at 8 qubits, and a double at 12 qubits;
-* one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators;
+* one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators,
+  and beside it one ``energy_then_gradient`` whose gradient is never read
+  (``energy_only``), the forward half of the same sweep;
 * one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool;
 * one BFGS inverse-Hessian update at 30 parameters.
 
@@ -53,6 +55,7 @@ from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool
 from adaptvqe.simulator import (
     AnsatzState,
     energy_and_gradient,
+    energy_then_gradient,
     prepare,
 )
 from generate_fixtures import build_hydrogen_chain
@@ -123,6 +126,8 @@ def cases(rng) -> dict:
             for i, t in zip(picks, rng.normal(size=n) * 0.2)))
         out[f"energy_and_gradient.h4_n{n}"] = (
             lambda a=ansatz: energy_and_gradient(a, h4.operator))
+        out[f"energy_only.h4_n{n}"] = (
+            lambda a=ansatz: energy_then_gradient(a, h4.operator))
     for name, hfile, pool in (("h4", h4, h4_pool), ("h6", h6, h6_pool)):
         ansatz = AnsatzState(hfile.reference_bitstring, tuple(
             (op, 0.1) for op in pool.operators[:4]))
