@@ -19,7 +19,6 @@ from .hamiltonians import (
     builtin_model,
     bundled_fixture_path,
     ground_state_energy,
-    list_bundled_fixtures,
     load_hamiltonian,
     save_hamiltonian,
 )
@@ -32,20 +31,16 @@ from .optimizer import (
     minimize_recycled,
     wolfe_line_search,
 )
-from .paulis import PauliString, PauliSum, commutator, jordan_wigner_ladder, multiply
+from .paulis import PauliString, PauliSum, jordan_wigner_ladder, multiply
 from .pools import (
     OperatorPool,
     build_nearest_neighbor_pool,
     build_qe_pool,
     build_qubit_pool,
-    particle_number_operator,
-    sz_projection_operator,
 )
 from .simulator import (
     AnsatzState,
     StateVector,
-    apply_generator_exponential,
-    apply_pauli_sum,
     basis_state,
     energy_and_gradient,
     energy_then_gradient,

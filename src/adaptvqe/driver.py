@@ -89,10 +89,6 @@ class AdaptResult:
     ledger: CostLedger = field(default_factory=CostLedger)
 
     @property
-    def selected_indices(self) -> list[int]:
-        return [it.selected_index for it in self.iterations]
-
-    @property
     def error(self) -> float | None:
         if self.exact_energy is None:
             return None

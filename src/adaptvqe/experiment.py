@@ -35,6 +35,7 @@ from .hamiltonians import (
 )
 from .optimizer import OptimizerResult
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
+from .simulator import MAX_QUBITS
 
 __all__ = [
     "ExperimentConfig",
@@ -108,6 +109,9 @@ class ExperimentConfig:
                     f"convergence thresholds must be finite and positive, {name} is not")
         if self.max_adapt_iterations < 0 or self.opt_max_iterations < 1:
             raise ValueError("iteration caps out of range")
+        low = [i for i in self.heatmap_iterations if i < 1]
+        if low:
+            raise ValueError(f"heatmap_iterations must be at least 1, got {low!r}")
         bad = [m for m in self.modes if m not in MODES]
         if bad or not self.modes:
             raise ValueError(f"modes must be a non-empty subset of {MODES}")
@@ -388,9 +392,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns the summary payload.  Raises :class:`ExperimentError` with the
     growth-loop iteration attached when a run fails mid-flight.  The
     Hamiltonian and the pool are loaded and checked before the output
-    directory is created, so bad inputs leave nothing behind.
+    directory is created, so bad inputs leave nothing behind; that includes
+    a Hamiltonian above the statevector cap, checked before its pool is
+    built.
     """
     hfile = resolve_hamiltonian(config)
+    if hfile.n_qubits > MAX_QUBITS:
+        raise ExperimentError(f"{hfile.n_qubits} qubits exceeds the dense-statevector "
+                              f"cap of {MAX_QUBITS}")
     pool = resolve_pool(config, hfile)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

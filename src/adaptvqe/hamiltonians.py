@@ -42,7 +42,6 @@ __all__ = [
     "is_a",
     "finite_float",
     "bundled_fixture_path",
-    "list_bundled_fixtures",
 ]
 
 DIAGONALIZATION_CAP = 12
@@ -337,8 +336,3 @@ def bundled_fixture_path(name: str) -> Path:
         available = ", ".join(sorted(p.name for p in root.iterdir()))
         raise FileNotFoundError(f"no bundled fixture {name!r}; have: {available}")
     return Path(str(candidate))
-
-
-def list_bundled_fixtures() -> list[str]:
-    root = resources.files("adaptvqe").joinpath("fixtures")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))

@@ -80,7 +80,8 @@ class AnsatzObjective:
 
 
 class FunctionObjective:
-    """Wrap plain ``f`` and ``grad`` callables (used by tests and examples)."""
+    """Wrap plain ``f`` and ``grad`` callables (used by tests and the
+    acceptance suite)."""
 
     def __init__(self, f: Callable[[np.ndarray], float],
                  grad: Callable[[np.ndarray], np.ndarray],

@@ -29,7 +29,6 @@ __all__ = [
     "PauliString",
     "PauliSum",
     "multiply",
-    "commutator",
     "jordan_wigner_ladder",
 ]
 
@@ -93,14 +92,6 @@ class PauliString:
 
     def text(self) -> str:
         return "".join(self.letter(i) for i in range(self.n_qubits))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def weight(self) -> int:
-        return ((self.x_mask | self.z_mask)).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -228,12 +219,6 @@ class PauliSum:
     def items(self) -> tuple[tuple[PauliString, complex], ...]:
         return self._terms
 
-    def coefficient(self, string: PauliString) -> complex:
-        for s, c in self._terms:
-            if s == string:
-                return c
-        return 0j
-
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(s for s, _ in self._terms)
 
@@ -316,24 +301,6 @@ class PauliSum:
         if self.n_terms > 6:
             body += f" + ... ({self.n_terms} terms)"
         return f"PauliSum({body or '0'})"
-
-
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a @ b - b @ a`` with like terms combined and pruned.
-
-    Pairs of strings either commute (no contribution) or anticommute
-    (contribution ``2 * phase * product``), so only one product per pair is
-    computed.
-    """
-    _check_same_qubits(a, b)
-    out: dict[PauliString, complex] = {}
-    for sa, ca in a:
-        for sb, cb in b:
-            if sa.commutes_with(sb):
-                continue
-            phase, prod = multiply(sa, sb)
-            out[prod] = out.get(prod, 0j) + 2 * ca * cb * phase
-    return PauliSum(a.n_qubits, out)
 
 
 def jordan_wigner_ladder(index: int, creation: bool, n_qubits: int) -> PauliSum:

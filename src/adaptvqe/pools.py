@@ -31,8 +31,6 @@ __all__ = [
     "build_nearest_neighbor_pool",
     "qe_single",
     "qe_double",
-    "particle_number_operator",
-    "sz_projection_operator",
 ]
 
 QE_KIND = "QE"
@@ -206,23 +204,3 @@ def _string_label(string: PauliString) -> str:
     support = string.support
     letters = "".join(string.letter(site) for site in support)
     return f"string {letters} on {support}"
-
-
-def particle_number_operator(n_qubits: int) -> PauliSum:
-    """Total occupation number sum_i (I - Z_i)/2 as a PauliSum."""
-    terms = [(PauliString.identity(n_qubits), 0.5 * n_qubits)]
-    for i in range(n_qubits):
-        terms.append((PauliString.single("Z", i, n_qubits), -0.5))
-    return PauliSum(n_qubits, terms)
-
-
-def sz_projection_operator(n_qubits: int) -> PauliSum:
-    """Z spin projection (alpha = even index counts +1/2, beta = odd -1/2)."""
-    terms: list[tuple[PauliString, complex]] = []
-    identity_weight = 0.0
-    for i in range(n_qubits):
-        sign = 0.5 if i % 2 == 0 else -0.5
-        identity_weight += 0.5 * sign
-        terms.append((PauliString.single("Z", i, n_qubits), -0.5 * sign))
-    terms.append((PauliString.identity(n_qubits), identity_weight))
-    return PauliSum(n_qubits, terms)

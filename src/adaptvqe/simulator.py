@@ -62,8 +62,6 @@ __all__ = [
     "AnsatzState",
     "basis_state",
     "prepare",
-    "apply_pauli_sum",
-    "apply_generator_exponential",
     "expectation",
     "energy_then_gradient",
     "energy_and_gradient",
@@ -103,15 +101,6 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.overlap(other)) ** 2
 
 
 def basis_state(bitstring: str) -> StateVector:
@@ -193,21 +182,6 @@ class AnsatzState:
 
     def grown(self, generator: PauliSum, theta: float = 0.0) -> "AnsatzState":
         return AnsatzState(self.reference, self.elements + ((generator, theta),))
-
-
-def apply_generator_exponential(state: StateVector, generator: PauliSum,
-                                theta: float) -> StateVector:
-    """``exp(theta * A)|psi>`` for a generator ``A`` (see :class:`AnsatzState`)."""
-    if generator.n_qubits != state.n_qubits:
-        raise ValueError("generator qubit count does not match state")
-    return StateVector(state.n_qubits,
-                       generator.compiled().exponential(state.amplitudes, theta))
-
-
-def apply_pauli_sum(state: StateVector, operator: PauliSum) -> StateVector:
-    if operator.n_qubits != state.n_qubits:
-        raise ValueError("operator qubit count does not match state")
-    return StateVector(state.n_qubits, operator.compiled().apply(state.amplitudes))
 
 
 def prepare(ansatz: AnsatzState) -> StateVector:
@@ -408,7 +382,7 @@ def generator_gradients(
     ``w[b] = conj((H psi)[b ^ x]) psi[b]`` is formed once from a
     reversed-axis view, summed over the qubits outside each generator's Z
     support and dotted with the table.  Other generators are applied in
-    full.  The summation order differs from :func:`apply_pauli_sum`, so the
+    full.  The summation order differs from :meth:`CompiledSum.apply`, so the
     result agrees with it to rounding, not bit for bit.
     """
     n = state.n_qubits

@@ -7,19 +7,24 @@ statevector engine, so that tests compare two independent routes.
 Conventions match the package's documented ones: qubit 0 is the leftmost
 character of a text string and the least-significant bit of a basis index.
 
-The ``reference_*`` functions are the exception: they are the plain
-term-by-term statevector route (a phase, a gather and an accumulation per
-Pauli string, in canonical term order) that the compiled engine replaced,
-and the per-column central-difference Hessian built on it that the stacked
-gradient sweep replaced.  The engine must reproduce them bit for bit, with
-one exception: a compiled exponential may give ``-0j`` where
-``reference_exponential`` gives ``0j`` (equal under ``np.array_equal``).
+Two groups are exceptions.  ``commutator``, ``particle_number_operator``
+and ``sz_projection_operator`` build package ``PauliSum`` objects for
+symbolic checks; the commutator is the sum's own ``a @ b - b @ a``.  The
+``reference_*`` functions are the plain term-by-term statevector route (a
+phase, a gather and an accumulation per Pauli string, in canonical term
+order) that the compiled engine replaced, and the per-column
+central-difference Hessian built on it that the stacked gradient sweep
+replaced.  The engine must reproduce them bit for bit, except that a
+compiled exponential may give ``-0j`` where ``reference_exponential`` gives
+``0j`` (equal under ``np.array_equal``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from adaptvqe.paulis import PauliSum
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -78,6 +83,30 @@ def central_difference_gradient(f, x, step=1e-5):
         shift[i] = step
         out[i] = (f(x + shift) - f(x - shift)) / (2 * step)
     return out
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def _z_at(site: int, n_qubits: int) -> str:
+    return "I" * site + "Z" + "I" * (n_qubits - site - 1)
+
+
+def particle_number_operator(n_qubits: int):
+    """Total occupation sum_i (I - Z_i)/2."""
+    return PauliSum.from_text_terms(
+        [("I" * n_qubits, 0.5 * n_qubits)]
+        + [(_z_at(i, n_qubits), -0.5) for i in range(n_qubits)])
+
+
+def sz_projection_operator(n_qubits: int):
+    """Z spin projection sum_i s_i (I - Z_i)/2, with s_i = +1/2 on alpha
+    (even) and -1/2 on beta (odd) spin-orbitals."""
+    spins = [0.5 if i % 2 == 0 else -0.5 for i in range(n_qubits)]
+    return PauliSum.from_text_terms(
+        [("I" * n_qubits, 0.5 * sum(spins))]
+        + [(_z_at(i, n_qubits), -0.5 * s) for i, s in enumerate(spins)])
 
 
 def wolfe_admissible_alphas(phi, dphi, f0, d0, alphas, c1=1e-4, c2=0.9):

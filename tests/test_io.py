@@ -23,7 +23,6 @@ from adaptvqe.hamiltonians import (
     bundled_fixture_path,
     dense_matrix,
     ground_state_energy,
-    list_bundled_fixtures,
     load_hamiltonian,
     save_hamiltonian,
 )
@@ -31,6 +30,8 @@ from adaptvqe.paulis import PauliSum
 from adaptvqe.pools import build_nearest_neighbor_pool
 
 from oracles import dense_pauli_sum
+
+BUNDLED_FIXTURES = sorted(bundled_fixture_path("h2_sto3g_0p7414.json").parent.glob("*.json"))
 
 
 def minimal_payload(**overrides):
@@ -151,16 +152,15 @@ class TestHamiltonianFiles:
             load_hamiltonian(path)
 
     def test_round_trip_is_byte_identical(self, tmp_path):
-        for name in list_bundled_fixtures():
-            source = bundled_fixture_path(name)
+        for source in BUNDLED_FIXTURES:
             hfile = load_hamiltonian(source)
-            copy = tmp_path / name
+            copy = tmp_path / source.name
             save_hamiltonian(hfile, copy)
             assert copy.read_bytes() == source.read_bytes()
 
     def test_bundled_exact_energies_verify(self):
-        for name in list_bundled_fixtures():
-            load_hamiltonian(bundled_fixture_path(name), verify=True)
+        for source in BUNDLED_FIXTURES:
+            load_hamiltonian(source, verify=True)
 
     def test_bundled_exact_energy_matches_independent_diagonalization(self, h2_fixture):
         dense = dense_pauli_sum(h2_fixture.operator)
@@ -169,9 +169,9 @@ class TestHamiltonianFiles:
             float(eigenvalues[0]), abs=1e-9)
 
     def test_bundled_exact_energies_are_reproduced_exactly(self):
-        for name in list_bundled_fixtures():
-            hfile = load_hamiltonian(bundled_fixture_path(name))
-            assert ground_state_energy(hfile.operator) == hfile.exact_ground_energy, name
+        for source in BUNDLED_FIXTURES:
+            hfile = load_hamiltonian(source)
+            assert ground_state_energy(hfile.operator) == hfile.exact_ground_energy, source.name
 
     def test_verify_flag_catches_tampered_energy(self, tmp_path, h2_fixture):
         tampered = HamiltonianFile(
@@ -242,8 +242,7 @@ class TestBuiltinModels:
         assert ground_state_energy(model.operator) == model.exact_ground_energy
 
     def test_dense_matrix_matches_oracle_bytes(self):
-        operators = [load_hamiltonian(bundled_fixture_path(name)).operator
-                     for name in list_bundled_fixtures()]
+        operators = [load_hamiltonian(source).operator for source in BUNDLED_FIXTURES]
         operators += [builtin_model(kind, n, with_exact=False).operator
                       for kind in ("tfim", "heisenberg") for n in range(2, 11)]
         # above 8 qubits the compiled form holds int8 signs, not complex ones
@@ -325,6 +324,7 @@ class TestExperimentConfig:
         ("modes", "canonical", "modes must be a list"),
         ("heatmap_iterations", (3.7,), r"heatmap_iterations must be ints, got \[3.7\]"),
         ("heatmap_iterations", (2, True), r"heatmap_iterations must be ints, got \[True\]"),
+        ("heatmap_iterations", (0, -2), r"heatmap_iterations must be at least 1, got \[0, -2\]"),
     ])
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -465,7 +465,11 @@ class TestRunExperiment:
                                     output_dir=str(tmp_path / "pool"))
         with pytest.raises(ExperimentError, match="n_electrons"):
             run_experiment(bad_pool)
-        assert not (tmp_path / "name").exists() and not (tmp_path / "pool").exists()
+        too_big = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 21, "with_exact": False},
+                                   pool="nn", output_dir=str(tmp_path / "big"))
+        with pytest.raises(ExperimentError, match="21 qubits exceeds the dense-statevector cap"):
+            run_experiment(too_big)
+        assert not any((tmp_path / name).exists() for name in ("name", "pool", "big"))
 
     def test_diagnostics_outputs(self, tmp_path):
         config, _ = self.run_small(tmp_path, diagnostics=True,

@@ -2,8 +2,11 @@
 
 Modules talk to each other through public names only, every name a
 module lists in ``__all__`` exists in it, and every private name a module
-defines at its top level is read somewhere in that module.  Importing the
-package and running it below 12 qubits loads no scipy.
+defines at its top level is read somewhere in that module.  Every public
+name, and every public method or property of a public class, is read by
+the pipeline itself: a package module other than ``__init__.py``,
+``tools/``, ``perfbench/`` or the acceptance suite, not only by the unit
+tests.  Importing the package and running it below 12 qubits loads no scipy.
 """
 
 import ast
@@ -12,7 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptvqe"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "adaptvqe"
 
 
 def defined_names(tree: ast.Module) -> set[str]:
@@ -71,6 +75,49 @@ def test_private_names_are_read_by_their_module():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         problems += [f"{path.name} never reads {name}"
                      for name in private_definitions(tree) if name not in read]
+    assert not problems
+
+
+def names_read(paths) -> set[str]:
+    """Every name the files read as a ``Name``, an ``Attribute`` or an
+    ``ImportFrom`` alias."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, member)`` for each public method and property of each
+    public top-level class; dataclass fields are not listed."""
+    return [(node.name, member.name)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for member in node.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+
+
+def test_public_names_are_read_by_the_pipeline():
+    """A member counts as read when any attribute of its name is, so a
+    common name such as ``norm`` can slip through; a top-level name cannot."""
+    readers = ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+               + sorted((ROOT / "tools").rglob("*.py"))
+               + sorted((ROOT / "perfbench").rglob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    read = names_read(readers)
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        problems += [f"{path.name} exports {name}, which only unit tests read"
+                     for name in declared_all(tree) if name not in read]
+        problems += [f"{path.name} defines {cls}.{member}, which only unit tests read"
+                     for cls, member in public_members(tree) if member not in read]
     assert not problems
 
 
