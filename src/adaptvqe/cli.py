@@ -7,6 +7,13 @@ Subcommands:
 * ``pool``: export an operator pool as JSON.
 * ``model``: emit a built-in model Hamiltonian file.
 * ``diagnose``: replay a finished run with diagnostics enabled.
+
+``run``, ``pool`` and ``model`` record only the flags given.  Each flag's
+``dest`` names the :class:`~adaptvqe.experiment.ExperimentConfig` field, the
+builtin-spec key or the ``builtin_model`` parameter it sets, so every
+default comes from those and none is restated here.  ``--n-qubits``,
+``--coupling`` and ``--field`` describe a ``--model``, and are an error
+without one; ``run --heatmaps`` needs ``--diagnostics``.
 """
 
 from __future__ import annotations
@@ -14,9 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .experiment import (
+    POOL_CHOICES,
     ExperimentConfig,
     ExperimentError,
     diagnose_run,
@@ -25,135 +35,81 @@ from .experiment import (
     resolve_pool,
     run_experiment,
 )
-from .hamiltonians import HamiltonianFormatError, builtin_model, save_hamiltonian
+from .hamiltonians import MODEL_KINDS, HamiltonianFormatError, builtin_model, save_hamiltonian
 
-_UNSET = object()
+_SPEC_KEYS = ("kind", "n_qubits", "coupling", "field")
 
 
-def _add_hamiltonian_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hamiltonian", help="path to a Hamiltonian JSON file")
-    parser.add_argument("--model", choices=("tfim", "heisenberg"),
+def _add_source_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--hamiltonian", dest="hamiltonian_path",
+                        help="path to a Hamiltonian JSON file")
+    parser.add_argument("--model", dest="kind", choices=MODEL_KINDS,
                         help="use a built-in model instead of a file")
-    parser.add_argument("--n-qubits", type=int, default=None,
-                        help="qubit count for --model")
-    parser.add_argument("--coupling", type=float, default=1.0,
-                        help="model coupling J (default 1.0)")
-    parser.add_argument("--field", type=float, default=1.0,
-                        help="model transverse field h (default 1.0)")
-
-
-def _add_pool_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pool", choices=("auto", "qe", "qubit", "nn"),
-                        default="auto", help="operator pool (default: auto)")
-    parser.add_argument("--qe-singles", choices=("on", "off"), default="on",
+    parser.add_argument("--n-qubits", type=int, help="qubit count for --model")
+    parser.add_argument("--coupling", type=float, help="coupling J for --model")
+    parser.add_argument("--field", type=float, help="transverse field h for --model")
+    parser.add_argument("--pool", choices=POOL_CHOICES, help="operator pool")
+    parser.add_argument("--qe-singles", choices=("on", "off"),
                         help="include single excitations in the QE pool")
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    _add_hamiltonian_args(parser)
-    _add_pool_args(parser)
-    parser.add_argument("--config", help="JSON config file; no other run flag but --out")
-    parser.add_argument("--modes", default="canonical,recycling",
-                        help="comma-separated mode list (default both)")
-    parser.add_argument("--eps", type=float, default=1e-6,
-                        help="pool-gradient-norm stop threshold")
-    parser.add_argument("--max-iterations", type=int, default=50,
-                        help="growth-iteration cap")
-    parser.add_argument("--opt-eps", type=float, default=1e-6,
-                        help="optimizer gradient-norm threshold")
-    parser.add_argument("--opt-max-iterations", type=int, default=10000,
-                        help="optimizer line-search cap")
-    parser.add_argument("--diagnostics", action="store_true",
-                        help="emit Hessian-distance and convergence diagnostics")
-    parser.add_argument("--heatmaps", default="",
-                        help="comma-separated iterations for heatmap export")
-    parser.add_argument("--verify", action="store_true",
-                        help="re-verify recorded exact energies on load")
-    parser.add_argument("--out", help="output directory")
+def _experiment_config(given: dict, **spec_extra) -> ExperimentConfig:
+    """The config that the given ``run`` or ``pool`` flags describe;
+    ``spec_extra`` joins a builtin spec."""
+    spec = {key: given.pop(key) for key in _SPEC_KEYS if key in given}
+    if spec and "kind" not in spec:
+        flags = ", ".join("--" + key.replace("_", "-") for key in spec)
+        raise ExperimentError(f"model flags without --model: {flags}")
+    if "qe_singles" in given:
+        given["qe_singles"] = given["qe_singles"] == "on"
+    if "modes" in given:
+        given["modes"] = tuple(given["modes"].split(","))
+    if "heatmap_iterations" in given:
+        given["heatmap_iterations"] = tuple(
+            int(n) for n in given["heatmap_iterations"].split(",") if n)
+    return ExperimentConfig(builtin={**spec, **spec_extra} if spec else None, **given)
 
 
-def _flags_beside_config(argv: list[str]) -> list[str]:
-    """The run flags on the command line besides ``--config`` and ``--out``,
-    as the run parser resolves them: the config file holds every other
-    setting, so such a flag would be dropped."""
-    probe = argparse.ArgumentParser(add_help=False)
-    _add_run_args(probe)
-    probe.set_defaults(**dict.fromkeys(vars(probe.parse_args([])), _UNSET))
-    given = vars(probe.parse_known_args(argv)[0])
-    return [f"--{dest.replace('_', '-')}" for dest, value in given.items()
-            if value is not _UNSET and dest not in ("config", "out")]
-
-
-def _builtin_spec(args) -> dict | None:
-    if args.model is None:
-        return None
-    if args.n_qubits is None:
-        raise ExperimentError("--model requires --n-qubits")
-    return {"kind": args.model, "n_qubits": args.n_qubits,
-            "coupling": args.coupling, "field": args.field}
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-        if args.out:
-            from dataclasses import replace
-            config = replace(config, output_dir=args.out)
-        return config
-    if (args.hamiltonian is None) == (args.model is None):
-        raise ExperimentError("provide exactly one of --hamiltonian or --model")
-    return ExperimentConfig(
-        hamiltonian_path=args.hamiltonian,
-        builtin=_builtin_spec(args),
-        pool=args.pool,
-        qe_singles=args.qe_singles == "on",
-        modes=tuple(args.modes.split(",")),
-        eps=args.eps,
-        max_adapt_iterations=args.max_iterations,
-        opt_grad_tol=args.opt_eps,
-        opt_max_iterations=args.opt_max_iterations,
-        diagnostics=args.diagnostics,
-        heatmap_iterations=tuple(int(n) for n in args.heatmaps.split(",") if n),
-        output_dir=args.out or "run_output",
-        verify_hamiltonian=args.verify,
-    )
-
-
-def _cmd_run(args) -> int:
-    summary = run_experiment(_config_from_args(args))
+def _cmd_run(parser: argparse.ArgumentParser, given: dict) -> int:
+    if "config" in given:
+        # the config file holds every other setting, so such a flag would be dropped
+        beside = [action.option_strings[0] for action in parser._actions
+                  if action.dest in given and action.dest not in ("config", "output_dir")]
+        if beside:
+            raise ExperimentError(
+                f"--config takes no other run flag but --out; got {', '.join(beside)}")
+        config = load_config(given["config"])
+        if "output_dir" in given:
+            config = replace(config, output_dir=given["output_dir"])
+    else:
+        config = _experiment_config(given)
+    summary = run_experiment(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_pool(args) -> int:
-    if (args.hamiltonian is None) == (args.model is None):
-        raise ExperimentError("provide exactly one of --hamiltonian or --model")
-    spec = _builtin_spec(args)
-    config = ExperimentConfig(
-        hamiltonian_path=args.hamiltonian,
-        builtin=None if spec is None else {**spec, "with_exact": False},
-        pool=args.pool, qe_singles=args.qe_singles == "on",
-    )
-    pool = resolve_pool(config, resolve_hamiltonian(config))
-    payload = pool.to_payload()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {len(payload)} operators to {args.out}")
+def _cmd_pool(given: dict) -> int:
+    out = given.pop("out", None)
+    config = _experiment_config(given, with_exact=False)
+    payload = resolve_pool(config, resolve_hamiltonian(config)).to_payload()
+    if out:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {len(payload)} operators to {out}")
     else:
         print(json.dumps(payload, indent=2))
     return 0
 
 
-def _cmd_model(args) -> int:
-    hfile = builtin_model(args.kind, args.n_qubits, args.coupling, args.field,
-                          with_exact=not args.no_exact)
-    save_hamiltonian(hfile, args.out)
-    print(f"wrote {hfile.name} ({hfile.operator.n_terms} terms) to {args.out}")
+def _cmd_model(given: dict) -> int:
+    out = given.pop("out")
+    hfile = builtin_model(**given)
+    save_hamiltonian(hfile, out)
+    print(f"wrote {hfile.name} ({hfile.operator.n_terms} terms) to {out}")
     return 0
 
 
-def _cmd_diagnose(args) -> int:
-    summary = diagnose_run(args.run_dir)
+def _cmd_diagnose(given: dict) -> int:
+    summary = diagnose_run(given["run_dir"])
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -164,23 +120,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive VQE with an inverse-Hessian-recycling optimizer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    given_only = dict(argument_default=argparse.SUPPRESS)
 
-    run = sub.add_parser("run", help="run an experiment")
-    _add_run_args(run)
-    run.set_defaults(func=_cmd_run)
+    run = sub.add_parser("run", help="run an experiment", **given_only)
+    _add_source_args(run)
+    run.add_argument("--config", help="JSON config file; no other run flag but --out")
+    run.add_argument("--modes", help="comma-separated mode list")
+    run.add_argument("--eps", type=float, help="pool-gradient-norm stop threshold")
+    run.add_argument("--max-iterations", dest="max_adapt_iterations", type=int,
+                     help="growth-iteration cap")
+    run.add_argument("--opt-eps", dest="opt_grad_tol", type=float,
+                     help="optimizer gradient-norm threshold")
+    run.add_argument("--opt-max-iterations", type=int, help="optimizer line-search cap")
+    run.add_argument("--diagnostics", action="store_true",
+                     help="emit Hessian-distance and convergence diagnostics")
+    run.add_argument("--heatmaps", dest="heatmap_iterations",
+                     help="comma-separated iterations for heatmap export; needs --diagnostics")
+    run.add_argument("--verify", dest="verify_hamiltonian", action="store_true",
+                     help="re-verify recorded exact energies on load")
+    run.add_argument("--out", dest="output_dir", help="output directory")
+    run.set_defaults(func=partial(_cmd_run, run))
 
-    pool = sub.add_parser("pool", help="export an operator pool as JSON")
-    _add_hamiltonian_args(pool)
-    _add_pool_args(pool)
+    pool = sub.add_parser("pool", help="export an operator pool as JSON", **given_only)
+    _add_source_args(pool)
     pool.add_argument("--out", help="output file (stdout when omitted)")
     pool.set_defaults(func=_cmd_pool)
 
-    model = sub.add_parser("model", help="emit a built-in model Hamiltonian")
-    model.add_argument("--kind", choices=("tfim", "heisenberg"), required=True)
+    model = sub.add_parser("model", help="emit a built-in model Hamiltonian", **given_only)
+    model.add_argument("--kind", choices=MODEL_KINDS, required=True)
     model.add_argument("--n-qubits", type=int, required=True)
-    model.add_argument("--coupling", type=float, default=1.0)
-    model.add_argument("--field", type=float, default=1.0)
-    model.add_argument("--no-exact", action="store_true",
+    model.add_argument("--coupling", type=float)
+    model.add_argument("--field", dest="field_strength", type=float)
+    model.add_argument("--no-exact", dest="with_exact", action="store_false",
                        help="skip the exact ground-energy diagonalization")
     model.add_argument("--out", required=True, help="output file")
     model.set_defaults(func=_cmd_model)
@@ -193,15 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    del given["command"]
+    command = given.pop("func")
     try:
-        if getattr(args, "config", None):
-            beside = _flags_beside_config(sys.argv[1:] if argv is None else argv)
-            if beside:
-                raise ExperimentError(
-                    f"--config takes no other run flag but --out; got {', '.join(beside)}")
-        return args.func(args)
+        return command(given)
     except (ExperimentError, HamiltonianFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import socket
 from dataclasses import asdict, dataclass, replace
@@ -54,9 +55,11 @@ OPT_TRACE_COLUMNS = (
     "n", "k", "f", "grad_norm", "alpha", "fevals_cumulative", "update_skipped",
 )
 
-_POOL_CHOICES = ("auto", "qe", "qubit", "nn")
+logger = logging.getLogger(__name__)
+
+POOL_CHOICES = ("auto", "qe", "qubit", "nn")
 _BUILTIN_REQUIRED = ("kind", "n_qubits")
-_BUILTIN_OPTIONAL = ("coupling", "field", "with_exact")
+_BUILTIN_DEFAULTS = {"coupling": 1.0, "field": 1.0}
 _FIELD_KINDS = (
     ("qe_singles", bool, "a bool"),
     ("diagnostics", bool, "a bool"),
@@ -98,10 +101,10 @@ class ExperimentConfig:
         if (self.hamiltonian_path is None) == (self.builtin is None):
             raise ValueError("exactly one of hamiltonian_path or builtin is required")
         if self.builtin is not None:
-            _check_builtin_spec(self.builtin)
+            self.builtin = _checked_builtin_spec(self.builtin)
         _check_field_types(self)
-        if self.pool not in _POOL_CHOICES:
-            raise ValueError(f"pool must be one of {_POOL_CHOICES}")
+        if self.pool not in POOL_CHOICES:
+            raise ValueError(f"pool must be one of {POOL_CHOICES}")
         for name in ("eps", "opt_grad_tol"):
             threshold = finite_float(getattr(self, name))
             if threshold is None or threshold <= 0:
@@ -145,16 +148,18 @@ def _check_field_types(config: ExperimentConfig) -> None:
         raise ValueError(f"heatmap_iterations must be ints, got {bad!r}")
 
 
-def _check_builtin_spec(spec) -> None:
+def _checked_builtin_spec(spec) -> dict:
     """A builtin spec is an object with a string ``kind``, an int
-    ``n_qubits``, and optionally numeric ``coupling`` and ``field`` and a
-    bool ``with_exact``; anything else raises ``ValueError``."""
+    ``n_qubits``, and optionally numeric ``coupling`` and ``field`` (both
+    1.0 when left out, and filled in here) and a bool ``with_exact``;
+    anything else raises ``ValueError``.  Returns the filled copy."""
     if not isinstance(spec, dict):
         raise ValueError(f"builtin must be an object, got {spec!r}")
     missing = [key for key in _BUILTIN_REQUIRED if key not in spec]
     if missing:
         raise ValueError(f"builtin spec missing fields {missing}")
-    unknown = sorted(set(spec) - set(_BUILTIN_REQUIRED) - set(_BUILTIN_OPTIONAL))
+    spec = {**_BUILTIN_DEFAULTS, **spec}
+    unknown = sorted(set(spec) - {*_BUILTIN_REQUIRED, *_BUILTIN_DEFAULTS, "with_exact"})
     if unknown:
         raise ValueError(f"unknown builtin spec fields: {unknown}")
     if not isinstance(spec["kind"], str):
@@ -162,14 +167,14 @@ def _check_builtin_spec(spec) -> None:
     n_qubits = spec["n_qubits"]
     if not is_a(n_qubits, int):
         raise ValueError(f"builtin n_qubits must be an int, got {n_qubits!r}")
-    for key in ("coupling", "field"):
-        value = spec.get(key, 1.0)
-        if not is_a(value, (int, float)):
-            raise ValueError(f"builtin {key} must be a number, got {value!r}")
-        if finite_float(value) is None:
+    for key in _BUILTIN_DEFAULTS:
+        if not is_a(spec[key], (int, float)):
+            raise ValueError(f"builtin {key} must be a number, got {spec[key]!r}")
+        if finite_float(spec[key]) is None:
             raise ValueError(f"builtin {key} must be finite and fit a float")
     if not isinstance(spec.get("with_exact", True), bool):
         raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")
+    return spec
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -189,14 +194,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def resolve_hamiltonian(config: ExperimentConfig) -> HamiltonianFile:
     if config.hamiltonian_path is not None:
         return load_hamiltonian(config.hamiltonian_path, verify=config.verify_hamiltonian)
-    spec = config.builtin
-    return builtin_model(
-        kind=spec["kind"],
-        n_qubits=spec["n_qubits"],
-        coupling=float(spec.get("coupling", 1.0)),
-        field_strength=float(spec.get("field", 1.0)),
-        with_exact=spec.get("with_exact", True),
-    )
+    spec = dict(config.builtin)
+    return builtin_model(coupling=float(spec.pop("coupling")),
+                         field_strength=float(spec.pop("field")), **spec)
 
 
 def resolve_pool(config: ExperimentConfig, hfile: HamiltonianFile) -> OperatorPool:
@@ -316,6 +316,13 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
                 _write_csv(out / f"hm_{mode}_{n}.csv",
                            [f"c{j}" for j in range(matrix.shape[1])],
                            [tuple(float(v) for v in row) for row in matrix])
+        for n in config.heatmap_iterations:
+            if n > len(records):
+                logger.warning("no heatmap for iteration %d: past the end of the "
+                               "%d-iteration run", n, len(records))
+            elif n not in heatmaps:
+                logger.warning("no heatmap for iteration %d of the %d-iteration run: "
+                               "excluded (%s)", n, len(records), records[n - 1].reason)
     for mode, result in results.items():
         if not result.iterations:
             continue
@@ -394,8 +401,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Hamiltonian and the pool are loaded and checked before the output
     directory is created, so bad inputs leave nothing behind; that includes
     a Hamiltonian above the statevector cap, checked before its pool is
-    built.
+    built, and heatmap iterations without diagnostics, which would write no
+    heatmap.
     """
+    if config.heatmap_iterations and not config.diagnostics:
+        raise ExperimentError(
+            f"heatmap_iterations {list(config.heatmap_iterations)} are set, but no "
+            "heatmap is written with diagnostics off")
     hfile = resolve_hamiltonian(config)
     if hfile.n_qubits > MAX_QUBITS:
         raise ExperimentError(f"{hfile.n_qubits} qubits exceeds the dense-statevector "

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DIAGONALIZATION_CAP = 12
+MODEL_KINDS = ("tfim", "heisenberg")  # the kinds builtin_model builds
 _DENSE_DIAG_CAP = 11
 
 _VALID_UNITS = ("hartree", "dimensionless")
@@ -306,7 +307,7 @@ def builtin_model(
                         "I" * i + letter * 2 + "I" * (n_qubits - i - 2)), coupling))
         name = f"heisenberg_n{n_qubits}_j{coupling:g}"
     else:
-        raise ValueError(f"unknown builtin model kind {kind!r}")
+        raise ValueError(f"unknown builtin model kind {kind!r}; expected one of {MODEL_KINDS}")
     operator = PauliSum(n_qubits, terms)
     exact = None
     if with_exact:

@@ -1,4 +1,8 @@
+import argparse
+import dataclasses
+import inspect
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -8,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptvqe.cli import build_parser
 from adaptvqe.cli import main as cli_main
 from adaptvqe.experiment import (
     ExperimentConfig,
@@ -312,6 +317,12 @@ class TestExperimentConfig:
                 "with_exact": False}
         assert ExperimentConfig(builtin=spec).builtin == spec
 
+    def test_builtin_spec_defaults_filled_in(self):
+        spec = {"kind": "tfim", "n_qubits": 4}
+        assert ExperimentConfig(builtin=spec).builtin == {
+            "kind": "tfim", "n_qubits": 4, "coupling": 1.0, "field": 1.0}
+        assert spec == {"kind": "tfim", "n_qubits": 4}  # the caller's dict is left alone
+
     @pytest.mark.parametrize("field, value, message", [
         ("qe_singles", "false", "qe_singles must be a bool"),
         ("diagnostics", 1, "diagnostics must be a bool"),
@@ -483,6 +494,52 @@ class TestRunExperiment:
         for csv_path in out.glob("*.csv"):
             assert "np.float64" not in csv_path.read_text(), csv_path.name
 
+    def test_heatmaps_without_diagnostics_rejected_but_replayed(self, tmp_path):
+        with pytest.raises(ExperimentError,
+                           match=r"heatmap_iterations \[2\] are set, but no heatmap"):
+            self.run_small(tmp_path, heatmap_iterations=(2,))
+        assert not (tmp_path / "out").exists()
+        # a run directory that already records the pair still replays
+        config, _ = self.run_small(tmp_path, max_adapt_iterations=3)
+        config_path = Path(config.output_dir) / "config.json"
+        payload = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**payload, "heatmap_iterations": [2]}))
+        diagnose_run(config.output_dir)
+        assert (Path(config.output_dir) / "hm_canonical_2.csv").is_file()
+
+    def test_heatmap_past_the_end_of_the_run_is_warned(self, tmp_path, caplog):
+        kept, _ = self.run_small(tmp_path / "kept", diagnostics=True,
+                                 heatmap_iterations=(2,), max_adapt_iterations=5)
+        with caplog.at_level(logging.WARNING, logger="adaptvqe.experiment"):
+            config, _ = self.run_small(tmp_path / "past", diagnostics=True,
+                                       heatmap_iterations=(2, 99), max_adapt_iterations=5)
+        assert "no heatmap for iteration 99: past the end of the 5-iteration run" in caplog.text
+
+        def files(out):
+            return {p.name: p.read_bytes() for p in Path(out).iterdir() if p.name != "config.json"}
+
+        assert files(config.output_dir) == files(kept.output_dir)
+
+    def test_heatmap_of_an_excluded_iteration_is_warned(self, tmp_path, caplog, monkeypatch):
+        import adaptvqe.experiment as experiment
+
+        series = experiment.hessian_distance_series
+
+        def diverged_at_two(*args, **kwargs):
+            records, heatmaps = series(*args, **kwargs)
+            records[1] = dataclasses.replace(records[1], excluded=True,
+                                             reason="operator selection diverged")
+            del heatmaps[2]
+            return records, heatmaps
+
+        monkeypatch.setattr(experiment, "hessian_distance_series", diverged_at_two)
+        with caplog.at_level(logging.WARNING, logger="adaptvqe.experiment"):
+            config, _ = self.run_small(tmp_path, diagnostics=True, heatmap_iterations=(2,),
+                                       max_adapt_iterations=5)
+        assert ("no heatmap for iteration 2 of the 5-iteration run: excluded "
+                "(operator selection diverged)") in caplog.text
+        assert not list(Path(config.output_dir).glob("hm_*"))
+
     def test_diagnose_replays_a_run(self, tmp_path):
         config, _ = self.run_small(tmp_path, max_adapt_iterations=4)
         summary = diagnose_run(config.output_dir)
@@ -580,3 +637,42 @@ class TestCli:
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         code = cli_main(["run", "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "pool"])
+    def test_model_flags_without_model_rejected(self, tmp_path, capsys, command):
+        code = cli_main([command, "--hamiltonian",
+                         str(bundled_fixture_path("h2_sto3g_0p7414.json")),
+                         "--n-qubits", "9", "--coupling", "3", "--field", "7",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: model flags without --model: --n-qubits, --coupling, --field" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_name_library_settings_and_restate_no_default(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        settings = ({field.name for field in dataclasses.fields(ExperimentConfig)}
+                    | {"kind", "n_qubits", "coupling", "field", "with_exact"}
+                    | set(inspect.signature(builtin_model).parameters))
+        files = {"run": {"config"}, "pool": {"out"}, "model": {"out"}}  # read or written
+        for name, other in files.items():
+            for action in commands[name]._actions:
+                if action.dest != "help":
+                    assert action.dest in settings | other, (name, action.dest)
+                    assert action.default is argparse.SUPPRESS, (name, action.dest)
+
+    def test_run_records_the_library_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--model", "tfim", "--n-qubits", "4",
+                         "--max-iterations", "2", "--out", str(out)]) == 0
+        expected = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4},
+                                    max_adapt_iterations=2, output_dir=str(out)).to_payload()
+        assert json.loads((out / "config.json").read_text()) == json.loads(json.dumps(expected))
+
+    def test_model_flags_reach_builtin_model(self, tmp_path):
+        path = tmp_path / "model.json"
+        assert cli_main(["model", "--kind", "tfim", "--n-qubits", "4", "--coupling", "2",
+                         "--field", "0.5", "--no-exact", "--out", str(path)]) == 0
+        save_hamiltonian(builtin_model("tfim", 4, 2.0, 0.5, with_exact=False),
+                         tmp_path / "expected.json")
+        assert path.read_bytes() == (tmp_path / "expected.json").read_bytes()
