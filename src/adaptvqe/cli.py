@@ -13,7 +13,7 @@ Subcommands:
 builtin-spec key or the ``builtin_model`` parameter it sets, so every
 default comes from those and none is restated here.  ``--n-qubits``,
 ``--coupling`` and ``--field`` describe a ``--model``, and are an error
-without one; ``run --heatmaps`` needs ``--diagnostics``.
+without one; ``run --heatmaps`` needs ``--diagnostics`` and both modes.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--diagnostics", action="store_true",
                      help="emit Hessian-distance and convergence diagnostics")
     run.add_argument("--heatmaps", dest="heatmap_iterations",
-                     help="comma-separated iterations for heatmap export; needs --diagnostics")
+                     help="heatmap iterations, comma-separated; needs --diagnostics and both modes")
     run.add_argument("--verify", dest="verify_hamiltonian", action="store_true",
                      help="re-verify recorded exact energies on load")
     run.add_argument("--out", dest="output_dir", help="output directory")

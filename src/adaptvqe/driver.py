@@ -6,7 +6,9 @@ initialized to zero), and re-optimizes all parameters.  The optimizer is
 dispatched per mode: ``canonical`` restarts from an identity inverse
 Hessian, ``recycling`` warm-starts from the previous iteration's final
 parameter vector, gradient and inverse Hessian.  The loop stops when the
-pool-gradient norm falls below the threshold or the iteration cap is hit.
+pool-gradient norm is at most ``eps`` (``DEFAULT_EPS``) or after
+``max_iterations`` operators (``DEFAULT_GROWTH_CAP``); :func:`checked_mode`
+is the one check of :data:`MODES`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import numpy as np
 from .cost import CostLedger, default_pool_sweep_units
 from .objectives import AnsatzObjective
 from .optimizer import (
+    DEFAULT_GRAD_TOL,
+    DEFAULT_LINE_SEARCH_CAP,
     IterationRecord,
     OptimizerSnapshot,
+    checked_cap,
+    checked_threshold,
     expand_inverse_hessian,
-    is_iteration_cap,
     minimize_canonical,
     minimize_recycled,
 )
@@ -37,11 +42,14 @@ __all__ = [
     "pool_gradients",
     "select_operator",
     "run_adapt",
+    "checked_mode",
 ]
 
 logger = logging.getLogger(__name__)
 
 MODES = ("canonical", "recycling")
+DEFAULT_EPS = 1e-6  # stop growing when the pool-gradient norm is at most this
+DEFAULT_GROWTH_CAP = 50  # stop growing after this many operators
 
 _ENERGY_RISE_TOL = 1e-10
 _TIE_TOL = 1e-6
@@ -138,15 +146,22 @@ def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     return index, float(np.linalg.norm(gradients))
 
 
+def checked_mode(mode: str) -> str:
+    """``mode`` when it is one of :data:`MODES`; else ``ValueError``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return mode
+
+
 def run_adapt(
     hamiltonian: PauliSum,
     reference: str,
     pool: OperatorPool,
     mode: str = "canonical",
-    eps: float = 1e-6,
-    max_iterations: int = 50,
-    opt_grad_tol: float = 1e-6,
-    opt_max_iterations: int = 10000,
+    eps: float = DEFAULT_EPS,
+    max_iterations: int = DEFAULT_GROWTH_CAP,
+    opt_grad_tol: float = DEFAULT_GRAD_TOL,
+    opt_max_iterations: int = DEFAULT_LINE_SEARCH_CAP,
     exact_energy: float | None = None,
     record_optimizer_state: bool = False,
 ) -> AdaptResult:
@@ -157,17 +172,13 @@ def run_adapt(
     continues from the best point found; three consecutive
     first-line-search failures abort the loop with a diagnostic.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    checked_mode(mode)
     if len(pool) == 0:
         raise ValueError("operator pool is empty")
-    if not all(np.isfinite(t) and t > 0 for t in (eps, opt_grad_tol)):
-        raise ValueError("convergence thresholds must be finite and positive")
-    if not (is_iteration_cap(max_iterations) and is_iteration_cap(opt_max_iterations)
-            and opt_max_iterations >= 1):
-        raise ValueError(
-            "iteration caps must be ints, max_iterations >= 0 and opt_max_iterations >= 1, "
-            f"got {max_iterations!r} and {opt_max_iterations!r}")
+    checked_threshold("eps", eps)
+    checked_threshold("opt_grad_tol", opt_grad_tol)
+    checked_cap("max_iterations", max_iterations)
+    checked_cap("opt_max_iterations", opt_max_iterations, low=1)
 
     ledger = CostLedger()
     ansatz = AnsatzState(reference)
@@ -204,21 +215,16 @@ def run_adapt(
 
         ansatz = ansatz.grown(pool.operators[index], 0.0)
         objective = AnsatzObjective(hamiltonian, ansatz, ledger)
+        x_start = np.concatenate([x_star, [0.0]])
+        settings = dict(grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
+                        record_state=record_optimizer_state)
         try:
             if mode == "canonical":
                 h_start = np.eye(n)
-                opt = minimize_canonical(
-                    objective, np.concatenate([x_star, [0.0]]),
-                    grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
-                    record_state=record_optimizer_state,
-                )
+                opt = minimize_canonical(objective, x_start, **settings)
             else:
                 h_start = expand_inverse_hessian(h_star, 1)
-                opt = minimize_recycled(
-                    objective, x_star, grad_star, h_star,
-                    grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
-                    record_state=record_optimizer_state,
-                )
+                opt = minimize_recycled(objective, x_star, grad_star, h_star, **settings)
         except Exception as exc:
             raise RuntimeError(f"ADAPT iteration {n} ({mode} mode) failed: {exc}") from exc
 
@@ -234,7 +240,6 @@ def run_adapt(
         else:
             consecutive_stalls = 0
 
-        x_start = np.concatenate([x_star, [0.0]])
         x_star = opt.x_star
         grad_star = opt.grad_star
         h_star = opt.h_star

@@ -10,6 +10,8 @@ under a temporary name and renamed into place, so an interrupted run never
 leaves a truncated file; concurrent runs must use distinct directories,
 enforced by a lock file that names the holder's pid and host.  A lock left
 on this host by a process that is no longer running is taken over.
+:class:`ExperimentConfig` takes each default from the module that owns it
+and checks its limits by the same rules as :func:`run_adapt`.
 """
 
 from __future__ import annotations
@@ -26,15 +28,22 @@ import numpy as np
 
 from .cost import CostLedger
 from .diagnostics import convergence_report, exact_ansatz_hessian, hessian_distance_series
-from .driver import MODES, AdaptResult, run_adapt
+from .driver import DEFAULT_EPS, DEFAULT_GROWTH_CAP, MODES, AdaptResult, checked_mode, run_adapt
 from .hamiltonians import (
+    DEFAULT_COUPLING,
+    DEFAULT_FIELD,
     HamiltonianFile,
     builtin_model,
-    finite_float,
-    is_a,
     load_hamiltonian,
 )
-from .optimizer import OptimizerResult
+from .optimizer import (
+    DEFAULT_GRAD_TOL,
+    DEFAULT_LINE_SEARCH_CAP,
+    OptimizerResult,
+    checked_cap,
+    checked_threshold,
+)
+from .paulis import finite_float, is_a
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
 from .simulator import MAX_QUBITS
 
@@ -59,19 +68,36 @@ logger = logging.getLogger(__name__)
 
 POOL_CHOICES = ("auto", "qe", "qubit", "nn")
 _BUILTIN_REQUIRED = ("kind", "n_qubits")
-_BUILTIN_DEFAULTS = {"coupling": 1.0, "field": 1.0}
+_BUILTIN_DEFAULTS = {"coupling": DEFAULT_COUPLING, "field": DEFAULT_FIELD}
+
+
+def _of_kind(name, value, kind, label):
+    """``value`` if ``is_a(value, kind)``, else ``ValueError`` naming it."""
+    if not is_a(value, kind):
+        raise ValueError(f"{name} must be {label}, got {value!r}")
+    return value
+
+
+# (name, check, *args): check(name, value, *args) is the value to keep, or raises
 _FIELD_KINDS = (
-    ("qe_singles", bool, "a bool"),
-    ("diagnostics", bool, "a bool"),
-    ("verify_hamiltonian", bool, "a bool"),
-    ("max_adapt_iterations", int, "an int"),
-    ("opt_max_iterations", int, "an int"),
-    ("eps", (int, float), "a number"),
-    ("opt_grad_tol", (int, float), "a number"),
-    ("hamiltonian_path", (str, type(None)), "a string"),
-    ("output_dir", str, "a string"),
-    ("modes", (list, tuple), "a list"),
-    ("heatmap_iterations", (list, tuple), "a list"),
+    ("qe_singles", _of_kind, bool, "a bool"),
+    ("diagnostics", _of_kind, bool, "a bool"),
+    ("verify_hamiltonian", _of_kind, bool, "a bool"),
+    ("max_adapt_iterations", checked_cap),
+    ("opt_max_iterations", checked_cap, 1),
+    ("eps", checked_threshold),
+    ("opt_grad_tol", checked_threshold),
+    ("hamiltonian_path", _of_kind, (str, type(None)), "a string"),
+    ("output_dir", _of_kind, str, "a string"),
+    ("modes", _of_kind, (list, tuple), "a list"),
+    ("heatmap_iterations", _of_kind, (list, tuple), "a list"),
+)
+_BUILTIN_KINDS = (
+    ("kind", _of_kind, str, "a string"),
+    ("n_qubits", _of_kind, int, "an int"),
+    ("coupling", _of_kind, (int, float), "a number"),
+    ("field", _of_kind, (int, float), "a number"),
+    ("with_exact", _of_kind, bool, "a bool"),
 )
 
 
@@ -88,10 +114,10 @@ class ExperimentConfig:
     pool: str = "auto"
     qe_singles: bool = True
     modes: tuple[str, ...] = ("canonical", "recycling")
-    eps: float = 1e-6
-    max_adapt_iterations: int = 50
-    opt_grad_tol: float = 1e-6
-    opt_max_iterations: int = 10000
+    eps: float = DEFAULT_EPS
+    max_adapt_iterations: int = DEFAULT_GROWTH_CAP
+    opt_grad_tol: float = DEFAULT_GRAD_TOL
+    opt_max_iterations: int = DEFAULT_LINE_SEARCH_CAP
     diagnostics: bool = False
     heatmap_iterations: tuple[int, ...] = ()
     output_dir: str = "run_output"
@@ -102,25 +128,21 @@ class ExperimentConfig:
             raise ValueError("exactly one of hamiltonian_path or builtin is required")
         if self.builtin is not None:
             self.builtin = _checked_builtin_spec(self.builtin)
-        _check_field_types(self)
+        for name, check, *args in _FIELD_KINDS:
+            setattr(self, name, check(name, getattr(self, name), *args))
+        bad = [i for i in self.heatmap_iterations if not is_a(i, int)]
+        if bad:
+            raise ValueError(f"heatmap_iterations must be ints, got {bad!r}")
         if self.pool not in POOL_CHOICES:
             raise ValueError(f"pool must be one of {POOL_CHOICES}")
-        for name in ("eps", "opt_grad_tol"):
-            threshold = finite_float(getattr(self, name))
-            if threshold is None or threshold <= 0:
-                raise ValueError(
-                    f"convergence thresholds must be finite and positive, {name} is not")
-        if self.max_adapt_iterations < 0 or self.opt_max_iterations < 1:
-            raise ValueError("iteration caps out of range")
         low = [i for i in self.heatmap_iterations if i < 1]
         if low:
             raise ValueError(f"heatmap_iterations must be at least 1, got {low!r}")
-        bad = [m for m in self.modes if m not in MODES]
-        if bad or not self.modes:
-            raise ValueError(f"modes must be a non-empty subset of {MODES}")
+        if not self.modes:
+            raise ValueError("modes must name at least one mode")
+        self.modes = tuple(checked_mode(mode) for mode in self.modes)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes lists a mode twice: {list(self.modes)}")
-        self.modes = tuple(self.modes)
         self.heatmap_iterations = tuple(self.heatmap_iterations)
 
     def to_payload(self) -> dict:
@@ -128,6 +150,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(payload) - known
         if unknown:
@@ -135,45 +159,24 @@ class ExperimentConfig:
         return cls(**payload)
 
 
-def _check_field_types(config: ExperimentConfig) -> None:
-    """The top-level fields have their declared types: a hand-written
-    ``config.json`` with ``"false"`` for a bool or ``2.5`` for an int raises
-    ``ValueError`` rather than being read loosely."""
-    for name, kind, label in _FIELD_KINDS:
-        value = getattr(config, name)
-        if not is_a(value, kind):
-            raise ValueError(f"{name} must be {label}, got {value!r}")
-    bad = [i for i in config.heatmap_iterations if not is_a(i, int)]
-    if bad:
-        raise ValueError(f"heatmap_iterations must be ints, got {bad!r}")
-
-
 def _checked_builtin_spec(spec) -> dict:
-    """A builtin spec is an object with a string ``kind``, an int
-    ``n_qubits``, and optionally numeric ``coupling`` and ``field`` (both
-    1.0 when left out, and filled in here) and a bool ``with_exact``;
-    anything else raises ``ValueError``.  Returns the filled copy."""
+    """The spec with ``builtin_model``'s ``coupling`` and ``field`` filled in
+    when left out, checked by ``_BUILTIN_KINDS``; returns the filled copy."""
     if not isinstance(spec, dict):
         raise ValueError(f"builtin must be an object, got {spec!r}")
     missing = [key for key in _BUILTIN_REQUIRED if key not in spec]
     if missing:
         raise ValueError(f"builtin spec missing fields {missing}")
     spec = {**_BUILTIN_DEFAULTS, **spec}
-    unknown = sorted(set(spec) - {*_BUILTIN_REQUIRED, *_BUILTIN_DEFAULTS, "with_exact"})
+    unknown = sorted(set(spec) - {name for name, *_ in _BUILTIN_KINDS})
     if unknown:
         raise ValueError(f"unknown builtin spec fields: {unknown}")
-    if not isinstance(spec["kind"], str):
-        raise ValueError(f"builtin kind must be a string, got {spec['kind']!r}")
-    n_qubits = spec["n_qubits"]
-    if not is_a(n_qubits, int):
-        raise ValueError(f"builtin n_qubits must be an int, got {n_qubits!r}")
+    for name, check, *args in _BUILTIN_KINDS:
+        if name in spec:
+            check(f"builtin {name}", spec[name], *args)
     for key in _BUILTIN_DEFAULTS:
-        if not is_a(spec[key], (int, float)):
-            raise ValueError(f"builtin {key} must be a number, got {spec[key]!r}")
         if finite_float(spec[key]) is None:
             raise ValueError(f"builtin {key} must be finite and fit a float")
-    if not isinstance(spec.get("with_exact", True), bool):
-        raise ValueError(f"builtin with_exact must be a bool, got {spec['with_exact']!r}")
     return spec
 
 
@@ -401,13 +404,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Hamiltonian and the pool are loaded and checked before the output
     directory is created, so bad inputs leave nothing behind; that includes
     a Hamiltonian above the statevector cap, checked before its pool is
-    built, and heatmap iterations without diagnostics, which would write no
-    heatmap.
+    built, and heatmap iterations without diagnostics or without both
+    modes, which would write no heatmap.
     """
-    if config.heatmap_iterations and not config.diagnostics:
+    if config.heatmap_iterations and not (config.diagnostics and set(config.modes) == set(MODES)):
         raise ExperimentError(
-            f"heatmap_iterations {list(config.heatmap_iterations)} are set, but no "
-            "heatmap is written with diagnostics off")
+            f"heatmap_iterations {list(config.heatmap_iterations)} are set, but no heatmap is "
+            f"written without diagnostics and both modes (modes {list(config.modes)}, "
+            f"diagnostics {'on' if config.diagnostics else 'off'})")
     hfile = resolve_hamiltonian(config)
     if hfile.n_qubits > MAX_QUBITS:
         raise ExperimentError(f"{hfile.n_qubits} qubits exceeds the dense-statevector "

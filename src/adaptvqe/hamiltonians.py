@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .paulis import DEFAULT_PRUNE_TOL, PauliString, PauliSum
+from .paulis import DEFAULT_PRUNE_TOL, PauliString, PauliSum, finite_float, is_a
 
 __all__ = [
     "HamiltonianFile",
@@ -39,13 +38,13 @@ __all__ = [
     "builtin_model",
     "ground_state_energy",
     "dense_matrix",
-    "is_a",
-    "finite_float",
     "bundled_fixture_path",
 ]
 
 DIAGONALIZATION_CAP = 12
 MODEL_KINDS = ("tfim", "heisenberg")  # the kinds builtin_model builds
+DEFAULT_COUPLING = 1.0  # builtin_model's J
+DEFAULT_FIELD = 1.0  # builtin_model's h
 _DENSE_DIAG_CAP = 11
 
 _VALID_UNITS = ("hartree", "dimensionless")
@@ -70,32 +69,16 @@ class HamiltonianFile:
     extra_metadata: dict = field(default_factory=dict)
 
 
-def is_a(value, kind) -> bool:
-    """``isinstance``, except that a bool (a JSON ``true`` or ``false``) is
-    not an int or a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def finite_float(value) -> float | None:
-    """``value`` as a float when it is a finite number (not a bool), else
-    None: a JSON integer too large for a float gives None, not
-    ``OverflowError``."""
-    if not is_a(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
+def _check_diagonalization_cap(n_qubits: int) -> None:
+    if n_qubits > DIAGONALIZATION_CAP:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the diagonalization cap of {DIAGONALIZATION_CAP}")
 
 
 def dense_matrix(operator: PauliSum) -> np.ndarray:
     """Dense matrix of an operator, site 0 least significant (guarded by the
     diagonalization cap): :meth:`CompiledSum.dense` of its compiled form."""
-    if operator.n_qubits > DIAGONALIZATION_CAP:
-        raise ValueError(
-            f"{operator.n_qubits} qubits exceeds the dense cap of {DIAGONALIZATION_CAP}"
-        )
+    _check_diagonalization_cap(operator.n_qubits)
     return operator.compiled().dense()
 
 
@@ -104,11 +87,7 @@ def ground_state_energy(operator: PauliSum) -> float:
     ``_DENSE_DIAG_CAP`` qubits by Lanczos on the compiled ``apply``."""
     if not operator.compiled().hermitian:
         raise ValueError("ground-state energy needs a Hermitian operator")
-    if operator.n_qubits > DIAGONALIZATION_CAP:
-        raise ValueError(
-            f"{operator.n_qubits} qubits exceeds the diagonalization cap of "
-            f"{DIAGONALIZATION_CAP}"
-        )
+    _check_diagonalization_cap(operator.n_qubits)
     if operator.n_qubits <= _DENSE_DIAG_CAP:
         return float(np.linalg.eigvalsh(dense_matrix(operator))[0])
     from scipy.sparse.linalg import LinearOperator, eigsh  # scipy only here
@@ -277,8 +256,8 @@ def save_hamiltonian(hfile: HamiltonianFile, path: str | Path) -> None:
 def builtin_model(
     kind: str,
     n_qubits: int,
-    coupling: float = 1.0,
-    field_strength: float = 1.0,
+    coupling: float = DEFAULT_COUPLING,
+    field_strength: float = DEFAULT_FIELD,
     with_exact: bool = True,
 ) -> HamiltonianFile:
     """Built-in open-chain model Hamiltonians.
@@ -309,14 +288,7 @@ def builtin_model(
     else:
         raise ValueError(f"unknown builtin model kind {kind!r}; expected one of {MODEL_KINDS}")
     operator = PauliSum(n_qubits, terms)
-    exact = None
-    if with_exact:
-        if n_qubits > DIAGONALIZATION_CAP:
-            raise ValueError(
-                f"exact energy requested but {n_qubits} qubits exceeds the "
-                f"diagonalization cap of {DIAGONALIZATION_CAP}"
-            )
-        exact = ground_state_energy(operator)
+    exact = ground_state_energy(operator) if with_exact else None
     return HamiltonianFile(
         n_qubits=n_qubits,
         operator=operator,

@@ -9,9 +9,13 @@ and in whether the converging step updates the inverse Hessian:
 * :func:`minimize_recycled` starts from a previous optimization's final
   ``H*`` expanded by an identity row and column for the one parameter each
   growth iteration appends, reuses the previous final gradient for the old
-  entries of the initial gradient, and also updates the matrix on the
-  converging step, so the returned ``H*`` is current.  Its outputs feed the
-  next call directly.
+  entries of the initial gradient (only the new partial derivative is
+  evaluated), and also updates the matrix on the converging step, so the
+  returned ``H*`` is current.  Its outputs feed the next call directly.
+
+Each run stops when the gradient norm falls below ``grad_tol`` or after
+``max_iterations`` line searches; :func:`checked_threshold` and
+:func:`checked_cap` are the package's one rule for each kind of run limit.
 
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import Objective
+from .paulis import finite_float, is_a
 
 __all__ = [
     "CURVATURE_SKIP_TOL",
@@ -44,7 +49,8 @@ __all__ = [
     "bfgs_update",
     "curvature_condition_holds",
     "expand_inverse_hessian",
-    "is_iteration_cap",
+    "checked_threshold",
+    "checked_cap",
     "minimize_canonical",
     "minimize_recycled",
 ]
@@ -52,6 +58,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CURVATURE_SKIP_TOL = 1e-10
+DEFAULT_GRAD_TOL = 1e-6  # stop when the gradient norm falls below this
+DEFAULT_LINE_SEARCH_CAP = 10000  # stop after this many line searches
 
 _C1 = 1e-4
 _C2 = 0.9
@@ -118,16 +126,9 @@ def wolfe_line_search(
     grad_x: np.ndarray,
     direction: np.ndarray,
 ) -> LineSearchResult:
-    """Find a step satisfying the sufficient-decrease and curvature conditions.
-
-    The first trial is always ``alpha = 1``; the step doubles until the
-    conditions hold or a bracket is found, then the bracket is zoomed.  Each
-    trial is charged one combined function/gradient evaluation, whose
-    gradient is computed only when read (see the module doc).  On
-    exhaustion of the trial budget the best point seen is returned with
-    ``success=False``.  A non-finite value at any trial, or a non-finite
-    gradient where it is read, raises ``ValueError``.
-    """
+    """Find a step satisfying the sufficient-decrease and curvature
+    conditions, as the module doc describes; when the trial budget runs out,
+    the best point seen is returned with ``success=False``."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(direction, dtype=float)
     d0 = float(grad_x @ p)
@@ -258,18 +259,14 @@ def expand_inverse_hessian(h: np.ndarray, new_parameter_count: int) -> np.ndarra
 def minimize_canonical(
     objective: Objective,
     x0: np.ndarray,
-    grad_tol: float = 1e-6,
-    max_iterations: int = 10000,
+    grad_tol: float = DEFAULT_GRAD_TOL,
+    max_iterations: int = DEFAULT_LINE_SEARCH_CAP,
     record_state: bool = False,
 ) -> OptimizerResult:
-    """BFGS from scratch: identity initial inverse Hessian.
-
-    Terminates when the gradient norm falls below ``grad_tol`` or after
-    ``max_iterations`` line searches; a point already below the threshold
-    returns immediately with zero line searches.  On the converged iteration
-    the inverse Hessian is not updated.
-    """
-    _check_limits(grad_tol, max_iterations)
+    """BFGS from ``H_0 = I`` (see the module doc); a start already below
+    ``grad_tol`` returns at once with zero line searches."""
+    checked_threshold("grad_tol", grad_tol)
+    checked_cap("max_iterations", max_iterations)
     x = np.array(x0, dtype=float)
     fevals_before = objective.ledger.function_evaluations
     f, g = objective.value_and_grad(x)
@@ -284,20 +281,15 @@ def minimize_recycled(
     x_prev: np.ndarray,
     grad_prev: np.ndarray,
     h_prev: np.ndarray,
-    grad_tol: float = 1e-6,
-    max_iterations: int = 10000,
+    grad_tol: float = DEFAULT_GRAD_TOL,
+    max_iterations: int = DEFAULT_LINE_SEARCH_CAP,
     record_state: bool = False,
 ) -> OptimizerResult:
-    """BFGS warm-started from a previous optimization one dimension down.
-
-    The start point appends a zero for the one new parameter, the previous
-    final gradient is reused verbatim for the old entries of the initial
-    gradient (only the new partial derivative is evaluated), and the initial
-    inverse Hessian is the previous final ``H*`` expanded by an identity
-    row and column.  The matrix is updated before the convergence check, so
-    the returned ``H*`` includes the final step's information.
-    """
-    _check_limits(grad_tol, max_iterations)
+    """BFGS warm-started from a previous optimization one dimension down,
+    whose final point, gradient and inverse Hessian are ``x_prev``,
+    ``grad_prev`` and ``h_prev`` (see the module doc)."""
+    checked_threshold("grad_tol", grad_tol)
+    checked_cap("max_iterations", max_iterations)
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
     old = x_prev.size
@@ -318,18 +310,24 @@ def minimize_recycled(
                      update_on_converged=True)
 
 
-def _check_limits(grad_tol: float, max_iterations: int) -> None:
-    if not (np.isfinite(grad_tol) and grad_tol > 0):
-        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
-    if not is_iteration_cap(max_iterations):
-        raise ValueError(
-            f"max_iterations must be a non-negative int, got {max_iterations!r}")
+def checked_threshold(name: str, value):
+    """``value`` when it is a finite number above 0 (not a bool); else
+    ``ValueError`` naming ``name``.  The one threshold rule."""
+    if not is_a(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if (finite_float(value) or 0.0) <= 0:
+        raise ValueError(f"convergence thresholds must be finite and positive, {name} is not")
+    return value
 
 
-def is_iteration_cap(value) -> bool:
-    """A non-negative int; a bool or a float of integral value is not one."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= 0)
+def checked_cap(name: str, value, low: int = 0) -> int:
+    """``value`` as an int when it is an int or numpy integer (not a bool) of
+    at least ``low``; else ``ValueError`` naming ``name``.  The one cap rule."""
+    if not is_a(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
 
 
 def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,

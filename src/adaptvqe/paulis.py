@@ -30,12 +30,33 @@ __all__ = [
     "PauliSum",
     "multiply",
     "jordan_wigner_ladder",
+    "is_a",
+    "finite_float",
 ]
 
 DEFAULT_PRUNE_TOL = 1e-12
 
 _LETTER_TO_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _MASKS_TO_LETTER = {v: k for k, v in _LETTER_TO_MASKS.items()}
+
+
+def is_a(value, kind) -> bool:
+    """``isinstance``, except that a bool (a JSON ``true`` or ``false``) is
+    not an int or a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def finite_float(value) -> float | None:
+    """``value`` as a float when it is a finite number (not a bool), else
+    None: a JSON integer too large for a float gives None, not
+    ``OverflowError``."""
+    if not is_a(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if cmath.isfinite(number) else None
 
 
 @dataclass(frozen=True)

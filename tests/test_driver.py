@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 import adaptvqe.driver as driver_module
 from adaptvqe.cost import CostLedger
 from adaptvqe.driver import pool_gradients, run_adapt, select_operator
+from adaptvqe.experiment import ExperimentConfig
 from adaptvqe.hamiltonians import builtin_model
-from adaptvqe.optimizer import OptimizerResult
+from adaptvqe.objectives import FunctionObjective
+from adaptvqe.optimizer import OptimizerResult, minimize_canonical, minimize_recycled
 from adaptvqe.paulis import PauliSum
 from adaptvqe.pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool
 from adaptvqe.simulator import AnsatzState, StateVector, expectation, prepare
@@ -231,7 +235,11 @@ class TestRunAdapt:
         {"opt_max_iterations": 0},
     ])
     def test_iteration_caps_are_ints_in_range(self, h2_fixture, caps):
-        with pytest.raises(ValueError, match="iteration caps must be ints"):
+        (name, value), = caps.items()
+        low = int(name == "opt_max_iterations")
+        expected = (f"{name} must be at least {low}, got {value}" if type(value) is int
+                    else f"{name} must be an int, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring,
                       build_qe_pool(4, 2), **caps)
 
@@ -270,3 +278,77 @@ class TestRunAdapt:
                            pool, mode="canonical", max_iterations=10)
         assert result.stalled and not result.converged
         assert len(result.iterations) == 3
+
+
+# One threshold rule and one cap rule, the same at every entry point that
+# takes a run setting: ``(entry point, setting, low)``, ``low`` None for a
+# convergence threshold and the least allowed value for an iteration cap.
+def _quadratic():
+    return FunctionObjective(lambda x: float(x @ x), lambda x: 2.0 * x)
+
+
+LIMIT_ENTRY_POINTS = {
+    "run_adapt": lambda hfile, **kw: run_adapt(
+        hfile.operator, hfile.reference_bitstring, build_qe_pool(4, 2), **kw),
+    "minimize_canonical": lambda hfile, **kw: minimize_canonical(
+        _quadratic(), np.ones(2), **kw),
+    "minimize_recycled": lambda hfile, **kw: minimize_recycled(
+        _quadratic(), np.ones(1), np.ones(1), np.eye(1), **kw),
+    "ExperimentConfig": lambda hfile, **kw: ExperimentConfig(
+        builtin={"kind": "tfim", "n_qubits": 4}, **kw),
+}
+LIMIT_SETTINGS = [
+    ("run_adapt", "eps", None),
+    ("run_adapt", "opt_grad_tol", None),
+    ("run_adapt", "max_iterations", 0),
+    ("run_adapt", "opt_max_iterations", 1),
+    ("minimize_canonical", "grad_tol", None),
+    ("minimize_canonical", "max_iterations", 0),
+    ("minimize_recycled", "grad_tol", None),
+    ("minimize_recycled", "max_iterations", 0),
+    ("ExperimentConfig", "eps", None),
+    ("ExperimentConfig", "opt_grad_tol", None),
+    ("ExperimentConfig", "max_adapt_iterations", 0),
+    ("ExperimentConfig", "opt_max_iterations", 1),
+]
+TOO_LARGE_FOR_A_FLOAT = 10**400
+BAD_THRESHOLDS = [True, False, "1e-3", None, np.float32(1e-3), TOO_LARGE_FOR_A_FLOAT, float("nan"),
+                  float("inf"), float("-inf"), 0, 0.0, -1e-6]
+BAD_CAPS = [True, False, 2.5, 2.0, "3", None, np.float64(3.0)]
+
+
+def _label(value) -> str:
+    return "10**400" if value is TOO_LARGE_FOR_A_FLOAT else f"{type(value).__name__}({value!r})"
+
+
+def _bad_limit_cases():
+    for entry, name, low in LIMIT_SETTINGS:
+        values = BAD_THRESHOLDS if low is None else BAD_CAPS + [low - 1, np.int64(low - 1)]
+        for value in values:
+            yield pytest.param(entry, name, low, value, id=f"{entry}-{name}-{_label(value)}")
+
+
+@pytest.mark.parametrize("entry, name, low, value", _bad_limit_cases())
+def test_bad_limit_raises_naming_the_setting(h2_fixture, entry, name, low, value):
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if low is None:
+        message = (f"convergence thresholds must be finite and positive, {name} is not"
+                   if is_number else f"{name} must be a number, got {value!r}")
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        message = f"{name} must be at least {low}, got {value!r}"
+    else:
+        message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LIMIT_ENTRY_POINTS[entry](h2_fixture, **{name: value})
+
+
+@pytest.mark.parametrize("entry, name, low", LIMIT_SETTINGS)
+def test_numpy_limits_accepted(h2_fixture, entry, name, low):
+    value = np.float64(1e-3) if low is None else np.int64(max(low, 1))
+    LIMIT_ENTRY_POINTS[entry](h2_fixture, **{name: value})
+
+
+def test_numpy_cap_is_kept_as_an_int():
+    config = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4},
+                              max_adapt_iterations=np.int64(3))
+    assert type(config.max_adapt_iterations) is int and config.max_adapt_iterations == 3

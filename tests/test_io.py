@@ -14,6 +14,7 @@ import pytest
 
 from adaptvqe.cli import build_parser
 from adaptvqe.cli import main as cli_main
+from adaptvqe.driver import run_adapt
 from adaptvqe.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -31,6 +32,7 @@ from adaptvqe.hamiltonians import (
     load_hamiltonian,
     save_hamiltonian,
 )
+from adaptvqe.optimizer import minimize_canonical, minimize_recycled
 from adaptvqe.paulis import PauliSum
 from adaptvqe.pools import build_nearest_neighbor_pool
 
@@ -352,6 +354,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"finite and positive, {field} is not"):
             ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}, **{field: value})
 
+    def test_defaults_match_the_library_signatures(self):
+        def defaults(function):
+            return {name: parameter.default
+                    for name, parameter in inspect.signature(function).parameters.items()}
+
+        config = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+        adapt = defaults(run_adapt)
+        assert config["eps"] == adapt["eps"]
+        assert config["max_adapt_iterations"] == adapt["max_iterations"]
+        for minimizer in (defaults(minimize_canonical), defaults(minimize_recycled)):
+            assert config["opt_grad_tol"] == adapt["opt_grad_tol"] == minimizer["grad_tol"]
+            assert (config["opt_max_iterations"] == adapt["opt_max_iterations"]
+                    == minimizer["max_iterations"])
+        model = defaults(builtin_model)
+        spec = ExperimentConfig(builtin={"kind": "tfim", "n_qubits": 4}).builtin
+        assert (spec["coupling"], spec["field"]) == (model["coupling"], model["field_strength"])
+
     def test_loose_config_file_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"builtin": {"kind": "tfim", "n_qubits": 4},
@@ -507,6 +526,22 @@ class TestRunExperiment:
         diagnose_run(config.output_dir)
         assert (Path(config.output_dir) / "hm_canonical_2.csv").is_file()
 
+    @pytest.mark.parametrize("mode", ["canonical", "recycling"])
+    def test_heatmaps_of_a_single_mode_rejected(self, tmp_path, mode):
+        message = (r"heatmap_iterations \[2\] are set, but no heatmap is written without "
+                   rf"diagnostics and both modes \(modes \['{mode}'\], diagnostics on\)")
+        with pytest.raises(ExperimentError, match=message):
+            self.run_small(tmp_path, modes=(mode,), diagnostics=True, heatmap_iterations=(2,))
+        assert not (tmp_path / "out").exists()
+        # a run directory whose config records such a request replays to the same error
+        config, _ = self.run_small(tmp_path, modes=(mode,), max_adapt_iterations=3)
+        config_path = Path(config.output_dir) / "config.json"
+        payload = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**payload, "heatmap_iterations": [2]}))
+        with pytest.raises(ExperimentError, match=message):
+            diagnose_run(config.output_dir)
+        assert not list(Path(config.output_dir).glob("hm_*"))
+
     def test_heatmap_past_the_end_of_the_run_is_warned(self, tmp_path, caplog):
         kept, _ = self.run_small(tmp_path / "kept", diagnostics=True,
                                  heatmap_iterations=(2,), max_adapt_iterations=5)
@@ -585,6 +620,18 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, kind", [
+        ("abc", "str"), ([1, 2], "list"), (42, "int"), (None, "NoneType"),
+    ], ids=["string", "list", "int", "null"])
+    def test_config_that_is_not_an_object_is_a_clean_error(self, tmp_path, capsys,
+                                                            payload, kind):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config must be a JSON object, got {kind}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_builtin_in_config_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
