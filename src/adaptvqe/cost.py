@@ -5,11 +5,22 @@ actually does internally: one unit per energy evaluation, two units per
 gradient component (parameter-shift style), and a flat rate of
 ``8 * n_qubits`` per ADAPT iteration for the pool-gradient sweep (the
 qubit-excitation pool's cost model).
+
+Each hardware query is charged by the one function that decides to make
+it, once the query returns, so a query that raises is not charged:
+``driver.run_adapt`` charges the initial energy and each pool sweep, the
+two minimizers their start, ``optimizer.wolfe_line_search`` each trial
+(one energy and a full gradient, whether or not the gradient is read), and
+``diagnostics.exact_ansatz_hessian`` its shifted gradients to a shadow
+ledger.  The simulator and the objective adapters charge nothing.  A charge
+is a whole number of queries (:func:`~adaptvqe.paulis.checked_cap`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .paulis import checked_cap
 
 __all__ = ["CostLedger", "default_pool_sweep_units"]
 
@@ -21,27 +32,27 @@ def default_pool_sweep_units(n_qubits: int) -> int:
 
 @dataclass
 class CostLedger:
-    """Monotone counters for function evaluations and pool-gradient sweeps."""
+    """Monotone counters for function evaluations and pool-gradient sweeps;
+    :meth:`charge_energy` and :meth:`charge_gradient` return the evaluations
+    they add."""
 
     function_evaluations: int = 0
     pool_gradient_units: int = 0
     breakdown: list[dict] = field(default_factory=list)
 
-    def charge_energy(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("cannot charge a negative cost")
-        self.function_evaluations += count
+    def charge_energy(self) -> int:
+        """One energy evaluation costs one unit."""
+        self.function_evaluations += 1
+        return 1
 
-    def charge_gradient(self, n_components: int) -> None:
+    def charge_gradient(self, n_components: int) -> int:
         """A gradient of ``n`` components costs ``2n`` energy evaluations."""
-        if n_components < 0:
-            raise ValueError("cannot charge a negative cost")
-        self.function_evaluations += 2 * n_components
+        units = 2 * checked_cap("n_components", n_components)
+        self.function_evaluations += units
+        return units
 
     def charge_pool_sweep(self, units: int) -> None:
-        if units < 0:
-            raise ValueError("cannot charge a negative cost")
-        self.pool_gradient_units += units
+        self.pool_gradient_units += checked_cap("units", units)
 
     def record_iteration(self, label: str, **counters) -> None:
         """Append a per-iteration snapshot to the breakdown list."""

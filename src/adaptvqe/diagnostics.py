@@ -5,8 +5,9 @@ sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 Exact Hessians are built from central differences of the analytic gradient
 with the fixed step ``FD_STEP``; the 2n shifted gradients of one Hessian are
 evaluated as one stacked statevector sweep, bit for bit equal to 2n separate
-evaluations.  All diagnostic evaluations are charged to a caller-supplied
-shadow ledger so they never pollute a run's measurement-cost accounting.
+evaluations.  :func:`exact_ansatz_hessian` charges its shifted gradients
+(rows x n x 2 units) to a caller-supplied shadow ledger, so they never
+pollute a run's measurement-cost accounting.
 """
 
 from __future__ import annotations
@@ -73,13 +74,15 @@ def exact_ansatz_hessian(
     shadow_ledger: CostLedger | None = None,
 ) -> np.ndarray:
     """Exact energy Hessian of an ansatz at parameter vector ``x``; the 2n
-    shifted gradients are one stacked :func:`gradient_components` call."""
+    shifted gradients are one stacked :func:`gradient_components` call,
+    charged to ``shadow_ledger`` when one is given."""
     indices = list(range(ansatz.n_parameters))
 
     def grad_fn(points: np.ndarray) -> np.ndarray:
-        return gradient_components(
-            ansatz, hamiltonian, indices, shadow_ledger, points=points
-        )
+        grads = gradient_components(ansatz, hamiltonian, indices, points=points)
+        if shadow_ledger is not None:
+            shadow_ledger.charge_gradient(grads.size)
+        return grads
 
     point = ansatz.parameters if x is None else np.asarray(x, dtype=float)
     return exact_hessian(grad_fn, point)

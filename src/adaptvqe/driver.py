@@ -8,7 +8,9 @@ Hessian, ``recycling`` warm-starts from the previous iteration's final
 parameter vector, gradient and inverse Hessian.  The loop stops when the
 pool-gradient norm is at most ``eps`` (``DEFAULT_EPS``) or after
 ``max_iterations`` operators (``DEFAULT_GROWTH_CAP``); :func:`checked_mode`
-is the one check of :data:`MODES`.
+is the one check of :data:`MODES`.  :func:`run_adapt` charges the initial
+energy and each pool sweep to the run's ledger; the minimizers charge the
+rest (see :mod:`adaptvqe.cost`).
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from .optimizer import (
     DEFAULT_LINE_SEARCH_CAP,
     IterationRecord,
     OptimizerSnapshot,
-    checked_cap,
-    checked_threshold,
     expand_inverse_hessian,
     minimize_canonical,
     minimize_recycled,
 )
-from .paulis import PauliSum
+from .paulis import PauliSum, checked_cap, checked_threshold
 from .pools import OperatorPool
 from .simulator import AnsatzState, StateVector, expectation, generator_gradients, prepare
 
@@ -107,19 +107,16 @@ def pool_gradients(
     state: StateVector,
     pool: OperatorPool,
     hamiltonian: PauliSum,
-    ledger: CostLedger | None = None,
 ) -> np.ndarray:
     """Energy derivative of each candidate operator at parameter zero.
 
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
-    :func:`generator_gradients`.  The ledger is charged one flat pool sweep
-    of 8N units per call.
+    :func:`generator_gradients`.  One call is one pool sweep, which
+    :func:`run_adapt` charges at the flat 8N rate.
     """
     if pool.n_qubits != state.n_qubits or hamiltonian.n_qubits != state.n_qubits:
         raise ValueError("pool/Hamiltonian/state qubit counts disagree")
-    if ledger is not None:
-        ledger.charge_pool_sweep(default_pool_sweep_units(state.n_qubits))
     return generator_gradients(state, hamiltonian, pool.operators)
 
 
@@ -182,8 +179,8 @@ def run_adapt(
 
     ledger = CostLedger()
     ansatz = AnsatzState(reference)
-    ledger.charge_energy(1)
     energy = expectation(prepare(ansatz), hamiltonian)
+    ledger.charge_energy()
     initial_energy = energy
 
     x_star = np.zeros(0)
@@ -200,7 +197,8 @@ def run_adapt(
     while n < max_iterations:
         n += 1
         state = prepare(ansatz)
-        grads = pool_gradients(state, pool, hamiltonian, ledger)
+        grads = pool_gradients(state, pool, hamiltonian)
+        ledger.charge_pool_sweep(default_pool_sweep_units(state.n_qubits))
         pool_sweeps += 1
         try:
             index, pool_norm = select_operator(grads)

@@ -36,16 +36,10 @@ from .hamiltonians import (
     builtin_model,
     load_hamiltonian,
 )
-from .optimizer import (
-    DEFAULT_GRAD_TOL,
-    DEFAULT_LINE_SEARCH_CAP,
-    OptimizerResult,
-    checked_cap,
-    checked_threshold,
-)
-from .paulis import finite_float, is_a
+from .optimizer import DEFAULT_GRAD_TOL, DEFAULT_LINE_SEARCH_CAP, OptimizerResult
+from .paulis import checked_cap, checked_threshold, finite_float, is_a
 from .pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, build_qubit_pool
-from .simulator import MAX_QUBITS
+from .simulator import check_qubit_cap
 
 __all__ = [
     "ExperimentConfig",
@@ -413,9 +407,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             f"written without diagnostics and both modes (modes {list(config.modes)}, "
             f"diagnostics {'on' if config.diagnostics else 'off'})")
     hfile = resolve_hamiltonian(config)
-    if hfile.n_qubits > MAX_QUBITS:
-        raise ExperimentError(f"{hfile.n_qubits} qubits exceeds the dense-statevector "
-                              f"cap of {MAX_QUBITS}")
+    try:
+        check_qubit_cap(hfile.n_qubits)
+    except ValueError as exc:
+        raise ExperimentError(str(exc)) from exc
     pool = resolve_pool(config, hfile)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,8 @@
 The optimizer needs four calls: the function alone; the function and
 gradient together; a subset of gradient components; and ``evaluate``, the
 function now and the full gradient on demand, which each line-search trial
-uses.  Every call is charged to the adapter's ledger when it is made, at
-hardware rates (1 unit per energy, 2 per distinct gradient component, so a
-repeated index is measured once), independent of how or whether the values
-are actually computed: ``evaluate`` is charged for its gradient even when
-the gradient is never read.
+uses.  The adapters only compute: each carries the ``ledger`` that the
+optimizer charges for the queries it makes (see :mod:`adaptvqe.cost`).
 """
 
 from __future__ import annotations
@@ -58,25 +55,19 @@ class AnsatzObjective:
         return self.ansatz.n_parameters
 
     def value(self, x: np.ndarray) -> float:
-        self.ledger.charge_energy(1)
         return expectation(prepare(self.ansatz.with_parameters(x)), self.hamiltonian)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return energy_and_gradient(
-            self.ansatz.with_parameters(x), self.hamiltonian, self.ledger
-        )
+        return energy_and_gradient(self.ansatz.with_parameters(x), self.hamiltonian)
 
     def grad_components(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
         return gradient_components(
-            self.ansatz.with_parameters(x), self.hamiltonian, list(indices), self.ledger
-        )
+            self.ansatz.with_parameters(x), self.hamiltonian, list(indices))
 
     def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
         """The energy now, the gradient when the returned callable is first
         called (see :func:`energy_then_gradient`)."""
-        return energy_then_gradient(
-            self.ansatz.with_parameters(x), self.hamiltonian, self.ledger
-        )
+        return energy_then_gradient(self.ansatz.with_parameters(x), self.hamiltonian)
 
 
 class FunctionObjective:
@@ -91,18 +82,14 @@ class FunctionObjective:
         self.ledger = ledger if ledger is not None else CostLedger()
 
     def value(self, x: np.ndarray) -> float:
-        self.ledger.charge_energy(1)
         return float(self._f(np.asarray(x, dtype=float)))
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        self.ledger.charge_energy(1)
-        self.ledger.charge_gradient(x.size)
         return float(self._f(x)), np.asarray(self._grad(x), dtype=float)
 
     def grad_components(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        self.ledger.charge_gradient(len(set(indices)))
         return np.asarray(self._grad(x), dtype=float)[list(indices)]
 
     def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:

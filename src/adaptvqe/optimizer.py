@@ -14,14 +14,17 @@ and in whether the converging step updates the inverse Hessian:
   returned ``H*`` is current.  Its outputs feed the next call directly.
 
 Each run stops when the gradient norm falls below ``grad_tol`` or after
-``max_iterations`` line searches; :func:`checked_threshold` and
-:func:`checked_cap` are the package's one rule for each kind of run limit.
+``max_iterations`` line searches; :func:`~adaptvqe.paulis.checked_threshold`
+and :func:`~adaptvqe.paulis.checked_cap` are the package's one rule for each
+kind of run limit.  Each run charges its start to ``objective.ledger``:
+1 + 2n for the canonical start, 3 for the recycled one (one energy and the
+new partial derivative).
 
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
 and weak curvature conditions hold, with ``c1 = 1e-4`` and ``c2 = 0.9``, in
-at most 25 trials.  Each trial is charged one combined function/gradient
-evaluation (``Objective.evaluate``), but the gradient is computed on
+at most 25 trials.  Each trial is one ``Objective.evaluate``, charged
+1 + 2n (one energy and a full gradient), but the gradient is computed on
 demand: the search reads it only where it needs the slope ``g.p``, that is
 at a trial that passes the sufficient-decrease test, and at the best point
 when the search fails.  A non-finite value raises at every trial; a
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import Objective
-from .paulis import finite_float, is_a
+from .paulis import checked_cap, checked_threshold
 
 __all__ = [
     "CURVATURE_SKIP_TOL",
@@ -49,8 +52,6 @@ __all__ = [
     "bfgs_update",
     "curvature_condition_holds",
     "expand_inverse_hessian",
-    "checked_threshold",
-    "checked_cap",
     "minimize_canonical",
     "minimize_recycled",
 ]
@@ -148,6 +149,8 @@ def wolfe_line_search(
         x_a = x + alpha * p
         f_a, latest = objective.evaluate(x_a)
         evals += 1
+        objective.ledger.charge_energy()
+        objective.ledger.charge_gradient(x.size)
         if not np.isfinite(f_a):
             raise ValueError(f"non-finite objective at step {alpha:.6g}")
         if f_a < best[1]:
@@ -268,9 +271,8 @@ def minimize_canonical(
     checked_threshold("grad_tol", grad_tol)
     checked_cap("max_iterations", max_iterations)
     x = np.array(x0, dtype=float)
-    fevals_before = objective.ledger.function_evaluations
     f, g = objective.value_and_grad(x)
-    initial_fevals = objective.ledger.function_evaluations - fevals_before
+    initial_fevals = objective.ledger.charge_energy() + objective.ledger.charge_gradient(x.size)
     return _minimize(objective, x, f, g, np.eye(x.size), initial_fevals,
                      grad_tol, max_iterations, record_state,
                      update_on_converged=False)
@@ -300,34 +302,14 @@ def minimize_recycled(
         )
 
     x = np.concatenate([x_prev, np.zeros(1)])
-    fevals_before = objective.ledger.function_evaluations
     f = objective.value(x)
+    initial_fevals = objective.ledger.charge_energy()
     g_new = objective.grad_components(x, [old])
-    initial_fevals = objective.ledger.function_evaluations - fevals_before
+    initial_fevals += objective.ledger.charge_gradient(1)
     g = np.concatenate([grad_prev, g_new])
     return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, 1),
                      initial_fevals, grad_tol, max_iterations, record_state,
                      update_on_converged=True)
-
-
-def checked_threshold(name: str, value):
-    """``value`` when it is a finite number above 0 (not a bool); else
-    ``ValueError`` naming ``name``.  The one threshold rule."""
-    if not is_a(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if (finite_float(value) or 0.0) <= 0:
-        raise ValueError(f"convergence thresholds must be finite and positive, {name} is not")
-    return value
-
-
-def checked_cap(name: str, value, low: int = 0) -> int:
-    """``value`` as an int when it is an int or numpy integer (not a bool) of
-    at least ``low``; else ``ValueError`` naming ``name``.  The one cap rule."""
-    if not is_a(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    return int(value)
 
 
 def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,

@@ -22,6 +22,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .compiled import CompiledSum
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "jordan_wigner_ladder",
     "is_a",
     "finite_float",
+    "checked_threshold",
+    "checked_cap",
 ]
 
 DEFAULT_PRUNE_TOL = 1e-12
@@ -57,6 +61,26 @@ def finite_float(value) -> float | None:
     except OverflowError:
         return None
     return number if cmath.isfinite(number) else None
+
+
+def checked_threshold(name: str, value):
+    """``value`` when it is a finite number above 0 (not a bool); else
+    ``ValueError`` naming ``name``.  The one threshold rule."""
+    if not is_a(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if (finite_float(value) or 0.0) <= 0:
+        raise ValueError(f"convergence thresholds must be finite and positive, {name} is not")
+    return value
+
+
+def checked_cap(name: str, value, low: int = 0) -> int:
+    """``value`` as an int when it is an int or numpy integer (not a bool) of
+    at least ``low``; else ``ValueError`` naming ``name``.  The one cap rule."""
+    if not is_a(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

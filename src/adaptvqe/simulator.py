@@ -37,10 +37,6 @@ half; :func:`energy_and_gradient` calls it at once, and
 parameter vector as a 1-D state, or a stack of them at once, one state per
 row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for their 2n
 shifted points); each row is bit for bit the result of its own call.
-Ledger charges nevertheless follow the hardware model (1 unit per energy,
-2 per gradient component), not the simulator cost, and are made when a
-function is called: :func:`energy_then_gradient` is charged for its
-gradient whether or not it is read.
 """
 
 from __future__ import annotations
@@ -53,11 +49,11 @@ from typing import Callable
 import numpy as np
 
 from .compiled import CompiledSum
-from .cost import CostLedger
 from .paulis import PauliSum
 
 __all__ = [
     "MAX_QUBITS",
+    "check_qubit_cap",
     "StateVector",
     "AnsatzState",
     "basis_state",
@@ -77,7 +73,8 @@ _IMAG_TOL = 1e-10
 _STACK_CAP = 1 << 13
 
 
-def _check_qubit_cap(n_qubits: int) -> None:
+def check_qubit_cap(n_qubits: int) -> None:
+    """``ValueError`` when ``n_qubits`` is above :data:`MAX_QUBITS`."""
     if n_qubits > MAX_QUBITS:
         raise ValueError(
             f"{n_qubits} qubits exceeds the dense-statevector cap of {MAX_QUBITS}"
@@ -92,7 +89,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_cap(self.n_qubits)
+        check_qubit_cap(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
@@ -110,7 +107,7 @@ def basis_state(bitstring: str) -> StateVector:
     ``"1100"`` is index 3 on four qubits.
     """
     n_qubits = len(bitstring)
-    _check_qubit_cap(n_qubits)
+    check_qubit_cap(n_qubits)
     index = 0
     for i, ch in enumerate(bitstring):
         if ch == "1":
@@ -186,7 +183,7 @@ class AnsatzState:
 
 def prepare(ansatz: AnsatzState) -> StateVector:
     """Apply the ansatz exponentials in growth order to the reference state."""
-    _check_qubit_cap(ansatz.n_qubits)
+    check_qubit_cap(ansatz.n_qubits)
     amps = basis_state(ansatz.reference).amplitudes
     for generator, theta in ansatz.elements:
         amps = generator.compiled().exponential(amps, theta)
@@ -209,10 +206,8 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
 def energy_then_gradient(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
-    ledger: CostLedger | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
-    """The energy now and the full analytic gradient on demand; charges
-    1 + 2n cost units when called.
+    """The energy now and the full analytic gradient on demand.
 
     Only the forward half of the sweep runs here.  The returned
     ``gradient()`` runs the reverse half over the stored forward states on
@@ -222,9 +217,6 @@ def energy_then_gradient(
     """
     n = ansatz.n_parameters
     sweep = _Sweep(ansatz, hamiltonian, ansatz.parameters[np.newaxis])
-    if ledger is not None:
-        ledger.charge_energy(1)
-        ledger.charge_gradient(n)
     grad = None
 
     def gradient() -> np.ndarray:
@@ -240,11 +232,9 @@ def energy_then_gradient(
 def energy_and_gradient(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
-    ledger: CostLedger | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Energy and the full analytic parameter gradient; charges 1 + 2n cost
-    units."""
-    energy, gradient = energy_then_gradient(ansatz, hamiltonian, ledger)
+    """Energy and the full analytic parameter gradient."""
+    energy, gradient = energy_then_gradient(ansatz, hamiltonian)
     return energy, gradient()
 
 
@@ -252,16 +242,15 @@ def gradient_components(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
     indices: list[int],
-    ledger: CostLedger | None = None,
     points: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partial derivatives for a subset of parameters; charges 2 per component.
+    """Partial derivatives for a subset of parameters.
 
     With ``points``, an ``(m, n)`` array of parameter vectors for the
     ansatz's generators, the result is an ``(m, len(indices))`` array whose
-    row ``r`` is bit for bit the result at ``ansatz.with_parameters(points[r])``,
-    and the ledger is charged as for those ``m`` calls.  The rows are swept
-    together in stacks of at most ``_STACK_CAP`` amplitudes.
+    row ``r`` is bit for bit the result at ``ansatz.with_parameters(points[r])``.
+    The rows are swept together in stacks of at most ``_STACK_CAP``
+    amplitudes.
     """
     n = ansatz.n_parameters
     wanted = sorted(set(indices))
@@ -282,8 +271,6 @@ def gradient_components(
     for start in range(0, len(points), rows):
         grads = _Sweep(ansatz, hamiltonian, points[start:start + rows]).gradient(wanted)
         out[start:start + rows] = grads[:, columns]
-    if ledger is not None:
-        ledger.charge_gradient(len(points) * len(wanted))
     return out if stacked else out[0]
 
 

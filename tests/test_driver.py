@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import adaptvqe.driver as driver_module
-from adaptvqe.cost import CostLedger
 from adaptvqe.driver import pool_gradients, run_adapt, select_operator
 from adaptvqe.experiment import ExperimentConfig
 from adaptvqe.hamiltonians import builtin_model
@@ -102,11 +101,15 @@ class TestPoolGradients:
         assert grads[1] == pytest.approx(expected[1], abs=1e-12)
 
     def test_ledger_charged_flat_rate(self, h2_fixture):
+        # run_adapt charges each sweep 8N; the sweep itself charges nothing
         pool = build_qe_pool(4, 2)
         state = prepare(AnsatzState(h2_fixture.reference_bitstring))
-        ledger = CostLedger()
-        pool_gradients(state, pool, h2_fixture.operator, ledger)
-        assert ledger.pool_gradient_units == 8 * 4
+        assert pool_gradients(state, pool, h2_fixture.operator).shape == (len(pool),)
+        result = run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
+                           max_iterations=1)
+        assert result.pool_sweeps == 1
+        assert result.ledger.pool_gradient_units == 8 * 4
+        assert result.ledger.breakdown[0]["pool_gradient_units"] == 8 * 4
 
 
 class TestSelectOperator:

@@ -6,8 +6,7 @@ from adaptvqe.pools import build_qe_pool
 from adaptvqe.simulator import AnsatzState, energy_and_gradient
 
 
-def test_repeated_indices_charged_alike(h4_equilibrium_fixture):
-    # a repeated index is one measured component: 2 units per distinct index
+def test_repeated_indices_read_alike(h4_equilibrium_fixture):
     hfile = h4_equilibrium_fixture
     pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
     ansatz = AnsatzState(hfile.reference_bitstring, tuple(
@@ -22,8 +21,25 @@ def test_repeated_indices_charged_alike(h4_equilibrium_fixture):
            for objective in (ansatz_objective, function_objective)]
     assert np.array_equal(got[0], got[1])
     assert got[0][0] == got[0][1]
-    assert ansatz_objective.ledger.function_evaluations == 2 * 2
-    assert function_objective.ledger.function_evaluations == 2 * 2
+
+
+def test_adapters_leave_their_ledger_at_zero(h2_fixture):
+    # the adapters and the engine beneath them only compute; the optimizer
+    # charges the ledger an adapter carries
+    pool = build_qe_pool(4, 2)
+    ansatz = AnsatzState(h2_fixture.reference_bitstring,
+                         ((pool.operators[2], 0.0), (pool.operators[3], 0.0)))
+    x = np.array([0.1, -0.2])
+    for objective in (AnsatzObjective(h2_fixture.operator, ansatz),
+                      FunctionObjective(lambda v: float(v @ v), lambda v: 2.0 * v)):
+        objective.value(x)
+        objective.value_and_grad(x)
+        objective.grad_components(x, [1, 1, 0])
+        _, gradient = objective.evaluate(x)
+        gradient()
+        assert objective.ledger.snapshot() == {"function_evaluations": 0,
+                                               "pool_gradient_units": 0}
+        assert objective.ledger.breakdown == []
 
 
 def test_line_search_over_deferred_gradients_matches_eager(h4_equilibrium_fixture):

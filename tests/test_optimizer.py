@@ -56,8 +56,6 @@ class DeferredObjective(FunctionObjective):
 
     def evaluate(self, x):
         x = np.array(x, dtype=float)
-        self.ledger.charge_energy(1)
-        self.ledger.charge_gradient(x.size)
 
         @functools.cache
         def gradient():
@@ -135,6 +133,8 @@ class TestWolfeLineSearch:
         assert (got.x.tobytes(), got.f, got.grad.tobytes(), got.alpha, got.evals) == (
             expected.x.tobytes(), expected.f, expected.grad.tobytes(), expected.alpha,
             expected.evals)
+        # every trial is charged one energy and a full gradient, read or not
+        assert deferred.ledger.function_evaluations == got.evals * (1 + 2 * 2)
         assert deferred.ledger.function_evaluations == eager.ledger.function_evaluations
 
     def test_non_finite_gradient_raises_where_it_is_read(self):
@@ -310,6 +310,18 @@ def test_iteration_cap_is_a_non_negative_int(max_iterations):
         minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1),
                           max_iterations=max_iterations)
     assert obj.ledger.function_evaluations == 0
+
+
+def test_starts_charged_at_hardware_rates():
+    # the canonical start is one energy and a full gradient, 1 + 2n; the
+    # recycled start one energy and the new component, 3
+    obj = quadratic_objective(np.diag([1.0, 2.0, 3.0]))
+    canonical = minimize_canonical(obj, np.ones(3), max_iterations=0)
+    assert canonical.initial_fevals == obj.ledger.function_evaluations == 1 + 2 * 3
+    obj = quadratic_objective(np.diag([1.0, 2.0, 3.0]))
+    recycled = minimize_recycled(obj, np.ones(2), np.ones(2), np.eye(2), max_iterations=0)
+    assert recycled.initial_fevals == obj.ledger.function_evaluations == 3
+    assert canonical.line_searches == recycled.line_searches == 0
 
 
 class TestMinimizeRecycled:

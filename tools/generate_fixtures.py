@@ -33,7 +33,7 @@ from adaptvqe.hamiltonians import (
     ground_state_energy,
     save_hamiltonian,
 )
-from adaptvqe.paulis import PauliSum, jordan_wigner_ladder
+from adaptvqe.paulis import DEFAULT_PRUNE_TOL, PauliSum, jordan_wigner_ladder
 from adaptvqe.simulator import AnsatzState, expectation, prepare
 
 ANGSTROM_TO_BOHR = 1.8897259886
@@ -157,13 +157,31 @@ def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
     def ladder(orbital, spin, creation):
         return jordan_wigner_ladder(2 * orbital + spin, creation, n_qubits)
 
-    total = PauliSum.identity(n_qubits, e_nuc)
+    # One dict instead of one PauliSum per added term, which re-sorted the
+    # whole sum each time.  The pruning stays as PauliSum did it, on the
+    # scaled term and then on each touched key after every addition, since
+    # a key that falls to the tolerance and is later added to again would
+    # otherwise end on a different coefficient, and the fixtures must stay
+    # byte for byte the same.
+    coeffs = dict(PauliSum.identity(n_qubits, e_nuc).items())
+
+    def add(term: PauliSum, scale) -> None:
+        for string, c in term.items():
+            c = c * scale
+            if abs(c) <= DEFAULT_PRUNE_TOL:
+                continue
+            c = coeffs.get(string, 0j) + c
+            if abs(c) > DEFAULT_PRUNE_TOL:
+                coeffs[string] = c
+            else:
+                coeffs.pop(string, None)
+
     for p in range(n_spatial):
         for q in range(n_spatial):
             if abs(h_mo[p, q]) < 1e-13:
                 continue
             for spin in (0, 1):
-                total = total + (ladder(p, spin, True) @ ladder(q, spin, False)) * h_mo[p, q]
+                add(ladder(p, spin, True) @ ladder(q, spin, False), h_mo[p, q])
     for p, q, r, s in itertools.product(range(n_spatial), repeat=4):
         coeff = 0.5 * eri_mo[p, q, r, s]
         if abs(coeff) < 1e-13:
@@ -176,8 +194,8 @@ def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
                     @ ladder(s, tau, False)
                     @ ladder(q, sigma, False)
                 )
-                total = total + term * coeff
-    return total
+                add(term, coeff)
+    return PauliSum(n_qubits, coeffs)
 
 
 def build_hydrogen_chain(name: str, spacing_angstrom: float, n_atoms: int) -> HamiltonianFile:
