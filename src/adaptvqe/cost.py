@@ -12,8 +12,10 @@ it, once the query returns, so a query that raises is not charged:
 two minimizers their start, ``optimizer.wolfe_line_search`` each trial
 (one energy and a full gradient, whether or not the gradient is read), and
 ``diagnostics.exact_ansatz_hessian`` its shifted gradients to a shadow
-ledger.  The simulator and the objective adapters charge nothing.  A charge
-is a whole number of queries (:func:`~adaptvqe.paulis.checked_cap`).
+ledger.  The ledger is a parameter of the minimizers and the line search,
+and ``run_adapt`` passes its own.  The simulator and the objective adapters
+only compute and hold no ledger.  A charge is a whole number of queries
+(:func:`~adaptvqe.paulis.checked_cap`).
 """
 
 from __future__ import annotations

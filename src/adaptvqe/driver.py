@@ -9,8 +9,8 @@ parameter vector, gradient and inverse Hessian.  The loop stops when the
 pool-gradient norm is at most ``eps`` (``DEFAULT_EPS``) or after
 ``max_iterations`` operators (``DEFAULT_GROWTH_CAP``); :func:`checked_mode`
 is the one check of :data:`MODES`.  :func:`run_adapt` charges the initial
-energy and each pool sweep to the run's ledger; the minimizers charge the
-rest (see :mod:`adaptvqe.cost`).
+energy and each pool sweep to the run's ledger and passes that ledger to
+the minimizer, which charges the rest (see :mod:`adaptvqe.cost`).
 """
 
 from __future__ import annotations
@@ -212,16 +212,16 @@ def run_adapt(
             break
 
         ansatz = ansatz.grown(pool.operators[index], 0.0)
-        objective = AnsatzObjective(hamiltonian, ansatz, ledger)
+        objective = AnsatzObjective(hamiltonian, ansatz)
         x_start = np.concatenate([x_star, [0.0]])
         settings = dict(grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
-                        record_state=record_optimizer_state)
+                        record_state=record_optimizer_state, ledger=ledger)
         try:
             if mode == "canonical":
                 h_start = np.eye(n)
                 opt = minimize_canonical(objective, x_start, **settings)
             else:
-                h_start = expand_inverse_hessian(h_star, 1)
+                h_start = expand_inverse_hessian(h_star)
                 opt = minimize_recycled(objective, x_star, grad_star, h_star, **settings)
         except Exception as exc:
             raise RuntimeError(f"ADAPT iteration {n} ({mode} mode) failed: {exc}") from exc

@@ -3,8 +3,8 @@
 The optimizer needs four calls: the function alone; the function and
 gradient together; a subset of gradient components; and ``evaluate``, the
 function now and the full gradient on demand, which each line-search trial
-uses.  The adapters only compute: each carries the ``ledger`` that the
-optimizer charges for the queries it makes (see :mod:`adaptvqe.cost`).
+uses.  The adapters only compute; the minimizers charge the queries they
+make (see :mod:`adaptvqe.cost`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .cost import CostLedger
 from .paulis import PauliSum
 from .simulator import (
     AnsatzState,
@@ -30,8 +29,6 @@ __all__ = ["Objective", "AnsatzObjective", "FunctionObjective"]
 class Objective(Protocol):
     """What the optimizer requires of a cost function."""
 
-    ledger: CostLedger
-
     def value(self, x: np.ndarray) -> float: ...
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
@@ -44,15 +41,9 @@ class Objective(Protocol):
 class AnsatzObjective:
     """Energy of a fixed-structure ansatz as a function of its parameters."""
 
-    def __init__(self, hamiltonian: PauliSum, ansatz: AnsatzState,
-                 ledger: CostLedger | None = None):
+    def __init__(self, hamiltonian: PauliSum, ansatz: AnsatzState):
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
-        self.ledger = ledger if ledger is not None else CostLedger()
-
-    @property
-    def n_parameters(self) -> int:
-        return self.ansatz.n_parameters
 
     def value(self, x: np.ndarray) -> float:
         return expectation(prepare(self.ansatz.with_parameters(x)), self.hamiltonian)
@@ -75,11 +66,9 @@ class FunctionObjective:
     acceptance suite)."""
 
     def __init__(self, f: Callable[[np.ndarray], float],
-                 grad: Callable[[np.ndarray], np.ndarray],
-                 ledger: CostLedger | None = None):
+                 grad: Callable[[np.ndarray], np.ndarray]):
         self._f = f
         self._grad = grad
-        self.ledger = ledger if ledger is not None else CostLedger()
 
     def value(self, x: np.ndarray) -> float:
         return float(self._f(np.asarray(x, dtype=float)))

@@ -16,9 +16,10 @@ and in whether the converging step updates the inverse Hessian:
 Each run stops when the gradient norm falls below ``grad_tol`` or after
 ``max_iterations`` line searches; :func:`~adaptvqe.paulis.checked_threshold`
 and :func:`~adaptvqe.paulis.checked_cap` are the package's one rule for each
-kind of run limit.  Each run charges its start to ``objective.ledger``:
-1 + 2n for the canonical start, 3 for the recycled one (one energy and the
-new partial derivative).
+kind of run limit.  Each run charges the ``ledger`` it is given (a fresh
+:class:`~adaptvqe.cost.CostLedger` by default): 1 + 2n for the canonical
+start, 3 for the recycled one (one energy and the new partial derivative),
+and each line-search trial.
 
 The line search brackets from an initial trial step of 1 (doubling), then
 zooms with safeguarded quadratic interpolation until the sufficient-decrease
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cost import CostLedger
 from .objectives import Objective
 from .paulis import checked_cap, checked_threshold
 
@@ -126,6 +128,7 @@ def wolfe_line_search(
     f_x: float,
     grad_x: np.ndarray,
     direction: np.ndarray,
+    ledger: CostLedger,
 ) -> LineSearchResult:
     """Find a step satisfying the sufficient-decrease and curvature
     conditions, as the module doc describes; when the trial budget runs out,
@@ -149,8 +152,8 @@ def wolfe_line_search(
         x_a = x + alpha * p
         f_a, latest = objective.evaluate(x_a)
         evals += 1
-        objective.ledger.charge_energy()
-        objective.ledger.charge_gradient(x.size)
+        ledger.charge_energy()
+        ledger.charge_gradient(x.size)
         if not np.isfinite(f_a):
             raise ValueError(f"non-finite objective at step {alpha:.6g}")
         if f_a < best[1]:
@@ -249,12 +252,11 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def expand_inverse_hessian(h: np.ndarray, new_parameter_count: int) -> np.ndarray:
-    """Block-diagonal expansion [[H, 0], [0, I]] for appended parameters."""
-    if new_parameter_count < 0:
-        raise ValueError("new parameter count must be non-negative")
+def expand_inverse_hessian(h: np.ndarray) -> np.ndarray:
+    """Block-diagonal expansion [[H, 0], [0, 1]]: ``h`` grown by one row and
+    column for the one parameter a growth iteration appends."""
     old = h.shape[0]
-    out = np.eye(old + new_parameter_count)
+    out = np.eye(old + 1)
     out[:old, :old] = h
     return out
 
@@ -265,15 +267,17 @@ def minimize_canonical(
     grad_tol: float = DEFAULT_GRAD_TOL,
     max_iterations: int = DEFAULT_LINE_SEARCH_CAP,
     record_state: bool = False,
+    ledger: CostLedger | None = None,
 ) -> OptimizerResult:
     """BFGS from ``H_0 = I`` (see the module doc); a start already below
     ``grad_tol`` returns at once with zero line searches."""
     checked_threshold("grad_tol", grad_tol)
     checked_cap("max_iterations", max_iterations)
+    ledger = ledger if ledger is not None else CostLedger()
     x = np.array(x0, dtype=float)
     f, g = objective.value_and_grad(x)
-    initial_fevals = objective.ledger.charge_energy() + objective.ledger.charge_gradient(x.size)
-    return _minimize(objective, x, f, g, np.eye(x.size), initial_fevals,
+    initial_fevals = ledger.charge_energy() + ledger.charge_gradient(x.size)
+    return _minimize(objective, ledger, x, f, g, np.eye(x.size), initial_fevals,
                      grad_tol, max_iterations, record_state,
                      update_on_converged=False)
 
@@ -286,12 +290,14 @@ def minimize_recycled(
     grad_tol: float = DEFAULT_GRAD_TOL,
     max_iterations: int = DEFAULT_LINE_SEARCH_CAP,
     record_state: bool = False,
+    ledger: CostLedger | None = None,
 ) -> OptimizerResult:
     """BFGS warm-started from a previous optimization one dimension down,
     whose final point, gradient and inverse Hessian are ``x_prev``,
     ``grad_prev`` and ``h_prev`` (see the module doc)."""
     checked_threshold("grad_tol", grad_tol)
     checked_cap("max_iterations", max_iterations)
+    ledger = ledger if ledger is not None else CostLedger()
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
     old = x_prev.size
@@ -303,17 +309,17 @@ def minimize_recycled(
 
     x = np.concatenate([x_prev, np.zeros(1)])
     f = objective.value(x)
-    initial_fevals = objective.ledger.charge_energy()
+    initial_fevals = ledger.charge_energy()
     g_new = objective.grad_components(x, [old])
-    initial_fevals += objective.ledger.charge_gradient(1)
+    initial_fevals += ledger.charge_gradient(1)
     g = np.concatenate([grad_prev, g_new])
-    return _minimize(objective, x, f, g, expand_inverse_hessian(h_prev, 1),
+    return _minimize(objective, ledger, x, f, g, expand_inverse_hessian(h_prev),
                      initial_fevals, grad_tol, max_iterations, record_state,
                      update_on_converged=True)
 
 
-def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,
-              record_state, update_on_converged) -> OptimizerResult:
+def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
+              max_iterations, record_state, update_on_converged) -> OptimizerResult:
     """The BFGS iteration shared by both entry points, from a prepared start.
 
     A failed line search ends the run at the best point it saw, with the
@@ -346,21 +352,19 @@ def _minimize(objective, x, f, g, h, initial_fevals, grad_tol, max_iterations,
         if snapshots is not None:
             snapshots.append(OptimizerSnapshot(k, x.copy(), f, g.copy(), p.copy(), h.copy()))
         try:
-            ls = wolfe_line_search(objective, x, f, g, p)
+            ls = wolfe_line_search(objective, x, f, g, p, ledger)
         except ValueError as exc:
             raise ValueError(f"optimizer iteration {k}: {exc}") from exc
         grad_norm = float(np.linalg.norm(ls.grad))
         converged = ls.success and grad_norm < grad_tol
         update_skipped = not ls.success
         if ls.success and (update_on_converged or not converged):
-            s = ls.x - x
-            y = ls.grad - g
-            update_skipped = not curvature_condition_holds(s, y)
-            if not update_skipped:
-                h = bfgs_update(h, s, y)
+            h_next = bfgs_update(h, ls.x - x, ls.grad - g)
+            update_skipped = h_next is h
+            h = h_next
         trace.append(IterationRecord(
             k=k, f=ls.f, grad_norm=grad_norm, alpha=ls.alpha, evals=ls.evals,
-            fevals_cumulative=objective.ledger.function_evaluations,
+            fevals_cumulative=ledger.function_evaluations,
             update_skipped=update_skipped, f_start=f,
             dir_deriv_start=float(g @ p), dir_deriv_end=float(ls.grad @ p)))
         x, f, g = ls.x, ls.f, ls.grad

@@ -1,7 +1,8 @@
 import numpy as np
 
+from adaptvqe.cost import CostLedger
 from adaptvqe.objectives import AnsatzObjective, FunctionObjective
-from adaptvqe.optimizer import wolfe_line_search
+from adaptvqe.optimizer import minimize_canonical, minimize_recycled, wolfe_line_search
 from adaptvqe.pools import build_qe_pool
 from adaptvqe.simulator import AnsatzState, energy_and_gradient
 
@@ -23,25 +24,6 @@ def test_repeated_indices_read_alike(h4_equilibrium_fixture):
     assert got[0][0] == got[0][1]
 
 
-def test_adapters_leave_their_ledger_at_zero(h2_fixture):
-    # the adapters and the engine beneath them only compute; the optimizer
-    # charges the ledger an adapter carries
-    pool = build_qe_pool(4, 2)
-    ansatz = AnsatzState(h2_fixture.reference_bitstring,
-                         ((pool.operators[2], 0.0), (pool.operators[3], 0.0)))
-    x = np.array([0.1, -0.2])
-    for objective in (AnsatzObjective(h2_fixture.operator, ansatz),
-                      FunctionObjective(lambda v: float(v @ v), lambda v: 2.0 * v)):
-        objective.value(x)
-        objective.value_and_grad(x)
-        objective.grad_components(x, [1, 1, 0])
-        _, gradient = objective.evaluate(x)
-        gradient()
-        assert objective.ledger.snapshot() == {"function_evaluations": 0,
-                                               "pool_gradient_units": 0}
-        assert objective.ledger.breakdown == []
-
-
 def test_line_search_over_deferred_gradients_matches_eager(h4_equilibrium_fixture):
     # a long step, so the search zooms through trials whose gradient the
     # ansatz objective never computes
@@ -55,11 +37,55 @@ def test_line_search_over_deferred_gradients_matches_eager(h4_equilibrium_fixtur
         lambda x: energy_and_gradient(ansatz.with_parameters(x), hfile.operator)[0],
         lambda x: energy_and_gradient(ansatz.with_parameters(x), hfile.operator)[1])
     f, g = energy_and_gradient(ansatz.with_parameters(x), hfile.operator)
-    got, expected = (wolfe_line_search(objective, x, f, g, -10.0 * g)
-                     for objective in (ansatz_objective, eager_objective))
+    ledgers = (CostLedger(), CostLedger())
+    got, expected = (wolfe_line_search(objective, x, f, g, -10.0 * g, ledger)
+                     for objective, ledger in zip((ansatz_objective, eager_objective),
+                                                  ledgers))
     assert got.success and got.evals == 3
     assert (got.x.tobytes(), float(got.f).hex(), got.grad.tobytes(), got.alpha,
             got.evals) == (expected.x.tobytes(), float(expected.f).hex(),
                            expected.grad.tobytes(), expected.alpha, expected.evals)
-    assert (ansatz_objective.ledger.snapshot() == eager_objective.ledger.snapshot()
+    assert (ledgers[0].snapshot() == ledgers[1].snapshot()
             == {"function_evaluations": 3 * (1 + 2 * 4), "pool_gradient_units": 0})
+
+
+class PlainQuadratic:
+    """f = x.x with the four compute methods of the protocol and nothing
+    else: no ledger."""
+
+    def value(self, x):
+        return float(x @ x)
+
+    def value_and_grad(self, x):
+        return float(x @ x), 2.0 * x
+
+    def grad_components(self, x, indices):
+        return (2.0 * x)[list(indices)]
+
+    def evaluate(self, x):
+        f, g = self.value_and_grad(x)
+        return f, lambda: g
+
+
+def test_an_objective_needs_no_ledger():
+    # each search from (1, 1) or (1, 0) along -g: alpha = 1 overshoots to
+    # the mirror point, and the zoom lands on the minimum at alpha = 1/2;
+    # the minimizers charge the ledger they are given, or a fresh one
+    objective = PlainQuadratic()
+    assert not hasattr(objective, "ledger")
+    x = np.ones(2)
+    ledger = CostLedger()
+    search = wolfe_line_search(objective, x, 2.0, 2.0 * x, -2.0 * x, ledger)
+    assert search.success and search.evals == 2 and search.alpha == 0.5
+    assert ledger.function_evaluations == 2 * (1 + 2 * 2)
+    for minimize, args, expected in (
+            (minimize_canonical, (x,), (1 + 2 * 2) + 2 * (1 + 2 * 2)),
+            (minimize_recycled, (np.ones(1), np.array([2.0]), np.eye(1)),
+             3 + 2 * (1 + 2 * 2))):
+        ledger = CostLedger()
+        given = minimize(objective, *args, ledger=ledger)
+        fresh = minimize(objective, *args)
+        assert given.converged and given.line_searches == 1
+        assert ledger.function_evaluations == expected
+        assert (given.trace[-1].fevals_cumulative == fresh.trace[-1].fevals_cumulative
+                == expected)

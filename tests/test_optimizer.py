@@ -1,9 +1,11 @@
 import functools
+import logging
 import re
 
 import numpy as np
 import pytest
 
+from adaptvqe.cost import CostLedger
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import (
     bfgs_update,
@@ -76,7 +78,7 @@ class TestWolfeLineSearch:
     def test_unit_step_accepted_on_well_scaled_parabola(self):
         obj = quadratic_objective([[2.0]])  # f = theta^2
         result = wolfe_line_search(obj, np.array([1.0]), 1.0, np.array([2.0]),
-                                   np.array([-1.0]))
+                                   np.array([-1.0]), CostLedger())
         assert result.success and result.alpha == 1.0 and result.evals == 1
         assert result.x[0] == pytest.approx(0.0)
         assert result.f == pytest.approx(0.0)
@@ -86,12 +88,13 @@ class TestWolfeLineSearch:
         obj = FunctionObjective(lambda x: f, lambda x: np.array([g]))
         with pytest.raises(ValueError, match="non-finite"):
             wolfe_line_search(obj, np.array([1.0]), 1.0, np.array([2.0]),
-                              np.array([-1.0]))
+                              np.array([-1.0]), CostLedger())
 
     def test_stationary_point_is_a_precondition_violation(self):
         obj = quadratic_objective([[2.0]])
         with pytest.raises(ValueError, match="descent direction"):
-            wolfe_line_search(obj, np.zeros(1), 0.0, np.zeros(1), np.array([-1.0]))
+            wolfe_line_search(obj, np.zeros(1), 0.0, np.zeros(1), np.array([-1.0]),
+                              CostLedger())
 
     def test_steepest_descent_step_matches_scan_oracle(self):
         # f = x^T diag(1,4) x / 2 from (1,1) along -grad: alpha=1 fails the
@@ -102,7 +105,7 @@ class TestWolfeLineSearch:
         x = np.array([1.0, 1.0])
         grad = diag @ x
         p = -grad
-        result = wolfe_line_search(obj, x, 2.5, grad, p)
+        result = wolfe_line_search(obj, x, 2.5, grad, p, CostLedger())
         assert result.success
         assert 0.0 < result.alpha <= 1.0
 
@@ -126,16 +129,17 @@ class TestWolfeLineSearch:
         grad = diag @ x
         deferred = DeferredObjective(lambda v: 0.5 * v @ diag @ v, lambda v: diag @ v)
         eager = quadratic_objective(diag)
-        got = wolfe_line_search(deferred, x, 2.5, grad, -grad)
-        expected = wolfe_line_search(eager, x, 2.5, grad, -grad)
+        deferred_ledger, eager_ledger = CostLedger(), CostLedger()
+        got = wolfe_line_search(deferred, x, 2.5, grad, -grad, deferred_ledger)
+        expected = wolfe_line_search(eager, x, 2.5, grad, -grad, eager_ledger)
         assert got.success and got.evals == 2
         assert deferred.gradients_computed == got.evals - 1
         assert (got.x.tobytes(), got.f, got.grad.tobytes(), got.alpha, got.evals) == (
             expected.x.tobytes(), expected.f, expected.grad.tobytes(), expected.alpha,
             expected.evals)
         # every trial is charged one energy and a full gradient, read or not
-        assert deferred.ledger.function_evaluations == got.evals * (1 + 2 * 2)
-        assert deferred.ledger.function_evaluations == eager.ledger.function_evaluations
+        assert deferred_ledger.function_evaluations == got.evals * (1 + 2 * 2)
+        assert deferred_ledger.function_evaluations == eager_ledger.function_evaluations
 
     def test_non_finite_gradient_raises_where_it_is_read(self):
         def parabola(poisoned):
@@ -145,11 +149,11 @@ class TestWolfeLineSearch:
         # its gradient is read
         with pytest.raises(ValueError, match="non-finite gradient"):
             wolfe_line_search(parabola([[0.0]]), np.array([1.0]), 1.0,
-                              np.array([2.0]), np.array([-1.0]))
+                              np.array([2.0]), np.array([-1.0]), CostLedger())
         # from 1 along -3: alpha = 1 fails it, and its gradient is never read
         objective = parabola([[-2.0]])
         result = wolfe_line_search(objective, np.array([1.0]), 1.0, np.array([2.0]),
-                                   np.array([-3.0]))
+                                   np.array([-3.0]), CostLedger())
         assert result.success and np.all(np.isfinite(result.grad))
         assert objective.gradients_computed == result.evals - 1
 
@@ -166,7 +170,7 @@ class TestWolfeLineSearch:
             if np.linalg.norm(g0) < 1e-12:
                 continue
             p = -g0
-            result = wolfe_line_search(obj, x, f0, g0, p)
+            result = wolfe_line_search(obj, x, f0, g0, p, CostLedger())
             assert result.success
             d0 = g0 @ p
             assert result.f <= f0 + C1 * result.alpha * d0 + 1e-14
@@ -174,7 +178,7 @@ class TestWolfeLineSearch:
 
     def test_unbounded_descent_exhausts_trials(self):
         result = wolfe_line_search(unbounded_objective(), np.zeros(1), 0.0, np.ones(1),
-                                   np.array([-1.0]))
+                                   np.array([-1.0]), CostLedger())
         assert not result.success
         assert result.evals == 25
         assert result.f < 0.0  # best point seen is still returned
@@ -282,6 +286,20 @@ class TestMinimizeCanonical:
         assert result.trace[-1].evals == 25
         np.testing.assert_array_equal(result.h_star, np.eye(1))
 
+    def test_skipped_update_is_logged_and_recorded(self, caplog):
+        # f = -x0 along (1, 0): the unit step passes both Wolfe tests, but
+        # y.s = 0.1 is tiny next to |y||s| = 1e10, so the update is skipped
+        def grad(x):
+            return np.array([-1.0, 0.0]) if x[0] == 0.0 else np.array([-0.9, 1e10])
+
+        obj = FunctionObjective(lambda x: -x[0], grad)
+        with caplog.at_level(logging.INFO, logger="adaptvqe.optimizer"):
+            result = minimize_canonical(obj, np.zeros(2), max_iterations=1)
+        assert result.line_searches == 1 and not result.line_search_failed
+        assert result.trace[-1].update_skipped is True
+        np.testing.assert_array_equal(result.h_star, np.eye(2))
+        assert caplog.messages == ["BFGS update skipped: y.s = 1.000e-01"]
+
     def test_iteration_cap(self):
         result = minimize_canonical(cosh_objective(), np.array([3.0]),
                                     grad_tol=1e-14, max_iterations=2)
@@ -292,11 +310,13 @@ class TestMinimizeCanonical:
 @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_grad_tol_finite_and_positive(grad_tol):
     obj = quadratic_objective(np.eye(2))
+    ledger = CostLedger()
     with pytest.raises(ValueError, match="finite and positive, grad_tol is not$"):
-        minimize_canonical(obj, np.ones(2), grad_tol=grad_tol)
+        minimize_canonical(obj, np.ones(2), grad_tol=grad_tol, ledger=ledger)
     with pytest.raises(ValueError, match="finite and positive, grad_tol is not$"):
-        minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1), grad_tol=grad_tol)
-    assert obj.ledger.function_evaluations == 0
+        minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1), grad_tol=grad_tol,
+                          ledger=ledger)
+    assert ledger.function_evaluations == 0
 
 
 @pytest.mark.parametrize("max_iterations", [True, 2.5, 2.0, "3", -1])
@@ -304,30 +324,33 @@ def test_iteration_cap_is_a_non_negative_int(max_iterations):
     obj = quadratic_objective(np.eye(2))
     expected = re.escape("max_iterations must be at least 0, got -1" if max_iterations == -1
                          else f"max_iterations must be an int, got {max_iterations!r}")
+    ledger = CostLedger()
     with pytest.raises(ValueError, match=f"^{expected}$"):
-        minimize_canonical(obj, np.ones(2), max_iterations=max_iterations)
+        minimize_canonical(obj, np.ones(2), max_iterations=max_iterations, ledger=ledger)
     with pytest.raises(ValueError, match=f"^{expected}$"):
         minimize_recycled(obj, np.ones(1), np.ones(1), np.eye(1),
-                          max_iterations=max_iterations)
-    assert obj.ledger.function_evaluations == 0
+                          max_iterations=max_iterations, ledger=ledger)
+    assert ledger.function_evaluations == 0
 
 
 def test_starts_charged_at_hardware_rates():
     # the canonical start is one energy and a full gradient, 1 + 2n; the
     # recycled start one energy and the new component, 3
     obj = quadratic_objective(np.diag([1.0, 2.0, 3.0]))
-    canonical = minimize_canonical(obj, np.ones(3), max_iterations=0)
-    assert canonical.initial_fevals == obj.ledger.function_evaluations == 1 + 2 * 3
-    obj = quadratic_objective(np.diag([1.0, 2.0, 3.0]))
-    recycled = minimize_recycled(obj, np.ones(2), np.ones(2), np.eye(2), max_iterations=0)
-    assert recycled.initial_fevals == obj.ledger.function_evaluations == 3
+    ledger = CostLedger()
+    canonical = minimize_canonical(obj, np.ones(3), max_iterations=0, ledger=ledger)
+    assert canonical.initial_fevals == ledger.function_evaluations == 1 + 2 * 3
+    ledger = CostLedger()
+    recycled = minimize_recycled(obj, np.ones(2), np.ones(2), np.eye(2), max_iterations=0,
+                                 ledger=ledger)
+    assert recycled.initial_fevals == ledger.function_evaluations == 3
     assert canonical.line_searches == recycled.line_searches == 0
 
 
 class TestMinimizeRecycled:
     def test_expansion_block_form(self):
         h = np.array([[2.0, 0.5], [0.5, 1.0]])
-        expanded = expand_inverse_hessian(h, 1)
+        expanded = expand_inverse_hessian(h)
         np.testing.assert_allclose(
             expanded, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -335,7 +358,7 @@ class TestMinimizeRecycled:
         rng = np.random.default_rng(34)
         for _ in range(10):
             h = random_spd(rng, int(rng.integers(1, 5)))
-            expanded = expand_inverse_hessian(h, int(rng.integers(1, 3)))
+            expanded = expand_inverse_hessian(h)
             assert np.min(np.linalg.eigvalsh(expanded)) > 0
 
     def test_separable_quadratic_needs_at_most_two_searches(self):
@@ -368,8 +391,6 @@ class TestMinimizeRecycled:
         inner = quadratic_objective(full, b)
 
         class Spy:
-            ledger = inner.ledger
-
             def value(self, x):
                 return inner.value(x)
 
@@ -383,13 +404,13 @@ class TestMinimizeRecycled:
                 calls.append(tuple(indices))
                 return inner.grad_components(x, indices)
 
-        before = inner.ledger.function_evaluations
+        ledger = CostLedger()
         result = minimize_recycled(Spy(), prev.x_star, prev.grad_star,
-                                   prev.h_star, grad_tol=1e-8)
+                                   prev.h_star, grad_tol=1e-8, ledger=ledger)
         assert calls[0] == (2,)  # only the new component is evaluated up front
         assert result.initial_fevals == 1 + 2  # one energy, one shifted pair
         assert result.converged
-        assert inner.ledger.function_evaluations > before
+        assert ledger.function_evaluations > result.initial_fevals
 
     def test_h_updated_before_convergence_check(self):
         # single converging search: canonical keeps H = I, recycled returns
@@ -410,7 +431,7 @@ class TestMinimizeRecycled:
                                    grad_tol=1e-10, record_state=True)
         x0 = np.array([0.2, -0.1, 0.0])
         g0 = np.concatenate([grad_prev, [(full @ x0 - b)[2]]])
-        expected = -expand_inverse_hessian(h_prev, 1) @ g0
+        expected = -expand_inverse_hessian(h_prev) @ g0
         np.testing.assert_allclose(result.snapshots[0].direction, expected,
                                    atol=1e-14)
 
@@ -426,7 +447,7 @@ class TestMinimizeRecycled:
         assert result.line_search_failed and not result.converged
         assert result.line_searches == 1
         assert result.trace[-1].update_skipped is True
-        np.testing.assert_array_equal(result.h_star, expand_inverse_hessian(h_prev, 1))
+        np.testing.assert_array_equal(result.h_star, expand_inverse_hessian(h_prev))
 
     def test_iteration_cap(self):
         result = minimize_recycled(cosh_objective(), np.array([3.0]),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from adaptvqe import compiled as compiled_module
 from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum
+from adaptvqe.cost import CostLedger
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
 from adaptvqe.objectives import AnsatzObjective
 from adaptvqe.optimizer import minimize_canonical, minimize_recycled, wolfe_line_search
@@ -456,14 +457,16 @@ class TestEnergyThenGradient:
             energy_then_gradient(ansatz, hamiltonian)
         objective = AnsatzObjective(hamiltonian, ansatz)
         x = np.array([0.1])
+        ledger = CostLedger()
         with pytest.raises(ValueError, match="not Hermitian"):
-            minimize_canonical(objective, x)
+            minimize_canonical(objective, x, ledger=ledger)
         with pytest.raises(ValueError, match="not Hermitian"):
-            minimize_recycled(objective, np.zeros(0), np.zeros(0), np.zeros((0, 0)))
+            minimize_recycled(objective, np.zeros(0), np.zeros(0), np.zeros((0, 0)),
+                              ledger=ledger)
         with pytest.raises(ValueError, match="not Hermitian"):
-            wolfe_line_search(objective, x, 0.0, np.ones(1), -np.ones(1))
-        assert objective.ledger.snapshot() == {"function_evaluations": 0,
-                                               "pool_gradient_units": 0}
+            wolfe_line_search(objective, x, 0.0, np.ones(1), -np.ones(1), ledger)
+        assert ledger.snapshot() == {"function_evaluations": 0,
+                                     "pool_gradient_units": 0}
 
 
 @settings(max_examples=60, deadline=None)
