@@ -41,7 +41,6 @@ from .pools import (
 from .simulator import (
     AnsatzState,
     StateVector,
-    basis_state,
     energy_and_gradient,
     energy_then_gradient,
     expectation,

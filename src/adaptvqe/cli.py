@@ -23,7 +23,6 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 from .experiment import (
     POOL_CHOICES,
@@ -35,7 +34,8 @@ from .experiment import (
     resolve_pool,
     run_experiment,
 )
-from .hamiltonians import MODEL_KINDS, HamiltonianFormatError, builtin_model, save_hamiltonian
+from .hamiltonians import (MODEL_KINDS, HamiltonianFormatError, builtin_model,
+                           save_hamiltonian, write_atomically)
 
 _SPEC_KEYS = ("kind", "n_qubits", "coupling", "field")
 
@@ -92,11 +92,12 @@ def _cmd_pool(given: dict) -> int:
     out = given.pop("out", None)
     config = _experiment_config(given, with_exact=False)
     payload = resolve_pool(config, resolve_hamiltonian(config)).to_payload()
+    text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        write_atomically(out, lambda fh: fh.write(text + "\n"))
         print(f"wrote {len(payload)} operators to {out}")
     else:
-        print(json.dumps(payload, indent=2))
+        print(text)
     return 0
 
 

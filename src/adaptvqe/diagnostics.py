@@ -5,9 +5,11 @@ sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 Exact Hessians are built from central differences of the analytic gradient
 with the fixed step ``FD_STEP``; the 2n shifted gradients of one Hessian are
 evaluated as one stacked statevector sweep, bit for bit equal to 2n separate
-evaluations.  :func:`exact_ansatz_hessian` charges its shifted gradients
-(rows x n x 2 units) to a caller-supplied shadow ledger, so they never
-pollute a run's measurement-cost accounting.
+evaluations.  Every exact Hessian is charged to the shadow ledger it is
+given: :func:`exact_ansatz_hessian` and :func:`hessian_distance_series` take
+one as a required argument and charge each Hessian's shifted gradients
+(rows x n x 2 units) to it, so they never pollute a run's measurement-cost
+accounting and are never left uncounted.
 """
 
 from __future__ import annotations
@@ -67,25 +69,19 @@ def exact_hessian(grad_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) ->
     return 0.5 * (out + out.T)
 
 
-def exact_ansatz_hessian(
-    ansatz: AnsatzState,
-    hamiltonian: PauliSum,
-    x: np.ndarray | None = None,
-    shadow_ledger: CostLedger | None = None,
-) -> np.ndarray:
-    """Exact energy Hessian of an ansatz at parameter vector ``x``; the 2n
-    shifted gradients are one stacked :func:`gradient_components` call,
-    charged to ``shadow_ledger`` when one is given."""
+def exact_ansatz_hessian(ansatz: AnsatzState, hamiltonian: PauliSum, x: np.ndarray,
+                         shadow_ledger: CostLedger) -> np.ndarray:
+    """Exact energy Hessian of an ansatz's generators at parameter vector
+    ``x``; the 2n shifted gradients are one stacked
+    :func:`gradient_components` call, charged to ``shadow_ledger``."""
     indices = list(range(ansatz.n_parameters))
 
     def grad_fn(points: np.ndarray) -> np.ndarray:
         grads = gradient_components(ansatz, hamiltonian, indices, points=points)
-        if shadow_ledger is not None:
-            shadow_ledger.charge_gradient(grads.size)
+        shadow_ledger.charge_gradient(grads.size)
         return grads
 
-    point = ansatz.parameters if x is None else np.asarray(x, dtype=float)
-    return exact_hessian(grad_fn, point)
+    return exact_hessian(grad_fn, x)
 
 
 @dataclass
@@ -104,7 +100,7 @@ class ConvergenceReport:
 
 def convergence_report(
     opt_result: OptimizerResult,
-    hessian_at_xstar: np.ndarray | None = None,
+    hessian_at_xstar: np.ndarray,
 ) -> ConvergenceReport:
     """Convergence-rate series from a state-recorded optimizer result.
 
@@ -128,16 +124,14 @@ def convergence_report(
     ])
     alphas = np.array([rec.alpha for rec in opt_result.trace], dtype=float)
 
-    markers = np.empty(len(snapshots))
-    markers[:] = np.nan
-    if hessian_at_xstar is not None:
-        for i, snap in enumerate(snapshots):
-            p = snap.direction
-            norm_p = np.linalg.norm(p)
-            if norm_p == 0:
-                continue
-            bk_p = np.linalg.solve(snap.h, p)
-            markers[i] = float(np.linalg.norm(bk_p - hessian_at_xstar @ p) / norm_p)
+    markers = np.full(len(snapshots), np.nan)
+    for i, snap in enumerate(snapshots):
+        p = snap.direction
+        norm_p = np.linalg.norm(p)
+        if norm_p == 0:
+            continue
+        bk_p = np.linalg.solve(snap.h, p)
+        markers[i] = float(np.linalg.norm(bk_p - hessian_at_xstar @ p) / norm_p)
 
     return ConvergenceReport(ratios, alphas, markers, False)
 
@@ -155,11 +149,11 @@ class HessianDistanceRecord:
 
 
 def _iteration_ansatz(result: AdaptResult, pool: OperatorPool, reference: str,
-                      upto: int, x: np.ndarray) -> AnsatzState:
+                      upto: int) -> AnsatzState:
     ansatz = AnsatzState(reference)
     for it in result.iterations[:upto]:
         ansatz = ansatz.grown(pool.operators[it.selected_index], 0.0)
-    return ansatz.with_parameters(x)
+    return ansatz
 
 
 def hessian_distance_series(
@@ -168,7 +162,7 @@ def hessian_distance_series(
     hamiltonian: PauliSum,
     pool: OperatorPool,
     reference: str,
-    shadow_ledger: CostLedger | None = None,
+    shadow_ledger: CostLedger,
     with_evolution: bool = True,
     heatmap_iterations: tuple[int, ...] = (),
 ) -> tuple[list[HessianDistanceRecord], dict[int, dict[str, np.ndarray]]]:
@@ -193,7 +187,7 @@ def hessian_distance_series(
             records.append(HessianDistanceRecord(
                 n, None, None, None, True, "operator selection diverged"))
             continue
-        ansatz = _iteration_ansatz(recycled, pool, reference, n, rec_it.x_start)
+        ansatz = _iteration_ansatz(recycled, pool, reference, n)
         exact = exact_ansatz_hessian(
             ansatz, hamiltonian, rec_it.x_start, shadow_ledger=shadow_ledger)
         try:

@@ -112,11 +112,11 @@ def pool_gradients(
 
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
-    :func:`generator_gradients`.  One call is one pool sweep, which
-    :func:`run_adapt` charges at the flat 8N rate.
+    :func:`generator_gradients`, which checks the Hamiltonian.  One call is
+    one pool sweep, which :func:`run_adapt` charges at the flat 8N rate.
     """
-    if pool.n_qubits != state.n_qubits or hamiltonian.n_qubits != state.n_qubits:
-        raise ValueError("pool/Hamiltonian/state qubit counts disagree")
+    if pool.n_qubits != state.n_qubits:
+        raise ValueError("pool qubit count does not match the state")
     return generator_gradients(state, hamiltonian, pool.operators)
 
 

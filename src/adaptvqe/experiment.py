@@ -35,6 +35,8 @@ from .hamiltonians import (
     HamiltonianFile,
     builtin_model,
     load_hamiltonian,
+    write_atomically,
+    write_json,
 )
 from .optimizer import DEFAULT_GRAD_TOL, DEFAULT_LINE_SEARCH_CAP, OptimizerResult
 from .paulis import checked_cap, checked_threshold, finite_float, is_a
@@ -107,7 +109,7 @@ class ExperimentConfig:
     builtin: dict | None = None
     pool: str = "auto"
     qe_singles: bool = True
-    modes: tuple[str, ...] = ("canonical", "recycling")
+    modes: tuple[str, ...] = MODES
     eps: float = DEFAULT_EPS
     max_adapt_iterations: int = DEFAULT_GROWTH_CAP
     opt_grad_tol: float = DEFAULT_GRAD_TOL
@@ -220,19 +222,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomically(path: Path, write) -> None:
-    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
-    onto ``path``: an interrupted write leaves the old file whole."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with tmp.open("w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_csv(path: Path, header, rows) -> None:
     def write(fh):
         writer = csv.writer(fh)
@@ -240,12 +229,7 @@ def _write_csv(path: Path, header, rows) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
-    _write_atomically(path, write)
-
-
-def _write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_atomically(path, lambda fh: fh.write(text))
+    write_atomically(path, write)
 
 
 def write_adapt_trace(path: Path, result: AdaptResult) -> None:
@@ -270,7 +254,7 @@ def write_opt_trace(path: Path, result: AdaptResult) -> None:
 
 def write_ledger(path: Path, result: AdaptResult) -> None:
     ledger = result.ledger
-    _write_json(path, {
+    write_json(path, {
         "function_evaluations": ledger.function_evaluations,
         "pool_gradient_units": ledger.pool_gradient_units,
         "total_units": ledger.total_units,
@@ -292,10 +276,15 @@ def _mode_summary(result: AdaptResult) -> dict:
     }
 
 
+def _both_modes(config: ExperimentConfig) -> bool:
+    """Whether ``config`` runs both modes, which the mode comparisons need."""
+    return set(config.modes) == set(MODES)
+
+
 def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFile,
                        pool: OperatorPool, results: dict[str, AdaptResult]) -> None:
     shadow = CostLedger()
-    if {"canonical", "recycling"} <= set(results):
+    if _both_modes(config):
         records, heatmaps = hessian_distance_series(
             results["canonical"], results["recycling"], hfile.operator, pool,
             hfile.reference_bitstring, shadow_ledger=shadow,
@@ -323,9 +312,7 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
     for mode, result in results.items():
         if not result.iterations:
             continue
-        it = result.iterations[-1]
-        if it.opt_snapshots is None:
-            continue
+        it = result.iterations[-1]  # diagnostics runs record optimizer snapshots
         hess_star = exact_ansatz_hessian(
             result.ansatz, hfile.operator, it.x_star, shadow_ledger=shadow)
         opt_result = OptimizerResult(
@@ -345,7 +332,7 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
         ]
         _write_csv(out / f"convergence_{mode}_{it.n}.csv",
                    ("k", "alpha", "error_ratio", "superlinear_marker"), rows)
-    _write_json(out / "diagnostics_ledger.json", shadow.snapshot())
+    write_json(out / "diagnostics_ledger.json", shadow.snapshot())
 
 
 def _take_lock(lock: Path) -> None:
@@ -401,7 +388,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     built, and heatmap iterations without diagnostics or without both
     modes, which would write no heatmap.
     """
-    if config.heatmap_iterations and not (config.diagnostics and set(config.modes) == set(MODES)):
+    if config.heatmap_iterations and not (config.diagnostics and _both_modes(config)):
         raise ExperimentError(
             f"heatmap_iterations {list(config.heatmap_iterations)} are set, but no heatmap is "
             f"written without diagnostics and both modes (modes {list(config.modes)}, "
@@ -442,15 +429,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "exact_ground_energy": hfile.exact_ground_energy,
             "modes": {mode: _mode_summary(results[mode]) for mode in config.modes},
         }
-        if {"canonical", "recycling"} <= set(results):
+        if _both_modes(config):
             canonical = results["canonical"].ledger.function_evaluations
             recycling = results["recycling"].ledger.function_evaluations
             summary["feval_ratio"] = recycling / canonical if canonical else None
             summary["final_energy_gap"] = abs(
                 results["canonical"].energy - results["recycling"].energy
             )
-        _write_json(out / "summary.json", summary)
-        _write_json(out / "config.json", config.to_payload())
+        write_json(out / "summary.json", summary)
+        write_json(out / "config.json", config.to_payload())
         if config.diagnostics:
             _write_diagnostics(out, config, hfile, pool, results)
         return summary

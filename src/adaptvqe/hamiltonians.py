@@ -5,7 +5,9 @@ and imaginary coefficient parts, and a metadata block carrying the reference
 occupation bitstring plus optional exact and mean-field energies.  Loading
 canonicalizes term order and validates Hermiticity and the name, which
 becomes part of output file names; saving emits canonical,
-byte-deterministic JSON so files round-trip exactly.
+byte-deterministic JSON so files round-trip exactly.  Every output file the
+package writes goes through :func:`write_atomically`, so an interrupted
+write leaves the old file whole.
 
 Exact ground-state energies come from the compiled form of the operator:
 dense diagonalization of :meth:`CompiledSum.dense` up to 11 qubits, and at
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -246,11 +249,30 @@ def load_hamiltonian(path: str | Path, verify: bool = False) -> HamiltonianFile:
     return hfile
 
 
+def write_atomically(path: str | Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    onto ``path``: an interrupted write leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """``payload`` as canonical JSON (two-space indent, sorted keys, one
+    trailing newline), written atomically."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomically(path, lambda fh: fh.write(text))
+
+
 def save_hamiltonian(hfile: HamiltonianFile, path: str | Path) -> None:
     """Write canonical, byte-deterministic JSON (save/load round-trips)."""
-    Path(path).write_text(
-        json.dumps(hamiltonian_payload(hfile), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, hamiltonian_payload(hfile))
 
 
 def builtin_model(

@@ -8,11 +8,14 @@ carries the Hermiticity and commutation flags checked here, so each operator
 is validated once rather than on every call.  An ansatz generator must be
 an anti-Hermitian sum of mutually commuting Pauli strings, as every pool
 operator (qubit-excitation, qubit-pool and nearest-neighbour) is;
-:class:`AnsatzState` rejects any other.  :meth:`AnsatzState.with_parameters`,
-which the objectives call on every evaluation, keeps the generators its
-ansatz already validated and checks only the new angles.  Each term of a
-generator is applied with the closed-form rotation
-``exp(i t P) = cos(t) I + i sin(t) P``.
+:class:`AnsatzState` rejects any other, and checks its reference (letters
+and the :data:`MAX_QUBITS` cap) once, when it is built.
+:meth:`AnsatzState.with_parameters`, which the objectives call on every
+evaluation, keeps the checked reference and generators and checks only the
+new angles.  Each term of a generator is applied with the closed-form
+rotation ``exp(i t P) = cos(t) I + i sin(t) P``.  One rule accepts a
+Hamiltonian at every entry point, the pool sweep included: it is Hermitian
+and acts on the state's qubits.
 
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
@@ -26,9 +29,9 @@ in another order.
 
 Analytic energy gradients come from one forward and reverse sweep over the
 ansatz elements, split in two halves.  The forward half checks the
-Hamiltonian (Hermitian, matching qubit count), stores every intermediate
-state and ``H|psi>``, and yields the energy; the reverse half carries
-``H|psi>`` back through the elements and stops at the lowest wanted index.
+Hamiltonian, stores every intermediate state and ``H|psi>``, and yields the
+energy; the reverse half carries ``H|psi>`` back through the elements and
+stops at the lowest wanted index.
 :func:`energy_then_gradient` runs the forward half and returns the
 gradient as a callable that runs the reverse half on its first call, so a
 line-search trial whose gradient is never read costs only the forward
@@ -56,7 +59,6 @@ __all__ = [
     "check_qubit_cap",
     "StateVector",
     "AnsatzState",
-    "basis_state",
     "prepare",
     "expectation",
     "energy_then_gradient",
@@ -100,25 +102,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def basis_state(bitstring: str) -> StateVector:
-    """The computational basis state for an occupation bitstring.
-
-    Site 0 is the leftmost character and the least-significant index bit, so
-    ``"1100"`` is index 3 on four qubits.
-    """
-    n_qubits = len(bitstring)
-    check_qubit_cap(n_qubits)
-    index = 0
-    for i, ch in enumerate(bitstring):
-        if ch == "1":
-            index |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid occupation bitstring {bitstring!r}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _finite_angle(theta) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
@@ -142,6 +125,7 @@ class AnsatzState:
         n_qubits = len(self.reference)
         if not all(c in "01" for c in self.reference):
             raise ValueError(f"invalid reference bitstring {self.reference!r}")
+        check_qubit_cap(n_qubits)
         normalized = []
         for generator, theta in self.elements:
             if generator.n_qubits != n_qubits:
@@ -181,10 +165,33 @@ class AnsatzState:
         return AnsatzState(self.reference, self.elements + ((generator, theta),))
 
 
+def _reference_amplitudes(reference: str) -> np.ndarray:
+    """The basis state of a checked reference; site 0 is the lowest bit."""
+    amps = np.zeros(1 << len(reference), dtype=complex)
+    amps[int(reference[::-1] or "0", 2)] = 1.0
+    return amps
+
+
+def _checked_hamiltonian(hamiltonian: PauliSum, n_qubits: int) -> CompiledSum:
+    """The compiled form of a Hermitian ``hamiltonian`` on ``n_qubits``."""
+    compiled = hamiltonian.compiled()
+    if not compiled.hermitian:
+        raise ValueError("Hamiltonian is not Hermitian")
+    if hamiltonian.n_qubits != n_qubits:
+        raise ValueError("Hamiltonian qubit count does not match the state")
+    return compiled
+
+
+def _real_energy(value: complex) -> float:
+    """The real part of an energy with no imaginary residue above tolerance."""
+    if abs(value.imag) > _IMAG_TOL:
+        raise ValueError(f"energy has imaginary residue {value.imag:.3e}")
+    return value.real
+
+
 def prepare(ansatz: AnsatzState) -> StateVector:
     """Apply the ansatz exponentials in growth order to the reference state."""
-    check_qubit_cap(ansatz.n_qubits)
-    amps = basis_state(ansatz.reference).amplitudes
+    amps = _reference_amplitudes(ansatz.reference)
     for generator, theta in ansatz.elements:
         amps = generator.compiled().exponential(amps, theta)
     return StateVector(ansatz.n_qubits, amps)
@@ -192,15 +199,8 @@ def prepare(ansatz: AnsatzState) -> StateVector:
 
 def expectation(state: StateVector, observable: PauliSum) -> float:
     """<psi|O|psi> for a Hermitian observable, as a real number."""
-    compiled = observable.compiled()
-    if not compiled.hermitian:
-        raise ValueError("observable is not Hermitian")
-    if observable.n_qubits != state.n_qubits:
-        raise ValueError("observable qubit count does not match state")
-    value = complex(np.vdot(state.amplitudes, compiled.apply(state.amplitudes)))
-    if abs(value.imag) > _IMAG_TOL:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
+    compiled = _checked_hamiltonian(observable, state.n_qubits)
+    return _real_energy(complex(np.vdot(state.amplitudes, compiled.apply(state.amplitudes))))
 
 
 def energy_then_gradient(
@@ -291,13 +291,9 @@ class _Sweep:
     """
 
     def __init__(self, ansatz: AnsatzState, hamiltonian: PauliSum, points: np.ndarray):
-        compiled_h = hamiltonian.compiled()
-        if not compiled_h.hermitian:
-            raise ValueError("Hamiltonian is not Hermitian")
-        if hamiltonian.n_qubits != ansatz.n_qubits:
-            raise ValueError("Hamiltonian qubit count does not match ansatz")
+        compiled_h = _checked_hamiltonian(hamiltonian, ansatz.n_qubits)
         self.generators = [gen.compiled() for gen in ansatz.generators]
-        reference = basis_state(ansatz.reference).amplitudes
+        reference = _reference_amplitudes(ansatz.reference)
         self.rows = len(points)
         if self.rows == 1:
             self.exponential, self.vdot = CompiledSum.exponential, np.vdot
@@ -311,11 +307,8 @@ class _Sweep:
             states.append(self.exponential(compiled, states[-1], theta))
         self.states = states
         self.lam = compiled_h.apply(states[-1])
-        self.energies = []
-        for energy in np.atleast_1d(self.vdot(states[-1], self.lam)).tolist():
-            if abs(energy.imag) > _IMAG_TOL:
-                raise ValueError(f"energy has imaginary residue {energy.imag:.3e}")
-            self.energies.append(energy.real)
+        self.energies = [_real_energy(energy) for energy in
+                         np.atleast_1d(self.vdot(states[-1], self.lam)).tolist()]
 
     def gradient(self, wanted: list[int]) -> np.ndarray:
         """The gradient components ``wanted`` (sorted, distinct), an
@@ -374,7 +367,7 @@ def generator_gradients(
     """
     n = state.n_qubits
     psi = state.amplitudes
-    h_psi = hamiltonian.compiled().apply(psi)
+    h_psi = _checked_hamiltonian(hamiltonian, n).apply(psi)
     grads = np.empty(len(generators), dtype=float)
     by_mask: dict[int, dict[int, list[tuple[int, np.ndarray]]]] = {}
     for k, generator in enumerate(generators):

@@ -55,7 +55,7 @@ class TestExactHessian:
         gen = PauliSum.from_text_terms([("Y", 1j)])
         ansatz = AnsatzState("0", ((gen, 0.0),))
         ham = PauliSum.from_text_terms([("Z", 1.0)])
-        hess = exact_ansatz_hessian(ansatz, ham)
+        hess = exact_ansatz_hessian(ansatz, ham, ansatz.parameters, CostLedger())
         assert hess[0, 0] == pytest.approx(-4.0, abs=1e-6)
 
     def test_raw_asymmetry_is_small(self, h2_fixture):
@@ -85,7 +85,8 @@ class TestExactHessian:
         pool = build_qe_pool(4, 2)
         ansatz = AnsatzState(h2_fixture.reference_bitstring, ((pool.operators[2], 0.2),))
         shadow = CostLedger()
-        exact_ansatz_hessian(ansatz, h2_fixture.operator, shadow_ledger=shadow)
+        exact_ansatz_hessian(ansatz, h2_fixture.operator, ansatz.parameters,
+                             shadow_ledger=shadow)
         assert shadow.function_evaluations == 2 * 2 * 1  # 2n grad calls of dim n=1
 
 
@@ -111,7 +112,8 @@ class TestStackedExactHessian:
         if recycled_start:
             x[-1] = 0.0
         expected = reference_exact_ansatz_hessian(ansatz, hfile.operator, x)
-        assert np.array_equal(exact_ansatz_hessian(ansatz, hfile.operator, x), expected)
+        got = exact_ansatz_hessian(ansatz, hfile.operator, x, CostLedger())
+        assert np.array_equal(got, expected)
 
     def test_one_hessian_over_several_stacks(self, h4_equilibrium_fixture, monkeypatch):
         # 3 rows per stack at 8 qubits: the 12 shifted points take 4 stacks
@@ -119,7 +121,7 @@ class TestStackedExactHessian:
         hfile = h4_equilibrium_fixture
         ansatz, x = self.ansatz_and_point(hfile, 6, 7)
         shadow = CostLedger()
-        got = exact_ansatz_hessian(ansatz, hfile.operator, shadow_ledger=shadow)
+        got = exact_ansatz_hessian(ansatz, hfile.operator, x, shadow_ledger=shadow)
         assert np.array_equal(got, reference_exact_ansatz_hessian(ansatz, hfile.operator, x))
         assert shadow.function_evaluations == 2 * 6 * 2 * 6
 
@@ -127,18 +129,18 @@ class TestStackedExactHessian:
 class TestConvergenceReport:
     def test_geometric_sequence_is_linear_with_half_ratio(self):
         iterates = [np.array([2.0 ** -k]) for k in range(12)] + [np.array([0.0])]
-        report = convergence_report(synthetic_result(iterates))
+        report = convergence_report(synthetic_result(iterates), np.eye(1))
         np.testing.assert_allclose(report.error_ratios[:-2], 0.5, atol=1e-12)
 
     def test_doubly_exponential_sequence_is_superlinear(self):
         iterates = [np.array([2.0 ** -(2 ** k)]) for k in range(7)] + [np.array([0.0])]
-        report = convergence_report(synthetic_result(iterates))
+        report = convergence_report(synthetic_result(iterates), np.eye(1))
         ratios = report.error_ratios[:-2]
         assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1e-3
 
     def test_short_trace_flagged_insufficient(self):
-        report = convergence_report(synthetic_result([np.ones(1), np.zeros(1)]))
+        report = convergence_report(synthetic_result([np.ones(1), np.zeros(1)]), np.eye(1))
         assert report.insufficient
 
     def test_marker_vanishes_on_quadratic(self):
@@ -151,7 +153,7 @@ class TestConvergenceReport:
     def test_requires_snapshots(self):
         result = minimize_canonical(quadratic_objective(np.eye(2)), np.ones(2))
         with pytest.raises(ValueError, match="snapshots"):
-            convergence_report(result)
+            convergence_report(result, np.eye(2))
 
 
 class TestHessianReport:
@@ -171,7 +173,7 @@ class TestHessianDistanceSeries:
         hf = h4_equilibrium_fixture
         records, heatmaps = hessian_distance_series(
             results["canonical"], results["recycling"], hf.operator, pool,
-            hf.reference_bitstring, with_evolution=False,
+            hf.reference_bitstring, CostLedger(), with_evolution=False,
             heatmap_iterations=(2, 5))
         included = [r for r in records if not r.excluded]
         assert len(included) >= 5
@@ -187,7 +189,7 @@ class TestHessianDistanceSeries:
         hf = h4_equilibrium_fixture
         records, _ = hessian_distance_series(
             results["canonical"], results["recycling"], hf.operator, pool,
-            hf.reference_bitstring, with_evolution=False)
+            hf.reference_bitstring, CostLedger(), with_evolution=False)
         first = records[0]
         assert first.n == 1 and not first.excluded
         assert first.canonical_distance == pytest.approx(first.recycled_distance)
@@ -217,7 +219,7 @@ class TestHessianDistanceSeries:
         hf = h4_equilibrium_fixture
         records, heatmaps = hessian_distance_series(
             results["canonical"], results["recycling"], hf.operator, pool,
-            hf.reference_bitstring, heatmap_iterations=(1, 2, 3))
+            hf.reference_bitstring, CostLedger(), heatmap_iterations=(1, 2, 3))
         singular = records[1]
         assert singular.n == 2 and singular.excluded
         assert singular.reason == "singular exact Hessian"

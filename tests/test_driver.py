@@ -35,6 +35,16 @@ class TestPoolGradients:
         grads = pool_gradients(plus, pool, PauliSum.from_text_terms([("Z", 1.0)]))
         assert grads[0] == pytest.approx(2.0, abs=1e-12)
 
+    def test_pool_and_hamiltonian_checked(self):
+        # the pool against the state here; the Hamiltonian by the engine's one rule
+        state = prepare(AnsatzState("01"))
+        ham = PauliSum.from_text_terms([("ZZ", 1.0)])
+        with pytest.raises(ValueError, match="pool qubit count"):
+            pool_gradients(state, build_nearest_neighbor_pool(3), ham)
+        non_hermitian = PauliSum.from_text_terms([("XY", 1j), ("ZI", 0.5)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pool_gradients(state, build_nearest_neighbor_pool(2), non_hermitian)
+
     def test_commuting_operator_gives_zero(self):
         ham = PauliSum.from_text_terms([("ZZ", 1.0)])
         pool = OperatorPool("Qubit", 2,

@@ -165,6 +165,39 @@ class TestHamiltonianFiles:
             save_hamiltonian(hfile, copy)
             assert copy.read_bytes() == source.read_bytes()
 
+    def test_interrupted_save_keeps_the_old_file_whole(self, tmp_path, monkeypatch):
+        target = tmp_path / "h2.json"
+        save_hamiltonian(load_hamiltonian(BUNDLED_FIXTURES[0]), target)
+        before = target.read_bytes()
+        real_open = Path.open
+
+        class HalfWrite:
+            """A handle that writes half of its text, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                raise OSError("interrupted")
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return HalfWrite(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        with pytest.raises(OSError, match="interrupted"):
+            save_hamiltonian(builtin_model("tfim", 4, with_exact=False), target)
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h2.json"]
+
     def test_bundled_exact_energies_verify(self):
         for source in BUNDLED_FIXTURES:
             load_hamiltonian(source, verify=True)

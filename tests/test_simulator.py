@@ -14,7 +14,6 @@ from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool, qe_double
 from adaptvqe.simulator import (
     AnsatzState,
     StateVector,
-    basis_state,
     energy_and_gradient,
     energy_then_gradient,
     expectation,
@@ -73,8 +72,9 @@ class TestStatePreparation:
             AnsatzState("00", ((gen, 0.1),))
 
     def test_qubit_cap(self):
+        # checked where the reference enters, before any state is built
         with pytest.raises(ValueError, match="cap"):
-            basis_state("0" * 21)
+            AnsatzState("0" * 21)
 
     def test_noncommuting_generator_rejected(self):
         gen = PauliSum.from_text_terms([("XI", 1j), ("ZI", 0.7j)])
@@ -83,16 +83,16 @@ class TestStatePreparation:
             with pytest.raises(ValueError, match="do not mutually commute"):
                 AnsatzState("00", ((gen, theta),))
             with pytest.raises(ValueError, match="do not mutually commute"):
-                gen.compiled().exponential(basis_state("00").amplitudes, theta)
+                gen.compiled().exponential(prepare(AnsatzState("00")).amplitudes, theta)
 
     def test_exponential_rejects_non_anti_hermitian_sum(self):
         gen = PauliSum.from_text_terms([("XI", 1.0)])
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            gen.compiled().exponential(basis_state("00").amplitudes, 0.0)
+            gen.compiled().exponential(prepare(AnsatzState("00")).amplitudes, 0.0)
 
     def test_unitarity_over_many_applications(self):
         rng = np.random.default_rng(21)
-        amps = basis_state("0000").amplitudes
+        amps = prepare(AnsatzState("0000")).amplitudes
         for _ in range(100):
             gen = random_generator(rng, 4)
             amps = gen.compiled().exponential(amps, float(rng.normal()))
@@ -148,7 +148,8 @@ class TestWithParameters:
 
 class TestExpectation:
     def test_z_on_zero(self):
-        assert expectation(basis_state("0"), PauliSum.from_text_terms([("Z", 1.0)])) == 1.0
+        state = prepare(AnsatzState("0"))
+        assert expectation(state, PauliSum.from_text_terms([("Z", 1.0)])) == 1.0
 
     def test_x_on_plus(self):
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
@@ -156,7 +157,7 @@ class TestExpectation:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            expectation(basis_state("0"), PauliSum.from_text_terms([("X", 1j)]))
+            expectation(prepare(AnsatzState("0")), PauliSum.from_text_terms([("X", 1j)]))
 
     def test_h2_reference_energy_matches_metadata(self, h2_fixture):
         state = prepare(AnsatzState(h2_fixture.reference_bitstring))
@@ -257,12 +258,14 @@ class TestStackedGradientComponents:
                                 points=np.array([[0.1], [np.nan]]))
 
 
-# Each gradient route on a one-parameter ansatz.
+# Each gradient route on a one-parameter ansatz, the pool sweep included.
 GRADIENT_ROUTES = {
     "full": lambda ansatz, hamiltonian: energy_and_gradient(ansatz, hamiltonian),
     "single": lambda ansatz, hamiltonian: gradient_components(ansatz, hamiltonian, [0]),
     "stacked": lambda ansatz, hamiltonian: gradient_components(
         ansatz, hamiltonian, [0], points=np.array([[0.1], [-0.3]])),
+    "pool": lambda ansatz, hamiltonian: generator_gradients(
+        prepare(ansatz), hamiltonian, ansatz.generators),
 }
 
 
