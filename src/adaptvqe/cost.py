@@ -11,10 +11,15 @@ it, once the query returns, so a query that raises is not charged:
 ``driver.run_adapt`` charges the initial energy and each pool sweep, the
 two minimizers their start, ``optimizer.wolfe_line_search`` each trial
 (one energy and a full gradient, whether or not the gradient is read), and
-``diagnostics.exact_ansatz_hessian`` its shifted gradients to a shadow
-ledger.  The ledger is a parameter of the minimizers and the line search,
-and ``run_adapt`` passes its own.  The simulator and the objective adapters
-only compute and hold no ledger.  A charge is a whole number of queries
+the diagnostics every exact Hessian they report to a shadow ledger.  A
+Hessian of n parameters is charged as its 2n shifted gradients of n
+components (:meth:`CostLedger.charge_hessian`), whether
+``diagnostics.exact_ansatz_hessian`` computed it or the distance series and
+the convergence report reused it as the block of one already computed: the
+shadow ledger prices the hardware, not the simulator.  The ledger is a
+parameter of the minimizers and the line search, and ``run_adapt`` passes
+its own.  The simulator and the objective adapters only compute and hold no
+ledger.  A charge is a whole number of queries
 (:func:`~adaptvqe.paulis.checked_cap`).
 """
 
@@ -52,6 +57,12 @@ class CostLedger:
         units = 2 * checked_cap("n_components", n_components)
         self.function_evaluations += units
         return units
+
+    def charge_hessian(self, n_parameters: int) -> int:
+        """An exact Hessian of ``n`` parameters is ``2n`` shifted gradients
+        of ``n`` components, ``4n²`` energy evaluations."""
+        n = checked_cap("n_parameters", n_parameters)
+        return self.charge_gradient(2 * n * n)
 
     def charge_pool_sweep(self, units: int) -> None:
         self.pool_gradient_units += checked_cap("units", units)

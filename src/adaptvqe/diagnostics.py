@@ -5,17 +5,22 @@ sizes, convergence-rate ratios and the Dennis-More superlinear marker.
 Exact Hessians are built from central differences of the analytic gradient
 with the fixed step ``FD_STEP``; the 2n shifted gradients of one Hessian are
 evaluated as one stacked statevector sweep, bit for bit equal to 2n separate
-evaluations.  Every exact Hessian is charged to the shadow ledger it is
-given: :func:`exact_ansatz_hessian` and :func:`hessian_distance_series` take
-one as a required argument and charge each Hessian's shifted gradients
-(rows x n x 2 units) to it, so they never pollute a run's measurement-cost
-accounting and are never left uncounted.
+evaluations.  The distance series computes each exact Hessian once: the
+recycled run starts iteration n + 1 at (x*_n, 0), and a generator at angle 0
+leaves its state unchanged bit for bit, so the evolution Hessian of
+iteration n (at x*_n) is the leading n x n block of the start Hessian of
+iteration n + 1, byte for byte, and is taken as that slice.  The shadow
+ledger models the hardware, not the simulator: every exact Hessian the
+instruments report, computed or reused, is charged to the shadow ledger they
+are given as 2n shifted gradients of n components
+(:meth:`~adaptvqe.cost.CostLedger.charge_hessian`), so they never pollute a
+run's measurement-cost accounting and are never left uncounted.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,13 +80,10 @@ def exact_ansatz_hessian(ansatz: AnsatzState, hamiltonian: PauliSum, x: np.ndarr
     ``x``; the 2n shifted gradients are one stacked
     :func:`gradient_components` call, charged to ``shadow_ledger``."""
     indices = list(range(ansatz.n_parameters))
-
-    def grad_fn(points: np.ndarray) -> np.ndarray:
-        grads = gradient_components(ansatz, hamiltonian, indices, points=points)
-        shadow_ledger.charge_gradient(grads.size)
-        return grads
-
-    return exact_hessian(grad_fn, x)
+    hessian = exact_hessian(
+        lambda points: gradient_components(ansatz, hamiltonian, indices, points=points), x)
+    shadow_ledger.charge_hessian(len(indices))
+    return hessian
 
 
 @dataclass
@@ -138,7 +140,9 @@ def convergence_report(
 
 @dataclass
 class HessianDistanceRecord:
-    """Initial-inverse-Hessian distances for one ansatz-growth iteration."""
+    """Initial-inverse-Hessian distances for one ansatz-growth iteration, and
+    the exact Hessian at the recycled run's optimum that the evolution
+    distance used."""
 
     n: int
     canonical_distance: float | None
@@ -146,14 +150,7 @@ class HessianDistanceRecord:
     evolution_distance: float | None
     excluded: bool
     reason: str = ""
-
-
-def _iteration_ansatz(result: AdaptResult, pool: OperatorPool, reference: str,
-                      upto: int) -> AnsatzState:
-    ansatz = AnsatzState(reference)
-    for it in result.iterations[:upto]:
-        ansatz = ansatz.grown(pool.operators[it.selected_index], 0.0)
-    return ansatz
+    evolution_hessian: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def hessian_distance_series(
@@ -174,22 +171,30 @@ def hessian_distance_series(
     difference matrices identical by construction, since neither mode starts
     with information about the new parameter.  Iterations where the two runs
     selected different operators, or where the exact Hessian is singular,
-    are flagged and excluded.  Heatmap matrices (|exact inverse - initial
-    approximate| per mode) are returned for the requested iterations.
+    are flagged and excluded.  The evolution distance compares the start
+    with the exact Hessian at the recycled run's optimum: the leading block
+    of the next start Hessian when the next iteration is included and starts
+    at exactly (x*_n, 0), else computed in full.  Heatmap matrices (|exact
+    inverse - initial approximate| per mode) are returned for the requested
+    iterations.
     """
     records: list[HessianDistanceRecord] = []
     heatmaps: dict[int, dict[str, np.ndarray]] = {}
-    upto = min(len(canonical.iterations), len(recycled.iterations))
-    for i in range(upto):
+    iterations = recycled.iterations[:len(canonical.iterations)]
+    ansatze, exact_starts = [], []
+    ansatz = AnsatzState(reference)
+    for can_it, rec_it in zip(canonical.iterations, iterations):
+        ansatz = ansatz.grown(pool.operators[rec_it.selected_index], 0.0)
+        ansatze.append(ansatz)
+        exact_starts.append(
+            None if can_it.selected_index != rec_it.selected_index
+            else exact_ansatz_hessian(ansatz, hamiltonian, rec_it.x_start, shadow_ledger))
+    for i, (rec_it, exact) in enumerate(zip(iterations, exact_starts)):
         n = i + 1
-        rec_it = recycled.iterations[i]
-        if canonical.iterations[i].selected_index != rec_it.selected_index:
+        if exact is None:
             records.append(HessianDistanceRecord(
                 n, None, None, None, True, "operator selection diverged"))
             continue
-        ansatz = _iteration_ansatz(recycled, pool, reference, n)
-        exact = exact_ansatz_hessian(
-            ansatz, hamiltonian, rec_it.x_start, shadow_ledger=shadow_ledger)
         try:
             inverse = np.linalg.inv(exact)
         except np.linalg.LinAlgError:
@@ -198,17 +203,25 @@ def hessian_distance_series(
             logger.warning("iteration %d excluded: singular exact Hessian", n)
             continue
         starts = {"canonical": np.eye(n), "recycling": rec_it.h_start}
-        evolution = None
+        evolution = exact_final = None
         if with_evolution:
-            exact_final = exact_ansatz_hessian(
-                ansatz, hamiltonian, rec_it.x_star, shadow_ledger=shadow_ledger)
+            following = exact_starts[n] if n < len(exact_starts) else None
+            if (following is not None
+                    and np.array_equal(iterations[n].x_start[:n], rec_it.x_star)
+                    and iterations[n].x_start[n] == 0.0):
+                exact_final = following[:n, :n]
+                shadow_ledger.charge_hessian(n)
+            else:
+                exact_final = exact_ansatz_hessian(
+                    ansatze[i], hamiltonian, rec_it.x_star, shadow_ledger)
             try:
                 evolution = frobenius_distance(inverse, np.linalg.inv(exact_final))
             except np.linalg.LinAlgError:
                 evolution = None
         records.append(HessianDistanceRecord(
             n, frobenius_distance(inverse, starts["canonical"]),
-            frobenius_distance(inverse, starts["recycling"]), evolution, False))
+            frobenius_distance(inverse, starts["recycling"]), evolution, False,
+            evolution_hessian=exact_final))
         if n in heatmap_iterations:
             heatmaps[n] = {mode: np.abs(inverse - h) for mode, h in starts.items()}
     return records, heatmaps

@@ -284,6 +284,7 @@ def _both_modes(config: ExperimentConfig) -> bool:
 def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFile,
                        pool: OperatorPool, results: dict[str, AdaptResult]) -> None:
     shadow = CostLedger()
+    recycling_hessian = None  # the series' exact Hessian at the run's last x_star
     if _both_modes(config):
         records, heatmaps = hessian_distance_series(
             results["canonical"], results["recycling"], hfile.operator, pool,
@@ -309,12 +310,18 @@ def _write_diagnostics(out: Path, config: ExperimentConfig, hfile: HamiltonianFi
             elif n not in heatmaps:
                 logger.warning("no heatmap for iteration %d of the %d-iteration run: "
                                "excluded (%s)", n, len(records), records[n - 1].reason)
+        if records and records[-1].n == len(results["recycling"].iterations):
+            recycling_hessian = records[-1].evolution_hessian
     for mode, result in results.items():
         if not result.iterations:
             continue
         it = result.iterations[-1]  # diagnostics runs record optimizer snapshots
-        hess_star = exact_ansatz_hessian(
-            result.ansatz, hfile.operator, it.x_star, shadow_ledger=shadow)
+        hess_star = recycling_hessian if mode == "recycling" else None
+        if hess_star is None:
+            hess_star = exact_ansatz_hessian(
+                result.ansatz, hfile.operator, it.x_star, shadow_ledger=shadow)
+        else:
+            shadow.charge_hessian(it.n)
         opt_result = OptimizerResult(
             x_star=it.x_star, f_star=it.energy, grad_star=it.grad_star,
             h_star=it.h_star, line_searches=it.line_searches,

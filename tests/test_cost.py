@@ -9,6 +9,7 @@ ZERO = {"function_evaluations": 0, "pool_gradient_units": 0}
 
 
 @pytest.mark.parametrize("method, name", [("charge_gradient", "n_components"),
+                                          ("charge_hessian", "n_parameters"),
                                           ("charge_pool_sweep", "units")])
 @pytest.mark.parametrize("value", [True, 2.5, -1])
 def test_charges_are_whole_units(method, name, value):
@@ -33,6 +34,7 @@ def test_charge_energy_is_one_unit(value):
 def test_charges_take_numpy_integers():
     ledger = CostLedger()
     assert ledger.charge_gradient(np.int64(3)) == 6
+    assert ledger.charge_hessian(np.int64(3)) == 36  # 2n gradients of n components
     ledger.charge_pool_sweep(np.int64(32))
     assert type(ledger.function_evaluations) is type(ledger.pool_gradient_units) is int
-    assert ledger.snapshot() == {"function_evaluations": 6, "pool_gradient_units": 32}
+    assert ledger.snapshot() == {"function_evaluations": 42, "pool_gradient_units": 32}

@@ -6,6 +6,7 @@ import pytest
 from adaptvqe import diagnostics
 from adaptvqe.cost import CostLedger
 from adaptvqe.diagnostics import (
+    HessianDistanceRecord,
     convergence_report,
     exact_ansatz_hessian,
     exact_hessian,
@@ -253,3 +254,81 @@ class TestHessianDistanceSeries:
         # no exact Hessian is evaluated for the excluded iteration
         sizes = [r.n for r in records if not r.excluded]
         assert shadow.function_evaluations == sum(2 * n * 2 * n for n in sizes)
+
+
+def full_route_series(canonical, recycled, hfile, pool):
+    """Per iteration of the series, ``None`` where the selections diverged,
+    else the record and the evolution Hessian with every exact Hessian
+    computed in full, none of them sliced from another."""
+    expected = []
+    ansatz = AnsatzState(hfile.reference_bitstring)
+    for n, (can_it, rec_it) in enumerate(zip(canonical.iterations, recycled.iterations), 1):
+        ansatz = ansatz.grown(pool.operators[rec_it.selected_index], 0.0)
+        if can_it.selected_index != rec_it.selected_index:
+            expected.append(None)
+            continue
+        inverse = np.linalg.inv(
+            exact_ansatz_hessian(ansatz, hfile.operator, rec_it.x_start, CostLedger()))
+        final = exact_ansatz_hessian(ansatz, hfile.operator, rec_it.x_star, CostLedger())
+        expected.append((HessianDistanceRecord(
+            n, frobenius_distance(inverse, np.eye(n)),
+            frobenius_distance(inverse, rec_it.h_start),
+            frobenius_distance(inverse, np.linalg.inv(final)), False), final))
+    return expected
+
+
+class TestEvolutionHessianSlice:
+    """The evolution Hessian of iteration n is the leading block of the start
+    Hessian of iteration n + 1, and is computed in full where there is none."""
+
+    @staticmethod
+    def variant(results, pool, kind):
+        canonical = results["canonical"]
+        iterations = list(canonical.iterations)
+        if kind == "next_diverged":
+            # iteration 4 diverges: iteration 3's evolution Hessian has no slice
+            moved = iterations[3]
+            iterations[3] = replace(
+                moved, selected_index=(moved.selected_index + 1) % len(pool))
+        elif kind == "canonical_truncated":
+            # the series stops below the recycled run: its last one has no slice
+            iterations = iterations[:len(iterations) - 3]
+        return replace(canonical, iterations=iterations)
+
+    @pytest.mark.parametrize("case", ["h4_equilibrium", "h4_stretched"])
+    @pytest.mark.parametrize("kind", ["as_run", "next_diverged", "canonical_truncated"])
+    def test_matches_full_route(self, case, kind, request, monkeypatch):
+        hfile = request.getfixturevalue(f"{case}_fixture")
+        pool, results = request.getfixturevalue(f"{case}_paired")
+        canonical = self.variant(results, pool, kind)
+        recycled = results["recycling"]
+        expected = full_route_series(canonical, recycled, hfile, pool)
+        computed = []
+
+        def counted(ansatz, hamiltonian, x, shadow_ledger):
+            computed.append(ansatz.n_parameters)
+            return exact_ansatz_hessian(ansatz, hamiltonian, x, shadow_ledger)
+
+        monkeypatch.setattr(diagnostics, "exact_ansatz_hessian", counted)
+        shadow = CostLedger()
+        records, _ = hessian_distance_series(
+            canonical, recycled, hfile.operator, pool, hfile.reference_bitstring, shadow)
+
+        assert len(records) == len(expected) == len(canonical.iterations)
+        for record, want in zip(records, expected):
+            if want is None:
+                assert record.excluded and record.reason == "operator selection diverged"
+                continue
+            assert record == want[0]
+            assert record.evolution_hessian.shape == want[1].shape
+            assert record.evolution_hessian.tobytes() == want[1].tobytes()
+        included = [r.n for r in records if not r.excluded]
+        # one start Hessian per included iteration, plus the evolution Hessian
+        # of each included iteration whose next one is not included
+        full = [n for n in included if n + 1 not in included]
+        assert sorted(computed) == sorted(included + full)
+        assert (3 if kind == "next_diverged" else len(records)) in full
+        if kind == "canonical_truncated":
+            assert len(records) < len(recycled.iterations)
+        # each reported Hessian is charged 2n gradients of n, sliced or not
+        assert shadow.function_evaluations == sum(2 * (2 * n * 2 * n) for n in included)

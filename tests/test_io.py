@@ -609,10 +609,21 @@ class TestRunExperiment:
         assert not list(Path(config.output_dir).glob("hm_*"))
 
     def test_diagnose_replays_a_run(self, tmp_path):
-        config, _ = self.run_small(tmp_path, max_adapt_iterations=4)
+        config, _ = self.run_small(tmp_path, max_adapt_iterations=4, diagnostics=True,
+                                   heatmap_iterations=(2,))
+        out = Path(config.output_dir)
+
+        def contents():
+            return {path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()}
+
+        before = contents()
         summary = diagnose_run(config.output_dir)
-        assert (Path(config.output_dir) / "hessdist_tfim_n4_j1_h1.csv").is_file()
+        assert (out / "hessdist_tfim_n4_j1_h1.csv").is_file()
+        assert (out / "hm_recycling_2.csv").is_file()
         assert "feval_ratio" in summary
+        # the replay rewrites every file of the run, byte for byte
+        assert contents() == before
 
 
 class TestCli:

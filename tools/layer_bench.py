@@ -20,7 +20,9 @@ The cases are
   and beside it one ``energy_then_gradient`` whose gradient is never read
   (``energy_only``), the forward half of the same sweep;
 * one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool;
-* one BFGS inverse-Hessian update at 30 parameters.
+* one BFGS inverse-Hessian update at 30 parameters;
+* one exact Hessian (``diagnostics.exact_ansatz_hessian``, 2n shifted
+  gradients in one stacked sweep) of H4 with 10 and with 19 pool operators.
 
 The script uses only the package's public names, so a copy of it times any
 checkout of the package it sits in.  No benchmark gate reads its output.
@@ -43,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
+from adaptvqe.cost import CostLedger
+from adaptvqe.diagnostics import exact_ansatz_hessian
 from adaptvqe.driver import pool_gradients
 from adaptvqe.hamiltonians import (
     builtin_model,
@@ -93,6 +97,14 @@ def first_with_terms(pool, n_terms: int):
     return next(op for op in pool.operators if op.n_terms == n_terms)
 
 
+def random_ansatz(rng, hfile, pool, n: int) -> AnsatzState:
+    """``n`` pool operators drawn at random, at random angles near 0."""
+    picks = rng.integers(0, len(pool), size=n)
+    return AnsatzState(hfile.reference_bitstring, tuple(
+        (pool.operators[int(i)], float(t))
+        for i, t in zip(picks, rng.normal(size=n) * 0.2)))
+
+
 def cases(rng) -> dict:
     """Case name -> zero-argument callable."""
     h4 = load_hamiltonian(bundled_fixture_path("h4_sto3g_1p00.json"))
@@ -120,10 +132,7 @@ def cases(rng) -> dict:
         compiled = generator.compiled()
         out[f"exponential.{name}"] = lambda c=compiled, p=psi: c.exponential(p, THETA)
     for n in (10, 30):
-        picks = rng.integers(0, len(h4_pool), size=n)
-        ansatz = AnsatzState(h4.reference_bitstring, tuple(
-            (h4_pool.operators[int(i)], float(t))
-            for i, t in zip(picks, rng.normal(size=n) * 0.2)))
+        ansatz = random_ansatz(rng, h4, h4_pool, n)
         out[f"energy_and_gradient.h4_n{n}"] = (
             lambda a=ansatz: energy_and_gradient(a, h4.operator))
         out[f"energy_only.h4_n{n}"] = (
@@ -140,6 +149,10 @@ def cases(rng) -> dict:
     s, y = rng.normal(size=n), rng.normal(size=n)
     y += 2.0 * abs(s @ y) / (s @ s) * s  # positive curvature: the update runs
     out["bfgs_update.n30"] = lambda: bfgs_update(h, s, y)
+    for n in (10, 19):
+        ansatz = random_ansatz(rng, h4, h4_pool, n)
+        out[f"exact_hessian.h4_n{n}"] = (lambda a=ansatz: exact_ansatz_hessian(
+            a, h4.operator, a.parameters, CostLedger()))
     return out
 
 
