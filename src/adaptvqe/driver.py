@@ -11,6 +11,15 @@ pool-gradient norm is at most ``eps`` (``DEFAULT_EPS``) or after
 is the one check of :data:`MODES`.  :func:`run_adapt` charges the initial
 energy and each pool sweep to the run's ledger and passes that ledger to
 the minimizer, which charges the rest (see :mod:`adaptvqe.cost`).
+
+The loop carries the state it stands at across the growth boundary: a
+:class:`~adaptvqe.simulator.GradientHandle` holding ``psi`` and ``H|psi>``,
+first from the reference state's energy evaluation, then from each
+optimizer's last evaluation (kept when the optimizer returns its own start,
+since its point is then unchanged).  The pool sweep reads it, and so does
+the next objective for its start (see :class:`AnsatzObjective`), so neither
+prepares the state nor applies the Hamiltonian again.  The charges do not
+change: they price hardware queries, not simulator work.
 """
 
 from __future__ import annotations
@@ -33,7 +42,14 @@ from .optimizer import (
 )
 from .paulis import PauliSum, checked_cap, checked_threshold
 from .pools import OperatorPool
-from .simulator import AnsatzState, StateVector, expectation, generator_gradients, prepare
+from .simulator import (
+    AnsatzState,
+    GradientHandle,
+    energy_then_gradient,
+    expectation,  # noqa: F401  (perfbench/tracing.py wraps driver.expectation)
+    generator_gradients,
+    prepare,  # noqa: F401  (perfbench/tracing.py wraps driver.prepare)
+)
 
 __all__ = [
     "MODES",
@@ -103,21 +119,19 @@ class AdaptResult:
         return self.energy - self.exact_energy
 
 
-def pool_gradients(
-    state: StateVector,
-    pool: OperatorPool,
-    hamiltonian: PauliSum,
-) -> np.ndarray:
-    """Energy derivative of each candidate operator at parameter zero.
+def pool_gradients(carried: GradientHandle, pool: OperatorPool) -> np.ndarray:
+    """Energy derivative of each candidate operator at parameter zero, at
+    the state ``carried`` holds.
 
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
-    :func:`generator_gradients`, which checks the Hamiltonian.  One call is
-    one pool sweep, which :func:`run_adapt` charges at the flat 8N rate.
+    :func:`generator_gradients` from the carried ``psi`` and ``H|psi>``;
+    the Hamiltonian was checked by the sweep that computed them.  One call
+    is one pool sweep, which :func:`run_adapt` charges at the flat 8N rate.
     """
-    if pool.n_qubits != state.n_qubits:
+    if carried.psi.size != 1 << pool.n_qubits:
         raise ValueError("pool qubit count does not match the state")
-    return generator_gradients(state, hamiltonian, pool.operators)
+    return generator_gradients(carried.psi, carried.h_psi, pool.operators)
 
 
 def select_operator(gradients: np.ndarray) -> tuple[int, float]:
@@ -179,7 +193,7 @@ def run_adapt(
 
     ledger = CostLedger()
     ansatz = AnsatzState(reference)
-    energy = expectation(prepare(ansatz), hamiltonian)
+    energy, carried = energy_then_gradient(ansatz, hamiltonian)
     ledger.charge_energy()
     initial_energy = energy
 
@@ -196,9 +210,8 @@ def run_adapt(
     n = 0
     while n < max_iterations:
         n += 1
-        state = prepare(ansatz)
-        grads = pool_gradients(state, pool, hamiltonian)
-        ledger.charge_pool_sweep(default_pool_sweep_units(state.n_qubits))
+        grads = pool_gradients(carried, pool)
+        ledger.charge_pool_sweep(default_pool_sweep_units(ansatz.n_qubits))
         pool_sweeps += 1
         try:
             index, pool_norm = select_operator(grads)
@@ -212,7 +225,7 @@ def run_adapt(
             break
 
         ansatz = ansatz.grown(pool.operators[index], 0.0)
-        objective = AnsatzObjective(hamiltonian, ansatz)
+        objective = AnsatzObjective(hamiltonian, ansatz, carried)
         x_start = np.concatenate([x_star, [0.0]])
         settings = dict(grad_tol=opt_grad_tol, max_iterations=opt_max_iterations,
                         record_state=record_optimizer_state, ledger=ledger)
@@ -238,6 +251,8 @@ def run_adapt(
         else:
             consecutive_stalls = 0
 
+        if opt.handle is not None:
+            carried = opt.handle
         x_star = opt.x_star
         grad_star = opt.grad_star
         h_star = opt.h_star

@@ -1,10 +1,18 @@
 """Objective adapters connecting the optimizer to cost functions.
 
-The optimizer needs four calls: the function alone; the function and
-gradient together; a subset of gradient components; and ``evaluate``, the
-function now and the full gradient on demand, which each line-search trial
-uses.  The adapters only compute; the minimizers charge the queries they
-make (see :mod:`adaptvqe.cost`).
+The :class:`Objective` protocol has four methods: the function alone and a
+subset of gradient components, which the recycled start asks for; the
+function and gradient together, which the canonical start asks for; and
+``evaluate``, the function now and the full gradient on demand, which each
+line-search trial uses.  The adapters only compute; the minimizers charge
+the queries they make (see :mod:`adaptvqe.cost`).
+
+An :class:`AnsatzObjective` built with the growth loop's carried
+:class:`~adaptvqe.simulator.GradientHandle` answers its start from it: at
+the ansatz's own parameters, ``value`` is the carried energy and the last
+parameter's partial derivative is ``2 Re <H psi|A_new psi>`` over the
+carried state, bit for bit what a fresh sweep gives there.  Every other
+query is computed.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 from .paulis import PauliSum
 from .simulator import (
     AnsatzState,
+    GradientHandle,
     energy_and_gradient,
     energy_then_gradient,
     expectation,
@@ -39,24 +48,41 @@ class Objective(Protocol):
 
 
 class AnsatzObjective:
-    """Energy of a fixed-structure ansatz as a function of its parameters."""
+    """Energy of a fixed-structure ansatz as a function of its parameters.
 
-    def __init__(self, hamiltonian: PauliSum, ansatz: AnsatzState):
+    ``carried``, when given, is the evaluation of the state at the ansatz's
+    own parameters (``ansatz.parameters``); ``value`` there, and
+    ``grad_components`` there for the last parameter alone, read it.
+    """
+
+    def __init__(self, hamiltonian: PauliSum, ansatz: AnsatzState,
+                 carried: GradientHandle | None = None):
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
+        self.carried = carried
+        self._start = ansatz.parameters
+
+    def _at_carried(self, x: np.ndarray) -> bool:
+        """True when the carried state is the state at ``x``."""
+        return self.carried is not None and np.array_equal(x, self._start)
 
     def value(self, x: np.ndarray) -> float:
+        if self._at_carried(x):
+            return self.carried.energy
         return expectation(prepare(self.ansatz.with_parameters(x)), self.hamiltonian)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return energy_and_gradient(self.ansatz.with_parameters(x), self.hamiltonian)
 
     def grad_components(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+        last = self.ansatz.n_parameters - 1
+        if list(indices) == [last] and self._at_carried(x):
+            return np.array([self.carried.derivative(self.ansatz.generators[last])])
         return gradient_components(
             self.ansatz.with_parameters(x), self.hamiltonian, list(indices))
 
     def evaluate(self, x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
-        """The energy now, the gradient when the returned callable is first
+        """The energy now, the gradient when the returned handle is first
         called (see :func:`energy_then_gradient`)."""
         return energy_then_gradient(self.ansatz.with_parameters(x), self.hamiltonian)
 

@@ -9,9 +9,11 @@ and in whether the converging step updates the inverse Hessian:
 * :func:`minimize_recycled` starts from a previous optimization's final
   ``H*`` expanded by an identity row and column for the one parameter each
   growth iteration appends, reuses the previous final gradient for the old
-  entries of the initial gradient (only the new partial derivative is
-  evaluated), and also updates the matrix on the converging step, so the
-  returned ``H*`` is current.  Its outputs feed the next call directly.
+  entries of the initial gradient (it asks its objective for the energy and
+  the new partial derivative only, which an objective built on the carried
+  optimum answers without a sweep), and also updates the matrix on the
+  converging step, so the returned ``H*`` is current.  Its outputs feed the
+  next call directly.
 
 Each run stops when the gradient norm falls below ``grad_tol`` or after
 ``max_iterations`` line searches; :func:`~adaptvqe.paulis.checked_threshold`
@@ -31,12 +33,19 @@ at a trial that passes the sufficient-decrease test, and at the best point
 when the search fails.  A non-finite value raises at every trial; a
 deferred gradient is checked when it is read, so a non-finite gradient at a
 trial whose gradient is never read does not raise.
+
+A line search returns the gradient callable of the trial it returns, and a
+run that of its optimum, as ``handle``; it is ``None`` when the returned
+point is the search's or the run's own start.  For an ansatz objective it
+is a :class:`~adaptvqe.simulator.GradientHandle`, which the growth loop
+carries to the next iteration.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +87,7 @@ class LineSearchResult:
     alpha: float
     evals: int
     success: bool
+    handle: Callable[[], np.ndarray] | None
 
 
 @dataclass
@@ -120,6 +130,7 @@ class OptimizerResult:
     trace: list[IterationRecord] = field(default_factory=list)
     initial_fevals: int = 0
     snapshots: list[OptimizerSnapshot] | None = None
+    handle: Callable[[], np.ndarray] | None = None
 
 
 def wolfe_line_search(
@@ -143,7 +154,8 @@ def wolfe_line_search(
     # The lowest point so far, (x, f, gradient callable, alpha), and the
     # latest trial's gradient callable.  An unread callable holds its
     # trial's states, so the latest is dropped before the next evaluation.
-    best = (x, f_x, lambda: grad_x, 0.0)
+    start = (x, f_x, lambda: grad_x, 0.0)
+    best = start
     latest = None
 
     def probe(alpha: float) -> float:
@@ -172,11 +184,12 @@ def wolfe_line_search(
         return g_a, float(g_a @ p)
 
     def accept(alpha, f_a, g_a):
-        return LineSearchResult(x + alpha * p, f_a, g_a, alpha, evals, True)
+        return LineSearchResult(x + alpha * p, f_a, g_a, alpha, evals, True, latest)
 
     def fail():
         x_b, f_b, gradient, alpha = best
-        return LineSearchResult(x_b, f_b, read(alpha, gradient), alpha, evals, False)
+        return LineSearchResult(x_b, f_b, read(alpha, gradient), alpha, evals, False,
+                                None if best is start else gradient)
 
     def zoom(a_lo, f_lo, d_lo, a_hi, f_hi):
         while evals < _MAX_TRIALS:
@@ -329,6 +342,7 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
     """
     trace: list[IterationRecord] = []
     snapshots: list[OptimizerSnapshot] | None = [] if record_state else None
+    handle = None
 
     def finish(x, f, g, h, converged, failed):
         return OptimizerResult(
@@ -342,6 +356,7 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
             trace=trace,
             initial_fevals=initial_fevals,
             snapshots=snapshots,
+            handle=handle,
         )
 
     if np.linalg.norm(g) < grad_tol:
@@ -368,6 +383,8 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
             update_skipped=update_skipped, f_start=f,
             dir_deriv_start=float(g @ p), dir_deriv_end=float(ls.grad @ p)))
         x, f, g = ls.x, ls.f, ls.grad
+        if ls.handle is not None:
+            handle = ls.handle
         if not ls.success or converged:
             return finish(x, f, g, h, converged, not ls.success)
     return finish(x, f, g, h, False, False)

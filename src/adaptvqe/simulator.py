@@ -14,8 +14,9 @@ and the :data:`MAX_QUBITS` cap) once, when it is built.
 evaluation, keeps the checked reference and generators and checks only the
 new angles.  Each term of a generator is applied with the closed-form
 rotation ``exp(i t P) = cos(t) I + i sin(t) P``.  One rule accepts a
-Hamiltonian at every entry point, the pool sweep included: it is Hermitian
-and acts on the state's qubits.
+Hamiltonian at every entry point: it is Hermitian and acts on the state's
+qubits.  The pool sweep takes no Hamiltonian; it reads a state and
+``H|psi>`` that a checked sweep computed.
 
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
@@ -33,10 +34,17 @@ Hamiltonian, stores every intermediate state and ``H|psi>``, and yields the
 energy; the reverse half carries ``H|psi>`` back through the elements and
 stops at the lowest wanted index.
 :func:`energy_then_gradient` runs the forward half and returns the
-gradient as a callable that runs the reverse half on its first call, so a
-line-search trial whose gradient is never read costs only the forward
-half; :func:`energy_and_gradient` calls it at once, and
-:func:`gradient_components` runs both halves.  The sweep takes one
+gradient as a :class:`GradientHandle`, a callable that runs the reverse half
+on its first call, so a line-search trial whose gradient is never read
+costs only the forward half; :func:`energy_and_gradient` calls it at once,
+and :func:`gradient_components` runs both halves.  The handle also keeps
+its point's energy, final state and ``H|psi>``, read-only, and drops every
+other forward state once its gradient is computed.  The optimizer returns
+the handle of its optimum, so the growth loop's next pool sweep and the
+recycled start's energy and new partial derivative read them instead of
+preparing the state and applying the Hamiltonian again: a generator at
+angle 0 leaves its input unchanged, so the state at ``(x*, 0)`` is the
+state at ``x*``, bit for bit.  The sweep takes one
 parameter vector as a 1-D state, or a stack of them at once, one state per
 row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for their 2n
 shifted points); each row is bit for bit the result of its own call.
@@ -47,7 +55,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -61,6 +68,7 @@ __all__ = [
     "AnsatzState",
     "prepare",
     "expectation",
+    "GradientHandle",
     "energy_then_gradient",
     "energy_and_gradient",
     "gradient_components",
@@ -203,30 +211,51 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
     return _real_energy(complex(np.vdot(state.amplitudes, compiled.apply(state.amplitudes))))
 
 
+class GradientHandle:
+    """The full analytic gradient at one point, computed by the first call
+    and cached, plus that point's ``energy``, final state ``psi`` and
+    ``h_psi`` = ``H|psi>``.
+
+    ``psi`` and ``h_psi`` are read-only and outlive the gradient's
+    computation, which drops the other forward states, so a handle kept
+    after its gradient is read holds two state vectors.
+    """
+
+    def __init__(self, sweep: "_Sweep"):
+        self._sweep = sweep
+        self._grad = None
+        self.energy = sweep.energies[0]
+        self.psi, self.h_psi = sweep.states[-1], sweep.lam
+        self.psi.setflags(write=False)
+        self.h_psi.setflags(write=False)
+
+    def __call__(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = self._sweep.gradient(list(range(len(self._sweep.generators))))[0]
+            self._sweep = None
+        return self._grad
+
+    def derivative(self, generator: PauliSum) -> float:
+        """``2 Re <H psi|A psi>`` for the generator ``A``: the energy
+        derivative of the last ansatz element when ``A`` is its generator,
+        by the arithmetic the sweep's reverse half does for that element."""
+        return 2.0 * np.vdot(self.h_psi, generator.compiled().apply(self.psi)).real
+
+
 def energy_then_gradient(
     ansatz: AnsatzState,
     hamiltonian: PauliSum,
-) -> tuple[float, Callable[[], np.ndarray]]:
+) -> tuple[float, GradientHandle]:
     """The energy now and the full analytic gradient on demand.
 
-    Only the forward half of the sweep runs here.  The returned
-    ``gradient()`` runs the reverse half over the stored forward states on
-    its first call, then drops them and returns the same cached array on
-    every later call.  Energy and gradient are bit for bit those of
+    Only the forward half of the sweep runs here.  The returned handle runs
+    the reverse half over the stored forward states on its first call, then
+    drops them and returns the same cached array on every later call.
+    Energy and gradient are bit for bit those of
     :func:`energy_and_gradient`.
     """
-    n = ansatz.n_parameters
-    sweep = _Sweep(ansatz, hamiltonian, ansatz.parameters[np.newaxis])
-    grad = None
-
-    def gradient() -> np.ndarray:
-        nonlocal sweep, grad
-        if grad is None:
-            grad = sweep.gradient(list(range(n)))[0]
-            sweep = None
-        return grad
-
-    return sweep.energies[0], gradient
+    handle = GradientHandle(_Sweep(ansatz, hamiltonian, ansatz.parameters[np.newaxis]))
+    return handle.energy, handle
 
 
 def energy_and_gradient(
@@ -349,12 +378,13 @@ def _exponential_rows(compiled: CompiledSum, stack: np.ndarray,
 
 
 def generator_gradients(
-    state: StateVector,
-    hamiltonian: PauliSum,
+    psi: np.ndarray,
+    h_psi: np.ndarray,
     generators: tuple[PauliSum, ...] | list[PauliSum],
 ) -> np.ndarray:
-    """``2 Re <H psi|A_k psi>`` for each generator: the energy derivative of
-    ``exp(t A_k)|psi>`` at ``t = 0``.
+    """``2 Re <H psi|A_k psi>`` for each generator, from a state ``psi`` and
+    ``h_psi`` = ``H|psi>``: the energy derivative of ``exp(t A_k)|psi>`` at
+    ``t = 0``.
 
     Generators whose strings share one X mask (every qubit-excitation
     operator and every single string) are evaluated together through their
@@ -365,9 +395,7 @@ def generator_gradients(
     full.  The summation order differs from :meth:`CompiledSum.apply`, so the
     result agrees with it to rounding, not bit for bit.
     """
-    n = state.n_qubits
-    psi = state.amplitudes
-    h_psi = _checked_hamiltonian(hamiltonian, n).apply(psi)
+    n = psi.size.bit_length() - 1
     grads = np.empty(len(generators), dtype=float)
     by_mask: dict[int, dict[int, list[tuple[int, np.ndarray]]]] = {}
     for k, generator in enumerate(generators):

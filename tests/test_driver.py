@@ -1,9 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 import adaptvqe.driver as driver_module
+import adaptvqe.optimizer as optimizer_module
 from adaptvqe.driver import pool_gradients, run_adapt, select_operator
 from adaptvqe.experiment import ExperimentConfig
 from adaptvqe.hamiltonians import builtin_model
@@ -11,7 +13,15 @@ from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import OptimizerResult, minimize_canonical, minimize_recycled
 from adaptvqe.paulis import PauliSum
 from adaptvqe.pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool
-from adaptvqe.simulator import AnsatzState, StateVector, expectation, prepare
+from adaptvqe.simulator import (
+    AnsatzState,
+    StateVector,
+    energy_then_gradient,
+    expectation,
+    generator_gradients,
+    gradient_components,
+    prepare,
+)
 
 from oracles import commutator, reference_pool_gradients
 
@@ -26,36 +36,46 @@ def recomputed_fevals(result):
     return total
 
 
+def carried_at(ansatz, hamiltonian):
+    """The growth loop's carried handle at ``ansatz``: its state and H|psi>."""
+    return energy_then_gradient(ansatz, hamiltonian)[1]
+
+
 class TestPoolGradients:
     def test_hand_computed_example(self):
-        # H = Z, A = iY at |+>: <+|[Z, iY]|+> = <+|2X|+> = 2
-        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        pool = OperatorPool("Qubit", 1,
-                            (PauliSum.from_text_terms([("Y", 1j)]),), ("iY",))
-        grads = pool_gradients(plus, pool, PauliSum.from_text_terms([("Z", 1.0)]))
+        # H = Z, A = iY at |+> = exp(-pi/4 iY)|0>: <+|[Z, iY]|+> = <+|2X|+> = 2
+        iy = PauliSum.from_text_terms([("Y", 1j)])
+        pool = OperatorPool("Qubit", 1, (iy,), ("iY",))
+        carried = carried_at(AnsatzState("0", ((iy, -np.pi / 4),)),
+                             PauliSum.from_text_terms([("Z", 1.0)]))
+        np.testing.assert_allclose(carried.psi, np.array([1.0, 1.0]) / np.sqrt(2),
+                                   rtol=0, atol=1e-15)
+        grads = pool_gradients(carried, pool)
         assert grads[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_pool_and_hamiltonian_checked(self):
-        # the pool against the state here; the Hamiltonian by the engine's one rule
-        state = prepare(AnsatzState("01"))
+        # the pool against the state here; the Hamiltonian by the engine's
+        # one rule, when the carried state is computed
         ham = PauliSum.from_text_terms([("ZZ", 1.0)])
         with pytest.raises(ValueError, match="pool qubit count"):
-            pool_gradients(state, build_nearest_neighbor_pool(3), ham)
+            pool_gradients(carried_at(AnsatzState("01"), ham), build_nearest_neighbor_pool(3))
         non_hermitian = PauliSum.from_text_terms([("XY", 1j), ("ZI", 0.5)])
         with pytest.raises(ValueError, match="not Hermitian"):
-            pool_gradients(state, build_nearest_neighbor_pool(2), non_hermitian)
+            pool_gradients(carried_at(AnsatzState("01"), non_hermitian),
+                           build_nearest_neighbor_pool(2))
 
     def test_commuting_operator_gives_zero(self):
         ham = PauliSum.from_text_terms([("ZZ", 1.0)])
         pool = OperatorPool("Qubit", 2,
                             (PauliSum.from_text_terms([("ZI", 1j)]),), ("iZ0",))
-        state = prepare(AnsatzState("01"))
-        assert pool_gradients(state, pool, ham)[0] == pytest.approx(0.0, abs=1e-12)
+        carried = carried_at(AnsatzState("01"), ham)
+        assert pool_gradients(carried, pool)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_symbolic_commutator_route(self, h2_fixture):
         pool = build_qe_pool(4, 2)
-        state = prepare(AnsatzState(h2_fixture.reference_bitstring))
-        grads = pool_gradients(state, pool, h2_fixture.operator)
+        ansatz = AnsatzState(h2_fixture.reference_bitstring)
+        state = prepare(ansatz)
+        grads = pool_gradients(carried_at(ansatz, h2_fixture.operator), pool)
         for op, g in zip(pool.operators, grads):
             comm = commutator(h2_fixture.operator, op)
             expected = 0.0 if comm.is_zero else expectation(state, comm)
@@ -63,8 +83,9 @@ class TestPoolGradients:
 
     def test_matches_finite_difference_through_exponential(self, h2_fixture):
         pool = build_qe_pool(4, 2)
-        state = prepare(AnsatzState(h2_fixture.reference_bitstring))
-        grads = pool_gradients(state, pool, h2_fixture.operator)
+        ansatz = AnsatzState(h2_fixture.reference_bitstring)
+        state = prepare(ansatz)
+        grads = pool_gradients(carried_at(ansatz, h2_fixture.operator), pool)
         step = 1e-5
 
         def energy_at(op, theta):
@@ -85,11 +106,12 @@ class TestPoolGradients:
             pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
         rng = np.random.default_rng(11)
         picks = rng.integers(0, len(pool), size=4)
-        state = prepare(AnsatzState(hfile.reference_bitstring, tuple(
+        ansatz = AnsatzState(hfile.reference_bitstring, tuple(
             (pool.operators[int(i)], float(t))
-            for i, t in zip(picks, rng.normal(size=4) * 0.5))))
+            for i, t in zip(picks, rng.normal(size=4) * 0.5)))
+        state = prepare(ansatz)
         assert all(op.compiled().sign_table is not None for op in pool.operators)
-        grads = pool_gradients(state, pool, hfile.operator)
+        grads = pool_gradients(carried_at(ansatz, hfile.operator), pool)
         expected = reference_pool_gradients(
             state.amplitudes, state.n_qubits, hfile.operator, pool.operators)
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
@@ -102,19 +124,19 @@ class TestPoolGradients:
                             ("mixed", "double"))
         assert mixed.compiled().sign_table is None
         rng = np.random.default_rng(12)
-        state = prepare(AnsatzState(h2_fixture.reference_bitstring,
-                                    ((pool.operators[1], float(rng.normal())),)))
-        grads = pool_gradients(state, pool, h2_fixture.operator)
+        ansatz = AnsatzState(h2_fixture.reference_bitstring,
+                             ((pool.operators[1], float(rng.normal())),))
+        grads = pool_gradients(carried_at(ansatz, h2_fixture.operator), pool)
         expected = reference_pool_gradients(
-            state.amplitudes, 4, h2_fixture.operator, pool.operators)
+            prepare(ansatz).amplitudes, 4, h2_fixture.operator, pool.operators)
         assert grads[0] == expected[0]
         assert grads[1] == pytest.approx(expected[1], abs=1e-12)
 
     def test_ledger_charged_flat_rate(self, h2_fixture):
         # run_adapt charges each sweep 8N; the sweep itself charges nothing
         pool = build_qe_pool(4, 2)
-        state = prepare(AnsatzState(h2_fixture.reference_bitstring))
-        assert pool_gradients(state, pool, h2_fixture.operator).shape == (len(pool),)
+        carried = carried_at(AnsatzState(h2_fixture.reference_bitstring), h2_fixture.operator)
+        assert pool_gradients(carried, pool).shape == (len(pool),)
         result = run_adapt(h2_fixture.operator, h2_fixture.reference_bitstring, pool,
                            max_iterations=1)
         assert result.pool_sweeps == 1
@@ -291,6 +313,134 @@ class TestRunAdapt:
                            pool, mode="canonical", max_iterations=10)
         assert result.stalled and not result.converged
         assert len(result.iterations) == 3
+
+
+def repeated_hamiltonian_applies(hfile, pool, mode, **settings):
+    """A run of ``mode``, and how many of its Hamiltonian applications had
+    an input (bytes and shape) that the run had already applied H to."""
+    compiled = hfile.operator.compiled()
+    seen, repeats = set(), 0
+
+    def counting_apply(amps, apply=compiled.apply):
+        nonlocal repeats
+        key = (amps.shape, hashlib.sha256(amps.tobytes()).digest())
+        repeats += key in seen
+        seen.add(key)
+        return apply(amps)
+
+    compiled.apply = counting_apply  # an instance attribute shadows the method
+    try:
+        result = run_adapt(hfile.operator, hfile.reference_bitstring, pool, mode=mode,
+                           record_optimizer_state=True, **settings)
+    finally:
+        del compiled.apply
+    return result, repeats
+
+
+def assert_carried_reads_match_fresh(hfile, pool, result):
+    """What the loop read from its carried state equals, bit for bit, a
+    fresh computation at each iteration's start: the pool sweep's selected
+    gradient and norm, and the start energy and new partial derivative."""
+    hamiltonian = hfile.operator
+    ansatz = AnsatzState(hfile.reference_bitstring)
+
+    def fresh_sweep(at):
+        psi = prepare(at).amplitudes
+        grads = generator_gradients(psi, hamiltonian.compiled().apply(psi), pool.operators)
+        return grads, select_operator(grads)
+
+    for it in result.iterations:
+        ansatz = ansatz.grown(pool.operators[it.selected_index])
+        at_start = ansatz.with_parameters(it.x_start)
+        grads, (index, norm) = fresh_sweep(at_start)
+        assert (it.selected_index, it.selected_gradient, it.pool_grad_norm) == (
+            index, grads[index], norm), it.n
+        if it.opt_snapshots:
+            f_start, g_start = it.opt_snapshots[0].f, it.opt_snapshots[0].grad
+        else:  # the optimization returned its start
+            f_start, g_start = it.energy, it.grad_star
+        assert float(f_start).hex() == float(expectation(prepare(at_start), hamiltonian)).hex()
+        assert (g_start[-1:].tobytes()
+                == gradient_components(at_start, hamiltonian, [it.n - 1]).tobytes()), it.n
+    if result.converged and result.iterations:
+        assert result.final_pool_grad_norm == fresh_sweep(result.ansatz)[1][1]
+
+
+@pytest.fixture(scope="module")
+def h4_counted_runs(h4_equilibrium_fixture):
+    pool = build_qe_pool(8, 4)
+    return pool, {mode: repeated_hamiltonian_applies(h4_equilibrium_fixture, pool, mode)
+                  for mode in ("canonical", "recycling")}
+
+
+class TestCarriedState:
+    """The pool sweep and the recycled start read the state and H|psi> of
+    the optimizer's last evaluation instead of computing them again."""
+
+    def test_h4_reads_match_fresh(self, h4_equilibrium_fixture, h4_counted_runs):
+        pool, runs = h4_counted_runs
+        for result, _ in runs.values():
+            assert result.converged
+            assert_carried_reads_match_fresh(h4_equilibrium_fixture, pool, result)
+
+    @pytest.mark.parametrize("mode", ["canonical", "recycling"])
+    def test_tfim8_reads_match_fresh(self, mode):
+        model = builtin_model("tfim", 8, with_exact=False)
+        pool = build_nearest_neighbor_pool(8)
+        result = run_adapt(model.operator, model.reference_bitstring, pool, mode=mode,
+                           max_iterations=25, record_optimizer_state=True)
+        assert len(result.iterations) == 25
+        assert_carried_reads_match_fresh(model, pool, result)
+
+    def test_h4_repeats_no_hamiltonian_application(self, h4_counted_runs):
+        # before the state was carried: 39 canonical and 58 recycling
+        # repeats; the canonical start's value_and_grad still repeats one
+        # per growth iteration
+        _, runs = h4_counted_runs
+        canonical, canonical_repeats = runs["canonical"]
+        recycling, recycling_repeats = runs["recycling"]
+        assert len(canonical.iterations) == 19
+        assert canonical_repeats <= len(canonical.iterations)
+        assert recycling_repeats <= 1
+
+    @pytest.mark.parametrize("mode", ["canonical", "recycling"])
+    def test_optimization_that_returns_its_start(self, h4_equilibrium_fixture, mode):
+        # selected gradients fall from about 2.2 to 1.9: a start below the
+        # tolerance returns at once, and the next iteration starts from the
+        # state carried from before it
+        pool = build_qe_pool(8, 4)
+        result = run_adapt(h4_equilibrium_fixture.operator,
+                           h4_equilibrium_fixture.reference_bitstring, pool, mode=mode,
+                           opt_grad_tol=2.1, max_iterations=5, record_optimizer_state=True)
+        searches = [it.line_searches for it in result.iterations]
+        assert any(now == 0 and then > 0 for now, then in zip(searches, searches[1:]))
+        assert_carried_reads_match_fresh(h4_equilibrium_fixture, pool, result)
+
+    @pytest.mark.parametrize("case, mode, kind", [
+        ("h4_stretched", "canonical", "own start"),
+        ("h4_stretched", "recycling", "own start"),
+        ("tfim4", "recycling", "earlier trial"),
+    ])
+    def test_failed_line_searches(self, h4_stretched_fixture, monkeypatch, case, mode, kind):
+        # three trials per search: a later search fails at its own start,
+        # so the point and its handle come from the search before it, or
+        # returns a trial before its last
+        monkeypatch.setattr(optimizer_module, "_MAX_TRIALS", 3)
+        if case == "tfim4":
+            hfile = builtin_model("tfim", 4, with_exact=False)
+            pool, max_iterations = build_nearest_neighbor_pool(4), 11
+        else:
+            hfile = h4_stretched_fixture
+            pool, max_iterations = build_qe_pool(8, 4), 8
+        result = run_adapt(hfile.operator, hfile.reference_bitstring, pool, mode=mode,
+                           max_iterations=max_iterations, record_optimizer_state=True)
+        failed = [(it.line_searches, it.opt_trace[-1].alpha)
+                  for it in result.iterations if it.line_search_failed]
+        if kind == "own start":
+            assert any(searches > 1 and alpha == 0.0 for searches, alpha in failed)
+        else:
+            assert any(alpha > 0.0 for _, alpha in failed)
+        assert_carried_reads_match_fresh(hfile, pool, result)
 
 
 # One threshold rule and one cap rule, the same at every entry point that

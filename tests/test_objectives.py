@@ -4,7 +4,7 @@ from adaptvqe.cost import CostLedger
 from adaptvqe.objectives import AnsatzObjective, FunctionObjective
 from adaptvqe.optimizer import minimize_canonical, minimize_recycled, wolfe_line_search
 from adaptvqe.pools import build_qe_pool
-from adaptvqe.simulator import AnsatzState, energy_and_gradient
+from adaptvqe.simulator import AnsatzState, energy_and_gradient, energy_then_gradient
 
 
 def test_repeated_indices_read_alike(h4_equilibrium_fixture):
@@ -47,6 +47,26 @@ def test_line_search_over_deferred_gradients_matches_eager(h4_equilibrium_fixtur
                            expected.grad.tobytes(), expected.alpha, expected.evals)
     assert (ledgers[0].snapshot() == ledgers[1].snapshot()
             == {"function_evaluations": 3 * (1 + 2 * 4), "pool_gradient_units": 0})
+
+
+def test_carried_state_answers_the_start_only(h4_equilibrium_fixture):
+    # the growth loop's objective: the previous optimum's handle, and the
+    # grown ansatz at (x*, 0), which is the same state
+    hfile = h4_equilibrium_fixture
+    pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+    previous = AnsatzState(hfile.reference_bitstring, tuple(
+        (pool.operators[i], t) for i, t in ((0, 0.1), (5, -0.2))))
+    _, carried = energy_then_gradient(previous, hfile.operator)
+    ansatz = previous.grown(pool.operators[40])
+    carried_objective = AnsatzObjective(hfile.operator, ansatz, carried)
+    fresh_objective = AnsatzObjective(hfile.operator, ansatz)
+    start, elsewhere = np.array([0.1, -0.2, 0.0]), np.array([0.1, -0.2, 0.3])
+    for x in (start, elsewhere):
+        assert (float(carried_objective.value(x)).hex()
+                == float(fresh_objective.value(x)).hex())
+        for indices in ([2], [0, 2]):
+            assert (carried_objective.grad_components(x, indices).tobytes()
+                    == fresh_objective.grad_components(x, indices).tobytes())
 
 
 class PlainQuadratic:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 from adaptvqe import compiled as compiled_module
 from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum
 from adaptvqe.cost import CostLedger
+from adaptvqe.driver import pool_gradients
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
 from adaptvqe.objectives import AnsatzObjective
 from adaptvqe.optimizer import minimize_canonical, minimize_recycled, wolfe_line_search
 from adaptvqe.paulis import PauliString, PauliSum
-from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool, qe_double
+from adaptvqe.pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool, qe_double
 from adaptvqe.simulator import (
     AnsatzState,
     StateVector,
@@ -264,8 +267,10 @@ GRADIENT_ROUTES = {
     "single": lambda ansatz, hamiltonian: gradient_components(ansatz, hamiltonian, [0]),
     "stacked": lambda ansatz, hamiltonian: gradient_components(
         ansatz, hamiltonian, [0], points=np.array([[0.1], [-0.3]])),
-    "pool": lambda ansatz, hamiltonian: generator_gradients(
-        prepare(ansatz), hamiltonian, ansatz.generators),
+    # the pool sweep reads the state and H|psi> of a checked sweep
+    "pool": lambda ansatz, hamiltonian: pool_gradients(
+        energy_then_gradient(ansatz, hamiltonian)[1],
+        OperatorPool("Qubit", ansatz.n_qubits, ansatz.generators, ("A",))),
 }
 
 
@@ -425,7 +430,7 @@ class TestCompiledIsBitExact:
             assert_rows_bit_exact(generator.compiled(), stack, theta)
         # the pool sweep sums in another order: rounding-level agreement
         np.testing.assert_allclose(
-            generator_gradients(StateVector(n_qubits, amps), hamiltonian, generators),
+            generator_gradients(amps, hamiltonian.compiled().apply(amps), generators),
             reference_pool_gradients(amps, n_qubits, hamiltonian, generators),
             rtol=0, atol=1e-12)
 
@@ -449,6 +454,35 @@ class TestEnergyThenGradient:
         assert grad.shape == (n,)
         assert grad.tobytes() == eager_grad.tobytes() == reference_grad.tobytes()
         assert gradient() is grad  # computed once, then cached
+
+    def test_handle_keeps_only_its_final_state_read_only(
+            self, h4_equilibrium_fixture, monkeypatch):
+        # the growth loop carries a handle across iterations: it must cost
+        # two state vectors, psi and H|psi>, and neither may be written
+        hfile = h4_equilibrium_fixture
+        ansatz = random_ansatz(np.random.default_rng(5), hfile,
+                               build_qe_pool(hfile.n_qubits, hfile.n_electrons), 4)
+        exponential = CompiledSum.exponential
+        forward = []
+
+        def recording_exponential(compiled, amps, theta):
+            out = exponential(compiled, amps, theta)
+            forward.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(CompiledSum, "exponential", recording_exponential)
+        energy, handle = energy_then_gradient(ansatz, hfile.operator)
+        states = forward[:]  # the reverse half's exponentials come later
+        assert len(states) == 4 and all(ref() is not None for ref in states)
+        assert states[-1]() is handle.psi
+        assert float(handle.energy).hex() == float(energy).hex()
+        assert handle.h_psi.tobytes() == hfile.operator.compiled().apply(
+            prepare(ansatz).amplitudes).tobytes()
+        for carried in (handle.psi, handle.h_psi):
+            with pytest.raises(ValueError, match="read-only"):
+                carried[0] = 0.0
+        handle()
+        assert [ref() is None for ref in states] == [True, True, True, False]
 
     def test_bad_hamiltonian_raises_before_any_charge(self, h2_fixture):
         # a query that raises is not charged: not at a minimizer's start, not

@@ -19,7 +19,12 @@ The cases are
 * one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators,
   and beside it one ``energy_then_gradient`` whose gradient is never read
   (``energy_only``), the forward half of the same sweep;
-* one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool;
+* one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool,
+  from a carried handle (the state and ``H|psi>`` of an evaluation);
+* one growth boundary on H4 and on H6 (``growth_boundary``): from the
+  handle of the optimum, one pool sweep, the selection, and the recycled
+  start's two queries (``AnsatzObjective.value`` and ``grad_components``
+  of the new parameter), which the carried handle answers;
 * one BFGS inverse-Hessian update at 30 parameters;
 * one exact Hessian (``diagnostics.exact_ansatz_hessian``, 2n shifted
   gradients in one stacked sweep) of H4 with 10 and with 19 pool operators.
@@ -47,12 +52,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 from adaptvqe.cost import CostLedger
 from adaptvqe.diagnostics import exact_ansatz_hessian
-from adaptvqe.driver import pool_gradients
+from adaptvqe.driver import pool_gradients, select_operator
 from adaptvqe.hamiltonians import (
     builtin_model,
     bundled_fixture_path,
     load_hamiltonian,
 )
+from adaptvqe.objectives import AnsatzObjective
 from adaptvqe.optimizer import bfgs_update
 from adaptvqe.paulis import PauliSum
 from adaptvqe.pools import build_nearest_neighbor_pool, build_qe_pool
@@ -60,7 +66,6 @@ from adaptvqe.simulator import (
     AnsatzState,
     energy_and_gradient,
     energy_then_gradient,
-    prepare,
 )
 from generate_fixtures import build_hydrogen_chain
 
@@ -105,6 +110,17 @@ def random_ansatz(rng, hfile, pool, n: int) -> AnsatzState:
         for i, t in zip(picks, rng.normal(size=n) * 0.2)))
 
 
+def growth_boundary(ansatz, carried, pool, hamiltonian) -> None:
+    """From the handle of ``ansatz``'s optimum: the pool sweep, the
+    selection and the recycled start of the grown ansatz."""
+    index, _ = select_operator(pool_gradients(carried, pool))
+    grown = ansatz.grown(pool.operators[index])
+    objective = AnsatzObjective(hamiltonian, grown, carried)
+    x_start = grown.parameters
+    objective.value(x_start)
+    objective.grad_components(x_start, [ansatz.n_parameters])
+
+
 def cases(rng) -> dict:
     """Case name -> zero-argument callable."""
     h4 = load_hamiltonian(bundled_fixture_path("h4_sto3g_1p00.json"))
@@ -140,9 +156,10 @@ def cases(rng) -> dict:
     for name, hfile, pool in (("h4", h4, h4_pool), ("h6", h6, h6_pool)):
         ansatz = AnsatzState(hfile.reference_bitstring, tuple(
             (op, 0.1) for op in pool.operators[:4]))
-        state = prepare(ansatz)
-        out[f"pool_sweep.{name}"] = (
-            lambda s=state, p=pool, h=hfile.operator: pool_gradients(s, p, h))
+        _, carried = energy_then_gradient(ansatz, hfile.operator)
+        out[f"pool_sweep.{name}"] = lambda c=carried, p=pool: pool_gradients(c, p)
+        out[f"growth_boundary.{name}"] = (
+            lambda a=ansatz, c=carried, p=pool, h=hfile.operator: growth_boundary(a, c, p, h))
     n = 30
     a = rng.normal(size=(n, n))
     h = a @ a.T / n + np.eye(n)
