@@ -335,9 +335,6 @@ class PauliSum:
                 out[prod] = out.get(prod, 0j) + ca * cb * phase
         return PauliSum(self.n_qubits, out)
 
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(s, c.conjugate()) for s, c in self._terms])
-
     def terms_mutually_commute(self) -> bool:
         return self.compiled().commuting
 

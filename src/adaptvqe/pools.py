@@ -11,10 +11,17 @@ Two families are provided:
 A nearest-neighbour qubit pool over weight <= 2 strings is also provided as
 the documented convention for the built-in lattice-model Hamiltonians.
 
-Doubles are built as products of single-site (Z-string-free) ladder
-operators and rescaled so each of their eight Pauli strings carries a
-coefficient of unit magnitude; singles keep the two-string
-``(i/2)(X_p Y_q - Y_p X_q)`` form.  Qubit-pool generators are ``i * P``.
+Each QE generator is written from a fixed letter pattern: a double is
+eight weight-4 X/Y strings with coefficients ``+-i``, a single the
+two-string ``(i/2)(X_p Y_q - Y_p X_q)`` form, and only the sites vary.
+The patterns are what the product of single-site (Z-string-free) ladder
+operators ``t``, taken as ``t - t^dagger`` and rescaled to unit-magnitude
+coefficients for doubles, expands to.  The two routes give equal sums bit
+for bit: the products only multiply and add powers of two, so every
+coefficient is exactly ``+-i`` or ``+-i/2`` on both, and ``PauliSum`` adds
+each coefficient to ``0j``, which clears the sign of a zero real part.
+The product form is kept in ``tests/oracles.py`` as the reference.
+Qubit-pool generators are ``i * P``.
 """
 
 from __future__ import annotations
@@ -85,20 +92,35 @@ class OperatorPool:
         ]
 
 
-def _qubit_ladder(site: int, n_qubits: int, creation: bool) -> PauliSum:
-    """Single-site excitation ladder operator (X -+ iY)/2, no Z string."""
-    x = PauliString.single("X", site, n_qubits)
-    y = PauliString.single("Y", site, n_qubits)
-    sign = -1j if creation else 1j
-    return PauliSum(n_qubits, [(x, 0.5), (y, 0.5 * sign)])
+# Letters and coefficients of each generator, one letter per site of the
+# excitation in the order the function names them: (p, q) for a single and
+# (p, q, r, s) for a double of ``source=(p, q)``, ``target=(r, s)``.
+QE_SINGLE_PATTERN = (("XY", 0.5j), ("YX", -0.5j))
+QE_DOUBLE_PATTERN = (
+    ("XXYX", -1j), ("XXXY", -1j), ("XYXX", 1j), ("YXYY", -1j),
+    ("YXXX", 1j), ("XYYY", -1j), ("YYYX", 1j), ("YYXY", 1j),
+)
+
+
+def _excitation(sites: tuple[int, ...], pattern, n_qubits: int) -> PauliSum:
+    """The X/Y strings of ``pattern`` on ``sites``: every string flips all
+    of them, and a Y adds its site to the z mask."""
+    for site in sites:
+        if not 0 <= site < n_qubits:
+            raise ValueError(f"site {site} out of range for {n_qubits} qubits")
+    x_mask = sum(1 << site for site in sites)
+    terms = []
+    for letters, coeff in pattern:
+        z_mask = sum(1 << site for site, letter in zip(sites, letters) if letter == "Y")
+        terms.append((PauliString(n_qubits, x_mask, z_mask), coeff))
+    return PauliSum(n_qubits, terms)
 
 
 def qe_single(p: int, q: int, n_qubits: int) -> PauliSum:
     """Single qubit excitation (i/2)(X_p Y_q - Y_p X_q)."""
     if p == q:
         raise ValueError("single excitation needs two distinct spin-orbitals")
-    t = _qubit_ladder(p, n_qubits, True) @ _qubit_ladder(q, n_qubits, False)
-    return t - t.adjoint()
+    return _excitation((p, q), QE_SINGLE_PATTERN, n_qubits)
 
 
 def qe_double(source: tuple[int, int], target: tuple[int, int], n_qubits: int) -> PauliSum:
@@ -110,13 +132,7 @@ def qe_double(source: tuple[int, int], target: tuple[int, int], n_qubits: int) -
     r, s = target
     if len({p, q, r, s}) != 4:
         raise ValueError("double excitation needs four distinct spin-orbitals")
-    t = (
-        _qubit_ladder(r, n_qubits, True)
-        @ _qubit_ladder(s, n_qubits, True)
-        @ _qubit_ladder(p, n_qubits, False)
-        @ _qubit_ladder(q, n_qubits, False)
-    )
-    return (t - t.adjoint()) * 8.0
+    return _excitation((p, q, r, s), QE_DOUBLE_PATTERN, n_qubits)
 
 
 def _spin(index: int) -> int:

@@ -7,9 +7,12 @@ statevector engine, so that tests compare two independent routes.
 Conventions match the package's documented ones: qubit 0 is the leftmost
 character of a text string and the least-significant bit of a basis index.
 
-Two groups are exceptions.  ``commutator``, ``particle_number_operator``
+Three groups are exceptions.  ``commutator``, ``particle_number_operator``
 and ``sz_projection_operator`` build package ``PauliSum`` objects for
-symbolic checks; the commutator is the sum's own ``a @ b - b @ a``.  The
+symbolic checks; the commutator is the sum's own ``a @ b - b @ a``.
+``reference_qe_single`` and ``reference_qe_double`` are the ladder-product
+construction of the QE generators that the pool's fixed letter patterns
+replaced, and the pools must match them bit for bit.  The
 ``reference_*`` functions are the plain term-by-term statevector route (a
 phase, a gather and an accumulation per Pauli string, in canonical term
 order) that the compiled engine replaced, and the per-column
@@ -107,6 +110,39 @@ def sz_projection_operator(n_qubits: int):
     return PauliSum.from_text_terms(
         [("I" * n_qubits, 0.5 * sum(spins))]
         + [(_z_at(i, n_qubits), -0.5 * s) for i, s in enumerate(spins)])
+
+
+def _qubit_ladder(site: int, n_qubits: int, creation: bool):
+    """Single-site excitation ladder operator (X -+ iY)/2, no Z string."""
+    x = "I" * site + "X" + "I" * (n_qubits - site - 1)
+    y = "I" * site + "Y" + "I" * (n_qubits - site - 1)
+    return PauliSum.from_text_terms([(x, 0.5), (y, 0.5 * (-1j if creation else 1j))])
+
+
+def _minus_adjoint(t):
+    """``t - t^dagger``, with the adjoint written term by term."""
+    return t - PauliSum(t.n_qubits, [(s, c.conjugate()) for s, c in t])
+
+
+def reference_qe_single(p: int, q: int, n_qubits: int):
+    """Single qubit excitation as ``t - t^dagger`` of ``t = Q_p^dagger Q_q``."""
+    t = _qubit_ladder(p, n_qubits, True) @ _qubit_ladder(q, n_qubits, False)
+    return _minus_adjoint(t)
+
+
+def reference_qe_double(source, target, n_qubits: int):
+    """Double qubit excitation as ``8 (t - t^dagger)`` of
+    ``t = Q_r^dagger Q_s^dagger Q_p Q_q``, for ``source=(p, q)`` and
+    ``target=(r, s)``."""
+    p, q = source
+    r, s = target
+    t = (
+        _qubit_ladder(r, n_qubits, True)
+        @ _qubit_ladder(s, n_qubits, True)
+        @ _qubit_ladder(p, n_qubits, False)
+        @ _qubit_ladder(q, n_qubits, False)
+    )
+    return _minus_adjoint(t) * 8.0
 
 
 def wolfe_admissible_alphas(phi, dphi, f0, d0, alphas, c1=1e-4, c2=0.9):

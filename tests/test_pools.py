@@ -1,3 +1,4 @@
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,13 @@ from adaptvqe.pools import (
     qe_single,
 )
 
-from oracles import commutator, particle_number_operator, sz_projection_operator
+from oracles import (
+    commutator,
+    particle_number_operator,
+    reference_qe_double,
+    reference_qe_single,
+    sz_projection_operator,
+)
 
 # The double excitation on four spin-orbitals, printed as eight X/Y strings
 # with coefficients +-i; letters listed for sites (p, q, r, s) = (0, 1, 2, 3).
@@ -27,17 +34,33 @@ def spin(index):
     return index % 2
 
 
-def enumerate_excitations(n_qubits, include_singles=True):
-    """Independent combinatorial oracle for the spin-preserving pool size."""
-    count = 0
+def excitations(n_qubits, include_singles=True):
+    """Independent combinatorial oracle for the spin-preserving excitations,
+    in pool order: ``(p, q)`` for a single, ``(source, target)`` for a double."""
     if include_singles:
-        count += sum(1 for p, q in combinations(range(n_qubits), 2)
-                     if spin(p) == spin(q))
+        yield from ((p, q) for p, q in combinations(range(n_qubits), 2)
+                    if spin(p) == spin(q))
     for i, j, k, l in combinations(range(n_qubits), 4):
         for pair_a, pair_b in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
             if spin(pair_a[0]) + spin(pair_a[1]) == spin(pair_b[0]) + spin(pair_b[1]):
-                count += 1
-    return count
+                yield pair_a, pair_b
+
+
+def enumerate_excitations(n_qubits, include_singles=True):
+    return sum(1 for _ in excitations(n_qubits, include_singles))
+
+
+def reference_qe_pool(n_qubits, include_singles=True):
+    """Labels and ladder-product operators of the QE pool, in pool order."""
+    labels, operators = [], []
+    for a, b in excitations(n_qubits, include_singles):
+        if isinstance(a, int):
+            labels.append(f"single ({a})->({b})")
+            operators.append(reference_qe_single(a, b, n_qubits))
+        else:
+            labels.append(f"double {a}->{b}")
+            operators.append(reference_qe_double(a, b, n_qubits))
+    return OperatorPool("QE", n_qubits, tuple(operators), tuple(labels))
 
 
 def enumerate_qubit_pool_strings(qe_pool):
@@ -73,6 +96,20 @@ class TestQePool:
         assert len(pool) == enumerate_excitations(n_qubits)
         no_singles = build_qe_pool(n_qubits, n_electrons, include_singles=False)
         assert len(no_singles) == enumerate_excitations(n_qubits, include_singles=False)
+
+    @pytest.mark.parametrize("include_singles", [True, False])
+    @pytest.mark.parametrize("n_qubits,n_electrons", [(4, 2), (6, 2), (8, 4), (12, 6)])
+    def test_matches_ladder_product_bit_for_bit(self, n_qubits, n_electrons,
+                                                include_singles):
+        pool = build_qe_pool(n_qubits, n_electrons, include_singles)
+        reference = reference_qe_pool(n_qubits, include_singles)
+        assert pool.labels == reference.labels
+        for op, ref in zip(pool.operators, reference.operators, strict=True):
+            assert ([(s.x_mask, s.z_mask) for s, _ in op]
+                    == [(s.x_mask, s.z_mask) for s, _ in ref])
+            assert ([struct.pack("dd", c.real, c.imag) for _, c in op]
+                    == [struct.pack("dd", c.real, c.imag) for _, c in ref])
+        assert pool.to_payload() == reference.to_payload()
 
     def test_golden_sizes(self):
         # frozen from the enumeration oracle at first implementation

@@ -201,7 +201,7 @@ class TestGradients:
         ham_terms = [("".join(rng.choice(list("IXYZ")) for _ in range(n_qubits)),
                       float(rng.normal())) for _ in range(6)]
         ham = PauliSum.from_text_terms(ham_terms, n_qubits)
-        ham = ham + ham.adjoint()
+        ham = ham + PauliSum(n_qubits, [(s, c.conjugate()) for s, c in ham])
         ansatz = AnsatzState("0" * n_qubits, tuple(zip(gens, x)))
         _, grad = energy_and_gradient(ansatz, ham)
         step = 1e-5

@@ -25,6 +25,8 @@ The cases are
   handle of the optimum, one pool sweep, the selection, and the recycled
   start's two queries (``AnsatzObjective.value`` and ``grad_components``
   of the new parameter), which the carried handle answers;
+* one QE pool build (``pool_build``): ``build_qe_pool(8, 4)`` for H4 and
+  ``build_qe_pool(12, 6)`` for H6, with the pool's checks;
 * one BFGS inverse-Hessian update at 30 parameters;
 * one exact Hessian (``diagnostics.exact_ansatz_hessian``, 2n shifted
   gradients in one stacked sweep) of H4 with 10 and with 19 pool operators.
@@ -160,6 +162,8 @@ def cases(rng) -> dict:
         out[f"pool_sweep.{name}"] = lambda c=carried, p=pool: pool_gradients(c, p)
         out[f"growth_boundary.{name}"] = (
             lambda a=ansatz, c=carried, p=pool, h=hfile.operator: growth_boundary(a, c, p, h))
+        out[f"pool_build.{name}"] = (
+            lambda n=pool.n_qubits, e=hfile.n_electrons: build_qe_pool(n, e))
     n = 30
     a = rng.normal(size=(n, n))
     h = a @ a.T / n + np.eye(n)
