@@ -257,7 +257,9 @@ def run_adapt(
         grad_star = opt.grad_star
         h_star = opt.h_star
         energy = opt.f_star
-        ansatz = ansatz.with_parameters(x_star)
+        # built anew rather than by with_parameters, which would share the
+        # optimization's compiled caches and keep them past it
+        ansatz = AnsatzState(reference, tuple(zip(ansatz.generators, x_star.tolist())))
         iterations.append(AdaptIteration(
             n=n,
             selected_index=index,

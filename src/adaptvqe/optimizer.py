@@ -44,6 +44,7 @@ carries to the next iteration.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -166,7 +167,7 @@ def wolfe_line_search(
         evals += 1
         ledger.charge_energy()
         ledger.charge_gradient(x.size)
-        if not np.isfinite(f_a):
+        if not math.isfinite(f_a):
             raise ValueError(f"non-finite objective at step {alpha:.6g}")
         if f_a < best[1]:
             best = (x_a, f_a, latest, alpha)
@@ -174,7 +175,7 @@ def wolfe_line_search(
 
     def read(alpha: float, gradient) -> np.ndarray:
         g_a = gradient()
-        if not np.all(np.isfinite(g_a)):
+        if not np.isfinite(g_a).all():
             raise ValueError(f"non-finite gradient at step {alpha:.6g}")
         return g_a
 
@@ -236,7 +237,7 @@ def wolfe_line_search(
 
 def curvature_condition_holds(s: np.ndarray, y: np.ndarray) -> bool:
     """True when y.s is positive enough for a PD-preserving update."""
-    return float(y @ s) > CURVATURE_SKIP_TOL * float(np.linalg.norm(y) * np.linalg.norm(s))
+    return float(y @ s) > CURVATURE_SKIP_TOL * (_norm(y) * _norm(s))
 
 
 def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -257,12 +258,19 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     rho = 1.0 / float(y @ s)
     hy = h @ y
     yhy = float(y @ hy)
+    s_col, hy_col = s[:, None], hy[:, None]
     out = (
         h
-        - rho * (np.outer(s, hy) + np.outer(hy, s))
-        + (rho * rho * yhy + rho) * np.outer(s, s)
+        - rho * (s_col * hy + hy_col * s)
+        + (rho * rho * yhy + rho) * (s_col * s)
     )
     return 0.5 * (out + out.T)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real 1-D vector, which numpy computes as this
+    same ``sqrt(v.dot(v))``, without its wrapper's cost."""
+    return math.sqrt(v.dot(v))
 
 
 def expand_inverse_hessian(h: np.ndarray) -> np.ndarray:
@@ -359,7 +367,7 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
             handle=handle,
         )
 
-    if np.linalg.norm(g) < grad_tol:
+    if _norm(g) < grad_tol:
         return finish(x, f, g, h, True, False)
 
     for k in range(max_iterations):
@@ -370,7 +378,7 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
             ls = wolfe_line_search(objective, x, f, g, p, ledger)
         except ValueError as exc:
             raise ValueError(f"optimizer iteration {k}: {exc}") from exc
-        grad_norm = float(np.linalg.norm(ls.grad))
+        grad_norm = _norm(ls.grad)
         converged = ls.success and grad_norm < grad_tol
         update_skipped = not ls.success
         if ls.success and (update_on_converged or not converged):

@@ -9,14 +9,19 @@ is validated once rather than on every call.  An ansatz generator must be
 an anti-Hermitian sum of mutually commuting Pauli strings, as every pool
 operator (qubit-excitation, qubit-pool and nearest-neighbour) is;
 :class:`AnsatzState` rejects any other, and checks its reference (letters
-and the :data:`MAX_QUBITS` cap) once, when it is built.
-:meth:`AnsatzState.with_parameters`, which the objectives call on every
-evaluation, keeps the checked reference and generators and checks only the
-new angles.  Each term of a generator is applied with the closed-form
-rotation ``exp(i t P) = cos(t) I + i sin(t) P``.  One rule accepts a
-Hamiltonian at every entry point: it is Hermitian and acts on the state's
-qubits.  The pool sweep takes no Hamiltonian; it reads a state and
-``H|psi>`` that a checked sweep computed.
+and the :data:`MAX_QUBITS` cap) once, when it is built.  Each term of a
+generator is applied with the closed-form rotation
+``exp(i t P) = cos(t) I + i sin(t) P``.  One rule accepts a Hamiltonian at
+every entry point: it is Hermitian and acts on the state's qubits.  The
+pool sweep takes no Hamiltonian; it reads a state and ``H|psi>`` that a
+checked sweep computed.
+
+**What a trial recomputes.**  An ansatz keeps its compiled generators (a
+:class:`~adaptvqe.compiled.GeneratorBatch`), its reference amplitudes and
+its parameter array, each built once.  :meth:`AnsatzState.with_parameters`,
+called on every evaluation, checks only the new angles and hands the
+angle-independent caches on, so a line-search trial recomputes only its
+states, ``H|psi>``, the energy and, when read, the reverse half.
 
 Compiled application is bit-exact with the plain term-by-term route: one
 gather serves all terms of an X mask, but each term's products and the
@@ -37,7 +42,10 @@ stops at the lowest wanted index.
 gradient as a :class:`GradientHandle`, a callable that runs the reverse half
 on its first call, so a line-search trial whose gradient is never read
 costs only the forward half; :func:`energy_and_gradient` calls it at once,
-and :func:`gradient_components` runs both halves.  The handle also keeps
+and :func:`gradient_components` runs both halves.  The full gradient of
+one point on at most 2^8 amplitudes applies every generator to its stored
+state in one batched call; other reverse halves apply each generator as
+they reach it.  The handle also keeps
 its point's energy, final state and ``H|psi>``, read-only, and drops every
 other forward state once its gradient is computed.  The optimizer returns
 the handle of its optimum, so the growth loop's next pool sweep and the
@@ -55,10 +63,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .compiled import CompiledSum
+from .compiled import CompiledSum, GeneratorBatch
 from .paulis import PauliSum
 
 __all__ = [
@@ -152,32 +161,55 @@ class AnsatzState:
 
     @property
     def parameters(self) -> np.ndarray:
-        return np.array([theta for _, theta in self.elements], dtype=float)
+        return self._parameters.copy()
 
-    @property
+    @cached_property
+    def _parameters(self) -> np.ndarray:
+        """The angles, read-only."""
+        return _read_only(np.array([theta for _, theta in self.elements], dtype=float))
+
+    @cached_property
     def generators(self) -> tuple[PauliSum, ...]:
         return tuple(gen for gen, _ in self.elements)
 
+    @cached_property
+    def _batch(self) -> GeneratorBatch:
+        """The compiled generators, in order."""
+        return GeneratorBatch([gen.compiled() for gen in self.generators])
+
+    @cached_property
+    def _reference_amplitudes(self) -> np.ndarray:
+        """The reference basis state, read-only; site 0 is the lowest bit."""
+        amps = np.zeros(1 << self.n_qubits, dtype=complex)
+        amps[int(self.reference[::-1] or "0", 2)] = 1.0
+        return _read_only(amps)
+
     def with_parameters(self, x: np.ndarray) -> "AnsatzState":
-        """This ansatz at the angles ``x``.  The generators were validated
-        when this ansatz was built, so only the angles are checked."""
-        if len(x) != self.n_parameters:
+        """This ansatz at the angles ``x`` (copied), a 1-D vector of one
+        finite number per generator.  Only the angles are checked; the new
+        state shares this one's angle-independent caches."""
+        x = np.array(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"parameter vector must be 1-D, got shape {x.shape}")
+        if x.size != self.n_parameters:
             raise ValueError("parameter vector length does not match ansatz")
-        thetas = [_finite_angle(t) for t in x]
+        thetas = x.tolist()
+        if not all(map(math.isfinite, thetas)):
+            raise ValueError("ansatz parameter is not finite")
         state = object.__new__(AnsatzState)
-        object.__setattr__(state, "reference", self.reference)
-        object.__setattr__(state, "elements", tuple(zip(self.generators, thetas)))
+        state.__dict__.update(
+            reference=self.reference, elements=tuple(zip(self.generators, thetas)),
+            generators=self.generators, _batch=self._batch,
+            _reference_amplitudes=self._reference_amplitudes, _parameters=_read_only(x))
         return state
 
     def grown(self, generator: PauliSum, theta: float = 0.0) -> "AnsatzState":
         return AnsatzState(self.reference, self.elements + ((generator, theta),))
 
 
-def _reference_amplitudes(reference: str) -> np.ndarray:
-    """The basis state of a checked reference; site 0 is the lowest bit."""
-    amps = np.zeros(1 << len(reference), dtype=complex)
-    amps[int(reference[::-1] or "0", 2)] = 1.0
-    return amps
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _checked_hamiltonian(hamiltonian: PauliSum, n_qubits: int) -> CompiledSum:
@@ -199,7 +231,7 @@ def _real_energy(value: complex) -> float:
 
 def prepare(ansatz: AnsatzState) -> StateVector:
     """Apply the ansatz exponentials in growth order to the reference state."""
-    amps = _reference_amplitudes(ansatz.reference)
+    amps = ansatz._reference_amplitudes
     for generator, theta in ansatz.elements:
         amps = generator.compiled().exponential(amps, theta)
     return StateVector(ansatz.n_qubits, amps)
@@ -254,7 +286,7 @@ def energy_then_gradient(
     Energy and gradient are bit for bit those of
     :func:`energy_and_gradient`.
     """
-    handle = GradientHandle(_Sweep(ansatz, hamiltonian, ansatz.parameters[np.newaxis]))
+    handle = GradientHandle(_Sweep(ansatz, hamiltonian, ansatz._parameters[np.newaxis]))
     return handle.energy, handle
 
 
@@ -293,7 +325,7 @@ def gradient_components(
         if not np.all(np.isfinite(points)):
             raise ValueError("ansatz parameter is not finite")
     else:
-        points = ansatz.parameters[np.newaxis]
+        points = ansatz._parameters[np.newaxis]
     columns = np.searchsorted(wanted, indices)
     out = np.empty((len(points), len(indices)), dtype=float)
     rows = max(1, _STACK_CAP >> ansatz.n_qubits)
@@ -321,8 +353,9 @@ class _Sweep:
 
     def __init__(self, ansatz: AnsatzState, hamiltonian: PauliSum, points: np.ndarray):
         compiled_h = _checked_hamiltonian(hamiltonian, ansatz.n_qubits)
-        self.generators = [gen.compiled() for gen in ansatz.generators]
-        reference = _reference_amplitudes(ansatz.reference)
+        self.batch = ansatz._batch
+        self.generators = self.batch.generators
+        reference = ansatz._reference_amplitudes
         self.rows = len(points)
         if self.rows == 1:
             self.exponential, self.vdot = CompiledSum.exponential, np.vdot
@@ -336,14 +369,19 @@ class _Sweep:
             states.append(self.exponential(compiled, states[-1], theta))
         self.states = states
         self.lam = compiled_h.apply(states[-1])
-        self.energies = [_real_energy(energy) for energy in
-                         np.atleast_1d(self.vdot(states[-1], self.lam)).tolist()]
+        overlaps = self.vdot(states[-1], self.lam)
+        self.energies = [_real_energy(complex(overlap)) for overlap in
+                         (overlaps if self.rows > 1 else (overlaps,))]
 
     def gradient(self, wanted: list[int]) -> np.ndarray:
         """The gradient components ``wanted`` (sorted, distinct), an
-        ``(m, len(wanted))`` array."""
+        ``(m, len(wanted))`` array.  A single point's full gradient applies
+        every generator to its state in one batched call when the states
+        are small enough (:class:`~adaptvqe.compiled.GeneratorBatch`)."""
         generators, states, reverse = self.generators, self.states, self.reverse
         exponential, vdot, lam = self.exponential, self.vdot, self.lam
+        applied = (self.batch.apply_each(states[1:]) if self.rows == 1 and self.batch.tabled
+                   and len(wanted) == len(generators) else None)
         lowest = wanted[0] if wanted else len(generators)
         column = len(wanted)
         values = []
@@ -351,7 +389,8 @@ class _Sweep:
             compiled = generators[j]
             if wanted[column - 1] == j:
                 column -= 1
-                values.append(vdot(lam, compiled.apply(states[j + 1])))
+                values.append(vdot(lam, compiled.apply(states[j + 1]) if applied is None
+                                   else applied[j]))
             if j > lowest:
                 lam = exponential(compiled, lam, reverse[j])
         overlaps = np.array(values[::-1], dtype=complex).reshape(len(wanted), self.rows)

@@ -392,6 +392,16 @@ class TestCarriedState:
         assert len(result.iterations) == 25
         assert_carried_reads_match_fresh(model, pool, result)
 
+    @pytest.mark.parametrize("mode", ["canonical", "recycling"])
+    def test_result_keeps_no_compiled_caches(self, mode):
+        # the optimizations' ansatze hold their batched term tables; the
+        # result's final ansatz is built anew, so it keeps none of them
+        model = builtin_model("tfim", 4, with_exact=False)
+        result = run_adapt(model.operator, model.reference_bitstring,
+                           build_nearest_neighbor_pool(4), mode=mode, max_iterations=3)
+        assert len(result.iterations) == 3
+        assert "_batch" not in vars(result.ansatz)
+
     def test_h4_repeats_no_hamiltonian_application(self, h4_counted_runs):
         # before the state was carried: 39 canonical and 58 recycling
         # repeats; the canonical start's value_and_grad still repeats one

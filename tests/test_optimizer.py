@@ -8,6 +8,7 @@ import pytest
 from adaptvqe.cost import CostLedger
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import (
+    _norm,
     bfgs_update,
     curvature_condition_holds,
     expand_inverse_hessian,
@@ -223,6 +224,30 @@ class TestBfgsUpdate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             bfgs_update(np.eye(2), np.ones(3), np.ones(3))
+
+    def test_bytes_match_the_outer_product_form(self):
+        """Broadcast columns times rows are ``np.outer`` bit for bit, so the
+        update replays the ``np.outer`` formula it replaced."""
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 30, 60):
+            a = rng.normal(size=(n, n))
+            h = a @ a.T / n + np.eye(n)
+            s = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
+            y = rng.normal(size=n)
+            y += 2.0 * abs(s @ y) / (s @ s) * s
+            rho = 1.0 / float(y @ s)
+            hy = h @ y
+            out = (h - rho * (np.outer(s, hy) + np.outer(hy, s))
+                   + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
+            assert bfgs_update(h, s, y).tobytes() == (0.5 * (out + out.T)).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 30, 61, 200])
+def test_norm_bytes_match_numpy(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-9, 1.0, 1e7):
+        v = rng.normal(size=n) * scale
+        assert float(_norm(v)).hex() == float(np.linalg.norm(v)).hex()
 
 
 class TestMinimizeCanonical:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptvqe import compiled as compiled_module
-from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum
+from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum, GeneratorBatch
 from adaptvqe.cost import CostLedger
 from adaptvqe.driver import pool_gradients
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
@@ -147,6 +147,54 @@ class TestWithParameters:
     def test_bad_parameters_rejected(self, ansatz, x, message):
         with pytest.raises(ValueError, match=message):
             ansatz.with_parameters(np.array(x))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    def test_vector_must_be_one_dimensional(self, ansatz, shape):
+        x = np.full(shape, 0.1)
+        with pytest.raises(ValueError, match=r"parameter vector must be 1-D, got shape"):
+            ansatz.with_parameters(x)
+
+    def test_angles_are_copied(self, ansatz):
+        x = np.array([0.3, -1.2, 2.5])
+        moved = ansatz.with_parameters(x)
+        x[:] = 7.0
+        assert [theta for _, theta in moved.elements] == [0.3, -1.2, 2.5]
+        assert moved.parameters.tolist() == [0.3, -1.2, 2.5]
+        moved.parameters[0] = 9.0  # a copy each time: the state keeps its angles
+        assert moved.parameters.tolist() == [0.3, -1.2, 2.5]
+
+    def test_compiled_forms_and_reference_are_shared(self, ansatz):
+        moved = ansatz.with_parameters(np.array([0.3, -1.2, 2.5]))
+        again = moved.with_parameters(np.zeros(3))
+        for state in (moved, again):
+            assert state.generators is ansatz.generators
+            assert state._batch is ansatz._batch
+            assert state._reference_amplitudes is ansatz._reference_amplitudes
+        assert all(compiled is gen.compiled() for compiled, gen
+                   in zip(ansatz._batch.generators, ansatz.generators))
+        assert not ansatz._reference_amplitudes.flags.writeable
+        # a grown ansatz is a new build, with its own compiled list
+        assert ansatz.grown(ansatz.generators[0])._batch is not ansatz._batch
+
+
+class TestTrialPath:
+    """One line-search trial, ``AnsatzObjective.evaluate`` and its deferred
+    gradient, against the plain per-term sweep, byte for byte."""
+
+    @pytest.mark.parametrize("case, n", [("tfim8", 1), ("tfim8", 5), ("tfim8", 30),
+                                         ("h4", 1), ("h4", 10), ("h4", 19)])
+    def test_bytes_match_reference(self, case, n, request):
+        hfile, pool = fixture_case(case, request)
+        rng = np.random.default_rng(n)
+        ansatz = random_ansatz(rng, hfile, pool, n)
+        objective = AnsatzObjective(hfile.operator, ansatz)
+        for x in (rng.normal(size=n) * 0.3, np.zeros(n)):
+            x[n // 2] = 0.0  # one element at angle 0
+            energy, gradient = objective.evaluate(x)
+            _, reference_energy, reference_grad = reference_energy_and_gradient(
+                ansatz.reference, tuple(zip(ansatz.generators, x.tolist())), hfile.operator)
+            assert float(energy).hex() == float(reference_energy).hex()
+            assert gradient().tobytes() == reference_grad.tobytes()
 
 
 class TestExpectation:
@@ -669,6 +717,40 @@ class TestTermTable:
         compiled.apply(stack)
         assert "_table" not in vars(compiled)
         assert_rows_bit_exact(compiled, stack)
+
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    def test_batch_rows_match_apply(self, n_qubits):
+        """``GeneratorBatch.apply_each`` against one ``apply`` per row, byte
+        for byte, over 1-, 2- and 8-term generators in mixed order (so most
+        are padded) and on states with exact zeros, where a ``-0`` surviving
+        the padding or the sum would show."""
+        rng = np.random.default_rng(n_qubits)
+        pool = build_qe_pool(n_qubits, 2)
+        strings = build_nearest_neighbor_pool(n_qubits).operators
+        doubles = [op for op in pool.operators if op.n_terms == 8]
+        singles = [op for op in pool.operators if op.n_terms == 2]
+        generators = [doubles[0], strings[0], singles[0], doubles[-1], strings[-1],
+                      singles[-1], doubles[0], strings[1]]
+        batch = GeneratorBatch([gen.compiled() for gen in generators])
+        assert batch.tabled
+        state_sets = [
+            [random_amplitudes(rng, n_qubits) for _ in generators],
+            [basis_amplitudes(n_qubits, k % (1 << n_qubits)) for k in range(len(generators))],
+            [random_amplitudes(rng, n_qubits) * (rng.random(1 << n_qubits) < 0.5)
+             for _ in generators],
+        ]
+        for states in state_sets:
+            got = batch.apply_each(states)
+            assert got.shape == (len(generators), 1 << n_qubits)
+            for row, generator, amps in zip(got, generators, states):
+                assert row.tobytes() == generator.compiled().apply(amps).tobytes()
+                assert row.tobytes() == reference_apply_sum(
+                    amps, n_qubits, generator).tobytes()
+
+    def test_batch_stays_out_above_the_size_key(self):
+        pool = build_nearest_neighbor_pool(9)
+        assert not GeneratorBatch([op.compiled() for op in pool.operators[:3]]).tabled
+        assert not GeneratorBatch([]).tabled
 
     @pytest.mark.parametrize("shape", [(1, 2), (200, 2), (16, 4), (185, 256), (60, 1024)])
     def test_numpy_sums_axis_zero_row_by_row(self, shape):

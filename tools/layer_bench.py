@@ -29,7 +29,11 @@ The cases are
   ``build_qe_pool(12, 6)`` for H6, with the pool's checks;
 * one BFGS inverse-Hessian update at 30 parameters;
 * one exact Hessian (``diagnostics.exact_ansatz_hessian``, 2n shifted
-  gradients in one stacked sweep) of H4 with 10 and with 19 pool operators.
+  gradients in one stacked sweep) of H4 with 10 and with 19 pool operators;
+* one line-search trial (``trial.tfim8_n20``): ``AnsatzObjective.evaluate``
+  and its gradient read, for TFIM-8 with 20 nearest-neighbour operators,
+  and the ``AnsatzState.with_parameters`` call inside it
+  (``with_parameters.n20``).
 
 The script uses only the package's public names, so a copy of it times any
 checkout of the package it sits in.  No benchmark gate reads its output.
@@ -174,6 +178,11 @@ def cases(rng) -> dict:
         ansatz = random_ansatz(rng, h4, h4_pool, n)
         out[f"exact_hessian.h4_n{n}"] = (lambda a=ansatz: exact_ansatz_hessian(
             a, h4.operator, a.parameters, CostLedger()))
+    trial_ansatz = random_ansatz(rng, tfim8, nn_pool, 20)
+    objective = AnsatzObjective(tfim8.operator, trial_ansatz)
+    x = trial_ansatz.parameters + 0.01
+    out["trial.tfim8_n20"] = lambda: objective.evaluate(x)[1]()
+    out["with_parameters.n20"] = lambda: trial_ansatz.with_parameters(x)
     return out
 
 
