@@ -31,7 +31,7 @@ from .optimizer import (
     minimize_recycled,
     wolfe_line_search,
 )
-from .paulis import PauliString, PauliSum, jordan_wigner_ladder, multiply
+from .paulis import PauliString, PauliSum
 from .pools import (
     OperatorPool,
     build_nearest_neighbor_pool,

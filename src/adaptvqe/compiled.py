@@ -28,8 +28,12 @@ It holds
   the scalar times the term's sign vector, and one ``np.intp`` gather index
   per term;
 * the Hermitian, anti-Hermitian and mutually-commuting flags, each computed
-  on first use from the terms by the checks behind the :class:`PauliSum`
-  methods.
+  on first use and read by the :class:`PauliSum` methods of the same names.
+  The first two read the coefficients against ``DEFAULT_PRUNE_TOL``, the
+  package's one tolerance, which also prunes a sum's terms.  The third reads
+  the masks: two strings anticommute exactly when
+  ``popcount(x_a & z_b) + popcount(z_a & x_b)`` is odd, the number of sites
+  where both act with different letters.
 
 **Generators.**  A generator is an anti-Hermitian sum of mutually commuting
 Pauli strings: every qubit-excitation, qubit-pool and nearest-neighbour
@@ -102,7 +106,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .paulis import PauliSum
 
-__all__ = ["CompiledSum", "GeneratorBatch"]
+__all__ = ["DEFAULT_PRUNE_TOL", "CompiledSum", "GeneratorBatch"]
+
+# Drops a term from a sum and decides the Hermitian and anti-Hermitian flags.
+DEFAULT_PRUNE_TOL = 1e-12
 
 # 1-D states of at most this many amplitudes are applied through the term
 # table: 8 qubits, the largest size whose runs have been timed end to end.
@@ -142,21 +149,19 @@ class CompiledSum:
         self.terms = operator.items()
         self.n_qubits = operator.n_qubits
 
-    # the checks live in paulis, which imports this module at load
     @cached_property
     def hermitian(self) -> bool:
-        from .paulis import terms_hermitian
-        return terms_hermitian(self.terms)
+        return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in self.terms)
 
     @cached_property
     def anti_hermitian(self) -> bool:
-        from .paulis import terms_anti_hermitian
-        return terms_anti_hermitian(self.terms)
+        return all(abs(c.real) <= DEFAULT_PRUNE_TOL for _, c in self.terms)
 
     @cached_property
     def commuting(self) -> bool:
-        from .paulis import terms_commute
-        return terms_commute(self.terms)
+        masks = [(s.x_mask, s.z_mask) for s, _ in self.terms]
+        return not any(((xa & zb).bit_count() + (za & xb).bit_count()) & 1
+                       for i, (xa, za) in enumerate(masks) for xb, zb in masks[:i])
 
     def check_generator(self) -> None:
         """Raise ``ValueError`` unless this sum is a generator: anti-Hermitian,

@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .paulis import DEFAULT_PRUNE_TOL, PauliString, PauliSum, finite_float, is_a
+from .compiled import DEFAULT_PRUNE_TOL
+from .paulis import PauliString, PauliSum, finite_float, is_a
 
 __all__ = [
     "HamiltonianFile",

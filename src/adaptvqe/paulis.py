@@ -1,10 +1,14 @@
-"""Exact symbolic algebra on Pauli strings and sparse linear combinations of them.
+"""Pauli strings and sparse linear combinations of them, plus the input rules
+every module shares.
 
 A :class:`PauliString` is stored as a pair of bit masks (X-support and
-Z-support, with Y = both), which makes products, commutation checks and
-statevector application cheap.  A :class:`PauliSum` maps strings to complex
-coefficients and is the common representation for Hamiltonians, pool
-generators and ansatz generators.
+Z-support, with Y = both), the form :mod:`~adaptvqe.compiled` reads to apply
+and check a sum.  A :class:`PauliSum` maps strings to complex coefficients
+and is the common representation for Hamiltonians, pool generators and
+ansatz generators.  The package builds no symbolic product of sums: the
+pools write each generator from its letter pattern, and the products and
+Jordan-Wigner ladder operators that the molecular fixtures need live in
+``tools/generate_fixtures.py``.
 
 Conventions (fixed globally):
 
@@ -12,8 +16,8 @@ Conventions (fixed globally):
 * The text form of a string (``"XYIZ"``) lists site 0 leftmost.
 * Terms are ordered lexicographically on ``(x_mask, z_mask)`` so that
   equality and serialization are structural and deterministic.
-* One tolerance, ``DEFAULT_PRUNE_TOL = 1e-12``, drops negligible terms and
-  decides the Hermitian and anti-Hermitian checks.
+* One tolerance, ``compiled.DEFAULT_PRUNE_TOL = 1e-12``, drops negligible
+  terms and decides the Hermitian and anti-Hermitian checks.
 """
 
 from __future__ import annotations
@@ -24,21 +28,16 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .compiled import CompiledSum
+from .compiled import DEFAULT_PRUNE_TOL, CompiledSum
 
 __all__ = [
-    "DEFAULT_PRUNE_TOL",
     "PauliString",
     "PauliSum",
-    "multiply",
-    "jordan_wigner_ladder",
     "is_a",
     "finite_float",
     "checked_threshold",
     "checked_cap",
 ]
-
-DEFAULT_PRUNE_TOL = 1e-12
 
 _LETTER_TO_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _MASKS_TO_LETTER = {v: k for k, v in _LETTER_TO_MASKS.items()}
@@ -88,8 +87,8 @@ class PauliString:
     """A tensor product of single-qubit Pauli operators on ``n_qubits`` sites.
 
     ``x_mask`` has bit ``i`` set when site ``i`` carries X or Y; ``z_mask``
-    has it set for Z or Y.  The string itself is always Hermitian; phases
-    from products are reported separately by :func:`multiply`.
+    has it set for Z or Y, so the identity is ``PauliString(n_qubits, 0, 0)``.
+    The string itself is always Hermitian.
     """
 
     n_qubits: int
@@ -119,17 +118,11 @@ class PauliString:
         return cls(len(text), x, z)
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def single(cls, letter: str, site: int, n_qubits: int) -> "PauliString":
         """A single non-identity letter at ``site``, identity elsewhere."""
         if not 0 <= site < n_qubits:
             raise ValueError(f"site {site} out of range for {n_qubits} qubits")
         xb, zb = _LETTER_TO_MASKS[letter]
-        if (xb, zb) == (0, 0):
-            return cls.identity(n_qubits)
         return cls(n_qubits, xb << site, zb << site)
 
     def letter(self, site: int) -> str:
@@ -143,67 +136,11 @@ class PauliString:
         mask = self.x_mask | self.z_mask
         return tuple(i for i in range(self.n_qubits) if (mask >> i) & 1)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the strings commute.
-
-        Decided by the parity of the number of sites where both act
-        non-trivially with different letters (the symplectic product).
-        """
-        _check_same_qubits(self, other)
-        anti = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
-        return anti % 2 == 0
-
     def sort_key(self) -> tuple[int, int]:
         return (self.x_mask, self.z_mask)
 
     def __str__(self) -> str:
         return self.text()
-
-
-def _check_same_qubits(a, b) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
-
-
-def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Operator product ``a @ b`` as ``(phase, string)`` with phase in {1,-1,i,-i}.
-
-    Uses the normal form P(x,z) = i^{|x&z|} X^x Z^z: commuting X^b past Z^a
-    contributes (-1) per overlapping site, and the Y content of each factor
-    contributes its own power of i.
-    """
-    _check_same_qubits(a, b)
-    x3 = a.x_mask ^ b.x_mask
-    z3 = a.z_mask ^ b.z_mask
-    exponent = (
-        (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    phase = (1 + 0j, 1j, -1 + 0j, -1j)[exponent]
-    return phase, PauliString(a.n_qubits, x3, z3)
-
-
-# The checks behind the CompiledSum flags that PauliSum.is_hermitian,
-# is_anti_hermitian and terms_mutually_commute read, on a term sequence: a
-# CompiledSum keeps the terms but not the sum.
-
-def terms_hermitian(terms: Iterable[tuple[PauliString, complex]]) -> bool:
-    return all(abs(c.imag) <= DEFAULT_PRUNE_TOL for _, c in terms)
-
-
-def terms_anti_hermitian(terms: Iterable[tuple[PauliString, complex]]) -> bool:
-    return all(abs(c.real) <= DEFAULT_PRUNE_TOL for _, c in terms)
-
-
-def terms_commute(terms: Iterable[tuple[PauliString, complex]]) -> bool:
-    strings = [s for s, _ in terms]
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not strings[i].commutes_with(strings[j]):
-                return False
-    return True
 
 
 class PauliSum:
@@ -257,10 +194,6 @@ class PauliSum:
             n_qubits = parsed[0][0].n_qubits
         return cls(n_qubits, parsed)
 
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, [(PauliString.identity(n_qubits), coeff)])
-
     def items(self) -> tuple[tuple[PauliString, complex], ...]:
         return self._terms
 
@@ -285,6 +218,11 @@ class PauliSum:
         computed once, by the compiled form."""
         return self.compiled().anti_hermitian
 
+    def terms_mutually_commute(self) -> bool:
+        """Every pair of strings commutes; computed once, by the compiled
+        form."""
+        return self.compiled().commuting
+
     def compiled(self) -> CompiledSum:
         """The statevector form of this sum, built on first use and kept."""
         if self._compiled is None:
@@ -307,57 +245,9 @@ class PauliSum:
             object.__setattr__(self, "_hash", hash((self.n_qubits, self._terms)))
         return self._hash
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        _check_same_qubits(self, other)
-        merged = dict(self._terms)
-        for s, c in other._terms:
-            merged[s] = merged.get(s, 0j) + c
-        return PauliSum(self.n_qubits, merged)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1)
-
-    def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(s, c * scalar) for s, c in self._terms])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PauliSum":
-        return self * -1
-
-    def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product, expanding term by term with phase tracking."""
-        _check_same_qubits(self, other)
-        out: dict[PauliString, complex] = {}
-        for sa, ca in self._terms:
-            for sb, cb in other._terms:
-                phase, prod = multiply(sa, sb)
-                out[prod] = out.get(prod, 0j) + ca * cb * phase
-        return PauliSum(self.n_qubits, out)
-
-    def terms_mutually_commute(self) -> bool:
-        return self.compiled().commuting
-
     def __repr__(self) -> str:
         body = " + ".join(f"({c:.6g})*{s.text()}" for s, c in self._terms[:6])
         if self.n_terms > 6:
             body += f" + ... ({self.n_terms} terms)"
         return f"PauliSum({body or '0'})"
 
-
-def jordan_wigner_ladder(index: int, creation: bool, n_qubits: int) -> PauliSum:
-    """Fermionic ladder operator for mode ``index`` as a two-string PauliSum.
-
-    Creation maps to ``1/2 * Z_0...Z_{index-1} (X_index - i Y_index)`` and
-    annihilation to the ``+ i Y`` branch.  Modes with lower index sit earlier
-    in the Z string, matching the qubit-0-is-LSB layout.
-    """
-    if not 0 <= index < n_qubits:
-        raise ValueError(f"orbital index {index} out of range for {n_qubits} qubits")
-    z_string = 0
-    for k in range(index):
-        z_string |= 1 << k
-    x_term = PauliString(n_qubits, 1 << index, z_string)
-    y_term = PauliString(n_qubits, 1 << index, z_string | (1 << index))
-    sign = -1j if creation else 1j
-    return PauliSum(n_qubits, [(x_term, 0.5), (y_term, 0.5 * sign)])

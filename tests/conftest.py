@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+# the oracles, and the fixture generator whose symbolic products they use
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from adaptvqe.driver import run_adapt
 from adaptvqe.hamiltonians import bundled_fixture_path, load_hamiltonian

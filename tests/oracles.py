@@ -9,10 +9,12 @@ character of a text string and the least-significant bit of a basis index.
 
 Three groups are exceptions.  ``commutator``, ``particle_number_operator``
 and ``sz_projection_operator`` build package ``PauliSum`` objects for
-symbolic checks; the commutator is the sum's own ``a @ b - b @ a``.
-``reference_qe_single`` and ``reference_qe_double`` are the ladder-product
-construction of the QE generators that the pool's fixed letter patterns
-replaced, and the pools must match them bit for bit.  The
+symbolic checks; the commutator is ``ab - ba``, both products taken by
+``pauli_product`` of ``tools/generate_fixtures.py`` and summed by the
+``PauliSum`` constructor.  ``reference_qe_single`` and
+``reference_qe_double`` are the ladder-product construction of the QE
+generators that the pool's fixed letter patterns replaced, built the same
+way, and the pools must match them bit for bit.  The
 ``reference_*`` functions are the plain term-by-term statevector route (a
 phase, a gather and an accumulation per Pauli string, in canonical term
 order) that the compiled engine replaced, and the per-column
@@ -24,8 +26,11 @@ compiled exponential may give ``-0j`` where ``reference_exponential`` gives
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import scipy.linalg
+from generate_fixtures import pauli_product
 
 from adaptvqe.paulis import PauliSum
 
@@ -52,6 +57,17 @@ def dense_operator(terms) -> np.ndarray:
     for text, coeff in terms:
         out += complex(coeff) * dense_string(text)
     return out
+
+
+def dense_strings_commute(a: str, b: str) -> bool:
+    """Whether two Pauli strings commute, from their site-by-site 2x2
+    matrices: each site's pair commutes or anticommutes, and the strings
+    commute when an even number of sites anticommute."""
+    anticommuting = 0
+    for la, lb in zip(a, b, strict=True):
+        ma, mb = PAULI_MATRICES[la], PAULI_MATRICES[lb]
+        anticommuting += not np.array_equal(ma @ mb, mb @ ma)
+    return anticommuting % 2 == 0
 
 
 def dense_pauli_sum(operator) -> np.ndarray:
@@ -89,7 +105,8 @@ def central_difference_gradient(f, x, step=1e-5):
 
 
 def commutator(a, b):
-    return a @ b - b @ a
+    ba = pauli_product(b, a)
+    return PauliSum(a.n_qubits, [*pauli_product(a, b), *((s, -c) for s, c in ba)])
 
 
 def _z_at(site: int, n_qubits: int) -> str:
@@ -121,12 +138,12 @@ def _qubit_ladder(site: int, n_qubits: int, creation: bool):
 
 def _minus_adjoint(t):
     """``t - t^dagger``, with the adjoint written term by term."""
-    return t - PauliSum(t.n_qubits, [(s, c.conjugate()) for s, c in t])
+    return PauliSum(t.n_qubits, [*t, *((s, -c.conjugate()) for s, c in t)])
 
 
 def reference_qe_single(p: int, q: int, n_qubits: int):
     """Single qubit excitation as ``t - t^dagger`` of ``t = Q_p^dagger Q_q``."""
-    t = _qubit_ladder(p, n_qubits, True) @ _qubit_ladder(q, n_qubits, False)
+    t = pauli_product(_qubit_ladder(p, n_qubits, True), _qubit_ladder(q, n_qubits, False))
     return _minus_adjoint(t)
 
 
@@ -136,13 +153,11 @@ def reference_qe_double(source, target, n_qubits: int):
     ``target=(r, s)``."""
     p, q = source
     r, s = target
-    t = (
-        _qubit_ladder(r, n_qubits, True)
-        @ _qubit_ladder(s, n_qubits, True)
-        @ _qubit_ladder(p, n_qubits, False)
-        @ _qubit_ladder(q, n_qubits, False)
-    )
-    return _minus_adjoint(t) * 8.0
+    t = reduce(pauli_product, (_qubit_ladder(r, n_qubits, True),
+                               _qubit_ladder(s, n_qubits, True),
+                               _qubit_ladder(p, n_qubits, False),
+                               _qubit_ladder(q, n_qubits, False)))
+    return PauliSum(n_qubits, [(string, c * 8.0) for string, c in _minus_adjoint(t)])
 
 
 def wolfe_admissible_alphas(phi, dphi, f0, d0, alphas, c1=1e-4, c2=0.9):

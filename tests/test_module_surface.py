@@ -1,8 +1,9 @@
 """Static checks on the package's module surface, read with ``ast``.
 
-Modules talk to each other through public names only, every name a
-module lists in ``__all__`` exists in it, and every private name a module
-defines at its top level is read somewhere in that module.  Every public
+Modules talk to each other through public names only, import each other
+at module level only (so no import cycle hides inside a function), every
+name a module lists in ``__all__`` exists in it, and every private name a
+module defines at its top level is read somewhere in that module.  Every public
 name, and every public method or property of a public class, is read by
 the pipeline itself: a package module other than ``__init__.py``,
 ``tools/``, ``perfbench/`` or the acceptance suite, not only by the unit
@@ -51,6 +52,29 @@ def test_modules_import_public_names_and_export_defined_ones():
                              for alias in node.names if alias.name.startswith("_")]
         problems += [f"{path.name} exports undefined {name}"
                      for name in sorted(set(declared_all(tree)) - defined_names(tree))]
+    assert not problems
+
+
+def imports_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "adaptvqe"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "adaptvqe" for alias in node.names)
+
+
+def test_package_modules_import_each_other_at_module_level():
+    """Only at the top of a module or in its top-level ``if TYPE_CHECKING:``
+    block."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set(tree.body)
+        for node in tree.body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                allowed.update(node.body)
+        problems += [f"{path.name}:{node.lineno} imports a package module inside a block"
+                     for node in ast.walk(tree)
+                     if imports_package(node) and node not in allowed]
     assert not problems
 
 

@@ -3,23 +3,49 @@ import weakref
 
 import numpy as np
 import pytest
+from generate_fixtures import jordan_wigner_ladder, pauli_product
 
-from adaptvqe.paulis import (
-    DEFAULT_PRUNE_TOL,
-    PauliString,
-    PauliSum,
-    jordan_wigner_ladder,
-    multiply,
+from adaptvqe.compiled import DEFAULT_PRUNE_TOL
+from adaptvqe.paulis import PauliString, PauliSum
+
+from oracles import (
+    commutator,
+    dense_basis_state,
+    dense_operator,
+    dense_pauli_sum,
+    dense_string,
 )
-
-from oracles import commutator, dense_basis_state, dense_pauli_sum, dense_string
 
 UNIT_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 
+def random_text(rng, n_qubits):
+    return "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
+
+
 def random_string(rng, n_qubits):
-    letters = "".join(rng.choice(list("IXYZ")) for _ in range(n_qubits))
-    return PauliString.from_text(letters)
+    return PauliString.from_text(random_text(rng, n_qubits))
+
+
+def product(a: str, b: str) -> tuple[complex, PauliString]:
+    """``(phase, string)`` of the product of two strings, read from the
+    one-term sum ``pauli_product`` gives."""
+    ((string, phase),) = pauli_product(PauliSum.from_text_terms([(a, 1.0)]),
+                                       PauliSum.from_text_terms([(b, 1.0)])).items()
+    return phase, string
+
+
+def random_pairs(seed, count):
+    """Two-term sums on 1-4 qubits with coefficients mixing real and
+    imaginary parts, so that every flag is seen both ways."""
+    rng = np.random.default_rng(seed)
+    coeffs = (1.0, -0.5, 1j, -2j, 0.3 + 0.7j)
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        pairs.append([(random_text(rng, n), coeffs[rng.integers(len(coeffs))])
+                      for _ in range(2)])
+    return pairs
 
 
 class TestPauliString:
@@ -34,31 +60,22 @@ class TestPauliString:
     def test_support(self):
         assert PauliString.from_text("XIYZ").support == (0, 2, 3)
 
-    def test_commutes_with(self):
-        cases = [("XI", "IX", True), ("XX", "YY", True), ("XY", "YX", True),
-                 ("XI", "YI", False), ("XZZXI", "IXZZX", True)]
-        for a, b, expected in cases:
-            assert PauliString.from_text(a).commutes_with(
-                PauliString.from_text(b)) is expected
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            multiply(PauliString.from_text("X"), PauliString.from_text("XX"))
-
 
 class TestMultiply:
+    """The string product of the fixture generator's ``pauli_product``."""
+
     def test_involution(self):
-        phase, product = multiply(PauliString.from_text("X"), PauliString.from_text("X"))
-        assert phase == 1 and product == PauliString.identity(1)
+        phase, string = product("X", "X")
+        assert phase == 1 and string == PauliString(1, 0, 0)
 
     def test_xy_gives_iz(self):
-        phase, product = multiply(PauliString.from_text("X"), PauliString.from_text("Y"))
-        assert phase == 1j and product.text() == "Z"
+        phase, string = product("X", "Y")
+        assert phase == 1j and string.text() == "Z"
 
     def test_xz_zx_product(self):
         # per-site phases (-i)(i) cancel; the product is YY
-        phase, product = multiply(PauliString.from_text("XZ"), PauliString.from_text("ZX"))
-        assert phase == 1 and product.text() == "YY"
+        phase, string = product("XZ", "ZX")
+        assert phase == 1 and string.text() == "YY"
         oracle = dense_string("XZ") @ dense_string("ZX")
         np.testing.assert_allclose(phase * dense_string("YY"), oracle, atol=1e-14)
 
@@ -66,28 +83,14 @@ class TestMultiply:
         rng = np.random.default_rng(11)
         for _ in range(60):
             n = int(rng.integers(1, 5))
-            a, b = random_string(rng, n), random_string(rng, n)
-            phase, product = multiply(a, b)
+            a, b = random_text(rng, n), random_text(rng, n)
+            phase, string = product(a, b)
             assert phase in UNIT_PHASES
             np.testing.assert_allclose(
-                phase * dense_string(product.text()),
-                dense_string(a.text()) @ dense_string(b.text()),
+                phase * dense_string(string.text()),
+                dense_string(a) @ dense_string(b),
                 atol=1e-14,
             )
-
-    def test_phase_pair_encodes_commutation(self):
-        # ab and ba share the phase exactly when the strings commute and
-        # carry opposite (imaginary) phases when they anticommute, so the
-        # conjugate product discriminates the two cases
-        rng = np.random.default_rng(12)
-        for _ in range(60):
-            n = int(rng.integers(1, 5))
-            a, b = random_string(rng, n), random_string(rng, n)
-            forward = multiply(a, b)[0]
-            backward = multiply(b, a)[0]
-            assert forward * backward.conjugate() in (1, -1)
-            assert (forward == backward) is a.commutes_with(b)
-            assert (forward * backward.conjugate() == 1) is a.commutes_with(b)
 
 
 class TestPauliSum:
@@ -104,6 +107,10 @@ class TestPauliSum:
         assert PauliSum.from_text_terms([("X", 1 + 0.5j * tol)]).is_hermitian()
         assert not PauliSum.from_text_terms([("X", 1 + 2j * tol)]).is_hermitian()
         assert PauliSum.from_text_terms([("X", 1j + 0.5 * tol)]).is_anti_hermitian()
+
+    def test_qubit_count_mismatch(self):
+        with pytest.raises(ValueError, match="term on 1 qubits in a 2-qubit sum"):
+            PauliSum(2, [(PauliString.from_text("XX"), 1.0), (PauliString.from_text("X"), 1.0)])
 
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
     def test_non_finite_coefficient_rejected(self, coeff):
@@ -134,14 +141,26 @@ class TestPauliSum:
         [("XX", 1.0), ("ZZ", -0.5)],  # Hermitian and commuting
         [("XY", 1j), ("YX", -1j)],  # anti-Hermitian and commuting
         [("XI", 0.5j), ("ZI", 1.0)],  # neither, and not commuting
+        [("XI", 1.0), ("IX", 1.0)],
+        [("XX", 1.0), ("YY", 1.0)],
+        [("XY", 1.0), ("YX", 1.0)],
+        [("XI", 1.0), ("YI", 1.0)],
+        [("XZZXI", 1.0), ("IXZZX", 1.0)],
+        # 20 qubits, with the strings' masks on bit 19
+        [("Z" + "I" * 18 + "X", 1j), ("I" * 19 + "Y", 1j)],
+        [("X" + "I" * 18 + "Y", 1.0), ("Z" + "I" * 18 + "X", -0.5)],
+        *random_pairs(12, 30),
     ])
     def test_compiled_flags_match_the_sum_checks(self, terms):
         # the sum's checks read the compiled flags; both must agree with
-        # the dense matrices
+        # the dense matrices on the sites some string acts on (a site where
+        # every string is the identity changes none of the three properties)
         op = PauliSum.from_text_terms(terms)
         compiled = op.compiled()
-        matrix = dense_pauli_sum(op)
-        strings = [dense_string(text) for text, _ in terms]
+        sites = [i for i in range(op.n_qubits) if any(text[i] != "I" for text, _ in terms)]
+        reduced = [("".join(text[i] for i in sites) or "I", c) for text, c in terms]
+        matrix = dense_operator(reduced)
+        strings = [dense_string(text) for text, _ in reduced]
         commuting = all(np.array_equal(a @ b, b @ a) for a in strings for b in strings)
         assert compiled.hermitian == op.is_hermitian() == np.allclose(matrix, matrix.conj().T)
         assert (compiled.anti_hermitian == op.is_anti_hermitian()
@@ -165,8 +184,8 @@ class TestPauliSum:
             if a.is_zero or b.is_zero:
                 continue
             np.testing.assert_allclose(
-                dense_pauli_sum(a @ b), dense_pauli_sum(a) @ dense_pauli_sum(b),
-                atol=1e-12)
+                dense_pauli_sum(pauli_product(a, b)),
+                dense_pauli_sum(a) @ dense_pauli_sum(b), atol=1e-12)
 
     def test_immutability(self):
         s = PauliSum.from_text_terms([("X", 1.0)])
@@ -205,6 +224,8 @@ class TestCommutator:
 
 
 class TestJordanWigner:
+    """The fixture generator's ladder operators."""
+
     def test_creation_on_first_orbital(self):
         op = jordan_wigner_ladder(0, True, 2)
         assert op == PauliSum.from_text_terms([("XI", 0.5), ("YI", -0.5j)])

@@ -6,7 +6,10 @@ basis (s-type Gaussians only, so every integral has a closed form), followed
 by a Jordan-Wigner transformation of the second-quantized Hamiltonian into a
 Pauli-sum JSON file.  Spin-orbitals are interleaved (alpha = even index,
 beta = odd index) and ordered by orbital energy, so the mean-field
-determinant occupies the lowest qubits.
+determinant occupies the lowest qubits.  This file is the home of the
+symbolic algebra the transformation needs, the product of two Pauli sums
+(:func:`pauli_product`) and the Jordan-Wigner ladder operators
+(:func:`jordan_wigner_ladder`): the package itself multiplies no sums.
 
 Run from the repository root:
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,8 @@ from adaptvqe.hamiltonians import (
     ground_state_energy,
     save_hamiltonian,
 )
-from adaptvqe.paulis import DEFAULT_PRUNE_TOL, PauliSum, jordan_wigner_ladder
+from adaptvqe.compiled import DEFAULT_PRUNE_TOL
+from adaptvqe.paulis import PauliString, PauliSum
 from adaptvqe.simulator import AnsatzState, expectation, prepare
 
 ANGSTROM_TO_BOHR = 1.8897259886
@@ -150,6 +155,48 @@ def restricted_hartree_fock(centers, charges, n_electrons,
     return energy, coeffs, mo_energies, h_core, eri, e_nuc
 
 
+_UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def pauli_product(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The operator product ``a b``, expanded term by term.
+
+    Each pair of strings multiplies in the normal form
+    P(x, z) = i^{|x & z|} X^x Z^z: commuting X^b past Z^a contributes a
+    factor -1 per overlapping site, and the Y content of each factor its own
+    power of i.  Products landing on one string are summed in the order the
+    pairs are met, and the ``PauliSum`` constructor then prunes and sorts.
+    """
+    out: dict[PauliString, complex] = {}
+    for sa, ca in a:
+        for sb, cb in b:
+            x = sa.x_mask ^ sb.x_mask
+            z = sa.z_mask ^ sb.z_mask
+            exponent = ((sa.x_mask & sa.z_mask).bit_count()
+                        + (sb.x_mask & sb.z_mask).bit_count()
+                        + 2 * (sa.z_mask & sb.x_mask).bit_count()
+                        - (x & z).bit_count()) % 4
+            product = PauliString(a.n_qubits, x, z)
+            out[product] = out.get(product, 0j) + ca * cb * _UNIT_PHASES[exponent]
+    return PauliSum(a.n_qubits, out)
+
+
+def jordan_wigner_ladder(index: int, creation: bool, n_qubits: int) -> PauliSum:
+    """Fermionic ladder operator for mode ``index`` as a two-string PauliSum.
+
+    Creation maps to ``1/2 * Z_0...Z_{index-1} (X_index - i Y_index)`` and
+    annihilation to the ``+ i Y`` branch.  Modes with lower index sit earlier
+    in the Z string, matching the qubit-0-is-LSB layout.
+    """
+    if not 0 <= index < n_qubits:
+        raise ValueError(f"orbital index {index} out of range for {n_qubits} qubits")
+    z_string = (1 << index) - 1
+    x_term = PauliString(n_qubits, 1 << index, z_string)
+    y_term = PauliString(n_qubits, 1 << index, z_string | (1 << index))
+    sign = -1j if creation else 1j
+    return PauliSum(n_qubits, [(x_term, 0.5), (y_term, 0.5 * sign)])
+
+
 def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
     """JW transform of the interleaved-spin second-quantized Hamiltonian."""
     n_spatial = h_mo.shape[0]
@@ -163,7 +210,7 @@ def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
     # a key that falls to the tolerance and is later added to again would
     # otherwise end on a different coefficient, and the fixtures must stay
     # byte for byte the same.
-    coeffs = dict(PauliSum.identity(n_qubits, e_nuc).items())
+    coeffs = {PauliString(n_qubits, 0, 0): complex(e_nuc)}
 
     def add(term: PauliSum, scale) -> None:
         for string, c in term.items():
@@ -181,19 +228,16 @@ def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
             if abs(h_mo[p, q]) < 1e-13:
                 continue
             for spin in (0, 1):
-                add(ladder(p, spin, True) @ ladder(q, spin, False), h_mo[p, q])
+                add(pauli_product(ladder(p, spin, True), ladder(q, spin, False)),
+                    h_mo[p, q])
     for p, q, r, s in itertools.product(range(n_spatial), repeat=4):
         coeff = 0.5 * eri_mo[p, q, r, s]
         if abs(coeff) < 1e-13:
             continue
         for sigma in (0, 1):
             for tau in (0, 1):
-                term = (
-                    ladder(p, sigma, True)
-                    @ ladder(r, tau, True)
-                    @ ladder(s, tau, False)
-                    @ ladder(q, sigma, False)
-                )
+                term = reduce(pauli_product, (ladder(p, sigma, True), ladder(r, tau, True),
+                                              ladder(s, tau, False), ladder(q, sigma, False)))
                 add(term, coeff)
     return PauliSum(n_qubits, coeffs)
 
