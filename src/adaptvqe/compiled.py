@@ -94,6 +94,19 @@ tables stacked and padded with zero rows.  The sum over the term axis starts
 from ``+0``, so a padded ``±0`` product changes no bit and each row is byte
 for byte its generator's ``apply`` (``np.add.reduceat`` over unpadded rows
 measured an ulp off).  Its ansatz keeps it, so no module cache outlives it.
+
+**Real problems.**  A sum is :attr:`CompiledSum.real` when every folded
+scalar has a zero imaginary part: real coefficients on strings with an even
+number of Y letters (every bundled Hamiltonian, TFIM, Heisenberg), or
+imaginary ones on odd-Y strings (every QE and qubit-pool generator).  Such
+a sum keeps a real state real, so ``apply``, ``exponential`` and
+:meth:`GeneratorBatch.apply_each` also take float64 states, chosen by
+dtype: real scalars and tables, float64 signs up to the cap (shared like
+the complex ones) and the rotation factor ``-sin(w) unit.imag``, the exact
+real part of ``i sin(w) unit``.  IEEE complex products and sums of operands
+with zero imaginary parts have the real results as real parts, save the
+sign of an exact zero, so each result is the complex route's real part.
+Any other sum raises ``ValueError`` on a float64 state.
 """
 
 from __future__ import annotations
@@ -116,6 +129,8 @@ DEFAULT_PRUNE_TOL = 1e-12
 _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+_FLOAT64 = np.dtype(np.float64)  # a real state's; cheaper to compare than np.float64
 
 # One read-only sign vector per (n_qubits, z_mask, dtype), shared by every
 # compiled sum for the life of the process.
@@ -172,13 +187,20 @@ class CompiledSum:
             raise ValueError("generator terms do not mutually commute")
 
     @cached_property
+    def real(self) -> bool:
+        """Every folded scalar is real, so a float64 state stays real (see
+        "Real problems" in the module doc)."""
+        return all(scalar.imag == 0.0 for _, terms in self._groups for *_, scalar, _ in terms)
+
+    @cached_property
     def _groups(self) -> tuple:
         """``((flip, terms), ...)`` per X mask in canonical order.
 
         ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
-        mask; each term is ``(signs, coeff, unit, scalar)`` with ``signs``
+        mask; each term is ``(signs, coeff, unit, scalar, z)`` with ``signs``
         the shared vector ``(-1)^popcount(b & z)``, None for a Z mask of 0, ``unit``
-        the folded phase ``(-i)^y`` and ``scalar = coeff * unit``.  The
+        the folded phase ``(-i)^y``, ``scalar = coeff * unit`` and ``z`` the
+        Z mask.  The
         flips are ``np.intp`` and the signs complex up to
         ``_TABLE_AMPLITUDE_CAP`` amplitudes, int32 and int8 above it (see
         the module doc).
@@ -197,50 +219,68 @@ class CompiledSum:
                 last_x = x
             signs = _shared_signs(self.n_qubits, index, z, sign_type) if z else None
             unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
-            groups[-1][1].append((signs, coeff, unit, coeff * unit))
+            groups[-1][1].append((signs, coeff, unit, coeff * unit, z))
         return tuple((flip, tuple(terms)) for flip, terms in groups)
 
     @cached_property
-    def _rotations(self) -> tuple:
+    def _real_groups(self) -> tuple:
+        """``_groups`` for float64 states: the same flips, each scalar's real
+        part and, up to ``_TABLE_AMPLITUDE_CAP`` amplitudes, float64 signs."""
+        if not self.real:
+            raise ValueError("a float64 state needs a sum with real scalars")
+        index = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        return tuple((flip, tuple(
+            (signs if signs is None or signs.dtype == np.int8
+             else _shared_signs(self.n_qubits, index, z, float), coeff, unit, scalar.real, z)
+            for signs, coeff, unit, scalar, z in terms)) for flip, terms in self._groups)
+
+    def _rotations_of(self, groups: tuple) -> tuple:
         """``(flip, signs, imag, unit)`` per term of a generator in canonical
         order, ``imag`` the imaginary part of its coefficient; raises as
         :meth:`check_generator` does for any other sum."""
         self.check_generator()
         return tuple((flip, signs, coeff.imag, unit)
-                     for flip, terms in self._groups for signs, coeff, unit, _ in terms)
+                     for flip, terms in groups for signs, coeff, unit, *_ in terms)
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+    _rotations = cached_property(lambda self: self._rotations_of(self._groups))
+    _real_rotations = cached_property(lambda self: self._rotations_of(self._real_groups))
+
+    def _tabulate(self, groups: tuple, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         """``(table, flips)``, one row per term in canonical order: the
         folded scalar times the term's sign vector (the scalar broadcast for
         a Z mask of 0) and its gather index ``b -> b ^ x``."""
         dim = 1 << self.n_qubits
         index = np.arange(dim, dtype=np.intp)
         rows, flips = [], []
-        for flip, terms in self._groups:
+        for flip, terms in groups:
             gather = index if flip is None else flip
-            for signs, _, _, scalar in terms:
+            for signs, _, _, scalar, _ in terms:
                 rows.append(np.full(dim, scalar) if signs is None else scalar * signs)
                 flips.append(gather)
-        return (np.array(rows, dtype=complex).reshape(-1, dim),
+        return (np.array(rows, dtype=dtype).reshape(-1, dim),
                 np.array(flips, dtype=np.intp).reshape(-1, dim))
+
+    _table = cached_property(lambda self: self._tabulate(self._groups, complex))
+    _real_table = cached_property(lambda self: self._tabulate(self._real_groups, float))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """``O|psi>``: term by term in canonical order, one gather per X mask.
 
-        ``amps`` is one state or a stack of states, one per row.  A state of
-        at most ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the
-        term table in three numpy calls (see the module doc).
+        ``amps`` is one state or a stack of states, one per row, complex or,
+        for a :attr:`real` sum, float64.  A state of at most
+        ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
+        table in three numpy calls (see the module doc).
         """
+        real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
-            table, flips = self._table
+            table, flips = self._real_table if real else self._table
             gathered = amps.take(flips)
             np.multiply(table, gathered, out=gathered)
             return gathered.sum(axis=0, initial=0)
         out = np.zeros_like(amps)
-        for flip, terms in self._groups:
+        for flip, terms in self._real_groups if real else self._groups:
             gathered = amps if flip is None else amps.take(flip, axis=-1)
-            for signs, _, _, scalar in terms:
+            for signs, _, _, scalar, _ in terms:
                 out += scalar * (gathered if signs is None else gathered * signs)
         return out
 
@@ -251,9 +291,11 @@ class CompiledSum:
         strings, as every pool operator is; any other sum raises
         ``ValueError``.  The terms are applied one after another with the
         closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``.
-        ``amps`` is one state or a stack of states, one per row.
+        ``amps`` is one state or a stack of states, one per row, complex or,
+        for a :attr:`real` generator, float64 (see the module doc).
         """
-        rotations = self._rotations
+        real = amps.dtype == _FLOAT64
+        rotations = self._real_rotations if real else self._rotations
         if theta == 0.0:
             return amps
         for flip, signs, imag, unit in rotations:
@@ -263,7 +305,8 @@ class CompiledSum:
             rotated = amps if flip is None else amps.take(flip, axis=-1)
             if signs is not None:
                 rotated = rotated * signs
-            amps = np.cos(w) * amps + (1j * np.sin(w) * unit) * rotated
+            factor = -np.sin(w) * unit.imag if real else 1j * np.sin(w) * unit
+            amps = np.cos(w) * amps + factor * rotated
         return amps
 
     @cached_property
@@ -301,7 +344,7 @@ class CompiledSum:
         out = np.zeros((dim, dim), dtype=complex)
         for flip, terms in self._groups:
             cols = index if flip is None else flip
-            for signs, _, _, scalar in terms:
+            for signs, _, _, scalar, _ in terms:
                 out[index, cols] += scalar if signs is None else scalar * signs
         return out
 
@@ -317,22 +360,31 @@ class GeneratorBatch:
         self.tabled = bool(generators) and 1 << generators[0].n_qubits <= _TABLE_AMPLITUDE_CAP
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+    def real(self) -> bool:
+        """Every generator is :attr:`CompiledSum.real`."""
+        return all(compiled.real for compiled in self.generators)
+
+    def _stack(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
         """Each generator's term table and its gather indices into the
         concatenated states, padded with zero rows to the longest."""
         dim = 1 << self.generators[0].n_qubits
         shape = (len(self.generators), max(len(g.terms) for g in self.generators), dim)
-        table, index = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=np.intp)
+        table = np.zeros(shape, dtype=float if real else complex)
+        index = np.zeros(shape, dtype=np.intp)
         for j, compiled in enumerate(self.generators):
-            rows, flips = compiled._table
+            rows, flips = compiled._real_table if real else compiled._table
             table[j, :len(rows)] = rows
             index[j, :len(rows)] = flips + j * dim
         return table, index
 
+    _table = cached_property(lambda self: self._stack(real=False))
+    _real_table = cached_property(lambda self: self._stack(real=True))
+
     def apply_each(self, states: Sequence[np.ndarray]) -> np.ndarray:
         """Row ``j`` is ``generators[j].apply(states[j])``, byte for byte,
-        for finite 1-D states of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes."""
-        table, index = self._table
+        for finite 1-D states of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes,
+        all complex or all float64."""
+        table, index = self._real_table if states[0].dtype == _FLOAT64 else self._table
         gathered = np.concatenate(states).take(index)
         np.multiply(table, gathered, out=gathered)
         return gathered.sum(axis=1, initial=0)

@@ -605,6 +605,27 @@ class TestSharedSigns:
             assert not signs.flags.writeable
             assert signs.dtype == (complex if n_qubits == 8 else np.int8)
 
+    @pytest.mark.parametrize("n_qubits", [8, 12])
+    def test_real_route_signs_are_shared_too(self, n_qubits):
+        """The float64 route holds one read-only float64 sign vector per
+        qubit count and Z mask up to the size key, and above it the int8
+        vectors of the complex route."""
+        pad = "I" * (n_qubits - 4)
+        first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
+        second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
+        index = np.arange(1 << n_qubits, dtype=np.uint64)
+        for operator in (first, second):
+            compiled = operator.compiled()
+            assert compiled.real
+            held = [signs for _, terms in compiled._real_groups for signs, *_ in terms]
+            for (string, _), signs in zip(compiled.terms, held):
+                if n_qubits == 8:
+                    assert signs is compiled_module._shared_signs(
+                        n_qubits, index, string.z_mask, float)
+                    assert signs.dtype == np.float64 and not signs.flags.writeable
+                else:
+                    assert signs is signs_by_z_mask(compiled)[string.z_mask]
+
     def test_h4_bytes_do_not_depend_on_sharing(self, h4_equilibrium_fixture, monkeypatch):
         """``apply`` and ``exponential`` of the H4 Hamiltonian and QE pool
         with the shared vectors against sums that each build their own."""
@@ -765,3 +786,163 @@ class TestTermTable:
         for row in rows:
             expected += row
         assert rows.sum(axis=0, initial=0).tobytes() == expected.tobytes()
+
+
+def real_problem(case, request):
+    """``(hamiltonian, ansatz)`` with real scalars throughout: H2 and H4 at
+    1.0 and 2.0 A with their QE pools, TFIM-8 with the odd-Y strings of its
+    nn pool (an even-Y string has zero gradient at a real state, so the
+    growth loop never picks one), and Heisenberg-10 with a QE pool, above
+    the term-table key, so on the int8 per-term route."""
+    if case == "heisenberg10":
+        hfile, pool = builtin_model("heisenberg", 10, with_exact=False), build_qe_pool(10, 5)
+        reference = "1111100000"
+    else:
+        if case == "h4_stretched":
+            hfile = request.getfixturevalue("h4_stretched_fixture")
+            pool = build_qe_pool(hfile.n_qubits, hfile.n_electrons)
+        else:
+            hfile, pool = fixture_case(case, request)
+        reference = hfile.reference_bitstring
+    operators = [op for op in pool.operators if op.compiled().real]
+    rng = np.random.default_rng(len(case))
+    picks = rng.integers(0, len(operators), size=7)
+    return hfile.operator, AnsatzState(reference, tuple(
+        (operators[int(i)], float(t)) for i, t in zip(picks, rng.normal(size=7) * 0.5)))
+
+
+def assert_sweep_matches_oracle(ansatz, hamiltonian, dtype):
+    """Energy, gradient, a partial gradient, the last element's derivative
+    and stacked rows, byte for byte the plain route's, from states of
+    ``dtype``."""
+    energy, handle = energy_then_gradient(ansatz, hamiltonian)
+    assert handle.psi.dtype == dtype and handle.h_psi.dtype == complex
+    _, reference_energy, reference_grad = reference_energy_and_gradient(
+        ansatz.reference, ansatz.elements, hamiltonian)
+    assert float(energy).hex() == float(reference_energy).hex()
+    assert handle().tobytes() == reference_grad.tobytes()
+    assert (float(handle.derivative(ansatz.generators[-1])).hex()
+            == float(reference_grad[-1]).hex())
+    n = ansatz.n_parameters
+    wanted = list(range(n))[1::2]
+    assert (gradient_components(ansatz, hamiltonian, wanted).tobytes()
+            == reference_grad[wanted].tobytes())
+    x = ansatz.parameters
+    points = np.stack([x, np.roll(x, 1), 0.5 * x])
+    stacked = gradient_components(ansatz, hamiltonian, range(n), points=points)
+    for point, row in zip(points, stacked):
+        elements = tuple(zip(ansatz.generators, point.tolist()))
+        _, _, expected = reference_energy_and_gradient(ansatz.reference, elements, hamiltonian)
+        assert row.tobytes() == expected.tobytes()
+
+
+@st.composite
+def real_problems(draw):
+    """A Hamiltonian of even-Y strings with real coefficients and 1-3
+    generators of mutually commuting odd-Y strings with imaginary ones."""
+    n_qubits = draw(st.integers(1, 5))
+    full = (1 << n_qubits) - 1
+
+    def strings(y_parity, count):
+        drawn = [PauliString(n_qubits, draw(st.integers(0, full)), draw(st.integers(0, full)))
+                 for _ in range(count)]
+        return [s for s in drawn if (s.x_mask & s.z_mask).bit_count() % 2 == y_parity]
+
+    hamiltonian = PauliSum(n_qubits, [(PauliString(n_qubits, 0, 0), draw(_COEFFS))] + [
+        (s, draw(_COEFFS)) for s in strings(0, draw(st.integers(1, 12)))])
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        kept = [PauliString.single("Y", draw(st.integers(0, n_qubits - 1)), n_qubits)]
+        for string in strings(1, draw(st.integers(0, 7))):
+            if all(dense_strings_commute(string.text(), k.text()) for k in kept):
+                kept.append(string)
+        generators.append(PauliSum(n_qubits, [(s, 1j * draw(_COEFFS)) for s in kept]))
+    return hamiltonian, generators
+
+
+class TestRealRoute:
+    """A real Hamiltonian with real generators is swept in float64, byte for
+    byte the complex plain route, since every overlap is still a complex
+    ``np.vdot``; any other problem keeps complex states."""
+
+    @pytest.mark.parametrize("case", ["h2", "h4", "h4_stretched", "tfim8", "heisenberg10"])
+    def test_real_problems_run_in_float64(self, case, request):
+        hamiltonian, ansatz = real_problem(case, request)
+        assert hamiltonian.compiled().real and ansatz._batch.real
+        assert_sweep_matches_oracle(ansatz, hamiltonian, np.float64)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_generated_real_problems(self, data):
+        """The sweep on generated real problems, and each operator's float64
+        ``apply`` (byte for byte) and ``exponential`` (up to the sign of a
+        zero) against the real part of its complex route, for 1-D states
+        and stacks."""
+        hamiltonian, generators = data.draw(real_problems())
+        n_qubits = hamiltonian.n_qubits
+        thetas = [data.draw(st.floats(-1.5, 1.5)) for _ in generators]
+        reference = "".join(data.draw(st.sampled_from("01")) for _ in range(n_qubits))
+        ansatz = AnsatzState(reference, tuple(zip(generators, thetas)))
+        assert_sweep_matches_oracle(ansatz, hamiltonian, np.float64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = rng.normal(size=(3, 1 << n_qubits))
+        for amps in (stack[0], stack):
+            for operator in (hamiltonian, *generators):
+                compiled = operator.compiled()
+                assert (compiled.apply(amps).tobytes()
+                        == compiled.apply(amps.astype(complex)).real.tobytes())
+            for generator, theta in zip(generators, thetas):
+                compiled = generator.compiled()
+                assert np.array_equal(compiled.exponential(amps, theta),
+                                      compiled.exponential(amps.astype(complex), theta).real)
+
+    @pytest.mark.parametrize("route", ["odd_y_hamiltonian", "even_y_generator"])
+    def test_other_problems_keep_complex_states(self, route, h2_fixture):
+        hamiltonian = h2_fixture.operator
+        pool = build_qe_pool(4, 2)
+        elements = [(pool.operators[k], 0.3 + 0.2 * k) for k in range(3)]
+        if route == "odd_y_hamiltonian":
+            hamiltonian = PauliSum(4, list(hamiltonian.items())
+                                   + [(PauliString.from_text("YXII"), 0.25)])
+            assert not hamiltonian.compiled().real
+        else:
+            generator = PauliSum.from_text_terms([("XIII", 1j)])  # i X0: no Y
+            assert not generator.compiled().real
+            elements.append((generator, -0.4))
+        ansatz = AnsatzState(h2_fixture.reference_bitstring, tuple(elements))
+        assert_sweep_matches_oracle(ansatz, hamiltonian, complex)
+
+    def test_float_state_needs_a_real_sum(self):
+        generator = PauliSum.from_text_terms([("XX", 1j)])  # no Y: not real
+        amps = np.array([1.0, 0.0, 0.0, 0.0])
+        for call in (lambda c: c.apply(amps), lambda c: c.exponential(amps, 0.3)):
+            with pytest.raises(ValueError, match="real scalars"):
+                call(generator.compiled())
+
+    def test_derivative_of_a_complex_generator_from_a_real_state(self, request):
+        hamiltonian, ansatz = real_problem("h2", request)
+        _, handle = energy_then_gradient(ansatz, hamiltonian)
+        generator = PauliSum.from_text_terms([("IXII", 1j)])
+        psi, _, _ = reference_energy_and_gradient(
+            ansatz.reference, ansatz.elements, hamiltonian)
+        h_psi = reference_apply_sum(psi, 4, hamiltonian)
+        expected = 2.0 * np.vdot(h_psi, reference_apply_sum(psi, 4, generator)).real
+        assert float(handle.derivative(generator)).hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("case", ["h4", "tfim8"])
+    def test_pool_sweep_converts_real_inputs(self, case, request):
+        """A float64 ``psi`` and ``H|psi>`` give the complex sweep's bits (on
+        random real vectors a float sweep differs in most components), and a
+        real sweep's handle the sweep of the complex route's state."""
+        hfile, pool = fixture_case(case, request)
+        rng = np.random.default_rng(7)
+        psi, h_psi = rng.normal(size=256), rng.normal(size=256)
+        expected = generator_gradients(psi.astype(complex), h_psi.astype(complex),
+                                       pool.operators)
+        assert generator_gradients(psi, h_psi, pool.operators).tobytes() == expected.tobytes()
+        ansatz = random_ansatz(rng, hfile, pool, 5)
+        _, handle = energy_then_gradient(ansatz, hfile.operator)
+        amps = prepare(ansatz).amplitudes
+        expected = generator_gradients(amps, hfile.operator.compiled().apply(amps),
+                                       pool.operators)
+        assert pool_gradients(handle, pool).tobytes() == expected.tobytes()

@@ -13,9 +13,12 @@ The cases are
 
 * one Pauli-string application (8 and 12 qubits);
 * one Hamiltonian application: H4 STO-3G 1.0 A (8 qubits, bundled), TFIM-8
-  and H6 STO-3G 1.0 A (12 qubits, built here, which takes a few seconds);
+  and H6 STO-3G 1.0 A (12 qubits, built here, which takes a few seconds),
+  and H6 on a float64 state (``hamiltonian_apply.h6_real``), the route a
+  real Hamiltonian with real generators is swept on;
 * one generator exponential: a qubit-excitation double and single and a
-  nearest-neighbour string at 8 qubits, and a double at 12 qubits;
+  nearest-neighbour string at 8 qubits, and a double at 12 qubits, on a
+  complex and on a float64 state (``exponential.qe_double_12q_real``);
 * one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators,
   and beside it one ``energy_then_gradient`` whose gradient is never read
   (``energy_only``), the forward half of the same sweep;
@@ -31,9 +34,14 @@ The cases are
 * one exact Hessian (``diagnostics.exact_ansatz_hessian``, 2n shifted
   gradients in one stacked sweep) of H4 with 10 and with 19 pool operators;
 * one line-search trial (``trial.tfim8_n20``): ``AnsatzObjective.evaluate``
-  and its gradient read, for TFIM-8 with 20 nearest-neighbour operators,
-  and the ``AnsatzState.with_parameters`` call inside it
-  (``with_parameters.n20``).
+  and its gradient read, for TFIM-8 with 20 nearest-neighbour operators
+  (drawn from the whole pool, so its even-Y strings keep it complex), and
+  the ``AnsatzState.with_parameters`` call inside it
+  (``with_parameters.n20``); and one for H4 with 10 QE operators
+  (``trial.h4_n10``), on the float64 route.
+
+The cases added last draw their random inputs last, so every earlier case
+keeps the inputs it had before them.
 
 The script uses only the package's public names, so a copy of it times any
 checkout of the package it sits in.  No benchmark gate reads its output.
@@ -101,6 +109,11 @@ def time_call(fn) -> dict:
 
 def random_state(rng, n_qubits: int) -> np.ndarray:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def random_real_state(rng, n_qubits: int) -> np.ndarray:
+    amps = rng.normal(size=1 << n_qubits)
     return amps / np.linalg.norm(amps)
 
 
@@ -183,6 +196,14 @@ def cases(rng) -> dict:
     x = trial_ansatz.parameters + 0.01
     out["trial.tfim8_n20"] = lambda: objective.evaluate(x)[1]()
     out["with_parameters.n20"] = lambda: trial_ansatz.with_parameters(x)
+    real12 = random_real_state(rng, 12)
+    out["hamiltonian_apply.h6_real"] = lambda c=h6.operator.compiled(): c.apply(real12)
+    out["exponential.qe_double_12q_real"] = (
+        lambda c=first_with_terms(h6_pool, 8).compiled(): c.exponential(real12, THETA))
+    h4_ansatz = random_ansatz(rng, h4, h4_pool, 10)
+    h4_objective = AnsatzObjective(h4.operator, h4_ansatz)
+    h4_x = h4_ansatz.parameters + 0.01
+    out["trial.h4_n10"] = lambda: h4_objective.evaluate(h4_x)[1]()
     return out
 
 
