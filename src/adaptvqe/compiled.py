@@ -77,9 +77,8 @@ and at 12 qubits a Hamiltonian's table is tens of MB and slower.
 Summing the terms of a mask into one phase vector, a CSR matrix-vector
 product or one Givens rotation of a whole single-mask generator each differ by
 an ulp or so, and the optimizer's line-search and evaluation counts flip
-under such differences.  Only the pool sweep
-(:meth:`CompiledSum.sign_table`), whose output feeds a tolerant argmax,
-sums in another order.
+under such differences.  Only the pool sweep, whose output feeds a tolerant
+argmax, sums in another order, on either of its two routes (below).
 
 **Stacks.**  ``apply`` and ``exponential`` also take a stack of states of
 shape ``(m, 2^q)``.  A stack is applied term by term, never through the
@@ -94,6 +93,24 @@ tables stacked and padded with zero rows.  The sum over the term axis starts
 from ``+0``, so a padded ``±0`` product changes no bit and each row is byte
 for byte its generator's ``apply`` (``np.add.reduceat`` over unpadded rows
 measured an ulp off).  Its ansatz keeps it, so no module cache outlives it.
+
+**Pool sweeps.**  The pool sweep reads ``2 Re <H psi|A_k psi>`` for every
+generator of a pool, and feeds only the tolerant argmax of the selection,
+so it may sum in another order than ``apply``.  A generator whose terms
+share one X mask ``x`` (every QE, qubit-pool and nearest-neighbour
+operator) acts as ``(A psi)[b] = D[b] psi[b ^ x]`` with the folded diagonal
+``D = sum scalar * s_z`` over its terms.  A :attr:`GeneratorBatch.tabled`
+batch (states of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes) keeps the
+rows of ``D`` and of the gather index of all such generators
+(:attr:`GeneratorBatch.diagonals`, 24 bytes per amplitude and generator),
+so its sweep is one gather, two products and one row sum; each row is
+reduced by numpy's own ``sum(axis=1)``, not by BLAS, so a generator's value
+depends neither on the other rows nor on the BLAS kernel.  A larger state
+keeps one small table per generator instead (:attr:`CompiledSum.sign_table`,
+``2^m`` entries for a Z support of ``m`` qubits): a 12-qubit QE pool's
+diagonals would take about 56 MB.  An :class:`~adaptvqe.pools.OperatorPool`
+keeps its batch, so the diagonals are built once per pool and dropped with
+it.
 
 **Real problems.**  A sum is :attr:`CompiledSum.real` when every folded
 scalar has a zero imaginary part: real coefficients on strings with an even
@@ -310,6 +327,12 @@ class CompiledSum:
         return amps
 
     @cached_property
+    def _x_mask(self) -> int | None:
+        """The X mask every term shares; None for several masks (or none)."""
+        x_masks = {s.x_mask for s, _ in self.terms}
+        return x_masks.pop() if len(x_masks) == 1 else None
+
+    @cached_property
     def sign_table(self) -> tuple[int, int, np.ndarray] | None:
         """``(x_mask, z_support, table)`` when every term shares one X mask.
 
@@ -319,8 +342,7 @@ class CompiledSum:
         lowest support qubit), ``<phi|A psi> = table @ r``, a table of
         ``2^m`` entries.  None for a sum of several X masks (or none).
         """
-        x_masks = {s.x_mask for s, _ in self.terms}
-        if len(x_masks) != 1:
+        if self._x_mask is None:
             return None
         z_support = 0
         for string, _ in self.terms:
@@ -332,7 +354,7 @@ class CompiledSum:
             z = sum(1 << j for j, q in enumerate(qubits) if string.z_mask >> q & 1)
             phase = _UNIT_PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
             table += coeff * phase * _parity_signs(reduced, z)
-        return x_masks.pop(), z_support, table
+        return self._x_mask, z_support, table
 
     def dense(self) -> np.ndarray:
         """The full-dimension matrix, site 0 least significant: each term in
@@ -388,3 +410,25 @@ class GeneratorBatch:
         gathered = np.concatenate(states).take(index)
         np.multiply(table, gathered, out=gathered)
         return gathered.sum(axis=1, initial=0)
+
+    @cached_property
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(members, diagonals, flips)`` for a :attr:`tabled` batch (see
+        "Pool sweeps" in the module doc): the indices of the generators whose
+        terms share one X mask ``x``, in order, and for each a row of its
+        folded diagonal ``D[b]``, the sum of its terms' scalars times their
+        sign vectors, and a row of its gather index ``b -> b ^ x``.  Built
+        from the terms with signs that are not kept, so a pool's generators
+        cache no groups and add no shared sign vectors."""
+        index = np.arange(1 << self.generators[0].n_qubits, dtype=np.uint64)
+        members = [k for k, compiled in enumerate(self.generators)
+                   if compiled._x_mask is not None]
+        diagonals = np.zeros((len(members), index.size), dtype=complex)
+        flips = np.empty((len(members), index.size), dtype=np.intp)
+        for row, k in enumerate(members):
+            compiled = self.generators[k]
+            for string, coeff in compiled.terms:
+                unit = _UNIT_PHASES[3 * (string.x_mask & string.z_mask).bit_count() % 4]
+                diagonals[row] += coeff * unit * _parity_signs(index, string.z_mask)
+            flips[row] = index ^ np.uint64(compiled._x_mask)
+        return np.array(members, dtype=np.intp), diagonals, flips

@@ -126,12 +126,15 @@ def pool_gradients(carried: GradientHandle, pool: OperatorPool) -> np.ndarray:
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
     :func:`generator_gradients` from the carried ``psi`` and ``H|psi>``;
-    the Hamiltonian was checked by the sweep that computed them.  One call
-    is one pool sweep, which :func:`run_adapt` charges at the flat 8N rate.
+    the Hamiltonian was checked by the sweep that computed them.  It reads
+    the pool's compiled batch (:attr:`OperatorPool.batch`), so up to 2^8
+    amplitudes the table of the sweep's diagonal route is built once per
+    pool; larger states take the sign-table route.  One call is one pool
+    sweep, which :func:`run_adapt` charges at the flat 8N rate.
     """
     if carried.psi.size != 1 << pool.n_qubits:
         raise ValueError("pool qubit count does not match the state")
-    return generator_gradients(carried.psi, carried.h_psi, pool.operators)
+    return generator_gradients(carried.psi, carried.h_psi, pool.batch)
 
 
 def select_operator(gradients: np.ndarray) -> tuple[int, float]:

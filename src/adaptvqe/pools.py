@@ -27,8 +27,10 @@ Qubit-pool generators are ``i * P``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
+from .compiled import GeneratorBatch
 from .paulis import PauliString, PauliSum
 
 __all__ = [
@@ -77,6 +79,13 @@ class OperatorPool:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+    @cached_property
+    def batch(self) -> GeneratorBatch:
+        """The compiled operators, in order, built on first use and kept on
+        the pool, so the pool sweep's table is built once per pool and
+        dropped with it (see "Pool sweeps" in :mod:`adaptvqe.compiled`)."""
+        return GeneratorBatch([op.compiled() for op in self.operators])
 
     def to_payload(self) -> list[dict]:
         """JSON-ready export: one entry per operator with its Pauli terms."""

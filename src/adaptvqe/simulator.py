@@ -31,8 +31,10 @@ line-search counts flip under one-ulp differences.  A single state of at
 most 2^8 amplitudes (8 qubits) is applied through the sum's term table in
 three numpy calls, with the same products added in the same order; stacks
 and larger states go term by term.  Only
-:func:`generator_gradients`, which feeds the tolerant pool selection, sums
-in another order.
+:func:`generator_gradients`, the pool sweep, which feeds the tolerant pool
+selection, sums in another order, on one of two routes picked by the same
+2^8 size rule: a table of folded diagonals built once per pool, or one
+sign table per generator (see "Pool sweeps" in :mod:`adaptvqe.compiled`).
 
 Analytic energy gradients come from one forward and reverse sweep over the
 ansatz elements, split in two halves.  The forward half checks the
@@ -77,6 +79,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -457,36 +460,73 @@ def _exponential_rows(compiled: CompiledSum, stack: np.ndarray,
 def generator_gradients(
     psi: np.ndarray,
     h_psi: np.ndarray,
-    generators: tuple[PauliSum, ...] | list[PauliSum],
+    generators: GeneratorBatch | Sequence[PauliSum],
 ) -> np.ndarray:
     """``2 Re <H psi|A_k psi>`` for each generator, from a state ``psi`` and
     ``h_psi`` = ``H|psi>``: the energy derivative of ``exp(t A_k)|psi>`` at
     ``t = 0``.
 
+    ``generators`` is a sequence of sums or their compiled
+    :class:`~adaptvqe.compiled.GeneratorBatch`, which an
+    :class:`~adaptvqe.pools.OperatorPool` keeps; a sequence is compiled into
+    a new batch, so both take the same route and give the same bytes.
     Generators whose strings share one X mask (every qubit-excitation
-    operator and every single string) are evaluated together through their
-    sign tables (:attr:`CompiledSum.sign_table`): per distinct X mask ``x``,
-    ``w[b] = conj((H psi)[b ^ x]) psi[b]`` is formed once from a
-    reversed-axis view, summed over the qubits outside each generator's Z
-    support and dotted with the table.  Other generators are applied in
-    full.  The summation order differs from :meth:`CompiledSum.apply`, so the
-    result agrees with it to rounding, not bit for bit.  Float64 inputs are
-    converted to complex first, so the result does not depend on the route.
+    operator and every single string) take one of two routes, chosen by the
+    size rule of the term tables (see "Pool sweeps" in
+    :mod:`adaptvqe.compiled`):
+
+    * up to ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes, the batch's folded
+      diagonals (:attr:`GeneratorBatch.diagonals`): one gather of ``psi``,
+      two products and one row sum for all of them;
+    * above it, their sign tables (:attr:`CompiledSum.sign_table`): per
+      distinct X mask ``x``, ``w[b] = conj((H psi)[b ^ x]) psi[b]`` is formed
+      once from a reversed-axis view, summed over the qubits outside each
+      generator's Z support and dotted with the table.
+
+    Other generators are applied in full.  The summation order differs from
+    :meth:`CompiledSum.apply`, so the result agrees with it to rounding, not
+    bit for bit, but each generator's value does not depend on the others
+    swept with it.  Float64 inputs are converted to complex first, so the
+    result does not depend on the route the state was swept on.
     """
+    batch = generators if isinstance(generators, GeneratorBatch) else GeneratorBatch(
+        [generator.compiled() for generator in generators])
     psi, h_psi = psi.astype(complex, copy=False), h_psi.astype(complex, copy=False)
+    grads = np.empty(len(batch.generators), dtype=float)
+    sweep = _diagonal_sweep if batch.tabled else _sign_table_sweep
+    rest = np.ones(grads.size, dtype=bool)
+    rest[sweep(psi, h_psi, batch, grads)] = False
+    for k in np.flatnonzero(rest).tolist():
+        grads[k] = 2.0 * np.real(np.vdot(h_psi, batch.generators[k].apply(psi)))
+    return grads
+
+
+def _diagonal_sweep(psi: np.ndarray, h_psi: np.ndarray, batch: GeneratorBatch,
+                    grads: np.ndarray) -> np.ndarray:
+    """Write ``grads`` of the generators of ``batch`` on one X mask from its
+    folded diagonals, and return their indices."""
+    members, diagonals, flips = batch.diagonals
+    products = psi.take(flips)
+    products *= diagonals
+    products *= h_psi.conj()
+    grads[members] = 2.0 * products.sum(axis=1).real
+    return members
+
+
+def _sign_table_sweep(psi: np.ndarray, h_psi: np.ndarray, batch: GeneratorBatch,
+                      grads: np.ndarray) -> list[int]:
+    """Write ``grads`` of the generators of ``batch`` on one X mask from
+    their sign tables, and return their indices."""
     n = psi.size.bit_length() - 1
-    grads = np.empty(len(generators), dtype=float)
     by_mask: dict[int, dict[int, list[tuple[int, np.ndarray]]]] = {}
-    for k, generator in enumerate(generators):
-        compiled = generator.compiled()
-        if compiled.sign_table is None:
-            grads[k] = 2.0 * np.real(np.vdot(h_psi, compiled.apply(psi)))
-            continue
-        x_mask, z_support, table = compiled.sign_table
-        by_mask.setdefault(x_mask, {}).setdefault(z_support, []).append((k, table))
+    for k, compiled in enumerate(batch.generators):
+        if compiled.sign_table is not None:
+            x_mask, z_support, table = compiled.sign_table
+            by_mask.setdefault(x_mask, {}).setdefault(z_support, []).append((k, table))
     shape = [2] * n
     h_conj = h_psi.conj().reshape(shape)
     psi_tensor = psi.reshape(shape)
+    swept = []
     for x_mask, by_support in by_mask.items():
         # tensor axis a holds qubit n - 1 - a
         flipped = tuple(slice(None, None, -1) if x_mask >> (n - 1 - a) & 1 else slice(None)
@@ -498,4 +538,5 @@ def generator_gradients(
             reduced = w.transpose(kept + rest).reshape(1 << len(kept), -1).sum(axis=1)
             for k, table in members:
                 grads[k] = 2.0 * float(np.real(table @ reduced))
-    return grads
+                swept.append(k)
+    return swept

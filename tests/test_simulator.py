@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from adaptvqe import compiled as compiled_module
 from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum, GeneratorBatch
 from adaptvqe.cost import CostLedger
-from adaptvqe.driver import pool_gradients
+from adaptvqe.driver import pool_gradients, select_operator
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
 from adaptvqe.objectives import AnsatzObjective
 from adaptvqe.optimizer import minimize_canonical, minimize_recycled, wolfe_line_search
@@ -946,3 +947,79 @@ class TestRealRoute:
         expected = generator_gradients(amps, hfile.operator.compiled().apply(amps),
                                        pool.operators)
         assert pool_gradients(handle, pool).tobytes() == expected.tobytes()
+
+
+def odd_y_problem(h2_fixture):
+    """H2 plus ``0.25 YXII`` (not real) and three QE elements: the complex
+    state of ``TestRealRoute::test_other_problems_keep_complex_states``."""
+    pool = build_qe_pool(4, 2)
+    hamiltonian = PauliSum(4, list(h2_fixture.operator.items())
+                           + [(PauliString.from_text("YXII"), 0.25)])
+    ansatz = AnsatzState(h2_fixture.reference_bitstring, tuple(
+        (pool.operators[k], 0.3 + 0.2 * k) for k in range(3)))
+    return hamiltonian, ansatz, pool
+
+
+class TestDiagonalSweep:
+    """Up to 2^8 amplitudes the pool sweep reads each generator's folded
+    diagonal from a table its pool builds once (see "Pool sweeps" in
+    :mod:`adaptvqe.compiled`)."""
+
+    @pytest.mark.parametrize("case", ["h2", "h4", "h4_stretched", "tfim8", "odd_y_h2"])
+    def test_matches_reference_and_picks_the_same_operator(self, case, request):
+        if case == "odd_y_h2":
+            hamiltonian, ansatz, pool = odd_y_problem(request.getfixturevalue("h2_fixture"))
+        else:
+            hamiltonian, ansatz = real_problem(case, request)
+            n_qubits = hamiltonian.n_qubits
+            pool = (build_nearest_neighbor_pool(8) if case == "tfim8"
+                    else build_qe_pool(n_qubits, n_qubits // 2))
+        _, carried = energy_then_gradient(ansatz, hamiltonian)
+        assert carried.psi.dtype == (complex if case == "odd_y_h2" else np.float64)
+        grads = pool_gradients(carried, pool)
+        members, _, _ = pool.batch.diagonals
+        assert members.tolist() == list(range(len(pool)))
+        expected = reference_pool_gradients(
+            prepare(ansatz).amplitudes, ansatz.n_qubits, hamiltonian, pool.operators)
+        np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
+        assert select_operator(grads)[0] == select_operator(expected)[0]
+
+    @pytest.mark.parametrize("case", ["h4", "tfim8"])
+    def test_value_does_not_depend_on_the_list(self, case, request):
+        """A generator's bytes are the same in the whole pool, in a shuffled
+        subset of it and in a carried sweep of the pool."""
+        hfile, pool = fixture_case(case, request)
+        rng = np.random.default_rng(3)
+        ansatz = random_ansatz(rng, hfile, pool, 4)
+        _, carried = energy_then_gradient(ansatz, hfile.operator)
+        whole = generator_gradients(carried.psi, carried.h_psi, pool.operators)
+        assert pool_gradients(carried, pool).tobytes() == whole.tobytes()
+        for size in (1, 7, len(pool) // 2):
+            subset = rng.permutation(len(pool))[:size]
+            part = generator_gradients(carried.psi, carried.h_psi,
+                                       [pool.operators[k] for k in subset])
+            assert part.tobytes() == whole[subset].tobytes()
+
+    def test_table_is_built_once_and_dies_with_the_pool(self, h4_equilibrium_fixture):
+        pool = build_qe_pool(8, 4)
+        _, carried = energy_then_gradient(AnsatzState(h4_equilibrium_fixture.reference_bitstring),
+                                          h4_equilibrium_fixture.operator)
+        first = pool_gradients(carried, pool)
+        table = pool.batch.diagonals
+        assert pool_gradients(carried, pool).tobytes() == first.tobytes()
+        assert pool.batch.diagonals is table
+        assert table[1].shape == (len(pool), 256)
+        pool_ref, table_ref = weakref.ref(pool), weakref.ref(table[1])
+        del pool, table
+        gc.collect()
+        assert pool_ref() is None and table_ref() is None
+
+    def test_twelve_qubit_pool_builds_no_table(self):
+        pool = build_qe_pool(12, 6)
+        rng = np.random.default_rng(5)
+        psi, h_psi = random_amplitudes(rng, 12), random_amplitudes(rng, 12)
+        grads = generator_gradients(psi, h_psi, pool.batch)
+        assert not pool.batch.tabled and "diagonals" not in vars(pool.batch)
+        for k in (0, 1, len(pool) - 1):
+            expected = 2.0 * np.vdot(h_psi, pool.operators[k].compiled().apply(psi)).real
+            assert grads[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -22,8 +22,9 @@ The cases are
 * one ``energy_and_gradient`` of H4 with 10 and with 30 pool operators,
   and beside it one ``energy_then_gradient`` whose gradient is never read
   (``energy_only``), the forward half of the same sweep;
-* one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool,
-  from a carried handle (the state and ``H|psi>`` of an evaluation);
+* one pool sweep (``driver.pool_gradients``) of the H4 and the H6 QE pool
+  and of the TFIM-8 nearest-neighbour pool (``pool_sweep.tfim8``), from a
+  carried handle (the state and ``H|psi>`` of an evaluation);
 * one growth boundary on H4 and on H6 (``growth_boundary``): from the
   handle of the optimum, one pool sweep, the selection, and the recycled
   start's two queries (``AnsatzObjective.value`` and ``grad_components``
@@ -204,6 +205,9 @@ def cases(rng) -> dict:
     h4_objective = AnsatzObjective(h4.operator, h4_ansatz)
     h4_x = h4_ansatz.parameters + 0.01
     out["trial.h4_n10"] = lambda: h4_objective.evaluate(h4_x)[1]()
+    _, tfim8_carried = energy_then_gradient(random_ansatz(rng, tfim8, nn_pool, 4),
+                                            tfim8.operator)
+    out["pool_sweep.tfim8"] = lambda: pool_gradients(tfim8_carried, nn_pool)
     return out
 
 
