@@ -78,7 +78,7 @@ Summing the terms of a mask into one phase vector, a CSR matrix-vector
 product or one Givens rotation of a whole single-mask generator each differ by
 an ulp or so, and the optimizer's line-search and evaluation counts flip
 under such differences.  Only the pool sweep, whose output feeds a tolerant
-argmax, sums in another order, on either of its two routes (below).
+argmax, sums in another order (below).
 
 **Stacks.**  ``apply`` and ``exponential`` also take a stack of states of
 shape ``(m, 2^q)``.  A stack is applied term by term, never through the
@@ -98,19 +98,21 @@ measured an ulp off).  Its ansatz keeps it, so no module cache outlives it.
 generator of a pool, and feeds only the tolerant argmax of the selection,
 so it may sum in another order than ``apply``.  A generator whose terms
 share one X mask ``x`` (every QE, qubit-pool and nearest-neighbour
-operator) acts as ``(A psi)[b] = D[b] psi[b ^ x]`` with the folded diagonal
-``D = sum scalar * s_z`` over its terms.  A :attr:`GeneratorBatch.tabled`
-batch (states of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes) keeps the
-rows of ``D`` and of the gather index of all such generators
-(:attr:`GeneratorBatch.diagonals`, 24 bytes per amplitude and generator),
-so its sweep is one gather, two products and one row sum; each row is
-reduced by numpy's own ``sum(axis=1)``, not by BLAS, so a generator's value
-depends neither on the other rows nor on the BLAS kernel.  A larger state
-keeps one small table per generator instead (:attr:`CompiledSum.sign_table`,
-``2^m`` entries for a Z support of ``m`` qubits): a 12-qubit QE pool's
-diagonals would take about 56 MB.  An :class:`~adaptvqe.pools.OperatorPool`
-keeps its batch, so the diagonals are built once per pool and dropped with
-it.
+operator) has a :attr:`CompiledSum.sign_table` ``(x, S, t)`` over its
+qubit support ``S``, and ``<H psi|A psi> = sum_c t[c] r[c]`` with
+``r[c]`` the sum of ``psi[b] conj((H psi)[b ^ x])`` over the ``b`` whose
+bits on ``S`` are the pattern ``c``.  Only the patterns with ``t[c] != 0``
+are read: 2 of the 16 of a QE double, 2 of the 4 of a single, and all of a
+Pauli string's.  :attr:`GeneratorBatch.sweep_table` holds one row per
+needed ``(x, S, c)``, shared by the generators that need it, with int32
+indices; the sweep gathers and multiplies each block of rows, sums each
+row with numpy's own ``sum(axis=1)``, and adds each generator's rows times
+its entries of ``t`` with ``np.bincount``.  No BLAS call is made, so a
+generator's value depends neither on the other generators nor on the BLAS
+kernel.  It runs in float64 when ``psi`` and ``H psi`` have zero
+imaginary parts.  An :class:`~adaptvqe.pools.OperatorPool` keeps its
+batch, so the table is built once per pool and dropped with it (0.44 MB
+for the 570 operators of a 12-qubit QE pool).
 
 **Real problems.**  A sum is :attr:`CompiledSum.real` when every folded
 scalar has a zero imaginary part: real coefficients on strings with an even
@@ -146,6 +148,9 @@ DEFAULT_PRUNE_TOL = 1e-12
 _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+# Amplitudes per block of the pool sweep's rows (2^12 is slower, 2^14 no faster).
+_SWEEP_BLOCK = 1 << 13
 
 _FLOAT64 = np.dtype(np.float64)  # a real state's; cheaper to compare than np.float64
 
@@ -327,34 +332,33 @@ class CompiledSum:
         return amps
 
     @cached_property
-    def _x_mask(self) -> int | None:
-        """The X mask every term shares; None for several masks (or none)."""
-        x_masks = {s.x_mask for s, _ in self.terms}
-        return x_masks.pop() if len(x_masks) == 1 else None
+    def sign_table(self) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+        """``(x_mask, support, patterns, table)`` when every term shares one
+        X mask ``x``; None for several X masks (or none).
 
-    @cached_property
-    def sign_table(self) -> tuple[int, int, np.ndarray] | None:
-        """``(x_mask, z_support, table)`` when every term shares one X mask.
-
-        ``z_support`` is the union of the Z masks, of ``m`` qubits.  For
-        ``w[b] = conj(phi[b ^ x]) psi[b]`` reduced to ``r[c]`` by summing over
-        the qubits outside ``z_support`` (bit ``j`` of ``c`` is the ``j``-th
-        lowest support qubit), ``<phi|A psi> = table @ r``, a table of
-        ``2^m`` entries.  None for a sum of several X masks (or none).
+        ``support`` is the qubit support, ``x`` and every Z mask.  A pattern
+        ``c`` is a subset of it, and ``t[c]`` the sum of each term's
+        ``coeff i^y (-1)^popcount(c & z)``, so that ``<phi|A psi>`` is the sum
+        of ``t[c] conj(phi[b ^ x]) psi[b]`` over every ``b`` whose bits on
+        ``support`` are some ``c``.  ``patterns`` (uint64, ascending) and
+        ``table`` keep only the ``c`` with ``t[c] != 0``.
         """
-        if self._x_mask is None:
+        x_masks = {s.x_mask for s, _ in self.terms}
+        if len(x_masks) != 1:
             return None
-        z_support = 0
+        x_mask = support = x_masks.pop()
         for string, _ in self.terms:
-            z_support |= string.z_mask
-        qubits = [q for q in range(self.n_qubits) if z_support >> q & 1]
-        reduced = np.arange(1 << len(qubits), dtype=np.uint64)
-        table = np.zeros(reduced.size, dtype=complex)
-        for string, coeff in self.terms:
-            z = sum(1 << j for j, q in enumerate(qubits) if string.z_mask >> q & 1)
-            phase = _UNIT_PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
-            table += coeff * phase * _parity_signs(reduced, z)
-        return self._x_mask, z_support, table
+            support |= string.z_mask
+        patterns = np.zeros(1, dtype=np.uint64)
+        for q in range(self.n_qubits):
+            if support >> q & 1:
+                patterns = np.concatenate([patterns, patterns | np.uint64(1 << q)])
+        z_masks = np.array([[s.z_mask] for s, _ in self.terms], dtype=np.uint64)
+        scalars = np.array([[coeff * _UNIT_PHASES[(s.x_mask & s.z_mask).bit_count() % 4]]
+                            for s, coeff in self.terms])
+        table = (scalars * _parity_signs(patterns, z_masks)).sum(axis=0)
+        kept = np.flatnonzero(table)
+        return x_mask, support, patterns[kept], table[kept]
 
     def dense(self) -> np.ndarray:
         """The full-dimension matrix, site 0 least significant: each term in
@@ -412,23 +416,46 @@ class GeneratorBatch:
         return gathered.sum(axis=1, initial=0)
 
     @cached_property
-    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(members, diagonals, flips)`` for a :attr:`tabled` batch (see
-        "Pool sweeps" in the module doc): the indices of the generators whose
-        terms share one X mask ``x``, in order, and for each a row of its
-        folded diagonal ``D[b]``, the sum of its terms' scalars times their
-        sign vectors, and a row of its gather index ``b -> b ^ x``.  Built
-        from the terms with signs that are not kept, so a pool's generators
-        cache no groups and add no shared sign vectors."""
-        index = np.arange(1 << self.generators[0].n_qubits, dtype=np.uint64)
-        members = [k for k, compiled in enumerate(self.generators)
-                   if compiled._x_mask is not None]
-        diagonals = np.zeros((len(members), index.size), dtype=complex)
-        flips = np.empty((len(members), index.size), dtype=np.intp)
-        for row, k in enumerate(members):
-            compiled = self.generators[k]
-            for string, coeff in compiled.terms:
-                unit = _UNIT_PHASES[3 * (string.x_mask & string.z_mask).bit_count() % 4]
-                diagonals[row] += coeff * unit * _parity_signs(index, string.z_mask)
-            flips[row] = index ^ np.uint64(compiled._x_mask)
-        return np.array(members, dtype=np.intp), diagonals, flips
+    def sweep_table(self) -> tuple:
+        """``(members, others, blocks, entries)``, the pool sweep's table (see
+        "Pool sweeps" in the module doc).
+
+        ``members`` are the indices of the generators with a
+        :attr:`~CompiledSum.sign_table` and ``others`` the rest.  Row
+        ``(x, S, c)`` reads the ``b = c | o`` for every ``o`` outside ``S``.
+        The rows are sorted by the size of ``S``, and each block
+        ``(outers, slots, patterns, flips)`` holds about ``_SWEEP_BLOCK``
+        amplitudes of rows of one size: the int32 ``o`` of each of their
+        supports, and per row its support's slot, ``c`` and ``x``.
+        ``entries`` are ``(owners, rows, real, imag)``, one per pattern of
+        each member's sign table: its position in ``members``, the row and
+        ``t[c]``.
+        """
+        n_qubits = self.generators[0].n_qubits
+        members, others, owners, keys, values = [], [], [], [], [np.empty(0, dtype=complex)]
+        for k, compiled in enumerate(self.generators):
+            if compiled.sign_table is None:
+                others.append(k)
+                continue
+            x, support, patterns, table = compiled.sign_table
+            owners += [len(members)] * patterns.size
+            keys += [(support.bit_count(), support, c, x) for c in patterns.tolist()]
+            values.append(table)
+            members.append(k)
+        rows = {key: j for j, key in enumerate(sorted(set(keys)))}
+        index = np.arange(1 << n_qubits)
+        blocks = []
+        for size in sorted({key[0] for key in rows}):
+            run = [key for key in rows if key[0] == size]
+            slots = {support: j for j, support in enumerate(sorted({key[1] for key in run}))}
+            outers = np.array([np.flatnonzero(index & support == 0) for support in slots],
+                              dtype=np.int32)
+            step = max(1, _SWEEP_BLOCK >> n_qubits - size)
+            for start in range(0, len(run), step):
+                _, supports, patterns, flips = np.array(run[start:start + step]).T
+                blocks.append((outers, np.array([slots[s] for s in supports.tolist()]),
+                               patterns[:, None].astype(np.int32), flips[:, None].astype(np.int32)))
+        t = np.concatenate(values)
+        return np.array(members, dtype=np.intp), others, blocks, (
+            np.array(owners, dtype=np.intp), np.array([rows[key] for key in keys], dtype=np.intp),
+            t.real.copy(), t.imag.copy())

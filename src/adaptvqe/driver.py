@@ -127,9 +127,8 @@ def pool_gradients(carried: GradientHandle, pool: OperatorPool) -> np.ndarray:
     the generator, evaluated as 2 Re <H psi | A_k psi> by
     :func:`generator_gradients` from the carried ``psi`` and ``H|psi>``;
     the Hamiltonian was checked by the sweep that computed them.  It reads
-    the pool's compiled batch (:attr:`OperatorPool.batch`), so up to 2^8
-    amplitudes the table of the sweep's diagonal route is built once per
-    pool; larger states take the sign-table route.  One call is one pool
+    the pool's compiled batch (:attr:`OperatorPool.batch`), so the sweep's
+    table is built once per pool, at every size.  One call is one pool
     sweep, which :func:`run_adapt` charges at the flat 8N rate.
     """
     if carried.psi.size != 1 << pool.n_qubits:
@@ -139,7 +138,8 @@ def pool_gradients(carried: GradientHandle, pool: OperatorPool) -> np.ndarray:
 
 def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     """Index of the largest-magnitude gradient and the Euclidean norm of the
-    whole gradient vector.
+    whole gradient vector, summed by numpy itself rather than by BLAS, so
+    that neither depends on the BLAS kernel.
 
     Candidates within 1e-6 of the maximum magnitude count as tied and
     the lowest pool index wins.  Symmetry-degenerate operators differ only
@@ -157,7 +157,7 @@ def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     magnitudes = np.abs(gradients)
     best = float(np.max(magnitudes))
     index = int(np.argmax(magnitudes >= best - _TIE_TOL))
-    return index, float(np.linalg.norm(gradients))
+    return index, float(np.sqrt(np.square(gradients).sum()))
 
 
 def checked_mode(mode: str) -> str:

@@ -32,9 +32,9 @@ most 2^8 amplitudes (8 qubits) is applied through the sum's term table in
 three numpy calls, with the same products added in the same order; stacks
 and larger states go term by term.  Only
 :func:`generator_gradients`, the pool sweep, which feeds the tolerant pool
-selection, sums in another order, on one of two routes picked by the same
-2^8 size rule: a table of folded diagonals built once per pool, or one
-sign table per generator (see "Pool sweeps" in :mod:`adaptvqe.compiled`).
+selection, sums in another order: at every size it reads each generator's
+sign table only on the support patterns where it is non-zero, from a table
+built once per pool (see "Pool sweeps" in :mod:`adaptvqe.compiled`).
 
 Analytic energy gradients come from one forward and reverse sweep over the
 ansatz elements, split in two halves.  The forward half checks the
@@ -69,7 +69,8 @@ operands: a float64 one calls BLAS ddot, not zdotc, and differed from
 zdotc's real part on 157 of 200 pairs of normal random real 256-vectors,
 and on 182 of 200 at 4,096.  The handle keeps the sweep's float64 ``psi``
 and the complex ``H|psi>`` of the energy; :func:`generator_gradients`
-converts float64 input.  :func:`prepare`, :func:`expectation` and
+runs in float64 when both its inputs have zero imaginary parts, whatever
+their dtype.  :func:`prepare`, :func:`expectation` and
 :class:`StateVector` stay complex.
 """
 
@@ -469,74 +470,44 @@ def generator_gradients(
     ``generators`` is a sequence of sums or their compiled
     :class:`~adaptvqe.compiled.GeneratorBatch`, which an
     :class:`~adaptvqe.pools.OperatorPool` keeps; a sequence is compiled into
-    a new batch, so both take the same route and give the same bytes.
-    Generators whose strings share one X mask (every qubit-excitation
-    operator and every single string) take one of two routes, chosen by the
-    size rule of the term tables (see "Pool sweeps" in
-    :mod:`adaptvqe.compiled`):
-
-    * up to ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes, the batch's folded
-      diagonals (:attr:`GeneratorBatch.diagonals`): one gather of ``psi``,
-      two products and one row sum for all of them;
-    * above it, their sign tables (:attr:`CompiledSum.sign_table`): per
-      distinct X mask ``x``, ``w[b] = conj((H psi)[b ^ x]) psi[b]`` is formed
-      once from a reversed-axis view, summed over the qubits outside each
-      generator's Z support and dotted with the table.
-
-    Other generators are applied in full.  The summation order differs from
-    :meth:`CompiledSum.apply`, so the result agrees with it to rounding, not
-    bit for bit, but each generator's value does not depend on the others
-    swept with it.  Float64 inputs are converted to complex first, so the
-    result does not depend on the route the state was swept on.
+    a new batch, so both give the same bytes.  ``psi`` and ``h_psi`` are
+    1-D, one amplitude per basis state of the generators' qubits.  A
+    generator whose strings share one X mask (every qubit-excitation
+    operator and every single string) is read from the batch's
+    :attr:`~adaptvqe.compiled.GeneratorBatch.sweep_table`, only on the
+    support patterns where its sign table is non-zero (see "Pool sweeps" in
+    :mod:`adaptvqe.compiled`), in float64 when ``psi`` and ``h_psi`` have
+    zero imaginary parts, whatever their dtype; others are applied in full.
+    The summation order differs from :meth:`CompiledSum.apply`, so the
+    result agrees with it to rounding, not bit for bit, but each
+    generator's value does not depend on the others swept with it.
     """
     batch = generators if isinstance(generators, GeneratorBatch) else GeneratorBatch(
         [generator.compiled() for generator in generators])
-    psi, h_psi = psi.astype(complex, copy=False), h_psi.astype(complex, copy=False)
     grads = np.empty(len(batch.generators), dtype=float)
-    sweep = _diagonal_sweep if batch.tabled else _sign_table_sweep
-    rest = np.ones(grads.size, dtype=bool)
-    rest[sweep(psi, h_psi, batch, grads)] = False
-    for k in np.flatnonzero(rest).tolist():
-        grads[k] = 2.0 * np.real(np.vdot(h_psi, batch.generators[k].apply(psi)))
+    if not batch.generators:
+        return grads
+    dim = 1 << batch.generators[0].n_qubits
+    if psi.shape != (dim,) or h_psi.shape != (dim,):
+        raise ValueError(f"psi of shape {psi.shape} and H|psi> of shape {h_psi.shape}: "
+                         f"the generators need two of shape ({dim},)")
+    members, others, blocks, (owners, rows, t_real, t_imag) = batch.sweep_table
+    if psi.imag.any() or h_psi.imag.any():
+        left, right = psi.astype(complex, copy=False), h_psi.conj()
+    else:
+        left, right = (np.ascontiguousarray(amps.real, dtype=float) for amps in (psi, h_psi))
+    sums = [np.empty(0)]
+    for outers, slots, patterns, flips in blocks:
+        index = outers[slots]
+        index |= patterns
+        products = left.take(index)
+        index ^= flips
+        products *= right.take(index)
+        sums.append(products.sum(axis=1))
+    reduced = np.concatenate(sums)[rows]
+    weights = t_real * reduced.real - t_imag * reduced.imag
+    grads[members] = 2.0 * np.bincount(owners, weights, minlength=len(members))
+    for k in others:
+        amps = batch.generators[k].apply(psi.astype(complex, copy=False))
+        grads[k] = 2.0 * np.vdot(h_psi, amps).real
     return grads
-
-
-def _diagonal_sweep(psi: np.ndarray, h_psi: np.ndarray, batch: GeneratorBatch,
-                    grads: np.ndarray) -> np.ndarray:
-    """Write ``grads`` of the generators of ``batch`` on one X mask from its
-    folded diagonals, and return their indices."""
-    members, diagonals, flips = batch.diagonals
-    products = psi.take(flips)
-    products *= diagonals
-    products *= h_psi.conj()
-    grads[members] = 2.0 * products.sum(axis=1).real
-    return members
-
-
-def _sign_table_sweep(psi: np.ndarray, h_psi: np.ndarray, batch: GeneratorBatch,
-                      grads: np.ndarray) -> list[int]:
-    """Write ``grads`` of the generators of ``batch`` on one X mask from
-    their sign tables, and return their indices."""
-    n = psi.size.bit_length() - 1
-    by_mask: dict[int, dict[int, list[tuple[int, np.ndarray]]]] = {}
-    for k, compiled in enumerate(batch.generators):
-        if compiled.sign_table is not None:
-            x_mask, z_support, table = compiled.sign_table
-            by_mask.setdefault(x_mask, {}).setdefault(z_support, []).append((k, table))
-    shape = [2] * n
-    h_conj = h_psi.conj().reshape(shape)
-    psi_tensor = psi.reshape(shape)
-    swept = []
-    for x_mask, by_support in by_mask.items():
-        # tensor axis a holds qubit n - 1 - a
-        flipped = tuple(slice(None, None, -1) if x_mask >> (n - 1 - a) & 1 else slice(None)
-                        for a in range(n))
-        w = h_conj[flipped] * psi_tensor
-        for z_support, members in by_support.items():
-            kept = [n - 1 - q for q in reversed(range(n)) if z_support >> q & 1]
-            rest = [a for a in range(n) if a not in kept]
-            reduced = w.transpose(kept + rest).reshape(1 << len(kept), -1).sum(axis=1)
-            for k, table in members:
-                grads[k] = 2.0 * float(np.real(table @ reduced))
-                swept.append(k)
-    return swept

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,43 @@ class TestSelectOperator:
     def test_non_finite_gradient_rejected(self, grads, index):
         with pytest.raises(ValueError, match=f"pool gradient {index} is not finite"):
             select_operator(np.array(grads))
+
+
+SELECTION_SCRIPT = """
+import hashlib
+import numpy as np
+from adaptvqe.driver import pool_gradients, select_operator
+from adaptvqe.hamiltonians import builtin_model, bundled_fixture_path, load_hamiltonian
+from adaptvqe.pools import build_qe_pool
+from adaptvqe.simulator import AnsatzState, energy_then_gradient
+
+h4 = load_hamiltonian(bundled_fixture_path("h4_sto3g_1p00.json"))
+cases = [(h4.operator, h4.reference_bitstring, build_qe_pool(8, 4)),
+         (builtin_model("heisenberg", 12, with_exact=False).operator, "111111000000",
+          build_qe_pool(12, 6))]
+rng = np.random.default_rng(2)
+for hamiltonian, reference, pool in cases:
+    picks = rng.integers(0, len(pool), size=5)
+    ansatz = AnsatzState(reference, tuple((pool.operators[int(k)], float(t))
+                                          for k, t in zip(picks, rng.normal(size=5))))
+    grads = pool_gradients(energy_then_gradient(ansatz, hamiltonian)[1], pool)
+    index, norm = select_operator(grads)
+    print(hashlib.sha256(grads.tobytes()).hexdigest(), index, norm.hex())
+"""
+
+
+def test_selection_does_not_depend_on_the_blas_kernel():
+    """The pool gradients, the pick and the norm on H4 and on a 12-qubit QE
+    pool are the same bytes under the default OpenBLAS kernel and under
+    Haswell's: the sweep and the norm call no BLAS."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-c", SELECTION_SCRIPT], env=run_env,
+                              capture_output=True, text=True, check=True).stdout
+               for run_env in (env, {**env, "OPENBLAS_CORETYPE": "Haswell"})]
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
 
 
 class TestRunAdapt:

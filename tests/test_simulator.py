@@ -960,38 +960,79 @@ def odd_y_problem(h2_fixture):
     return hamiltonian, ansatz, pool
 
 
-class TestDiagonalSweep:
-    """Up to 2^8 amplitudes the pool sweep reads each generator's folded
-    diagonal from a table its pool builds once (see "Pool sweeps" in
-    :mod:`adaptvqe.compiled`)."""
+def twelve_qubit_problem(complex_state):
+    """Heisenberg-12 with six operators of its QE pool at random angles: a
+    float64 state, or, with the phase ``i Z0`` (no Y) in the middle, a
+    complex one whose real part alone gives other pool gradients."""
+    hamiltonian = builtin_model("heisenberg", 12, with_exact=False).operator
+    pool = build_qe_pool(12, 6)
+    rng = np.random.default_rng(12)
+    elements = [(pool.operators[int(k)], float(t))
+                for k, t in zip(rng.integers(0, len(pool), size=6), rng.normal(size=6) * 0.5)]
+    if complex_state:
+        elements.insert(3, (PauliSum.from_text_terms([("Z" + "I" * 11, 1j)]), 0.7))
+    return hamiltonian, AnsatzState("111111000000", tuple(elements)), pool
 
-    @pytest.mark.parametrize("case", ["h2", "h4", "h4_stretched", "tfim8", "odd_y_h2"])
+
+def sweep_problem(case, request):
+    """``(hamiltonian, ansatz, pool)`` of a pool-sweep case."""
+    if case == "odd_y_h2":
+        return odd_y_problem(request.getfixturevalue("h2_fixture"))
+    if case.startswith("qe12"):
+        return twelve_qubit_problem(case == "qe12_complex")
+    hamiltonian, ansatz = real_problem(case, request)
+    n_qubits = hamiltonian.n_qubits
+    pool = (build_nearest_neighbor_pool(8) if case == "tfim8"
+            else build_qe_pool(n_qubits, n_qubits // 2))
+    return hamiltonian, ansatz, pool
+
+
+class TestDiagonalSweep:
+    """The pool sweep reads each generator's folded diagonal only on the
+    support patterns where it is non-zero, from a table its pool builds once
+    (see "Pool sweeps" in :mod:`adaptvqe.compiled`)."""
+
+    @pytest.mark.parametrize("case", ["h2", "h4", "h4_stretched", "tfim8", "odd_y_h2",
+                                      "qe12", "qe12_complex"])
     def test_matches_reference_and_picks_the_same_operator(self, case, request):
-        if case == "odd_y_h2":
-            hamiltonian, ansatz, pool = odd_y_problem(request.getfixturevalue("h2_fixture"))
-        else:
-            hamiltonian, ansatz = real_problem(case, request)
-            n_qubits = hamiltonian.n_qubits
-            pool = (build_nearest_neighbor_pool(8) if case == "tfim8"
-                    else build_qe_pool(n_qubits, n_qubits // 2))
+        hamiltonian, ansatz, pool = sweep_problem(case, request)
         _, carried = energy_then_gradient(ansatz, hamiltonian)
-        assert carried.psi.dtype == (complex if case == "odd_y_h2" else np.float64)
+        real = case not in ("odd_y_h2", "qe12_complex")
+        assert carried.psi.dtype == (np.float64 if real else complex)
         grads = pool_gradients(carried, pool)
-        members, _, _ = pool.batch.diagonals
-        assert members.tolist() == list(range(len(pool)))
+        members, others, _, _ = pool.batch.sweep_table
+        assert members.tolist() == list(range(len(pool))) and not others
         expected = reference_pool_gradients(
             prepare(ansatz).amplitudes, ansatz.n_qubits, hamiltonian, pool.operators)
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
         assert select_operator(grads)[0] == select_operator(expected)[0]
 
-    @pytest.mark.parametrize("case", ["h4", "tfim8"])
+    def test_nearest_neighbour_strings_off_their_z_support(self):
+        """X-only, Z-only and XZ strings: the X mask need not lie in the Z
+        support, nor the Z support in the X mask."""
+        pool = build_nearest_neighbor_pool(8)
+        masks = [(s.x_mask, s.z_mask) for op in pool.operators for s, _ in op]
+        assert any(x and not z for x, z in masks) and any(z and not x for x, z in masks)
+        assert any(x & ~z and z & ~x for x, z in masks)
+        rng = np.random.default_rng(8)
+        hamiltonian = builtin_model("tfim", 8, with_exact=False).operator
+        psi = random_amplitudes(rng, 8)
+        np.testing.assert_allclose(
+            generator_gradients(psi, hamiltonian.compiled().apply(psi), pool.batch),
+            reference_pool_gradients(psi, 8, hamiltonian, pool.operators), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["h4", "tfim8", "qe12", "qe12_complex"])
     def test_value_does_not_depend_on_the_list(self, case, request):
         """A generator's bytes are the same in the whole pool, in a shuffled
         subset of it and in a carried sweep of the pool."""
-        hfile, pool = fixture_case(case, request)
-        rng = np.random.default_rng(3)
-        ansatz = random_ansatz(rng, hfile, pool, 4)
-        _, carried = energy_then_gradient(ansatz, hfile.operator)
+        if case.startswith("qe12"):
+            hamiltonian, ansatz, pool = twelve_qubit_problem(case == "qe12_complex")
+            rng = np.random.default_rng(3)
+        else:
+            hfile, pool = fixture_case(case, request)
+            hamiltonian, rng = hfile.operator, np.random.default_rng(3)
+            ansatz = random_ansatz(rng, hfile, pool, 4)
+        _, carried = energy_then_gradient(ansatz, hamiltonian)
         whole = generator_gradients(carried.psi, carried.h_psi, pool.operators)
         assert pool_gradients(carried, pool).tobytes() == whole.tobytes()
         for size in (1, 7, len(pool) // 2):
@@ -1000,26 +1041,57 @@ class TestDiagonalSweep:
                                        [pool.operators[k] for k in subset])
             assert part.tobytes() == whole[subset].tobytes()
 
+    @pytest.mark.parametrize("case", ["h4", "tfim8", "qe12", "qe12_complex"])
+    def test_rows_are_numpy_sums(self, case, request):
+        """Byte for byte, each generator's value is its entries times its
+        rows, each row summed alone by numpy (not by BLAS) in index order,
+        added up from 0: the arithmetic the sweep does in blocks."""
+        if case.startswith("qe12"):
+            hamiltonian, ansatz, pool = twelve_qubit_problem(case == "qe12_complex")
+        else:
+            hfile, pool = fixture_case(case, request)
+            hamiltonian, ansatz = hfile.operator, random_ansatz(
+                np.random.default_rng(5), hfile, pool, 4)
+        _, carried = energy_then_gradient(ansatz, hamiltonian)
+        psi, h_psi = carried.psi, carried.h_psi
+        if psi.dtype == np.float64:
+            h_psi = h_psi.real.copy()
+        index = np.arange(psi.size)
+        grads = pool_gradients(carried, pool)
+        for k, generator in enumerate(pool.operators):
+            x, support, patterns, table = generator.compiled().sign_table
+            total = 0.0
+            for c, t in zip(patterns.tolist(), table):
+                b = index[index & support == c]
+                row = np.sum(psi[b] * np.conj(h_psi[b ^ x]))
+                total += t.real * row.real - t.imag * row.imag
+            assert float(grads[k]).hex() == float(2.0 * total).hex(), k
+
     def test_table_is_built_once_and_dies_with_the_pool(self, h4_equilibrium_fixture):
         pool = build_qe_pool(8, 4)
         _, carried = energy_then_gradient(AnsatzState(h4_equilibrium_fixture.reference_bitstring),
                                           h4_equilibrium_fixture.operator)
         first = pool_gradients(carried, pool)
-        table = pool.batch.diagonals
+        table = pool.batch.sweep_table
         assert pool_gradients(carried, pool).tobytes() == first.tobytes()
-        assert pool.batch.diagonals is table
-        assert table[1].shape == (len(pool), 256)
-        pool_ref, table_ref = weakref.ref(pool), weakref.ref(table[1])
-        del pool, table
+        assert pool.batch.sweep_table is table
+        _, _, blocks, (owners, _, _, _) = table
+        # a QE single or double is non-zero on 2 of its support patterns
+        assert owners.tolist() == sorted(list(range(len(pool))) * 2)
+        assert sum(supports.size * outers.shape[1] for outers, supports, _, _ in blocks) < 256 * 16
+        pool_ref, table_ref = weakref.ref(pool), weakref.ref(blocks[0][0])
+        del pool, table, blocks, owners
         gc.collect()
         assert pool_ref() is None and table_ref() is None
 
-    def test_twelve_qubit_pool_builds_no_table(self):
-        pool = build_qe_pool(12, 6)
-        rng = np.random.default_rng(5)
-        psi, h_psi = random_amplitudes(rng, 12), random_amplitudes(rng, 12)
-        grads = generator_gradients(psi, h_psi, pool.batch)
-        assert not pool.batch.tabled and "diagonals" not in vars(pool.batch)
-        for k in (0, 1, len(pool) - 1):
-            expected = 2.0 * np.vdot(h_psi, pool.operators[k].compiled().apply(psi)).real
-            assert grads[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    def test_shapes_are_checked(self):
+        pool = build_qe_pool(4, 2)
+        psi = random_amplitudes(np.random.default_rng(4), 8)
+        with pytest.raises(ValueError, match=r"\(256,\).*\(256,\).*\(16,\)"):
+            generator_gradients(psi, psi, pool.operators)
+        small = build_qe_pool(8, 4)
+        with pytest.raises(ValueError, match=r"\(16,\).*\(256,\).*\(256,\)"):
+            generator_gradients(psi[:16], psi, small.operators)
+        with pytest.raises(ValueError, match="shape"):
+            generator_gradients(psi.reshape(16, 16), psi.reshape(16, 16), small.batch)
+        assert generator_gradients(psi, psi[:3], []).shape == (0,)

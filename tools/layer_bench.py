@@ -9,6 +9,13 @@ Each case is one call into the package, timed as the median microseconds
 per call over ``SAMPLES`` samples (with the quartiles), each sample being
 enough back-to-back calls to take about ``SAMPLE_SECONDS``.  Every case runs
 once before it is timed, so compiled operators and their caches are built.
+A speed kernel, a fixed mix of statevector arithmetic that uses none of the
+package's code, is timed the same way right before and right after each
+case, and each case is written twice: raw (``median_us``) and scaled by
+``KERNEL_REFERENCE_US`` over the mean of its two kernel medians
+(``scaled_median_us``).  A shared host's speed drifts between cases, and the
+scaled median follows the kernel read beside the case; the kernel can also
+read differently in two checkouts, so compare two checkouts by both.
 The cases are
 
 * one Pauli-string application (8 and 12 qubits);
@@ -87,9 +94,12 @@ from generate_fixtures import build_hydrogen_chain
 SAMPLES = 15
 SAMPLE_SECONDS = 0.02
 THETA = 0.3
+# The kernel's median on the 2-core VM these figures were first taken on.
+KERNEL_REFERENCE_US = 12.0
+KERNEL_SAMPLES = 5
 
 
-def time_call(fn) -> dict:
+def time_call(fn, n_samples: int = SAMPLES) -> dict:
     """Median and quartiles of microseconds per call of ``fn()``."""
     fn()
     calls, start = 0, time.perf_counter()
@@ -98,14 +108,30 @@ def time_call(fn) -> dict:
         calls += 1
     per_sample = max(calls, 1)
     samples = []
-    for _ in range(SAMPLES):
+    for _ in range(n_samples):
         start = time.perf_counter()
         for _ in range(per_sample):
             fn()
         samples.append((time.perf_counter() - start) / per_sample * 1e6)
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"median_us": median, "q1_us": q1, "q3_us": q3,
-            "samples": SAMPLES, "calls_per_sample": per_sample}
+            "samples": n_samples, "calls_per_sample": per_sample}
+
+
+def kernel_us() -> float:
+    """Median microseconds per call of the speed kernel: a sign product, a
+    gather, a rotation and an overlap on 2^10 complex amplitudes, written
+    here with numpy alone, so only the machine's speed moves it."""
+    index = np.arange(1 << 10)
+    flip = (index ^ 0b1000000001).astype(np.int32)
+    signs = (1 - 2 * (np.bitwise_count(index & 0b110) & 1)).astype(np.int8)
+    amps = np.full(index.size, 2.0 ** -5, dtype=complex)
+
+    def kernel():
+        rotated = (amps * signs)[flip]
+        np.vdot(np.cos(0.1) * amps + 1j * np.sin(0.1) * rotated, rotated)
+
+    return time_call(kernel, KERNEL_SAMPLES)["median_us"]
 
 
 def random_state(rng, n_qubits: int) -> np.ndarray:
@@ -228,10 +254,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
     results = {}
+    print(f"{'case':32s} {'raw':>12s}    {'scaled':>12s}")
     for name, fn in cases(rng).items():
-        results[name] = time_call(fn)
-        print(f"{name:32s} {results[name]['median_us']:12.1f} us", flush=True)
-    payload = {"environment": environment(), "unit": "us per call", "cases": results}
+        before = kernel_us()
+        result = time_call(fn)
+        result["kernel_us"] = (before + kernel_us()) / 2
+        result["scaled_median_us"] = result["median_us"] * KERNEL_REFERENCE_US / result["kernel_us"]
+        results[name] = result
+        print(f"{name:32s} {result['median_us']:12.1f} us {result['scaled_median_us']:12.1f} us",
+              flush=True)
+    payload = {"environment": environment(), "unit": "us per call",
+               "kernel_reference_us": KERNEL_REFERENCE_US, "cases": results}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
