@@ -1,136 +1,87 @@
 """Pauli sums compiled for the dense statevector engine.
 
+This module owns the engine's arithmetic invariants: the bit-exact rule,
+the term table, stacks and batches, the pool sweep's summation order and
+the real route.  ``CHANGES.md`` holds the measurements behind each choice.
+
 A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
-builds it on first use and keeps it on the sum, so a Hamiltonian or a
-generator is analysed once however often it is applied; nothing is built at
-import, at Hamiltonian load or at pool construction.  It keeps the sum's
-term tuple and qubit count, not the sum itself, so a dropped sum and its
-compiled arrays are freed at once rather than at the next full collection.
-It holds
+builds it on first use and keeps it on the sum, so an operator is analysed
+once.  It keeps the sum's terms and qubit count, not the sum, so a dropped
+sum and its arrays are freed at once.  A string acts as
+``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]``, with ``y = popcount(x & z)``
+its Y letters and ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so a
+compiled sum holds
 
-* the terms in the sum's canonical ``(x_mask, z_mask)`` order, grouped by X
-  mask, with one flip index ``b -> b ^ x`` per mask and one sign vector
-  ``(-1)^popcount(b & z)`` per distinct Z mask.  A sign vector is
-  read-only and shared by every sum of the process with the same qubit
-  count, Z mask and dtype, so a pool and its Hamiltonian, or a Hamiltonian
-  loaded again, build none twice.  Up to
-  ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are ``np.intp`` and the
-  signs complex ``±1``, exactly the arrays numpy would otherwise cast to on
-  every gather and product; above it they stay int32 and int8, a half and
-  a sixteenth of those bytes, since a 12-qubit Hamiltonian has hundreds of
-  sign vectors;
-* each term's folded scalar: its coefficient times the unit phase
-  ``i^y (-1)^y = (-i)^y``, where ``y = popcount(x & z)`` counts its Y letters;
-* for a generator, once it is first exponentiated, one rotation tuple
-  ``(flip, signs, imag, unit)`` per term, built after the generator check,
-  so neither the check nor the walk over the groups is repeated per call;
-* once a small state is applied, the term table: one complex row per term,
-  the scalar times the term's sign vector, and one ``np.intp`` gather index
-  per term;
-* the Hermitian, anti-Hermitian and mutually-commuting flags, each computed
-  on first use and read by the :class:`PauliSum` methods of the same names.
-  The first two read the coefficients against ``DEFAULT_PRUNE_TOL``, the
-  package's one tolerance, which also prunes a sum's terms.  The third reads
-  the masks: two strings anticommute exactly when
-  ``popcount(x_a & z_b) + popcount(z_a & x_b)`` is odd, the number of sites
-  where both act with different letters.
+* its terms in canonical ``(x_mask, z_mask)`` order, grouped by X mask, with
+  one gather index ``b -> b ^ x`` per mask and one read-only sign vector
+  ``(-1)^popcount(b & z)`` per Z mask, shared by every sum of the process
+  with the same qubit count, Z mask and dtype.  Up to
+  ``_TABLE_AMPLITUDE_CAP`` amplitudes these are ``np.intp`` and complex
+  ``±1``, the arrays numpy would cast to on every call; above it, int32 and
+  int8, which take less memory;
+* each term's folded scalar, its coefficient times ``(-i)^y``;
+* for a generator, one rotation ``(flip, signs, imag, unit)`` per term,
+  built once, after the generator check;
+* the Hermitian, anti-Hermitian and commuting flags, each computed on first
+  use.  The first two read the coefficients against ``DEFAULT_PRUNE_TOL``,
+  the package's one tolerance; two strings anticommute exactly when
+  ``popcount(x_a & z_b) + popcount(z_a & x_b)`` is odd.
 
-**Generators.**  A generator is an anti-Hermitian sum of mutually commuting
-Pauli strings: every qubit-excitation, qubit-pool and nearest-neighbour
-operator is one.  :meth:`CompiledSum.exponential` applies it as one
-closed-form rotation per term and raises on any other sum; there is no
-general matrix exponential.
+**Bit-exact rule.**  Everything that feeds the optimizer replays the plain
+term-by-term route in the same term order, because the optimizer's
+line-search and evaluation counts flip under one-ulp differences.  A
+product by a unit phase or a sign is exact, so folding it into the scalar
+changes no bit.  ``apply`` is byte for byte
+``tests/oracles.reference_apply_sum``; ``exponential`` equals
+``tests/oracles.reference_exponential`` in value but may differ in the sign
+of a zero, since it gathers before it multiplies.  One phase vector per
+mask, a CSR product or one Givens rotation per generator each move an ulp.
 
-**One operator form.**  :meth:`CompiledSum.dense` is the one matrix form of
-a sum, built from the same groups as ``apply``; the 12-qubit eigensolver
-uses ``apply`` itself as its matrix-vector product.  So every matrix,
-matvec and apply reads one encoding, and no sparse matrix (nor scipy) is
-needed.
-
-A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]`` with
-``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so one gather per X mask serves
-every term of that mask and the constant sign folds into the scalar.
-
-**Bit-exact rule.**  Everything that feeds the optimizer (``apply``,
-``exponential``) replays the arithmetic of the plain term-by-term route
-(kept as the test reference) in the same term order: a product by a unit
-phase or by a sign is exact, so moving it onto the scalar changes no bit,
-and holding a small sum's flips and signs precast changes none either.
-Which equality holds: ``apply`` is byte for byte the reference
-``tests/oracles.reference_apply_sum``.  ``exponential`` is equal in value
-(``np.array_equal``) to ``tests/oracles.reference_exponential`` but may
-differ from it in the sign of a zero: the reference multiplies by the signs
-and ``i^y`` before it gathers, this route gathers and then multiplies by
-the folded ``i sin(w) (-i)^y``.  For the first QE double of
-``build_qe_pool(8, 4)`` at ``theta = -2.31`` on basis states 15 and 37,
-some zero amplitudes come out ``-0j`` where the reference has ``0j``.
-A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` (2^8) amplitudes is
-applied as one gather, one product and one sum over the term table, and
-that replays the per-term rounding too: a sign is ``±1`` and rounding is
-symmetric under negation; the table stays the left operand, as the scalar
-was; numpy adds the rows of a C-contiguous array along axis 0 one after
-another (only a single column would be summed pairwise, and a state has
-two amplitudes or more); and the sum starts from ``+0`` as the per-term
-accumulator did, so no negative zero survives.  Larger states keep the
-per-term loop: the table route has been timed end to end only at 8 qubits,
-and at 12 qubits a Hamiltonian's table is tens of MB and slower.
-Summing the terms of a mask into one phase vector, a CSR matrix-vector
-product or one Givens rotation of a whole single-mask generator each differ by
-an ulp or so, and the optimizer's line-search and evaluation counts flip
-under such differences.  Only the pool sweep, whose output feeds a tolerant
-argmax, sums in another order (below).
-
-**Stacks.**  ``apply`` and ``exponential`` also take a stack of states of
-shape ``(m, 2^q)``.  A stack is applied term by term, never through the
-table, which measured slower on 32-row stacks.  The gather runs along the
-last axis and the sign vectors broadcast over the rows; each term's
-arithmetic and order are those of the per-term 1-D route, so every row is
-bit for bit the 1-D result.
-
+**Term table.**  A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes
+is applied as one gather, one product and one sum over a table of one row
+per term, the scalar times its sign vector, with one gather index each.
+That replays the per-term rounding: a sign is ``±1`` and rounding is
+symmetric under negation; the table stays the left operand; numpy adds the
+rows of a C-contiguous array along axis 0 one after another; and the sum
+starts from ``+0``, as the per-term accumulator did.  Larger states keep
+the per-term loop, since there a table is large and slower.  **Stacks** of
+states, shape ``(m, 2^q)``, are applied term by term along the last axis,
+never through the table, so every row is bit for bit the 1-D result.
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
-its own small 1-D state, as one gather, product and sum over their term
-tables stacked and padded with zero rows.  The sum over the term axis starts
-from ``+0``, so a padded ``±0`` product changes no bit and each row is byte
-for byte its generator's ``apply`` (``np.add.reduceat`` over unpadded rows
-measured an ulp off).  Its ansatz keeps it, so no module cache outlives it.
+its own small state, in one gather, product and sum over their tables
+stacked and padded with zero rows; the sum starts from ``+0``
+(``np.add.reduceat`` over unpadded rows rounds differently), so each row is
+byte for byte its generator's ``apply``.  Its ansatz or pool keeps it.
 
 **Pool sweeps.**  The pool sweep reads ``2 Re <H psi|A_k psi>`` for every
-generator of a pool, and feeds only the tolerant argmax of the selection,
-so it may sum in another order than ``apply``.  A generator whose terms
-share one X mask ``x`` (every QE, qubit-pool and nearest-neighbour
-operator) has a :attr:`CompiledSum.sign_table` ``(x, S, t)`` over its
-qubit support ``S``, and ``<H psi|A psi> = sum_c t[c] r[c]`` with
-``r[c]`` the sum of ``psi[b] conj((H psi)[b ^ x])`` over the ``b`` whose
-bits on ``S`` are the pattern ``c``.  Only the patterns with ``t[c] != 0``
-are read: 2 of the 16 of a QE double, 2 of the 4 of a single, and all of a
-Pauli string's.  :attr:`GeneratorBatch.sweep_table` holds one row per
-needed ``(x, S, c)``, shared by the generators that need it, with int32
-indices; the sweep gathers and multiplies each block of rows, sums each
-row with numpy's own ``sum(axis=1)``, and adds each generator's rows times
-its entries of ``t`` with ``np.bincount``.  No BLAS call is made, so a
-generator's value depends neither on the other generators nor on the BLAS
-kernel.  It runs in float64 when ``psi`` and ``H psi`` have zero
-imaginary parts.  An :class:`~adaptvqe.pools.OperatorPool` keeps its
-batch, so the table is built once per pool and dropped with it (0.44 MB
-for the 570 operators of a 12-qubit QE pool).
+generator of a pool and feeds only the tolerant argmax of the selection,
+so it alone may sum in another order.  :attr:`CompiledSum.sign_table` holds
+one ``(x, S, patterns, t)`` per X mask of the terms, and ``<H psi|A psi>``
+is the sum over the masks of ``sum_c t[c] r[c]``, with ``r[c]`` the sum of
+``psi[b] conj((H psi)[b ^ x])`` over the ``b`` whose bits on ``S`` are
+``c``, read only where ``t[c] != 0``.  :attr:`GeneratorBatch.sweep_table`
+holds one row per needed ``(x, S, c)``, shared by the generators that need
+it; the sweep gathers and multiplies blocks of rows, sums each row with
+numpy's ``sum(axis=1)`` and adds each generator's rows times its entries
+with ``np.bincount``.  No BLAS call is made, so a generator's value depends
+neither on the other generators nor on the BLAS kernel.  It runs in float64
+when ``psi`` and ``H psi`` have zero imaginary parts, whatever their dtype.
 
 **Real problems.**  A sum is :attr:`CompiledSum.real` when every folded
-scalar has a zero imaginary part: real coefficients on strings with an even
-number of Y letters (every bundled Hamiltonian, TFIM, Heisenberg), or
-imaginary ones on odd-Y strings (every QE and qubit-pool generator).  Such
-a sum keeps a real state real, so ``apply``, ``exponential`` and
-:meth:`GeneratorBatch.apply_each` also take float64 states, chosen by
-dtype: real scalars and tables, float64 signs up to the cap (shared like
-the complex ones) and the rotation factor ``-sin(w) unit.imag``, the exact
-real part of ``i sin(w) unit``.  IEEE complex products and sums of operands
-with zero imaginary parts have the real results as real parts, save the
-sign of an exact zero, so each result is the complex route's real part.
-Any other sum raises ``ValueError`` on a float64 state.
+scalar is real: real coefficients on even-Y strings, or imaginary ones on
+odd-Y strings.  Such a sum keeps a real state real, so ``apply``,
+``exponential`` and :meth:`GeneratorBatch.apply_each` also take float64
+states, chosen by dtype, with real scalars and tables, shared float64 signs
+up to the cap and the rotation factor ``-sin(w) unit.imag``.  IEEE products
+and sums of operands with zero imaginary parts have the real results as
+real parts, save the sign of an exact zero, so each result is the complex
+route's real part.  Any other sum raises ``ValueError`` on a float64 state.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -149,7 +100,7 @@ _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
-# Amplitudes per block of the pool sweep's rows (2^12 is slower, 2^14 no faster).
+# Amplitudes per block of the pool sweep's rows: the size that timed fastest.
 _SWEEP_BLOCK = 1 << 13
 
 _FLOAT64 = np.dtype(np.float64)  # a real state's; cheaper to compare than np.float64
@@ -332,36 +283,39 @@ class CompiledSum:
         return amps
 
     @cached_property
-    def sign_table(self) -> tuple[int, int, np.ndarray, np.ndarray] | None:
-        """``(x_mask, support, patterns, table)`` when every term shares one
-        X mask ``x``; None for several X masks (or none).
+    def sign_table(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
+        """``(x_mask, support, patterns, table)`` per X mask of the terms, in
+        canonical order.
 
-        ``support`` is the qubit support, ``x`` and every Z mask.  A pattern
-        ``c`` is a subset of it, and ``t[c]`` the sum of each term's
-        ``coeff i^y (-1)^popcount(c & z)``, so that ``<phi|A psi>`` is the sum
-        of ``t[c] conj(phi[b ^ x]) psi[b]`` over every ``b`` whose bits on
+        ``support`` is the qubit support of the mask's terms, ``x`` and every
+        Z mask.  A pattern ``c`` is a subset of it, and ``t[c]`` the sum of
+        each of those terms' ``coeff i^y (-1)^popcount(c & z)``, so that the
+        mask's share of ``<phi|A psi>`` is the sum of
+        ``t[c] conj(phi[b ^ x]) psi[b]`` over every ``b`` whose bits on
         ``support`` are some ``c``.  ``patterns`` (uint64, ascending) and
         ``table`` keep only the ``c`` with ``t[c] != 0``.
         """
-        x_masks = {s.x_mask for s, _ in self.terms}
-        if len(x_masks) != 1:
-            return None
-        x_mask = support = x_masks.pop()
-        for string, _ in self.terms:
-            support |= string.z_mask
-        patterns = np.zeros(1, dtype=np.uint64)
-        for q in range(self.n_qubits):
-            if support >> q & 1:
-                patterns = np.concatenate([patterns, patterns | np.uint64(1 << q)])
-        z_masks = np.array([[s.z_mask] for s, _ in self.terms], dtype=np.uint64)
-        scalars = np.array([[coeff * _UNIT_PHASES[(s.x_mask & s.z_mask).bit_count() % 4]]
-                            for s, coeff in self.terms])
-        table = (scalars * _parity_signs(patterns, z_masks)).sum(axis=0)
-        kept = np.flatnonzero(table)
-        return x_mask, support, patterns[kept], table[kept]
+        tables = []
+        for x_mask, group in groupby(self.terms, key=lambda term: term[0].x_mask):
+            terms = tuple(group)
+            support = x_mask
+            for string, _ in terms:
+                support |= string.z_mask
+            patterns = np.zeros(1, dtype=np.uint64)
+            for q in range(self.n_qubits):
+                if support >> q & 1:
+                    patterns = np.concatenate([patterns, patterns | np.uint64(1 << q)])
+            z_masks = np.array([[s.z_mask] for s, _ in terms], dtype=np.uint64)
+            scalars = np.array([[coeff * _UNIT_PHASES[(s.x_mask & s.z_mask).bit_count() % 4]]
+                                for s, coeff in terms])
+            table = (scalars * _parity_signs(patterns, z_masks)).sum(axis=0)
+            kept = np.flatnonzero(table)
+            tables.append((x_mask, support, patterns[kept], table[kept]))
+        return tuple(tables)
 
     def dense(self) -> np.ndarray:
-        """The full-dimension matrix, site 0 least significant: each term in
+        """The one full-dimension matrix form of the sum, read from the same
+        groups as :meth:`apply`, site 0 least significant: each term in
         canonical order adds its folded scalar times its sign vector at the
         entries ``(b, b ^ x)`` of an all-zero matrix, so each entry is
         rounded as in a dense sum of the terms' matrices."""
@@ -417,31 +371,25 @@ class GeneratorBatch:
 
     @cached_property
     def sweep_table(self) -> tuple:
-        """``(members, others, blocks, entries)``, the pool sweep's table (see
-        "Pool sweeps" in the module doc).
+        """``(blocks, entries)``, the pool sweep's table (see "Pool sweeps"
+        in the module doc).
 
-        ``members`` are the indices of the generators with a
-        :attr:`~CompiledSum.sign_table` and ``others`` the rest.  Row
-        ``(x, S, c)`` reads the ``b = c | o`` for every ``o`` outside ``S``.
-        The rows are sorted by the size of ``S``, and each block
+        Row ``(x, S, c)`` reads the ``b = c | o`` for every ``o`` outside
+        ``S``.  The rows are sorted by the size of ``S``, and each block
         ``(outers, slots, patterns, flips)`` holds about ``_SWEEP_BLOCK``
         amplitudes of rows of one size: the int32 ``o`` of each of their
         supports, and per row its support's slot, ``c`` and ``x``.
         ``entries`` are ``(owners, rows, real, imag)``, one per pattern of
-        each member's sign table: its position in ``members``, the row and
-        ``t[c]``.
+        each X mask's :attr:`~CompiledSum.sign_table` of each generator:
+        the generator's index, the row and ``t[c]``.
         """
         n_qubits = self.generators[0].n_qubits
-        members, others, owners, keys, values = [], [], [], [], [np.empty(0, dtype=complex)]
+        owners, keys, values = [], [], [np.empty(0, dtype=complex)]
         for k, compiled in enumerate(self.generators):
-            if compiled.sign_table is None:
-                others.append(k)
-                continue
-            x, support, patterns, table = compiled.sign_table
-            owners += [len(members)] * patterns.size
-            keys += [(support.bit_count(), support, c, x) for c in patterns.tolist()]
-            values.append(table)
-            members.append(k)
+            for x, support, patterns, table in compiled.sign_table:
+                owners += [k] * patterns.size
+                keys += [(support.bit_count(), support, c, x) for c in patterns.tolist()]
+                values.append(table)
         rows = {key: j for j, key in enumerate(sorted(set(keys)))}
         index = np.arange(1 << n_qubits)
         blocks = []
@@ -456,6 +404,6 @@ class GeneratorBatch:
                 blocks.append((outers, np.array([slots[s] for s in supports.tolist()]),
                                patterns[:, None].astype(np.int32), flips[:, None].astype(np.int32)))
         t = np.concatenate(values)
-        return np.array(members, dtype=np.intp), others, blocks, (
-            np.array(owners, dtype=np.intp), np.array([rows[key] for key in keys], dtype=np.intp),
-            t.real.copy(), t.imag.copy())
+        return blocks, (np.array(owners, dtype=np.intp),
+                        np.array([rows[key] for key in keys], dtype=np.intp),
+                        t.real.copy(), t.imag.copy())

@@ -12,14 +12,12 @@ is the one check of :data:`MODES`.  :func:`run_adapt` charges the initial
 energy and each pool sweep to the run's ledger and passes that ledger to
 the minimizer, which charges the rest (see :mod:`adaptvqe.cost`).
 
-The loop carries the state it stands at across the growth boundary: a
-:class:`~adaptvqe.simulator.GradientHandle` holding ``psi`` and ``H|psi>``,
-first from the reference state's energy evaluation, then from each
-optimizer's last evaluation (kept when the optimizer returns its own start,
-since its point is then unchanged).  The pool sweep reads it, and so does
-the next objective for its start (see :class:`AnsatzObjective`), so neither
-prepares the state nor applies the Hamiltonian again.  The charges do not
-change: they price hardware queries, not simulator work.
+The loop carries the :class:`~adaptvqe.simulator.GradientHandle` of the
+state it stands at across the growth boundary (see "The carried handle" in
+:mod:`adaptvqe.simulator`): first the reference state's, then each
+optimizer's last evaluation's, kept when the optimizer returns its own
+start.  The pool sweep and the next objective's start read it.  The
+charges do not change: they price hardware queries, not simulator work.
 """
 
 from __future__ import annotations

@@ -7,18 +7,14 @@ function and gradient together, which the canonical start asks for; and
 line-search trial uses.  The adapters only compute; the minimizers charge
 the queries they make (see :mod:`adaptvqe.cost`).
 
-An :class:`AnsatzObjective` compiles its ansatz once per optimization:
-each query moves it with
-:meth:`~adaptvqe.simulator.AnsatzState.with_parameters`, which checks only
-the angles and reuses the compiled generators, their batched table and the
-reference state, so a trial pays only for its statevector work.
-
-An :class:`AnsatzObjective` built with the growth loop's carried
-:class:`~adaptvqe.simulator.GradientHandle` answers its start from it: at
-the ansatz's own parameters, ``value`` is the carried energy and the last
-parameter's partial derivative is ``2 Re <H psi|A_new psi>`` over the
-carried state, bit for bit what a fresh sweep gives there.  Every other
-query is computed.
+An :class:`AnsatzObjective` compiles its ansatz once per optimization and
+moves it with :meth:`~adaptvqe.simulator.AnsatzState.with_parameters` (see
+"What a trial recomputes" in :mod:`adaptvqe.simulator`).  Built with the
+growth loop's carried :class:`~adaptvqe.simulator.GradientHandle`, it
+answers its start from it: at the ansatz's own parameters, ``value`` is the
+carried energy and the last parameter's partial derivative is
+:meth:`~adaptvqe.simulator.GradientHandle.derivative`, bit for bit what a
+fresh sweep gives there.  Every other query is computed.
 """
 
 from __future__ import annotations

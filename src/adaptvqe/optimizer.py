@@ -30,9 +30,10 @@ at most 25 trials.  Each trial is one ``Objective.evaluate``, charged
 1 + 2n (one energy and a full gradient), but the gradient is computed on
 demand: the search reads it only where it needs the slope ``g.p``, that is
 at a trial that passes the sufficient-decrease test, and at the best point
-when the search fails.  A non-finite value raises at every trial; a
-deferred gradient is checked when it is read, so a non-finite gradient at a
-trial whose gradient is never read does not raise.
+when the search fails.  A start whose x, f, g or H is not finite raises
+``ValueError`` naming it, before any line search, and a non-finite value
+raises at every trial; a deferred gradient is checked when it is read, so a
+non-finite gradient at a trial whose gradient is never read does not raise.
 
 A line search returns the gradient callable of the trial it returns, and a
 run that of its optimum, as ``handle``; it is ``None`` when the returned
@@ -321,6 +322,7 @@ def minimize_recycled(
     ledger = ledger if ledger is not None else CostLedger()
     x_prev = np.asarray(x_prev, dtype=float)
     grad_prev = np.asarray(grad_prev, dtype=float)
+    h_prev = np.asarray(h_prev, dtype=float)
     old = x_prev.size
     if grad_prev.size != old or h_prev.shape != (old, old):
         raise ValueError(
@@ -348,6 +350,9 @@ def _minimize(objective, ledger, x, f, g, h, initial_fevals, grad_tol,
     from the step, except on the converging step when
     ``update_on_converged`` is false.
     """
+    for name, value in (("x", x), ("f", f), ("g", g), ("H", h)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"optimizer start: {name} is not finite")
     trace: list[IterationRecord] = []
     snapshots: list[OptimizerSnapshot] | None = [] if record_state else None
     handle = None

@@ -1,76 +1,45 @@
 """Dense statevector engine for Pauli-sum Hamiltonians and ansatz generators.
 
-States are dense vectors over the 2^n computational basis with qubit 0 as
-the least-significant bit of the index, complex or, for real problems
-(below), float64.  Every operator is applied
-through its compiled form (:meth:`PauliSum.compiled`, see
-:mod:`adaptvqe.compiled`), built on first use and kept on the sum, which also
-carries the Hermiticity and commutation flags checked here, so each operator
-is validated once rather than on every call.  An ansatz generator must be
-an anti-Hermitian sum of mutually commuting Pauli strings, as every pool
-operator (qubit-excitation, qubit-pool and nearest-neighbour) is;
-:class:`AnsatzState` rejects any other, and checks its reference (letters
-and the :data:`MAX_QUBITS` cap) once, when it is built.  Each term of a
-generator is applied with the closed-form rotation
-``exp(i t P) = cos(t) I + i sin(t) P``.  One rule accepts a Hamiltonian at
-every entry point: it is Hermitian and acts on the state's qubits.  The
-pool sweep takes no Hamiltonian; it reads a state and ``H|psi>`` that a
-checked sweep computed.
+States are dense vectors over the 2^n computational basis, qubit 0 the
+least-significant bit of the index.  Every operator is applied through its
+compiled form, built once and kept on the sum with its flags, so each
+operator is validated once; :mod:`adaptvqe.compiled` owns the arithmetic
+(the bit-exact rule, the term table, the pool sweep's order, the real
+route).  An ansatz generator must be an anti-Hermitian sum of mutually
+commuting Pauli strings; :class:`AnsatzState` rejects any other and checks
+its reference once, when it is built.  One rule accepts a Hamiltonian at
+every entry point: it is Hermitian and acts on the state's qubits.
 
 **What a trial recomputes.**  An ansatz keeps its compiled generators (a
 :class:`~adaptvqe.compiled.GeneratorBatch`), its reference amplitudes and
-its parameter array, each built once.  :meth:`AnsatzState.with_parameters`,
-called on every evaluation, checks only the new angles and hands the
-angle-independent caches on, so a line-search trial recomputes only its
-states, ``H|psi>``, the energy and, when read, the reverse half.
+its parameter array.  :meth:`AnsatzState.with_parameters` checks only the
+new angles and hands the rest on, so a line-search trial recomputes only
+its states, ``H|psi>``, the energy and, when read, the reverse half.
 
-Compiled application is bit-exact with the plain term-by-term route: one
-gather serves all terms of an X mask, but each term's products and the
-accumulation order are unchanged, because the optimizer's evaluation and
-line-search counts flip under one-ulp differences.  A single state of at
-most 2^8 amplitudes (8 qubits) is applied through the sum's term table in
-three numpy calls, with the same products added in the same order; stacks
-and larger states go term by term.  Only
-:func:`generator_gradients`, the pool sweep, which feeds the tolerant pool
-selection, sums in another order: at every size it reads each generator's
-sign table only on the support patterns where it is non-zero, from a table
-built once per pool (see "Pool sweeps" in :mod:`adaptvqe.compiled`).
+**The sweep's two halves.**  Analytic gradients come from one sweep over
+the ansatz elements.  The forward half checks the Hamiltonian, stores every
+intermediate state and ``H|psi>`` and yields the energy; the reverse half
+carries ``H|psi>`` back through the elements down to the lowest wanted
+index.  One point's full gradient on a tabled batch applies every generator
+in one call.  The sweep takes one parameter vector as a 1-D state, or a
+stack of them, one per row, each row bit for bit its own call's result.
 
-Analytic energy gradients come from one forward and reverse sweep over the
-ansatz elements, split in two halves.  The forward half checks the
-Hamiltonian, stores every intermediate state and ``H|psi>``, and yields the
-energy; the reverse half carries ``H|psi>`` back through the elements and
-stops at the lowest wanted index.
-:func:`energy_then_gradient` runs the forward half and returns the
-gradient as a :class:`GradientHandle`, a callable that runs the reverse half
-on its first call, so a line-search trial whose gradient is never read
-costs only the forward half; :func:`energy_and_gradient` calls it at once,
-and :func:`gradient_components` runs both halves.  The full gradient of
-one point on at most 2^8 amplitudes applies every generator to its stored
-state in one batched call; other reverse halves apply each generator as
-they reach it.  The handle also keeps
-its point's energy, final state and ``H|psi>``, read-only, and drops every
-other forward state once its gradient is computed.  The optimizer returns
-the handle of its optimum, so the growth loop's next pool sweep and the
-recycled start's energy and new partial derivative read them instead of
-preparing the state and applying the Hamiltonian again: a generator at
-angle 0 leaves its input unchanged, so the state at ``(x*, 0)`` is the
-state at ``x*``, bit for bit.  The sweep takes one
-parameter vector as a 1-D state, or a stack of them at once, one state per
-row (the exact Hessians of :mod:`adaptvqe.diagnostics` use it for their 2n
-shifted points); each row is bit for bit the result of its own call.
+**The carried handle.**  :func:`energy_then_gradient` runs the forward half
+and returns a :class:`GradientHandle`, which runs the reverse half on its
+first call, so a trial whose gradient is never read costs only the forward
+half.  The handle keeps its point's energy, ``psi`` and ``H|psi>``,
+read-only, and drops every other forward state once its gradient is
+computed.  The growth loop's next pool sweep (:func:`generator_gradients`,
+which takes no Hamiltonian) and the recycled start read them instead of
+preparing the state again: a generator at angle 0 leaves its input
+unchanged, so the state at ``(x*, 0)`` is the state at ``x*``, bit for bit.
 
-**Real problems.**  When the Hamiltonian and every generator are real
-(:attr:`~adaptvqe.compiled.CompiledSum.real`), the sweep carries float64
-states, whose exponentials, ``H|psi>`` and applies give the real parts of
-the complex route's values (see :mod:`adaptvqe.compiled`) for a quarter of
-the multiplies.  Every reduction stays a complex ``np.vdot`` of converted
-operands: a float64 one calls BLAS ddot, not zdotc, and differed from
-zdotc's real part on 157 of 200 pairs of normal random real 256-vectors,
-and on 182 of 200 at 4,096.  The handle keeps the sweep's float64 ``psi``
-and the complex ``H|psi>`` of the energy; :func:`generator_gradients`
-runs in float64 when both its inputs have zero imaginary parts, whatever
-their dtype.  :func:`prepare`, :func:`expectation` and
+**Complex overlaps.**  When the Hamiltonian and every generator are real,
+the sweep carries float64 states (see "Real problems" in
+:mod:`adaptvqe.compiled`), but every reduction stays a complex ``np.vdot``
+of converted operands: a float64 one calls BLAS ddot, which rounds
+otherwise than zdotc.  The handle keeps the sweep's own ``psi`` and the
+complex ``H|psi>``; :func:`prepare`, :func:`expectation` and
 :class:`StateVector` stay complex.
 """
 
@@ -263,13 +232,8 @@ def expectation(state: StateVector, observable: PauliSum) -> float:
 class GradientHandle:
     """The full analytic gradient at one point, computed by the first call
     and cached, plus that point's ``energy``, final state ``psi`` and
-    ``h_psi`` = ``H|psi>``.
-
-    ``psi`` and ``h_psi`` are read-only and outlive the gradient's
-    computation, which drops the other forward states, so a handle kept
-    after its gradient is read holds two state vectors: the sweep's own
-    ``psi`` (float64 on the real route) and the complex ``h_psi``.
-    """
+    ``h_psi`` = ``H|psi>``, read-only (see "The carried handle" in the
+    module doc)."""
 
     def __init__(self, sweep: "_Sweep"):
         self._sweep = sweep
@@ -358,18 +322,17 @@ def gradient_components(
 
 class _Sweep:
     """One forward/reverse sweep over the ansatz elements at each row of
-    ``points``, an ``(m, n)`` array of parameter vectors.
+    ``points``, an ``(m, n)`` array of parameter vectors (see "The sweep's
+    two halves" in the module doc).
 
     dE/dt_j = 2 Re <psi| H U_n..U_{j+1} A_j |phi_j> with |phi_j> the state
-    after the first j elements.  Building the sweep runs the forward half:
-    it checks the Hamiltonian, stores every |phi_j> and H|psi>, and sets
-    ``energies`` (one per row, each checked for an imaginary residue).
-    :meth:`gradient` runs the reverse half, carrying H|psi> backwards
-    through the inverse unitaries down to the lowest wanted index.  The rows
-    are swept together, one state per row; at each element the stack's most
-    common angle is applied to every row and only the rows whose angle
-    differs are recomputed alone.  A single point is swept as a 1-D state,
-    since numpy's 2-D broadcasting costs more per call.
+    after the first j elements.  Building the sweep runs the forward half
+    and sets ``energies``, one per row, each checked for an imaginary
+    residue; :meth:`gradient` runs the reverse half.  The rows are swept
+    together, one state per row; at each element the stack's most common
+    angle is applied to every row and only the rows whose angle differs are
+    recomputed alone.  A single point is swept as a 1-D state, since numpy's
+    2-D broadcasting costs more per call.
     """
 
     def __init__(self, ansatz: AnsatzState, hamiltonian: PauliSum, points: np.ndarray):
@@ -471,27 +434,22 @@ def generator_gradients(
     :class:`~adaptvqe.compiled.GeneratorBatch`, which an
     :class:`~adaptvqe.pools.OperatorPool` keeps; a sequence is compiled into
     a new batch, so both give the same bytes.  ``psi`` and ``h_psi`` are
-    1-D, one amplitude per basis state of the generators' qubits.  A
-    generator whose strings share one X mask (every qubit-excitation
-    operator and every single string) is read from the batch's
-    :attr:`~adaptvqe.compiled.GeneratorBatch.sweep_table`, only on the
-    support patterns where its sign table is non-zero (see "Pool sweeps" in
-    :mod:`adaptvqe.compiled`), in float64 when ``psi`` and ``h_psi`` have
-    zero imaginary parts, whatever their dtype; others are applied in full.
-    The summation order differs from :meth:`CompiledSum.apply`, so the
-    result agrees with it to rounding, not bit for bit, but each
+    1-D, one amplitude per basis state of the generators' qubits.  Every
+    generator is read from the batch's
+    :attr:`~adaptvqe.compiled.GeneratorBatch.sweep_table`, in the order
+    "Pool sweeps" in :mod:`adaptvqe.compiled` sets out: the result agrees
+    with :meth:`CompiledSum.apply` to rounding, not bit for bit, and a
     generator's value does not depend on the others swept with it.
     """
     batch = generators if isinstance(generators, GeneratorBatch) else GeneratorBatch(
         [generator.compiled() for generator in generators])
-    grads = np.empty(len(batch.generators), dtype=float)
     if not batch.generators:
-        return grads
+        return np.empty(0)
     dim = 1 << batch.generators[0].n_qubits
     if psi.shape != (dim,) or h_psi.shape != (dim,):
         raise ValueError(f"psi of shape {psi.shape} and H|psi> of shape {h_psi.shape}: "
                          f"the generators need two of shape ({dim},)")
-    members, others, blocks, (owners, rows, t_real, t_imag) = batch.sweep_table
+    blocks, (owners, rows, t_real, t_imag) = batch.sweep_table
     if psi.imag.any() or h_psi.imag.any():
         left, right = psi.astype(complex, copy=False), h_psi.conj()
     else:
@@ -506,8 +464,4 @@ def generator_gradients(
         sums.append(products.sum(axis=1))
     reduced = np.concatenate(sums)[rows]
     weights = t_real * reduced.real - t_imag * reduced.imag
-    grads[members] = 2.0 * np.bincount(owners, weights, minlength=len(members))
-    for k in others:
-        amps = batch.generators[k].apply(psi.astype(complex, copy=False))
-        grads[k] = 2.0 * np.vdot(h_psi, amps).real
-    return grads
+    return 2.0 * np.bincount(owners, weights, minlength=len(batch.generators))

@@ -114,27 +114,35 @@ class TestPoolGradients:
             (pool.operators[int(i)], float(t))
             for i, t in zip(picks, rng.normal(size=4) * 0.5)))
         state = prepare(ansatz)
-        assert all(op.compiled().sign_table is not None for op in pool.operators)
+        assert all(len(op.compiled().sign_table) == 1 for op in pool.operators)
         grads = pool_gradients(carried_at(ansatz, hfile.operator), pool)
         expected = reference_pool_gradients(
             state.amplitudes, state.n_qubits, hfile.operator, pool.operators)
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
         assert select_operator(grads)[0] == select_operator(expected)[0]
 
-    def test_multi_mask_operator_takes_full_route(self, h2_fixture):
-        # a generator on two X masks: XY and ZZ commute
-        mixed = PauliSum.from_text_terms([("XYII", 1j), ("ZZII", 0.5j)])
-        pool = OperatorPool("Qubit", 4, (mixed, build_qe_pool(4, 2).operators[2]),
-                            ("mixed", "double"))
-        assert mixed.compiled().sign_table is None
+    def test_multi_mask_operators_take_the_one_sweep(self, h2_fixture):
+        """Generators on two and on three X masks, with a Z-only group, are
+        read from the same sweep table as a QE double, on float64 and on
+        complex states.  Their masks' shares are summed in another order
+        than a full apply, so they agree to rounding and give the same pick."""
+        # XY, YX and IIYX commute with each other and with ZZII and ZZZZ
+        two_masks = PauliSum.from_text_terms([("XYII", 1j), ("ZZII", 0.5j)])
+        three_masks = PauliSum.from_text_terms(
+            [("XYII", 0.3j), ("YXII", -0.5j), ("IIYX", -0.7j), ("ZZII", 0.4j), ("ZZZZ", 0.2j)])
+        pool = OperatorPool("Qubit", 4, (two_masks, three_masks, build_qe_pool(4, 2).operators[2]),
+                            ("two", "three", "double"))
+        assert [len(op.compiled().sign_table) for op in pool.operators] == [2, 3, 1]
+        hamiltonian = h2_fixture.operator
         rng = np.random.default_rng(12)
-        ansatz = AnsatzState(h2_fixture.reference_bitstring,
-                             ((pool.operators[1], float(rng.normal())),))
-        grads = pool_gradients(carried_at(ansatz, h2_fixture.operator), pool)
-        expected = reference_pool_gradients(
-            prepare(ansatz).amplitudes, 4, h2_fixture.operator, pool.operators)
-        assert grads[0] == expected[0]
-        assert grads[1] == pytest.approx(expected[1], abs=1e-12)
+        for psi in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):
+            h_psi = hamiltonian.compiled().apply(psi)
+            grads = generator_gradients(psi, h_psi, pool.batch)
+            expected = reference_pool_gradients(psi.astype(complex), 4, hamiltonian,
+                                                pool.operators)
+            np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
+            assert select_operator(grads)[0] == select_operator(expected)[0]
+        assert abs(expected[:2]).min() > 0.1
 
     def test_ledger_charged_flat_rate(self, h2_fixture):
         # run_adapt charges each sweep 8N; the sweep itself charges nothing

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import inspect
 import json
@@ -20,6 +21,8 @@ from adaptvqe.experiment import (
     ExperimentError,
     diagnose_run,
     load_config,
+    resolve_hamiltonian,
+    resolve_pool,
     run_experiment,
 )
 from adaptvqe.hamiltonians import (
@@ -444,6 +447,27 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary["feval_ratio"] <= 1.0
         assert summary["modes"]["recycling"]["error_vs_exact"] < 1.6e-3
+
+    @pytest.mark.parametrize("fixture, size, ratio_below_one", [
+        ("h2_sto3g_0p7414.json", 12, False), ("h4_sto3g_1p00.json", 328, True)])
+    def test_qubit_pool_runs_end_to_end(self, tmp_path, fixture, size, ratio_below_one):
+        """The qubit pool, one ``i P`` per distinct string of the QE pool,
+        grows an ansatz in both modes; recycling converges within the cap.
+        H2 needs one operator, where the two modes make the same queries."""
+        config = ExperimentConfig(hamiltonian_path=str(bundled_fixture_path(fixture)),
+                                  pool="qubit", max_adapt_iterations=40,
+                                  output_dir=str(tmp_path / "qubit"))
+        summary = run_experiment(config)
+        assert summary["pool_kind"] == "Qubit" and summary["pool_size"] == size
+        assert summary["modes"]["recycling"]["converged"]
+        assert (summary["feval_ratio"] < 1.0) == ratio_below_one
+        assert summary["feval_ratio"] <= 1.0
+        labels = set(resolve_pool(config, resolve_hamiltonian(config)).labels)
+        for mode in ("canonical", "recycling"):
+            assert abs(summary["modes"][mode]["error_vs_exact"]) < 1.6e-3
+            with open(Path(config.output_dir) / f"adapt_trace_{mode}.csv", newline="") as fh:
+                selected = [row["selected_label"] for row in csv.DictReader(fh)][1:]
+            assert selected and set(selected) <= labels
 
     def test_zero_iteration_budget_writes_reference_row_only(self, tmp_path):
         config, _ = self.run_small(tmp_path, max_adapt_iterations=0,

@@ -489,6 +489,48 @@ class TestMinimizeRecycled:
         assert result.converged and result.line_searches == 0
 
 
+def nan_at(start, part):
+    """``0.5 |x|^2`` with a nan value (``part == "f"``) or gradient
+    (``part == "g"``) at ``start`` alone."""
+    def f(x):
+        return np.nan if part == "f" and np.array_equal(x, start) else 0.5 * float(x @ x)
+
+    def grad(x):
+        return np.full(x.size, np.nan) if part == "g" and np.array_equal(x, start) else x
+
+    return FunctionObjective(f, grad)
+
+
+@pytest.mark.parametrize("part", ["x", "f", "g"])
+def test_canonical_non_finite_start_raises(part):
+    """A nan start energy passed every sufficient-decrease test and the run
+    reported convergence; each non-finite part of the start is named."""
+    start = np.array([1.0, -2.0])
+    x0 = np.array([1.0, np.inf]) if part == "x" else start
+    with pytest.raises(ValueError, match=f"optimizer start: {part} is not finite"):
+        minimize_canonical(nan_at(start, part), x0)
+
+
+@pytest.mark.parametrize("part", ["x", "f", "g", "H"])
+def test_recycled_non_finite_start_raises(part):
+    x_prev = np.array([np.inf if part == "x" else 1.0])
+    grad_prev = np.array([np.nan if part == "g" else 1.0])
+    h_prev = np.array([[np.nan if part == "H" else 1.0]])
+    with pytest.raises(ValueError, match=f"optimizer start: {part} is not finite"):
+        minimize_recycled(nan_at(np.array([1.0, 0.0]), part), x_prev, grad_prev, h_prev)
+
+
+def test_recycled_takes_a_nested_list_inverse_hessian():
+    full = np.diag([2.0, 3.0, 1.0])
+    obj = quadratic_objective(full, full @ np.ones(3))
+    x_prev, grad_prev = np.array([0.5, 0.2]), np.array([-1.0, -2.4])
+    h_prev = np.array([[0.5, 0.1], [0.1, 0.4]])
+    as_list = minimize_recycled(obj, x_prev, grad_prev, h_prev.tolist())
+    as_array = minimize_recycled(obj, x_prev, grad_prev, h_prev)
+    assert as_list.x_star.tobytes() == as_array.x_star.tobytes()
+    assert as_list.h_star.tobytes() == as_array.h_star.tobytes()
+
+
 class TestSecantInvariantOnQuadratics:
     def test_final_h_equals_true_inverse(self):
         # exact-line-search regime: the built matrix is secant-complete
