@@ -59,13 +59,14 @@ so it alone may sum in another order.  :attr:`CompiledSum.sign_table` holds
 one ``(x, S, patterns, t)`` per X mask of the terms, and ``<H psi|A psi>``
 is the sum over the masks of ``sum_c t[c] r[c]``, with ``r[c]`` the sum of
 ``psi[b] conj((H psi)[b ^ x])`` over the ``b`` whose bits on ``S`` are
-``c``, read only where ``t[c] != 0``.  :attr:`GeneratorBatch.sweep_table`
-holds one row per needed ``(x, S, c)``, shared by the generators that need
-it; the sweep gathers and multiplies blocks of rows, sums each row with
-numpy's ``sum(axis=1)`` and adds each generator's rows times its entries
-with ``np.bincount``.  No BLAS call is made, so a generator's value depends
-neither on the other generators nor on the BLAS kernel.  It runs in float64
-when ``psi`` and ``H psi`` have zero imaginary parts, whatever their dtype.
+``c``, read only where ``t[c] != 0``.  :meth:`GeneratorBatch.gradients`
+is the sweep.  It reads a table, built once per batch, of one row per
+needed ``(x, S, c)``, shared by the generators that need it; it gathers and
+multiplies blocks of rows, sums each row with numpy's ``sum(axis=1)`` and
+adds each generator's rows times its entries with ``np.bincount``.  No
+BLAS call is made, so a generator's value depends neither on the other
+generators nor on the BLAS kernel.  It runs in float64 when ``psi`` and
+``H psi`` have zero imaginary parts, whatever their dtype.
 
 **Real problems.**  A sum is :attr:`CompiledSum.real` when every folded
 scalar is real: real coefficients on even-Y strings, or imaginary ones on
@@ -331,9 +332,10 @@ class CompiledSum:
 
 class GeneratorBatch:
     """Compiled generators, in order, each applied to its own state by one
-    call (see the module doc).  ``tabled`` is true when their states have at
-    most ``_TABLE_AMPLITUDE_CAP`` amplitudes, the only size
-    :meth:`apply_each` takes."""
+    call, and swept as a pool by :meth:`gradients` (see the module doc).
+    ``tabled`` is true when their states have at most
+    ``_TABLE_AMPLITUDE_CAP`` amplitudes, the only size :meth:`apply_each`
+    takes."""
 
     def __init__(self, generators: Sequence[CompiledSum]):
         self.generators = tuple(generators)
@@ -369,10 +371,44 @@ class GeneratorBatch:
         np.multiply(table, gathered, out=gathered)
         return gathered.sum(axis=1, initial=0)
 
+    def gradients(self, psi: np.ndarray, h_psi: np.ndarray) -> np.ndarray:
+        """``2 Re <H psi|A_k psi>`` for each generator, from a state ``psi``
+        and ``h_psi`` = ``H|psi>``: the energy derivative of
+        ``exp(t A_k)|psi>`` at ``t = 0``.
+
+        ``psi`` and ``h_psi`` are 1-D, one amplitude per basis state of the
+        generators' qubits.  Every generator is read from the batch's table,
+        in the order "Pool sweeps" in the module doc sets out: the result
+        agrees with :meth:`CompiledSum.apply` to rounding, not bit for bit,
+        and a generator's value does not depend on the others swept with it.
+        """
+        if not self.generators:
+            return np.empty(0)
+        dim = 1 << self.generators[0].n_qubits
+        if psi.shape != (dim,) or h_psi.shape != (dim,):
+            raise ValueError(f"psi of shape {psi.shape} and H|psi> of shape {h_psi.shape}: "
+                             f"the generators need two of shape ({dim},)")
+        blocks, (owners, rows, t_real, t_imag) = self._sweep_table
+        if psi.imag.any() or h_psi.imag.any():
+            left, right = psi.astype(complex, copy=False), h_psi.conj()
+        else:
+            left, right = (np.ascontiguousarray(amps.real, dtype=float) for amps in (psi, h_psi))
+        sums = [np.empty(0)]
+        for outers, slots, patterns, flips in blocks:
+            index = outers[slots]
+            index |= patterns
+            products = left.take(index)
+            index ^= flips
+            products *= right.take(index)
+            sums.append(products.sum(axis=1))
+        reduced = np.concatenate(sums)[rows]
+        weights = t_real * reduced.real - t_imag * reduced.imag
+        return 2.0 * np.bincount(owners, weights, minlength=len(self.generators))
+
     @cached_property
-    def sweep_table(self) -> tuple:
-        """``(blocks, entries)``, the pool sweep's table (see "Pool sweeps"
-        in the module doc).
+    def _sweep_table(self) -> tuple:
+        """``(blocks, entries)``, the table :meth:`gradients` reads (see
+        "Pool sweeps" in the module doc).
 
         Row ``(x, S, c)`` reads the ``b = c | o`` for every ``o`` outside
         ``S``.  The rows are sorted by the size of ``S``, and each block

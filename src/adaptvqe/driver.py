@@ -45,7 +45,6 @@ from .simulator import (
     GradientHandle,
     energy_then_gradient,
     expectation,  # noqa: F401  (perfbench/tracing.py wraps driver.expectation)
-    generator_gradients,
     prepare,  # noqa: F401  (perfbench/tracing.py wraps driver.prepare)
 )
 
@@ -123,15 +122,15 @@ def pool_gradients(carried: GradientHandle, pool: OperatorPool) -> np.ndarray:
 
     Each entry is the expectation of the commutator of the Hamiltonian with
     the generator, evaluated as 2 Re <H psi | A_k psi> by
-    :func:`generator_gradients` from the carried ``psi`` and ``H|psi>``;
-    the Hamiltonian was checked by the sweep that computed them.  It reads
-    the pool's compiled batch (:attr:`OperatorPool.batch`), so the sweep's
-    table is built once per pool, at every size.  One call is one pool
-    sweep, which :func:`run_adapt` charges at the flat 8N rate.
+    :meth:`~adaptvqe.compiled.GeneratorBatch.gradients` on the pool's
+    compiled batch (:attr:`OperatorPool.batch`) from the carried ``psi`` and
+    ``H|psi>``; the Hamiltonian was checked by the sweep that computed them.
+    The batch builds its table once per pool, at every size.  One call is
+    one pool sweep, which :func:`run_adapt` charges at the flat 8N rate.
     """
     if carried.psi.size != 1 << pool.n_qubits:
         raise ValueError("pool qubit count does not match the state")
-    return generator_gradients(carried.psi, carried.h_psi, pool.batch)
+    return pool.batch.gradients(carried.psi, carried.h_psi)
 
 
 def select_operator(gradients: np.ndarray) -> tuple[int, float]:
@@ -139,11 +138,13 @@ def select_operator(gradients: np.ndarray) -> tuple[int, float]:
     whole gradient vector, summed by numpy itself rather than by BLAS, so
     that neither depends on the BLAS kernel.
 
-    Candidates within 1e-6 of the maximum magnitude count as tied and
-    the lowest pool index wins.  Symmetry-degenerate operators differ only
-    by numerical noise at converged iterates, so a strict argmax would make
-    the selection depend on noise instead of on the pool order.  A
-    non-finite gradient raises ``ValueError`` naming its pool index.
+    Candidates within 1e-6 of the maximum magnitude, and at least half of
+    it, count as tied and the lowest pool index wins.  Symmetry-degenerate
+    operators differ only by numerical noise at converged iterates, so a
+    strict argmax would make the selection depend on noise instead of on
+    the pool order; the half keeps a zero gradient from tying once every
+    magnitude is below 1e-6.  A non-finite gradient raises ``ValueError``
+    naming its pool index.
     """
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
@@ -154,7 +155,7 @@ def select_operator(gradients: np.ndarray) -> tuple[int, float]:
             f"pool gradient {bad[0]} is not finite ({gradients[bad[0]]})")
     magnitudes = np.abs(gradients)
     best = float(np.max(magnitudes))
-    index = int(np.argmax(magnitudes >= best - _TIE_TOL))
+    index = int(np.argmax(magnitudes >= max(best - _TIE_TOL, best / 2)))
     return index, float(np.sqrt(np.square(gradients).sum()))
 
 

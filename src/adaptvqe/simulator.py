@@ -19,20 +19,22 @@ its states, ``H|psi>``, the energy and, when read, the reverse half.
 **The sweep's two halves.**  Analytic gradients come from one sweep over
 the ansatz elements.  The forward half checks the Hamiltonian, stores every
 intermediate state and ``H|psi>`` and yields the energy; the reverse half
-carries ``H|psi>`` back through the elements down to the lowest wanted
-index.  One point's full gradient on a tabled batch applies every generator
-in one call.  The sweep takes one parameter vector as a 1-D state, or a
-stack of them, one per row, each row bit for bit its own call's result.
+carries ``H|psi>`` back through the elements to the first and yields the
+full gradient.  One point's gradient on a tabled batch applies every
+generator in one call.  The sweep takes one parameter vector as a 1-D
+state, or a stack of them, one per row, each row bit for bit its own call's
+result.
 
 **The carried handle.**  :func:`energy_then_gradient` runs the forward half
 and returns a :class:`GradientHandle`, which runs the reverse half on its
 first call, so a trial whose gradient is never read costs only the forward
 half.  The handle keeps its point's energy, ``psi`` and ``H|psi>``,
 read-only, and drops every other forward state once its gradient is
-computed.  The growth loop's next pool sweep (:func:`generator_gradients`,
-which takes no Hamiltonian) and the recycled start read them instead of
-preparing the state again: a generator at angle 0 leaves its input
-unchanged, so the state at ``(x*, 0)`` is the state at ``x*``, bit for bit.
+computed.  The growth loop's next pool sweep
+(:meth:`~adaptvqe.compiled.GeneratorBatch.gradients`, which takes no
+Hamiltonian) and the recycled start read them instead of preparing the
+state again: a generator at angle 0 leaves its input unchanged, so the
+state at ``(x*, 0)`` is the state at ``x*``, bit for bit.
 
 **Complex overlaps.**  When the Hamiltonian and every generator are real,
 the sweep carries float64 states (see "Real problems" in
@@ -49,7 +51,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +68,6 @@ __all__ = [
     "energy_then_gradient",
     "energy_and_gradient",
     "gradient_components",
-    "generator_gradients",
 ]
 
 MAX_QUBITS = 20
@@ -245,7 +245,7 @@ class GradientHandle:
 
     def __call__(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = self._sweep.gradient(list(range(len(self._sweep.generators))))[0]
+            self._grad = self._sweep.gradient()[0]
             self._sweep = None
         return self._grad
 
@@ -290,7 +290,8 @@ def gradient_components(
     indices: list[int],
     points: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partial derivatives for a subset of parameters.
+    """Partial derivatives for a subset of parameters: the columns
+    ``indices`` of the full gradient, in their order, repeats included.
 
     With ``points``, an ``(m, n)`` array of parameter vectors for the
     ansatz's generators, the result is an ``(m, len(indices))`` array whose
@@ -299,8 +300,8 @@ def gradient_components(
     amplitudes.
     """
     n = ansatz.n_parameters
-    wanted = sorted(set(indices))
-    if wanted and (wanted[0] < 0 or wanted[-1] >= n):
+    columns = np.asarray(indices, dtype=np.intp)
+    if columns.size and (columns.min() < 0 or columns.max() >= n):
         raise ValueError(f"gradient index out of range for {n} parameters")
     stacked = points is not None
     if stacked:
@@ -311,11 +312,10 @@ def gradient_components(
             raise ValueError("ansatz parameter is not finite")
     else:
         points = ansatz._parameters[np.newaxis]
-    columns = np.searchsorted(wanted, indices)
-    out = np.empty((len(points), len(indices)), dtype=float)
+    out = np.empty((len(points), columns.size), dtype=float)
     rows = max(1, _STACK_CAP >> ansatz.n_qubits)
     for start in range(0, len(points), rows):
-        grads = _Sweep(ansatz, hamiltonian, points[start:start + rows]).gradient(wanted)
+        grads = _Sweep(ansatz, hamiltonian, points[start:start + rows]).gradient()
         out[start:start + rows] = grads[:, columns]
     return out if stacked else out[0]
 
@@ -340,12 +340,11 @@ class _Sweep:
         self.batch = ansatz._batch
         self.generators = self.batch.generators
         reference = ansatz._reference_amplitudes
-        self.real = compiled_h.real and self.batch.real
-        if self.real:
+        if compiled_h.real and self.batch.real:
             reference = reference.real.copy()
         self.rows = len(points)
         if self.rows == 1:
-            self.exponential, self.vdot = CompiledSum.exponential, _vdot if self.real else np.vdot
+            self.exponential, self.vdot = CompiledSum.exponential, _vdot
             forward, self.reverse = points[0].tolist(), (-points[0]).tolist()
             states = [reference]
         else:
@@ -361,37 +360,28 @@ class _Sweep:
         self.energies = [_real_energy(complex(overlap)) for overlap in
                          (overlaps if self.rows > 1 else (overlaps,))]
 
-    def gradient(self, wanted: list[int]) -> np.ndarray:
-        """The gradient components ``wanted`` (sorted, distinct), an
-        ``(m, len(wanted))`` array.  A single point's full gradient applies
-        every generator to its state in one batched call when the states
-        are small enough (:class:`~adaptvqe.compiled.GeneratorBatch`); on the
-        real route it writes its overlaps' operands into one complex buffer,
-        the applied states in one call."""
-        generators, states, reverse = self.generators, self.states, self.reverse
-        exponential, vdot, lam = self.exponential, self.vdot, self.lam
-        applied = (self.batch.apply_each(states[1:]) if self.rows == 1 and self.batch.tabled
-                   and len(wanted) == len(generators) else None)
-        lowest = wanted[0] if wanted else len(generators)
-        column = len(wanted)
-        values, operands = [], None
-        if self.real and applied is not None:
-            operands = np.empty((2,) + applied.shape, dtype=complex)
-            operands[1] = applied
-        for j in range(len(generators) - 1, lowest - 1, -1):
+    def gradient(self) -> np.ndarray:
+        """The full gradient, an ``(m, n)`` array.  A single point on a
+        tabled batch applies every generator to its state in one batched call
+        (:class:`~adaptvqe.compiled.GeneratorBatch`) and writes its overlaps'
+        operands into one complex buffer, the applied states in one call."""
+        generators, states, reverse, lam = self.generators, self.states, self.reverse, self.lam
+        tabled = self.rows == 1 and self.batch.tabled
+        if tabled:
+            operands = np.empty((2, len(generators), lam.size), dtype=complex)
+            operands[1] = self.batch.apply_each(states[1:])
+        values = []
+        for j in range(len(generators) - 1, -1, -1):
             compiled = generators[j]
-            if wanted[column - 1] == j:
-                column -= 1
-                if operands is not None:
-                    operands[0, j] = lam
-                else:
-                    values.append(vdot(lam, compiled.apply(states[j + 1]) if applied is None
-                                       else applied[j]))
-            if j > lowest:
-                lam = exponential(compiled, lam, reverse[j])
-        if operands is not None:
+            if tabled:
+                operands[0, j] = lam
+            else:
+                values.append(self.vdot(lam, compiled.apply(states[j + 1])))
+            if j:
+                lam = self.exponential(compiled, lam, reverse[j])
+        if tabled:
             values = [np.vdot(a, b) for a, b in zip(*operands[:, ::-1])]
-        overlaps = np.array(values[::-1], dtype=complex).reshape(len(wanted), self.rows)
+        overlaps = np.array(values[::-1], dtype=complex).reshape(len(generators), self.rows)
         return 2.0 * overlaps.real.T
 
 
@@ -419,49 +409,3 @@ def _exponential_rows(compiled: CompiledSum, stack: np.ndarray,
                 out = stack.copy()
             out[r] = compiled.exponential(stack[r], theta)
     return out
-
-
-def generator_gradients(
-    psi: np.ndarray,
-    h_psi: np.ndarray,
-    generators: GeneratorBatch | Sequence[PauliSum],
-) -> np.ndarray:
-    """``2 Re <H psi|A_k psi>`` for each generator, from a state ``psi`` and
-    ``h_psi`` = ``H|psi>``: the energy derivative of ``exp(t A_k)|psi>`` at
-    ``t = 0``.
-
-    ``generators`` is a sequence of sums or their compiled
-    :class:`~adaptvqe.compiled.GeneratorBatch`, which an
-    :class:`~adaptvqe.pools.OperatorPool` keeps; a sequence is compiled into
-    a new batch, so both give the same bytes.  ``psi`` and ``h_psi`` are
-    1-D, one amplitude per basis state of the generators' qubits.  Every
-    generator is read from the batch's
-    :attr:`~adaptvqe.compiled.GeneratorBatch.sweep_table`, in the order
-    "Pool sweeps" in :mod:`adaptvqe.compiled` sets out: the result agrees
-    with :meth:`CompiledSum.apply` to rounding, not bit for bit, and a
-    generator's value does not depend on the others swept with it.
-    """
-    batch = generators if isinstance(generators, GeneratorBatch) else GeneratorBatch(
-        [generator.compiled() for generator in generators])
-    if not batch.generators:
-        return np.empty(0)
-    dim = 1 << batch.generators[0].n_qubits
-    if psi.shape != (dim,) or h_psi.shape != (dim,):
-        raise ValueError(f"psi of shape {psi.shape} and H|psi> of shape {h_psi.shape}: "
-                         f"the generators need two of shape ({dim},)")
-    blocks, (owners, rows, t_real, t_imag) = batch.sweep_table
-    if psi.imag.any() or h_psi.imag.any():
-        left, right = psi.astype(complex, copy=False), h_psi.conj()
-    else:
-        left, right = (np.ascontiguousarray(amps.real, dtype=float) for amps in (psi, h_psi))
-    sums = [np.empty(0)]
-    for outers, slots, patterns, flips in blocks:
-        index = outers[slots]
-        index |= patterns
-        products = left.take(index)
-        index ^= flips
-        products *= right.take(index)
-        sums.append(products.sum(axis=1))
-    reduced = np.concatenate(sums)[rows]
-    weights = t_real * reduced.real - t_imag * reduced.imag
-    return 2.0 * np.bincount(owners, weights, minlength=len(batch.generators))

@@ -71,7 +71,10 @@ def dense_strings_commute(a: str, b: str) -> bool:
 
 
 def dense_pauli_sum(operator) -> np.ndarray:
-    """Dense matrix of a package PauliSum, built via the text route."""
+    """Dense matrix of a package PauliSum, built via the text route; the
+    zero matrix for a sum whose terms cancelled."""
+    if not operator.n_terms:
+        return np.zeros((1 << operator.n_qubits,) * 2, dtype=complex)
     return dense_operator([(s.text(), c) for s, c in operator])
 
 

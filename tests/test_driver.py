@@ -10,24 +10,24 @@ import pytest
 
 import adaptvqe.driver as driver_module
 import adaptvqe.optimizer as optimizer_module
-from adaptvqe.driver import pool_gradients, run_adapt, select_operator
+from adaptvqe.compiled import GeneratorBatch
+from adaptvqe.driver import MODES, pool_gradients, run_adapt, select_operator
 from adaptvqe.experiment import ExperimentConfig
 from adaptvqe.hamiltonians import builtin_model
 from adaptvqe.objectives import FunctionObjective
 from adaptvqe.optimizer import OptimizerResult, minimize_canonical, minimize_recycled
-from adaptvqe.paulis import PauliSum
+from adaptvqe.paulis import PauliString, PauliSum
 from adaptvqe.pools import OperatorPool, build_nearest_neighbor_pool, build_qe_pool
 from adaptvqe.simulator import (
     AnsatzState,
     StateVector,
     energy_then_gradient,
     expectation,
-    generator_gradients,
     gradient_components,
     prepare,
 )
 
-from oracles import commutator, reference_pool_gradients
+from oracles import commutator, dense_expectation, dense_prepare, reference_pool_gradients
 
 
 def recomputed_fevals(result):
@@ -137,7 +137,7 @@ class TestPoolGradients:
         rng = np.random.default_rng(12)
         for psi in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):
             h_psi = hamiltonian.compiled().apply(psi)
-            grads = generator_gradients(psi, h_psi, pool.batch)
+            grads = pool.batch.gradients(psi, h_psi)
             expected = reference_pool_gradients(psi.astype(complex), 4, hamiltonian,
                                                 pool.operators)
             np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
@@ -169,6 +169,12 @@ class TestSelectOperator:
     def test_near_tie_within_tolerance_prefers_lowest_index(self):
         index, _ = select_operator(np.array([0.5, 0.5 + 1e-9]))
         assert index == 0
+
+    def test_zero_gradient_does_not_tie_below_the_tolerance(self):
+        """Once every magnitude is below 1e-6, a tied candidate must still
+        be at least half the largest, so a zero gradient is not picked."""
+        assert select_operator(np.array([0.0, 8.3e-8, -2e-8]))[0] == 1
+        assert select_operator(np.array([0.0, 0.0]))[0] == 0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty pool"):
@@ -238,6 +244,37 @@ class TestRunAdapt:
         result = run_adapt(ham, "01", pool, eps=1e-6, max_iterations=5)
         assert result.converged and result.iterations == []
         assert result.pool_sweeps == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tight_eps_selects_no_zero_gradient(self, h4_equilibrium_fixture, mode):
+        """With ``eps=1e-9`` every H4 pool gradient is below the 1e-6 tie
+        tolerance from iteration 20 on; each pick still has a non-zero
+        gradient."""
+        hfile = h4_equilibrium_fixture
+        result = run_adapt(hfile.operator, hfile.reference_bitstring, build_qe_pool(8, 4),
+                           mode=mode, eps=1e-9, max_iterations=21)
+        assert len(result.iterations) == 21
+        assert result.iterations[-1].pool_grad_norm < 1e-6
+        assert all(it.selected_gradient != 0.0 for it in result.iterations)
+
+    def test_complex_route_runs_end_to_end(self, h2_fixture):
+        """H2 plus ``0.25 YXII`` is not real, and the nearest-neighbour pool
+        picks ``i XX`` strings, so both modes carry complex states.  Each
+        iteration's energy is the dense oracle's at its angles."""
+        hamiltonian = PauliSum(4, list(h2_fixture.operator.items())
+                               + [(PauliString.from_text("YXII"), 0.25)])
+        pool = build_nearest_neighbor_pool(4)
+        fevals = {}
+        for mode in MODES:
+            result = run_adapt(hamiltonian, h2_fixture.reference_bitstring, pool, mode=mode)
+            assert result.converged and result.iterations, mode
+            for it in result.iterations:
+                state = dense_prepare(h2_fixture.reference_bitstring,
+                                      zip(result.ansatz.generators, it.x_star))
+                assert abs(it.energy - dense_expectation(state, hamiltonian)) <= 1e-12, mode
+            assert prepare(result.ansatz).amplitudes.imag.any(), mode
+            fevals[mode] = result.ledger.function_evaluations
+        assert fevals["recycling"] <= fevals["canonical"]
 
     def test_h2_reaches_exact_energy_in_both_modes(self, h2_fixture, h2_paired):
         _, results = h2_paired
@@ -395,7 +432,8 @@ def assert_carried_reads_match_fresh(hfile, pool, result):
 
     def fresh_sweep(at):
         psi = prepare(at).amplitudes
-        grads = generator_gradients(psi, hamiltonian.compiled().apply(psi), pool.operators)
+        grads = GeneratorBatch([op.compiled() for op in pool.operators]).gradients(
+            psi, hamiltonian.compiled().apply(psi))
         return grads, select_operator(grads)
 
     for it in result.iterations:

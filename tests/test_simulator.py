@@ -21,7 +21,6 @@ from adaptvqe.simulator import (
     energy_and_gradient,
     energy_then_gradient,
     expectation,
-    generator_gradients,
     gradient_components,
     prepare,
 )
@@ -37,6 +36,11 @@ from oracles import (
     reference_exponential,
     reference_pool_gradients,
 )
+
+
+def batch_of(generators):
+    """A new compiled batch of the sums ``generators``."""
+    return GeneratorBatch([generator.compiled() for generator in generators])
 
 
 def random_generator(rng, n_qubits, max_weight=2):
@@ -271,8 +275,11 @@ class TestGradients:
         x = rng.normal(size=5) * 0.4
         ansatz = AnsatzState(hf.reference_bitstring, tuple(zip(gens, x)))
         _, full = energy_and_gradient(ansatz, hf.operator)
-        subset = gradient_components(ansatz, hf.operator, [4, 1, 3])
-        np.testing.assert_allclose(subset, full[[4, 1, 3]], atol=1e-12)
+        # the columns of the full gradient in the order given, repeats
+        # included, and bools read as 0 and 1
+        for indices in ([4, 1, 3], [2, 0, 2], [True, False], []):
+            subset = gradient_components(ansatz, hf.operator, indices)
+            assert subset.tobytes() == full[np.array(indices, dtype=int)].tobytes(), indices
 
     def test_gradient_component_index_out_of_range(self, h2_fixture):
         with pytest.raises(ValueError, match="out of range"):
@@ -480,7 +487,7 @@ class TestCompiledIsBitExact:
             assert_rows_bit_exact(generator.compiled(), stack, theta)
         # the pool sweep sums in another order: rounding-level agreement
         np.testing.assert_allclose(
-            generator_gradients(amps, hamiltonian.compiled().apply(amps), generators),
+            batch_of(generators).gradients(amps, hamiltonian.compiled().apply(amps)),
             reference_pool_gradients(amps, n_qubits, hamiltonian, generators),
             rtol=0, atol=1e-12)
 
@@ -938,26 +945,24 @@ class TestRealRoute:
         hfile, pool = fixture_case(case, request)
         rng = np.random.default_rng(7)
         psi, h_psi = rng.normal(size=256), rng.normal(size=256)
-        expected = generator_gradients(psi.astype(complex), h_psi.astype(complex),
-                                       pool.operators)
-        assert generator_gradients(psi, h_psi, pool.operators).tobytes() == expected.tobytes()
+        expected = batch_of(pool.operators).gradients(psi.astype(complex), h_psi.astype(complex))
+        assert batch_of(pool.operators).gradients(psi, h_psi).tobytes() == expected.tobytes()
         ansatz = random_ansatz(rng, hfile, pool, 5)
         _, handle = energy_then_gradient(ansatz, hfile.operator)
         amps = prepare(ansatz).amplitudes
-        expected = generator_gradients(amps, hfile.operator.compiled().apply(amps),
-                                       pool.operators)
+        expected = batch_of(pool.operators).gradients(amps, hfile.operator.compiled().apply(amps))
         assert pool_gradients(handle, pool).tobytes() == expected.tobytes()
 
 
 def odd_y_problem(h2_fixture):
-    """H2 plus ``0.25 YXII`` (not real) and three QE elements: the complex
-    state of ``TestRealRoute::test_other_problems_keep_complex_states``."""
+    """H2 plus ``0.25 YXII`` (not real), three QE elements and the phase
+    ``i X0`` (no Y), which gives ``psi`` a non-zero imaginary part."""
     pool = build_qe_pool(4, 2)
     hamiltonian = PauliSum(4, list(h2_fixture.operator.items())
                            + [(PauliString.from_text("YXII"), 0.25)])
-    ansatz = AnsatzState(h2_fixture.reference_bitstring, tuple(
-        (pool.operators[k], 0.3 + 0.2 * k) for k in range(3)))
-    return hamiltonian, ansatz, pool
+    elements = [(pool.operators[k], 0.3 + 0.2 * k) for k in range(3)]
+    elements.insert(1, (PauliSum.from_text_terms([("XIII", 1j)]), 0.4))
+    return hamiltonian, AnsatzState(h2_fixture.reference_bitstring, tuple(elements)), pool
 
 
 def twelve_qubit_problem(complex_state):
@@ -999,8 +1004,9 @@ class TestDiagonalSweep:
         _, carried = energy_then_gradient(ansatz, hamiltonian)
         real = case not in ("odd_y_h2", "qe12_complex")
         assert carried.psi.dtype == (np.float64 if real else complex)
+        assert real or carried.psi.imag.any()
         grads = pool_gradients(carried, pool)
-        _, (owners, _, _, _) = pool.batch.sweep_table
+        _, (owners, _, _, _) = pool.batch._sweep_table
         assert np.unique(owners).tolist() == list(range(len(pool)))
         expected = reference_pool_gradients(
             prepare(ansatz).amplitudes, ansatz.n_qubits, hamiltonian, pool.operators)
@@ -1018,7 +1024,7 @@ class TestDiagonalSweep:
         hamiltonian = builtin_model("tfim", 8, with_exact=False).operator
         psi = random_amplitudes(rng, 8)
         np.testing.assert_allclose(
-            generator_gradients(psi, hamiltonian.compiled().apply(psi), pool.batch),
+            pool.batch.gradients(psi, hamiltonian.compiled().apply(psi)),
             reference_pool_gradients(psi, 8, hamiltonian, pool.operators), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["h4", "tfim8", "qe12", "qe12_complex"])
@@ -1033,12 +1039,12 @@ class TestDiagonalSweep:
             hamiltonian, rng = hfile.operator, np.random.default_rng(3)
             ansatz = random_ansatz(rng, hfile, pool, 4)
         _, carried = energy_then_gradient(ansatz, hamiltonian)
-        whole = generator_gradients(carried.psi, carried.h_psi, pool.operators)
+        whole = batch_of(pool.operators).gradients(carried.psi, carried.h_psi)
         assert pool_gradients(carried, pool).tobytes() == whole.tobytes()
         for size in (1, 7, len(pool) // 2):
             subset = rng.permutation(len(pool))[:size]
-            part = generator_gradients(carried.psi, carried.h_psi,
-                                       [pool.operators[k] for k in subset])
+            part = batch_of([pool.operators[k] for k in subset]).gradients(
+                carried.psi, carried.h_psi)
             assert part.tobytes() == whole[subset].tobytes()
 
     @pytest.mark.parametrize("case", ["h4", "tfim8", "qe12", "qe12_complex"])
@@ -1072,9 +1078,9 @@ class TestDiagonalSweep:
         _, carried = energy_then_gradient(AnsatzState(h4_equilibrium_fixture.reference_bitstring),
                                           h4_equilibrium_fixture.operator)
         first = pool_gradients(carried, pool)
-        table = pool.batch.sweep_table
+        table = pool.batch._sweep_table
         assert pool_gradients(carried, pool).tobytes() == first.tobytes()
-        assert pool.batch.sweep_table is table
+        assert pool.batch._sweep_table is table
         blocks, (owners, _, _, _) = table
         # a QE single or double is non-zero on 2 of its support patterns
         assert owners.tolist() == sorted(list(range(len(pool))) * 2)
@@ -1088,10 +1094,10 @@ class TestDiagonalSweep:
         pool = build_qe_pool(4, 2)
         psi = random_amplitudes(np.random.default_rng(4), 8)
         with pytest.raises(ValueError, match=r"\(256,\).*\(256,\).*\(16,\)"):
-            generator_gradients(psi, psi, pool.operators)
+            pool.batch.gradients(psi, psi)
         small = build_qe_pool(8, 4)
         with pytest.raises(ValueError, match=r"\(16,\).*\(256,\).*\(256,\)"):
-            generator_gradients(psi[:16], psi, small.operators)
+            small.batch.gradients(psi[:16], psi)
         with pytest.raises(ValueError, match="shape"):
-            generator_gradients(psi.reshape(16, 16), psi.reshape(16, 16), small.batch)
-        assert generator_gradients(psi, psi[:3], []).shape == (0,)
+            small.batch.gradients(psi.reshape(16, 16), psi.reshape(16, 16))
+        assert GeneratorBatch([]).gradients(psi, psi[:3]).shape == (0,)

@@ -57,6 +57,7 @@ REAL_ROUTE = "Real problems run in real arithmetic"
 DIAGONAL = "The 8-qubit pool sweep is one gather, two products and one row sum"
 ONE_SWEEP = "One pool sweep at every size"
 ONE_ROUTE = "One pool-sweep route for every generator"
+FULL_SWEEP = "The sweep keeps only the paths a caller takes"
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,17 @@ MUTANTS = (
         (SIMULATOR, "zip(a.astype(complex, copy=False), b.astype(complex, copy=False))]",
          "zip(a, b)]"),)),
     Mutant("float-vdot-buffer", REAL_ROUTE, (REAL + "test_real_problems_run_in_float64",), (
-        (SIMULATOR, "operands = np.empty((2,) + applied.shape, dtype=complex)",
-         "operands = np.empty((2,) + applied.shape, dtype=applied.dtype)"),)),
+        (SIMULATOR, "operands = np.empty((2, len(generators), lam.size), dtype=complex)",
+         "operands = np.empty((2, len(generators), lam.size), dtype=lam.dtype)"),)),
     Mutant("real-route-without-flag", REAL_ROUTE,
            (REAL + "test_other_problems_keep_complex_states",), (
-        (SIMULATOR, "self.real = compiled_h.real and self.batch.real",
-         "self.real = self.batch.real"),)),
+        (SIMULATOR, "if compiled_h.real and self.batch.real:", "if self.batch.real:"),)),
     Mutant("real-groups-unchecked", REAL_ROUTE, (REAL + "test_float_state_needs_a_real_sum",), (
         (COMPILED, '        if not self.real:\n            raise ValueError("a float64 state '
                    'needs a sum with real scalars")\n', ""),)),
     Mutant("real-route-without-flag-or-check", REAL_ROUTE,
            (REAL + "test_other_problems_keep_complex_states",), (
-        (SIMULATOR, "self.real = compiled_h.real and self.batch.real",
-         "self.real = self.batch.real"),
+        (SIMULATOR, "if compiled_h.real and self.batch.real:", "if self.batch.real:"),
         (COMPILED, '        if not self.real:\n            raise ValueError("a float64 state '
                    'needs a sum with real scalars")\n', ""))),
     Mutant("derivative-unconverted", REAL_ROUTE,
@@ -158,12 +157,12 @@ MUTANTS = (
         (COMPILED, "kept = np.flatnonzero(table)", "kept = np.flatnonzero(table)[1:]"),)),
     Mutant("missing-x-flip", ONE_SWEEP,
            (SWEEP + "test_matches_reference_and_picks_the_same_operator",), (
-        (SIMULATOR, "        index ^= flips\n", ""),)),
+        (COMPILED, "            index ^= flips\n", ""),)),
     Mutant("real-path-for-complex-input", ONE_SWEEP,
-           (SWEEP + "test_matches_reference_and_picks_the_same_operator",), (
-        (SIMULATOR, "if psi.imag.any() or h_psi.imag.any():", "if False:"),)),
+           (SWEEP + "test_matches_reference_and_picks_the_same_operator[odd_y_h2]",), (
+        (COMPILED, "if psi.imag.any() or h_psi.imag.any():", "if False:"),)),
     Mutant("blas-row-sums", ONE_SWEEP, (SWEEP + "test_rows_are_numpy_sums",), (
-        (SIMULATOR, "sums.append(products.sum(axis=1))",
+        (COMPILED, "sums.append(products.sum(axis=1))",
          "sums.append(products @ np.ones(products.shape[1]))"),)),
     Mutant("dropped-x-mask-group", ONE_ROUTE, (MULTI_MASK,), (
         (COMPILED, "for x, support, patterns, table in compiled.sign_table:",
@@ -181,6 +180,20 @@ MUTANTS = (
     Mutant("inverse-hessian-unconverted", ONE_ROUTE,
            ("tests/test_optimizer.py::test_recycled_takes_a_nested_list_inverse_hessian",), (
         (OPTIMIZER, "    h_prev = np.asarray(h_prev, dtype=float)\n", ""),)),
+    Mutant("reverse-stops-before-first", FULL_SWEEP, (
+        SIM + "TestRealRoute::test_real_problems_run_in_float64",
+        SIM + "TestEnergyThenGradient::test_bytes_match_eager_and_reference"), (
+        (SIMULATOR, "for j in range(len(generators) - 1, -1, -1):",
+         "for j in range(len(generators) - 1, 0, -1):"),)),
+    Mutant("sorted-columns", FULL_SWEEP, (
+        SIM + "TestGradients::test_gradient_components_match_full_gradient",
+        SIM + "TestStackedGradientComponents::test_rows_match_one_call_per_point"), (
+        (SIMULATOR, "out[start:start + rows] = grads[:, columns]",
+         "out[start:start + rows] = grads[:, np.sort(columns)]"),)),
+    Mutant("bool-indices-as-mask", FULL_SWEEP,
+           (SIM + "TestGradients::test_gradient_components_match_full_gradient",), (
+        (SIMULATOR, "columns = np.asarray(indices, dtype=np.intp)",
+         "columns = np.asarray(indices)"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
