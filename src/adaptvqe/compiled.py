@@ -1,8 +1,8 @@
 """Pauli sums compiled for the dense statevector engine.
 
 This module owns the engine's arithmetic invariants: the bit-exact rule,
-the term table, stacks and batches, the pool sweep's summation order and
-the real route.  ``CHANGES.md`` holds the measurements behind each choice.
+the term table, the X-mask route, batches, the pool sweep's summation order
+and the real route.  ``CHANGES.md`` holds the measurements behind each choice.
 
 A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
 builds it on first use and keeps it on the sum, so an operator is analysed
@@ -13,12 +13,15 @@ its Y letters and ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so a
 compiled sum holds
 
 * its terms in canonical ``(x_mask, z_mask)`` order, grouped by X mask, with
-  one gather index ``b -> b ^ x`` per mask and one read-only sign vector
-  ``(-1)^popcount(b & z)`` per Z mask, shared by every sum of the process
-  with the same qubit count, Z mask and dtype.  Up to
-  ``_TABLE_AMPLITUDE_CAP`` amplitudes these are ``np.intp`` and complex
-  ``±1``, the arrays numpy would cast to on every call; above it, int32 and
-  int8, which take less memory;
+  one gather index ``b -> b ^ x`` and one read-only int8 sign stack per
+  mask, row ``k`` the ``(-1)^popcount(b & z)`` of its ``k``-th term, each
+  stack a slice of one array per sum.  Up to
+  ``_TABLE_AMPLITUDE_CAP`` amplitudes the gather indices are ``np.intp``
+  and each term's sign vector a read-only complex ``±1`` vector per Z mask,
+  shared by every sum of the process with the same qubit count, Z mask and
+  dtype: the arrays numpy would cast to on every call.  Above it the
+  indices are int32 and each term's sign vector is its row of the stack, a
+  view, so the signs take one int8 per amplitude and term;
 * each term's folded scalar, its coefficient times ``(-i)^y``;
 * for a generator, one rotation ``(flip, signs, imag, unit)`` per term,
   built once, after the generator check;
@@ -43,10 +46,24 @@ per term, the scalar times its sign vector, with one gather index each.
 That replays the per-term rounding: a sign is ``±1`` and rounding is
 symmetric under negation; the table stays the left operand; numpy adds the
 rows of a C-contiguous array along axis 0 one after another; and the sum
-starts from ``+0``, as the per-term accumulator did.  Larger states keep
-the per-term loop, since there a table is large and slower.  **Stacks** of
-states, shape ``(m, 2^q)``, are applied term by term along the last axis,
-never through the table, so every row is bit for bit the 1-D result.
+starts from ``+0``, as the per-term accumulator did.  Larger states take
+the X-mask route, since there a table is large and slower.
+
+**X-mask route.**  Every other state, and every stack of states of shape
+``(m, 2^q)``, applied along the last axis, goes one X mask at a time: one
+gather, then, for each block of the mask's terms in canonical order (at
+most ``_STACK_ROWS`` terms and ``_STACK_AMPLITUDES`` amplitudes), one
+product of their scalars by the gathered state into one buffer allocated
+per call, one product by the block's rows of the sign stack, the
+accumulator added to the block's first row and one ``np.add.reduce`` along
+axis 0 into the accumulator.  That replays the per-term rounding too:
+``(c g) s`` and ``c (g s)`` differ at most in the sign of a zero, since
+``s = ±1``; IEEE addition commutes, so ``t + out`` is ``out + t``; the
+accumulator starts from ``+0`` and, rounding to nearest, becomes ``-0``
+only when both addends are, so no sign of a zero reaches it; and numpy adds
+the rows along axis 0 one after another.  So every row of a stack is bit
+for bit the 1-D result.
+
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
 its own small state, in one gather, product and sum over their tables
 stacked and padded with zero rows; the sum starts from ``+0``
@@ -55,12 +72,15 @@ byte for byte its generator's ``apply``.  Its ansatz or pool keeps it.
 
 **Pool sweeps.**  The pool sweep reads ``2 Re <H psi|A_k psi>`` for every
 generator of a pool and feeds only the tolerant argmax of the selection,
-so it alone may sum in another order.  :attr:`CompiledSum.sign_table` holds
-one ``(x, S, patterns, t)`` per X mask of the terms, and ``<H psi|A psi>``
+so it alone may sum in another order.  Each X mask ``x`` of a generator
+has a sign table: ``S`` the qubit support of the mask's terms, ``x`` and
+every Z mask; a pattern ``c`` a subset of ``S``; and ``t[c]`` the sum of
+each of those terms' ``coeff i^y (-1)^popcount(c & z)``.  ``<H psi|A psi>``
 is the sum over the masks of ``sum_c t[c] r[c]``, with ``r[c]`` the sum of
 ``psi[b] conj((H psi)[b ^ x])`` over the ``b`` whose bits on ``S`` are
 ``c``, read only where ``t[c] != 0``.  :meth:`GeneratorBatch.gradients`
-is the sweep.  It reads a table, built once per batch, of one row per
+is the sweep.  It reads a table, built once per batch with no loop over
+its generators, of one row per
 needed ``(x, S, c)``, shared by the generators that need it; it gathers and
 multiplies blocks of rows, sums each row with numpy's ``sum(axis=1)`` and
 adds each generator's rows times its entries with ``np.bincount``.  No
@@ -101,6 +121,11 @@ _TABLE_AMPLITUDE_CAP = 1 << 8
 
 _UNIT_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# Terms, and amplitudes (16 12-qubit states), per block of the X-mask route
+# of ``apply``: the sizes that timed fastest.
+_STACK_ROWS = 16
+_STACK_AMPLITUDES = _STACK_ROWS << 12
+
 # Amplitudes per block of the pool sweep's rows: the size that timed fastest.
 _SWEEP_BLOCK = 1 << 13
 
@@ -113,7 +138,7 @@ _SIGN_VECTORS: dict[tuple[int, int, type], np.ndarray] = {}
 
 def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
     """(-1)^popcount(b & z_mask) for every basis index b."""
-    parity = np.bitwise_count(index & np.uint64(z_mask)) & 1
+    parity = np.bitwise_count(index & z_mask) & 1
     return (1 - 2 * parity).astype(np.int8)
 
 
@@ -129,6 +154,55 @@ def _shared_signs(n_qubits: int, index: np.ndarray, z_mask: int,
         signs.setflags(write=False)
         _SIGN_VECTORS[key] = signs
     return signs
+
+
+def _deposit(counts: np.ndarray, masks: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Each count's bits, lowest first, placed on the set bits of its mask,
+    as int32: the counts ``0, 1, ...`` give the subsets of a mask in
+    ascending order."""
+    out = np.zeros(np.broadcast_shapes(counts.shape, masks.shape), dtype=np.int32)
+    counts, bits = np.broadcast_to(counts, out.shape).astype(np.int32), np.empty_like(out)
+    for q in range(n_qubits):
+        on = (masks >> q & 1).astype(np.int32)
+        np.bitwise_and(counts, on, out=bits)
+        bits <<= q
+        out |= bits
+        counts >>= on
+    return out
+
+
+def _sign_tables(generators: Sequence["CompiledSum"]) -> tuple:
+    """The sign tables of every X mask of ``generators`` (see "Pool sweeps"
+    in the module doc), flat: ``((owner, x, support), (group, patterns,
+    t_real, t_imag))``, the first one entry per mask of each generator in
+    order, the second one per pattern ``c`` with ``t[c] != 0`` of each mask,
+    in ascending order.
+
+    Each ``t[c]`` is summed over its mask's terms in canonical order from
+    ``+0`` by ``np.bincount``, one parity for every term and pattern.
+    """
+    n_qubits = generators[0].n_qubits
+    owner = np.repeat(np.arange(len(generators)), [len(g.terms) for g in generators])
+    x = np.array([s.x_mask for g in generators for s, _ in g.terms], dtype=np.int32)
+    z = np.array([s.z_mask for g in generators for s, _ in g.terms], dtype=np.int32)
+    scalars = np.array([c * _UNIT_PHASES[(s.x_mask & s.z_mask).bit_count() % 4]
+                        for g in generators for s, c in g.terms], dtype=complex)
+    starts = (np.diff(owner, prepend=-1) != 0) | (np.diff(x, prepend=-1) != 0)
+    group, first = np.cumsum(starts) - 1, np.flatnonzero(starts)
+    support = np.bitwise_or.reduceat(z, first) | x[first]
+    width = 1 << np.bitwise_count(support).astype(np.int64)
+    offset = np.cumsum(width) - width
+    owned = np.repeat(np.arange(first.size), width)
+    patterns = _deposit(np.arange(owned.size) - offset[owned], support[owned], n_qubits)
+    reads = width[group]
+    pair = np.arange(reads.sum())
+    pair -= np.repeat(np.cumsum(reads) - reads - offset[group], reads)
+    signs = _parity_signs(patterns[pair], np.repeat(z, reads))
+    t_real, t_imag = (np.bincount(pair, np.repeat(part, reads) * signs, minlength=patterns.size)
+                      for part in (scalars.real, scalars.imag))
+    kept = (t_real != 0) | (t_imag != 0)
+    return ((owner[first], x[first], support),
+            (owned[kept], patterns[kept], t_real[kept], t_imag[kept]))
 
 
 class CompiledSum:
@@ -164,49 +238,60 @@ class CompiledSum:
     def real(self) -> bool:
         """Every folded scalar is real, so a float64 state stays real (see
         "Real problems" in the module doc)."""
-        return all(scalar.imag == 0.0 for _, terms in self._groups for *_, scalar, _ in terms)
+        return all(not scalars.imag.any() for *_, scalars in self._groups)
 
     @cached_property
     def _groups(self) -> tuple:
-        """``((flip, terms), ...)`` per X mask in canonical order.
+        """``((flip, terms, signs, scalars), ...)`` per X mask in canonical
+        order.
 
         ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
-        mask; each term is ``(signs, coeff, unit, scalar, z)`` with ``signs``
-        the shared vector ``(-1)^popcount(b & z)``, None for a Z mask of 0, ``unit``
-        the folded phase ``(-i)^y``, ``scalar = coeff * unit`` and ``z`` the
-        Z mask.  The
-        flips are ``np.intp`` and the signs complex up to
-        ``_TABLE_AMPLITUDE_CAP`` amplitudes, int32 and int8 above it (see
-        the module doc).
+        mask; ``signs`` the mask's read-only int8 stack, one row
+        ``(-1)^popcount(b & z)`` per term, and ``scalars`` the column of its
+        terms' folded scalars.  The stacks are consecutive slices of one
+        array, filled a row at a time, so no temporary outgrows a row.  Each
+        term is ``(signs, coeff, unit, scalar, z)`` with ``signs`` its sign
+        vector, None for a Z mask of 0, ``unit`` the folded phase ``(-i)^y``,
+        ``scalar = coeff * unit`` and ``z`` the Z mask.  Up to
+        ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are ``np.intp`` and a
+        term's signs the shared complex vector; above it the flips are int32
+        and a term's signs a row of its mask's stack (see the module doc).
         """
         dim = 1 << self.n_qubits
-        flip_type, sign_type = ((np.intp, complex) if dim <= _TABLE_AMPLITUDE_CAP
-                                else (np.int32, np.int8))
+        tabled = dim <= _TABLE_AMPLITUDE_CAP
         index = np.arange(dim, dtype=np.uint64)
-        groups: list[tuple[np.ndarray | None, list]] = []
-        last_x = None
-        for string, coeff in self.terms:
-            x, z = string.x_mask, string.z_mask
-            if x != last_x:
-                flip = (index ^ np.uint64(x)).astype(flip_type) if x else None
-                groups.append((flip, []))
-                last_x = x
-            signs = _shared_signs(self.n_qubits, index, z, sign_type) if z else None
-            unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
-            groups[-1][1].append((signs, coeff, unit, coeff * unit, z))
-        return tuple((flip, tuple(terms)) for flip, terms in groups)
+        rows = np.empty((len(self.terms), dim), dtype=np.int8)
+        for row, (string, _) in zip(rows, self.terms):
+            row[...] = _parity_signs(index, string.z_mask)
+        rows.setflags(write=False)
+        groups, start = [], 0
+        for x, group in groupby(self.terms, key=lambda term: term[0].x_mask):
+            group = tuple(group)
+            stack, start = rows[start:start + len(group)], start + len(group)
+            terms = []
+            for (string, coeff), row in zip(group, stack):
+                z = string.z_mask
+                signs = (None if not z else _shared_signs(self.n_qubits, index, z, complex)
+                         if tabled else row)
+                unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
+                terms.append((signs, coeff, unit, coeff * unit, z))
+            flip = (index ^ np.uint64(x)).astype(np.intp if tabled else np.int32) if x else None
+            groups.append((flip, tuple(terms), stack, np.array([[term[3]] for term in terms])))
+        return tuple(groups)
 
     @cached_property
     def _real_groups(self) -> tuple:
-        """``_groups`` for float64 states: the same flips, each scalar's real
-        part and, up to ``_TABLE_AMPLITUDE_CAP`` amplitudes, float64 signs."""
+        """``_groups`` for float64 states: the same flips and stacks, each
+        scalar's real part and, up to ``_TABLE_AMPLITUDE_CAP`` amplitudes,
+        shared float64 signs."""
         if not self.real:
             raise ValueError("a float64 state needs a sum with real scalars")
         index = np.arange(1 << self.n_qubits, dtype=np.uint64)
         return tuple((flip, tuple(
             (signs if signs is None or signs.dtype == np.int8
              else _shared_signs(self.n_qubits, index, z, float), coeff, unit, scalar.real, z)
-            for signs, coeff, unit, scalar, z in terms)) for flip, terms in self._groups)
+            for signs, coeff, unit, scalar, z in terms), stack, scalars.real.copy())
+            for flip, terms, stack, scalars in self._groups)
 
     def _rotations_of(self, groups: tuple) -> tuple:
         """``(flip, signs, imag, unit)`` per term of a generator in canonical
@@ -214,7 +299,7 @@ class CompiledSum:
         :meth:`check_generator` does for any other sum."""
         self.check_generator()
         return tuple((flip, signs, coeff.imag, unit)
-                     for flip, terms in groups for signs, coeff, unit, *_ in terms)
+                     for flip, terms, *_ in groups for signs, coeff, unit, *_ in terms)
 
     _rotations = cached_property(lambda self: self._rotations_of(self._groups))
     _real_rotations = cached_property(lambda self: self._rotations_of(self._real_groups))
@@ -226,7 +311,7 @@ class CompiledSum:
         dim = 1 << self.n_qubits
         index = np.arange(dim, dtype=np.intp)
         rows, flips = [], []
-        for flip, terms in groups:
+        for flip, terms, *_ in groups:
             gather = index if flip is None else flip
             for signs, _, _, scalar, _ in terms:
                 rows.append(np.full(dim, scalar) if signs is None else scalar * signs)
@@ -238,12 +323,13 @@ class CompiledSum:
     _real_table = cached_property(lambda self: self._tabulate(self._real_groups, float))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """``O|psi>``: term by term in canonical order, one gather per X mask.
+        """``O|psi>``, in canonical term order, one gather per X mask.
 
         ``amps`` is one state or a stack of states, one per row, complex or,
         for a :attr:`real` sum, float64.  A state of at most
         ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
-        table in three numpy calls (see the module doc).
+        table in three numpy calls, any other in blocks of each X mask's
+        terms (see the module doc).
         """
         real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
@@ -251,11 +337,22 @@ class CompiledSum:
             gathered = amps.take(flips)
             np.multiply(table, gathered, out=gathered)
             return gathered.sum(axis=0, initial=0)
+        groups = self._real_groups if real else self._groups
         out = np.zeros_like(amps)
-        for flip, terms in self._real_groups if real else self._groups:
+        longest = max((len(scalars) for *_, scalars in groups), default=0)
+        step = max(1, min(_STACK_ROWS, _STACK_AMPLITUDES // max(amps.size, 1)))
+        block = np.empty((min(longest, step), *amps.shape), dtype=amps.dtype)
+        for flip, _, signs, scalars in groups:
             gathered = amps if flip is None else amps.take(flip, axis=-1)
-            for signs, _, _, scalar, _ in terms:
-                out += scalar * (gathered if signs is None else gathered * signs)
+            if amps.ndim == 2:
+                signs, scalars = signs[:, None], scalars[:, None]
+            for start in range(0, len(scalars), step):
+                stop = min(start + step, len(scalars))
+                rows = block[:stop - start]
+                np.multiply(scalars[start:stop], gathered, out=rows)
+                rows *= signs[start:stop]
+                rows[0] += out
+                np.add.reduce(rows, axis=0, out=out)
         return out
 
     def exponential(self, amps: np.ndarray, theta: float) -> np.ndarray:
@@ -283,37 +380,6 @@ class CompiledSum:
             amps = np.cos(w) * amps + factor * rotated
         return amps
 
-    @cached_property
-    def sign_table(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
-        """``(x_mask, support, patterns, table)`` per X mask of the terms, in
-        canonical order.
-
-        ``support`` is the qubit support of the mask's terms, ``x`` and every
-        Z mask.  A pattern ``c`` is a subset of it, and ``t[c]`` the sum of
-        each of those terms' ``coeff i^y (-1)^popcount(c & z)``, so that the
-        mask's share of ``<phi|A psi>`` is the sum of
-        ``t[c] conj(phi[b ^ x]) psi[b]`` over every ``b`` whose bits on
-        ``support`` are some ``c``.  ``patterns`` (uint64, ascending) and
-        ``table`` keep only the ``c`` with ``t[c] != 0``.
-        """
-        tables = []
-        for x_mask, group in groupby(self.terms, key=lambda term: term[0].x_mask):
-            terms = tuple(group)
-            support = x_mask
-            for string, _ in terms:
-                support |= string.z_mask
-            patterns = np.zeros(1, dtype=np.uint64)
-            for q in range(self.n_qubits):
-                if support >> q & 1:
-                    patterns = np.concatenate([patterns, patterns | np.uint64(1 << q)])
-            z_masks = np.array([[s.z_mask] for s, _ in terms], dtype=np.uint64)
-            scalars = np.array([[coeff * _UNIT_PHASES[(s.x_mask & s.z_mask).bit_count() % 4]]
-                                for s, coeff in terms])
-            table = (scalars * _parity_signs(patterns, z_masks)).sum(axis=0)
-            kept = np.flatnonzero(table)
-            tables.append((x_mask, support, patterns[kept], table[kept]))
-        return tuple(tables)
-
     def dense(self) -> np.ndarray:
         """The one full-dimension matrix form of the sum, read from the same
         groups as :meth:`apply`, site 0 least significant: each term in
@@ -323,7 +389,7 @@ class CompiledSum:
         dim = 1 << self.n_qubits
         index = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for flip, terms in self._groups:
+        for flip, terms, *_ in self._groups:
             cols = index if flip is None else flip
             for signs, _, _, scalar, _ in terms:
                 out[index, cols] += scalar if signs is None else scalar * signs
@@ -415,31 +481,30 @@ class GeneratorBatch:
         ``(outers, slots, patterns, flips)`` holds about ``_SWEEP_BLOCK``
         amplitudes of rows of one size: the int32 ``o`` of each of their
         supports, and per row its support's slot, ``c`` and ``x``.
-        ``entries`` are ``(owners, rows, real, imag)``, one per pattern of
-        each X mask's :attr:`~CompiledSum.sign_table` of each generator:
-        the generator's index, the row and ``t[c]``.
+        ``entries`` are ``(owners, rows, real, imag)``, one per kept pattern
+        of each X mask of each generator (:func:`_sign_tables`): the
+        generator's index, the row and ``t[c]``.  The ``o`` are the counts
+        ``0, 1, ...`` deposited on the qubits outside ``S``.
         """
         n_qubits = self.generators[0].n_qubits
-        owners, keys, values = [], [], [np.empty(0, dtype=complex)]
-        for k, compiled in enumerate(self.generators):
-            for x, support, patterns, table in compiled.sign_table:
-                owners += [k] * patterns.size
-                keys += [(support.bit_count(), support, c, x) for c in patterns.tolist()]
-                values.append(table)
-        rows = {key: j for j, key in enumerate(sorted(set(keys)))}
-        index = np.arange(1 << n_qubits)
+        (owner, x, support), (group, patterns, t_real, t_imag) = _sign_tables(self.generators)
+        support, x = support[group], x[group]
+        keys = np.stack([np.bitwise_count(support).astype(np.int64), support, patterns, x], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        fresh = (np.diff(keys[order], axis=0, prepend=-1) != 0).any(axis=1)
+        rows = np.empty(order.size, dtype=np.intp)
+        rows[order] = np.cumsum(fresh) - 1
+        unique = keys[order[fresh]]
         blocks = []
-        for size in sorted({key[0] for key in rows}):
-            run = [key for key in rows if key[0] == size]
-            slots = {support: j for j, support in enumerate(sorted({key[1] for key in run}))}
-            outers = np.array([np.flatnonzero(index & support == 0) for support in slots],
-                              dtype=np.int32)
+        for size in sorted(set(unique[:, 0].tolist())):
+            run = unique[unique[:, 0] == size]
+            fresh = np.diff(run[:, 1], prepend=-1) != 0
+            free = ((1 << n_qubits) - 1) & ~run[fresh, 1]
+            outers = _deposit(np.arange(1 << n_qubits - size), free[:, None], n_qubits)
+            slots = np.cumsum(fresh) - 1
             step = max(1, _SWEEP_BLOCK >> n_qubits - size)
             for start in range(0, len(run), step):
-                _, supports, patterns, flips = np.array(run[start:start + step]).T
-                blocks.append((outers, np.array([slots[s] for s in supports.tolist()]),
-                               patterns[:, None].astype(np.int32), flips[:, None].astype(np.int32)))
-        t = np.concatenate(values)
-        return blocks, (np.array(owners, dtype=np.intp),
-                        np.array([rows[key] for key in keys], dtype=np.intp),
-                        t.real.copy(), t.imag.copy())
+                part = run[start:start + step]
+                blocks.append((outers, slots[start:start + step],
+                               part[:, 2:3].astype(np.int32), part[:, 3:4].astype(np.int32)))
+        return blocks, (owner[group].astype(np.intp), rows, t_real, t_imag)

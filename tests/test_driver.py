@@ -10,7 +10,7 @@ import pytest
 
 import adaptvqe.driver as driver_module
 import adaptvqe.optimizer as optimizer_module
-from adaptvqe.compiled import GeneratorBatch
+from adaptvqe.compiled import GeneratorBatch, _sign_tables
 from adaptvqe.driver import MODES, pool_gradients, run_adapt, select_operator
 from adaptvqe.experiment import ExperimentConfig
 from adaptvqe.hamiltonians import builtin_model
@@ -114,7 +114,8 @@ class TestPoolGradients:
             (pool.operators[int(i)], float(t))
             for i, t in zip(picks, rng.normal(size=4) * 0.5)))
         state = prepare(ansatz)
-        assert all(len(op.compiled().sign_table) == 1 for op in pool.operators)
+        (owners, _, _), _ = _sign_tables([op.compiled() for op in pool.operators])
+        assert owners.tolist() == list(range(len(pool)))  # one X mask each
         grads = pool_gradients(carried_at(ansatz, hfile.operator), pool)
         expected = reference_pool_gradients(
             state.amplitudes, state.n_qubits, hfile.operator, pool.operators)
@@ -132,7 +133,8 @@ class TestPoolGradients:
             [("XYII", 0.3j), ("YXII", -0.5j), ("IIYX", -0.7j), ("ZZII", 0.4j), ("ZZZZ", 0.2j)])
         pool = OperatorPool("Qubit", 4, (two_masks, three_masks, build_qe_pool(4, 2).operators[2]),
                             ("two", "three", "double"))
-        assert [len(op.compiled().sign_table) for op in pool.operators] == [2, 3, 1]
+        (owners, _, _), _ = _sign_tables([op.compiled() for op in pool.operators])
+        assert np.bincount(owners).tolist() == [2, 3, 1]  # X masks per operator
         hamiltonian = h2_fixture.operator
         rng = np.random.default_rng(12)
         for psi in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptvqe import compiled as compiled_module
-from adaptvqe.compiled import _TABLE_AMPLITUDE_CAP, CompiledSum, GeneratorBatch
+from adaptvqe.compiled import _STACK_ROWS, _TABLE_AMPLITUDE_CAP, CompiledSum, GeneratorBatch
 from adaptvqe.cost import CostLedger
 from adaptvqe.driver import pool_gradients, select_operator
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
@@ -592,17 +592,45 @@ def test_exponential_matches_reference_up_to_the_sign_of_a_zero():
 
 def signs_by_z_mask(compiled):
     """Z mask -> the sign vector a compiled sum holds for it."""
-    held = [signs for _, terms in compiled._groups for signs, *_ in terms]
+    held = [signs for _, terms, *_ in compiled._groups for signs, *_ in terms]
     return {string.z_mask: signs for (string, _), signs in zip(compiled.terms, held)
             if string.z_mask}
+
+
+def assert_signs_are_stack_rows(groups, n_qubits):
+    """Above the size key: one read-only int8 stack per X mask, row ``k``
+    the ``(-1)^popcount(b & z)`` of its ``k``-th term, and each term's signs
+    that row, a view (None for a Z mask of 0).  The stacks are consecutive
+    views of one array of the sum, so no two masks share a row."""
+    index = np.arange(1 << n_qubits, dtype=np.uint64)
+    rows = groups[0][2].base
+    assert rows is not None and not rows.flags.writeable
+    for _, terms, stack, _ in groups:
+        assert stack.dtype == np.int8 and not stack.flags.writeable
+        assert stack.shape == (len(terms), 1 << n_qubits) and stack.base is rows
+        for k, (signs, *_, z) in enumerate(terms):
+            assert stack[k].tobytes() == compiled_module._parity_signs(index, z).tobytes()
+            if z:
+                assert signs.base is rows
+                assert signs.__array_interface__ == stack[k].__array_interface__
+            else:
+                assert signs is None
+    assert sum(len(stack) for _, _, stack, _ in groups) == len(rows)
 
 
 class TestSharedSigns:
     @pytest.mark.parametrize("n_qubits", [8, 12])
     def test_sums_with_a_common_z_mask_share_one_read_only_vector(self, n_qubits):
+        """Up to the size key, sums with a common Z mask share one read-only
+        complex vector; above it each X mask holds one read-only int8 stack
+        and each term's signs are a row of it."""
         pad = "I" * (n_qubits - 4)
         first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
         second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
+        if n_qubits == 12:
+            for operator in (first, second):
+                assert_signs_are_stack_rows(operator.compiled()._groups, n_qubits)
+            return
         first_signs = signs_by_z_mask(first.compiled())
         second_signs = signs_by_z_mask(second.compiled())
         common = set(first_signs) & set(second_signs)
@@ -617,7 +645,7 @@ class TestSharedSigns:
     def test_real_route_signs_are_shared_too(self, n_qubits):
         """The float64 route holds one read-only float64 sign vector per
         qubit count and Z mask up to the size key, and above it the int8
-        vectors of the complex route."""
+        stacks of the complex route and their rows."""
         pad = "I" * (n_qubits - 4)
         first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
         second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
@@ -625,14 +653,18 @@ class TestSharedSigns:
         for operator in (first, second):
             compiled = operator.compiled()
             assert compiled.real
-            held = [signs for _, terms in compiled._real_groups for signs, *_ in terms]
+            if n_qubits == 12:
+                assert_signs_are_stack_rows(compiled._real_groups, n_qubits)
+                for (_, real_terms, real_stack, _), (_, terms, stack, _) in zip(
+                        compiled._real_groups, compiled._groups):
+                    assert real_stack is stack
+                    assert all(a[0] is b[0] for a, b in zip(real_terms, terms))
+                continue
+            held = [signs for _, terms, *_ in compiled._real_groups for signs, *_ in terms]
             for (string, _), signs in zip(compiled.terms, held):
-                if n_qubits == 8:
-                    assert signs is compiled_module._shared_signs(
-                        n_qubits, index, string.z_mask, float)
-                    assert signs.dtype == np.float64 and not signs.flags.writeable
-                else:
-                    assert signs is signs_by_z_mask(compiled)[string.z_mask]
+                assert signs is compiled_module._shared_signs(
+                    n_qubits, index, string.z_mask, float)
+                assert signs.dtype == np.float64 and not signs.flags.writeable
 
     def test_h4_bytes_do_not_depend_on_sharing(self, h4_equilibrium_fixture, monkeypatch):
         """``apply`` and ``exponential`` of the H4 Hamiltonian and QE pool
@@ -664,6 +696,44 @@ class TestSharedSigns:
         monkeypatch.setattr(compiled_module, "_shared_signs", own_signs)
         assert outputs() == shared
 
+    def test_12_qubit_bytes_do_not_depend_on_the_stack_rows(self):
+        """At 12 qubits, ``apply`` and ``exponential`` of a sum with many
+        terms per X mask and of QE generators, complex and float64, on 1-D
+        states and stacks, with each term's signs a row of its mask's stack
+        against the same sums with every stack and row a private copy; and
+        ``apply`` against the per-term reference."""
+        rng = np.random.default_rng(12)
+        hamiltonian = masked_sum(rng, 12)
+        pool = build_qe_pool(12, 6)
+        generators = [pool.operators[int(k)] for k in rng.choice(len(pool), 4, replace=False)]
+        states = [random_amplitudes(rng, 12), basis_amplitudes(12, 0b111111)]
+        states += [amps.real.copy() for amps in states]
+        stacks = [np.stack(states[:2]), np.stack(states[2:])]
+
+        def outputs(compiled_sums):
+            out = []
+            for operator, compiled in zip((hamiltonian, *generators), compiled_sums):
+                for amps in (*states, *stacks):
+                    out.append(compiled.apply(amps).tobytes())
+                    if operator is not hamiltonian:
+                        out.append(compiled.exponential(amps, 0.3).tobytes())
+            return out
+
+        viewed = [CompiledSum(operator) for operator in (hamiltonian, *generators)]
+        copied = [CompiledSum(operator) for operator in (hamiltonian, *generators)]
+        for compiled in copied:
+            compiled._groups = tuple(
+                (flip, tuple((None if signs is None else signs.copy(), *rest)
+                             for signs, *rest in terms), stack.copy(), scalars)
+                for flip, terms, stack, scalars in compiled._groups)
+            assert not any(np.shares_memory(signs, stack)
+                           for _, terms, stack, _ in compiled._groups
+                           for signs, *_ in terms if signs is not None)
+        assert outputs(viewed) == outputs(copied)
+        for amps in states[:2]:
+            assert (viewed[0].apply(amps).tobytes()
+                    == reference_apply_sum(amps, 12, hamiltonian).tobytes())
+
 
 def random_sum(rng, n_qubits, n_terms, n_masks):
     """Random Hermitian sum of ``n_terms`` strings on ``n_masks`` X masks."""
@@ -672,6 +742,68 @@ def random_sum(rng, n_qubits, n_terms, n_masks):
     return PauliSum(n_qubits, [
         (PauliString(n_qubits, int(rng.choice(x_masks)), int(rng.integers(0, full))),
          float(rng.normal())) for _ in range(n_terms)])
+
+
+def masked_sum(rng, n_qubits, n_terms=80):
+    """``n_terms`` strings with real scalars on three X masks and the Z-only
+    mask, so that most masks hold more than ``_STACK_ROWS`` terms."""
+    full = 1 << n_qubits
+    x_masks = [0] + rng.integers(1, full, size=3).tolist()
+    terms = []
+    for _ in range(n_terms):
+        x, z = int(rng.choice(x_masks)), int(rng.integers(0, full))
+        coeff = float(rng.normal())
+        terms.append((PauliString(n_qubits, x, z),
+                      1j * coeff if (x & z).bit_count() % 2 else coeff))
+    return PauliSum(n_qubits, terms)
+
+
+def signed_zero_states(rng, n_qubits):
+    """Complex states made of signed zeros: all ``-0 - 0i``, all ``-0 + 0i``
+    and a random state with half its parts replaced by ``-0`` or ``+0``."""
+    dim = 1 << n_qubits
+    mixed = random_amplitudes(rng, n_qubits)
+    parts = mixed.view(np.float64)
+    parts[rng.random(2 * dim) < 0.5] = -0.0
+    parts[rng.random(2 * dim) < 0.25] = 0.0
+    return [np.full(dim, complex(-0.0, -0.0)), np.full(dim, complex(-0.0, 0.0)), mixed]
+
+
+class TestMaskBlocks:
+    """Above the term table, and for every stack, ``apply`` runs one X mask
+    at a time in blocks of at most ``_STACK_ROWS`` terms (fewer for a stack
+    of more than ``_STACK_AMPLITUDES`` amplitudes): byte for byte the
+    per-term reference on complex states, and its real part on float64
+    states."""
+
+    @pytest.mark.parametrize("n_qubits", [8, 9, 10, 12])
+    def test_matches_reference_bytes(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        operator = masked_sum(rng, n_qubits)
+        compiled = operator.compiled()
+        assert compiled.real
+        sizes = [len(scalars) for *_, scalars in compiled._groups]
+        assert compiled._groups[0][0] is None  # the Z-only mask
+        assert max(sizes) > _STACK_ROWS and any(size % _STACK_ROWS for size in sizes)
+        states = [random_amplitudes(rng, n_qubits), *signed_zero_states(rng, n_qubits)]
+
+        def expected(amps):
+            return reference_apply_sum(amps.astype(complex), n_qubits, operator)
+
+        for amps in (*states, *(amps.real.copy() for amps in states)):
+            reference = expected(amps)
+            if amps.dtype == np.float64:
+                reference = reference.real
+            if n_qubits > 8:
+                assert compiled.apply(amps).tobytes() == reference.tobytes()
+            # a stack with the state in its middle row
+            stack = np.stack([np.roll(amps, 1), amps, 2 * amps])
+            assert compiled.apply(stack)[1].tobytes() == reference.tobytes()
+        for stack in (np.stack(states), np.stack([amps.real for amps in states])):
+            for row, got in zip(stack, compiled.apply(stack)):
+                reference = expected(row)
+                assert got.tobytes() == (reference.real if row.dtype == np.float64
+                                         else reference).tobytes()
 
 
 class TestTermTable:
@@ -716,8 +848,8 @@ class TestTermTable:
             for generator, theta in zip(generators, thetas):
                 # a fresh compiled form, built under the current key
                 compiled = PauliSum(n_qubits, generator.items()).compiled()
-                flips = {flip.dtype for flip, _ in compiled._groups if flip is not None}
-                signs = {signs.dtype for _, terms in compiled._groups
+                flips = {flip.dtype for flip, *_ in compiled._groups if flip is not None}
+                signs = {signs.dtype for _, terms, *_ in compiled._groups
                          for signs, *_ in terms if signs is not None}
                 assert flips == {np.dtype(np.intp if precast else np.int32)}
                 assert signs == {np.dtype(complex if precast else np.int8)}
@@ -1065,12 +1197,14 @@ class TestDiagonalSweep:
         index = np.arange(psi.size)
         grads = pool_gradients(carried, pool)
         for k, generator in enumerate(pool.operators):
+            (_, xs, supports), (group, patterns, t_real, t_imag) = compiled_module._sign_tables(
+                [generator.compiled()])
             total = 0.0
-            for x, support, patterns, table in generator.compiled().sign_table:
-                for c, t in zip(patterns.tolist(), table):
-                    b = index[index & support == c]
-                    row = np.sum(psi[b] * np.conj(h_psi[b ^ x]))
-                    total += t.real * row.real - t.imag * row.imag
+            for g, c, t_re, t_im in zip(group, patterns.tolist(), t_real, t_imag):
+                x, support = int(xs[g]), int(supports[g])
+                b = index[index & support == c]
+                row = np.sum(psi[b] * np.conj(h_psi[b ^ x]))
+                total += t_re * row.real - t_im * row.imag
             assert float(grads[k]).hex() == float(2.0 * total).hex(), k
 
     def test_table_is_built_once_and_dies_with_the_pool(self, h4_equilibrium_fixture):

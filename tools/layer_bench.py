@@ -46,7 +46,13 @@ The cases are
   (drawn from the whole pool, so its even-Y strings keep it complex), and
   the ``AnsatzState.with_parameters`` call inside it
   (``with_parameters.n20``); and one for H4 with 10 QE operators
-  (``trial.h4_n10``), on the float64 route.
+  (``trial.h4_n10``), on the float64 route;
+* the 12-qubit line-search trial (``trial.h6_n6``): ``evaluate`` and its
+  gradient read for H6 with 6 QE operators, on the float64 route, where a
+  trial costs about one X-mask Hamiltonian application;
+* one stacked Hamiltonian application at 8 qubits
+  (``hamiltonian_apply.h4_stack20_real``): H4 on 20 float64 states, the
+  shape of the stacked sweep of an exact Hessian of 10 operators.
 
 The cases added last draw their random inputs last, so every earlier case
 keeps the inputs it had before them.
@@ -234,6 +240,13 @@ def cases(rng) -> dict:
     _, tfim8_carried = energy_then_gradient(random_ansatz(rng, tfim8, nn_pool, 4),
                                             tfim8.operator)
     out["pool_sweep.tfim8"] = lambda: pool_gradients(tfim8_carried, nn_pool)
+    h6_ansatz = random_ansatz(rng, h6, h6_pool, 6)
+    h6_objective = AnsatzObjective(h6.operator, h6_ansatz)
+    h6_x = h6_ansatz.parameters + 0.01
+    out["trial.h6_n6"] = lambda: h6_objective.evaluate(h6_x)[1]()
+    stack20 = rng.normal(size=(20, 1 << 8))
+    out["hamiltonian_apply.h4_stack20_real"] = (
+        lambda c=h4.operator.compiled(): c.apply(stack20))
     return out
 
 

@@ -58,6 +58,8 @@ DIAGONAL = "The 8-qubit pool sweep is one gather, two products and one row sum"
 ONE_SWEEP = "One pool sweep at every size"
 ONE_ROUTE = "One pool-sweep route for every generator"
 FULL_SWEEP = "The sweep keeps only the paths a caller takes"
+MASK_BLOCKS = "Above the term table, a Hamiltonian is applied one X mask at a time"
+MASK_BLOCK_TESTS = (SIM + "TestMaskBlocks::test_matches_reference_bytes",)
 
 
 @dataclass(frozen=True)
@@ -149,12 +151,14 @@ MUTANTS = (
          "    @property\n    def batch(self)"),)),
     Mutant("module-list-keeps-every-table", DIAGONAL,
            (SWEEP + "test_table_is_built_once_and_dies_with_the_pool",), (
-        (COMPILED, "        t = np.concatenate(values)\n",
-         "        t = np.concatenate(values)\n"
-         "        globals().setdefault('_KEPT', []).append(blocks)\n"),)),
+        (COMPILED, "        return blocks, (owner[group]",
+         "        globals().setdefault('_KEPT', []).append(blocks)\n"
+         "        return blocks, (owner[group]"),)),
     Mutant("dropped-pattern-row", ONE_SWEEP,
            (SWEEP + "test_matches_reference_and_picks_the_same_operator",), (
-        (COMPILED, "kept = np.flatnonzero(table)", "kept = np.flatnonzero(table)[1:]"),)),
+        (COMPILED, "    kept = (t_real != 0) | (t_imag != 0)\n",
+         "    kept = (t_real != 0) | (t_imag != 0)\n"
+         "    kept[np.flatnonzero(kept)[:1]] = False\n"),)),
     Mutant("missing-x-flip", ONE_SWEEP,
            (SWEEP + "test_matches_reference_and_picks_the_same_operator",), (
         (COMPILED, "            index ^= flips\n", ""),)),
@@ -164,13 +168,14 @@ MUTANTS = (
     Mutant("blas-row-sums", ONE_SWEEP, (SWEEP + "test_rows_are_numpy_sums",), (
         (COMPILED, "sums.append(products.sum(axis=1))",
          "sums.append(products @ np.ones(products.shape[1]))"),)),
+    # each generator keeps only the patterns of its last X mask
     Mutant("dropped-x-mask-group", ONE_ROUTE, (MULTI_MASK,), (
-        (COMPILED, "for x, support, patterns, table in compiled.sign_table:",
-         "for x, support, patterns, table in compiled.sign_table[-1:]:"),)),
+        (COMPILED, "    kept = (t_real != 0) | (t_imag != 0)\n",
+         "    kept = (t_real != 0) | (t_imag != 0)\n"
+         "    kept &= (np.diff(owner[first], append=-1) != 0)[owned]\n"),)),
     Mutant("first-group-x-for-all", ONE_ROUTE, (MULTI_MASK,), (
-        (COMPILED, "keys += [(support.bit_count(), support, c, x) for c in patterns.tolist()]",
-         "keys += [(support.bit_count(), support, c, compiled.sign_table[0][0])\n"
-         "                         for c in patterns.tolist()]"),)),
+        (COMPILED, "support, x = support[group], x[group]",
+         "support, x = support[group], x[np.searchsorted(owner, owner[group])]"),)),
     Mutant("no-start-check", ONE_ROUTE,
            ("tests/test_optimizer.py::test_canonical_non_finite_start_raises",
             "tests/test_optimizer.py::test_recycled_non_finite_start_raises"), (
@@ -194,6 +199,16 @@ MUTANTS = (
            (SIM + "TestGradients::test_gradient_components_match_full_gradient",), (
         (SIMULATOR, "columns = np.asarray(indices, dtype=np.intp)",
          "columns = np.asarray(indices)"),)),
+    Mutant("mask-block-without-accumulator", MASK_BLOCKS, MASK_BLOCK_TESTS, (
+        (COMPILED, "                rows[0] += out\n", ""),)),
+    Mutant("mask-block-accumulator-from-empty", MASK_BLOCKS, MASK_BLOCK_TESTS, (
+        (COMPILED, "        out = np.zeros_like(amps)\n", "        out = np.empty_like(amps)\n"),)),
+    Mutant("mask-block-rows-reversed", MASK_BLOCKS, MASK_BLOCK_TESTS, (
+        (COMPILED, "np.add.reduce(rows, axis=0, out=out)",
+         "np.add.reduce(rows[::-1], axis=0, out=out)"),)),
+    Mutant("mask-block-bound-off-by-one", MASK_BLOCKS, MASK_BLOCK_TESTS, (
+        (COMPILED, "stop = min(start + step, len(scalars))",
+         "stop = min(start + step - 1, len(scalars))"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
