@@ -23,7 +23,7 @@ compiled sum holds
   indices are int32 and each term's sign vector is its row of the stack, a
   view, so the signs take one int8 per amplitude and term;
 * each term's folded scalar, its coefficient times ``(-i)^y``;
-* for a generator, one rotation ``(flip, signs, imag, unit)`` per term,
+* for a generator, one rotation ``(flip, signs, imag, factor)`` per term,
   built once, after the generator check;
 * the Hermitian, anti-Hermitian and commuting flags, each computed on first
   use.  The first two read the coefficients against ``DEFAULT_PRUNE_TOL``,
@@ -37,17 +37,20 @@ product by a unit phase or a sign is exact, so folding it into the scalar
 changes no bit.  ``apply`` is byte for byte
 ``tests/oracles.reference_apply_sum``; ``exponential`` equals
 ``tests/oracles.reference_exponential`` in value but may differ in the sign
-of a zero, since it gathers before it multiplies.  One phase vector per
+of a zero, since it gathers before it multiplies, and is byte for byte
+``tests/oracles.reference_gathered_exponential``.  One phase vector per
 mask, a CSR product or one Givens rotation per generator each move an ulp.
 
 **Term table.**  A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes
-is applied as one gather, one product and one sum over a table of one row
-per term, the scalar times its sign vector, with one gather index each.
-That replays the per-term rounding: a sign is ``±1`` and rounding is
-symmetric under negation; the table stays the left operand; numpy adds the
-rows of a C-contiguous array along axis 0 one after another; and the sum
-starts from ``+0``, as the per-term accumulator did.  Larger states take
-the X-mask route, since there a table is large and slower.
+is applied over a table of one row per term, the scalar times its sign
+vector: one gather with one index row per X mask, one row gather that
+gives each term its mask's gathered row, one product in place with the
+table as left operand, and one sum.  That replays the per-term rounding: a
+sign is ``±1`` and rounding is symmetric under negation; the table stays the
+left operand; numpy adds the rows of a C-contiguous array along axis 0 one
+after another; and the sum starts from ``+0``, as the per-term accumulator
+did.  Larger states take the X-mask route, since there a table is large
+and slower.
 
 **X-mask route.**  Every other state, and every stack of states of shape
 ``(m, 2^q)``, applied along the last axis, goes one X mask at a time: one
@@ -65,10 +68,12 @@ the rows along axis 0 one after another.  So every row of a stack is bit
 for bit the 1-D result.
 
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
-its own small state, in one gather, product and sum over their tables
-stacked and padded with zero rows; the sum starts from ``+0``
-(``np.add.reduceat`` over unpadded rows rounds differently), so each row is
-byte for byte its generator's ``apply``.  Its ansatz or pool keeps it.
+its own small state, over their tables stacked and padded with zero rows:
+one gather per X mask of each generator, one row gather (none when each
+generator is one string), one product and one sum.  The sum starts from
+``+0`` (``np.add.reduceat`` over unpadded rows rounds differently), so each
+row is byte for byte its generator's ``apply``.  Its ansatz or pool keeps
+it.
 
 **Pool sweeps.**  The pool sweep reads ``2 Re <H psi|A_k psi>`` for every
 generator of a pool and feeds only the tolerant argmax of the selection,
@@ -93,7 +98,7 @@ scalar is real: real coefficients on even-Y strings, or imaginary ones on
 odd-Y strings.  Such a sum keeps a real state real, so ``apply``,
 ``exponential`` and :meth:`GeneratorBatch.apply_each` also take float64
 states, chosen by dtype, with real scalars and tables, shared float64 signs
-up to the cap and the rotation factor ``-sin(w) unit.imag``.  IEEE products
+up to the cap and the rotation factor ``sin(w) (-unit.imag)``.  IEEE products
 and sums of operands with zero imaginary parts have the real results as
 real parts, save the sign of an exact zero, so each result is the complex
 route's real part.  Any other sum raises ``ValueError`` on a float64 state.
@@ -293,31 +298,31 @@ class CompiledSum:
             for signs, coeff, unit, scalar, z in terms), stack, scalars.real.copy())
             for flip, terms, stack, scalars in self._groups)
 
-    def _rotations_of(self, groups: tuple) -> tuple:
-        """``(flip, signs, imag, unit)`` per term of a generator in canonical
-        order, ``imag`` the imaginary part of its coefficient; raises as
+    def _rotations_of(self, groups: tuple, real: bool) -> tuple:
+        """``(flip, signs, imag, factor)`` per term of a generator in
+        canonical order, ``imag`` the imaginary part of its coefficient and
+        ``factor`` what ``sin(w)`` is scaled by: ``-unit.imag`` on the real
+        route, the folded phase ``unit`` on the complex one.  Raises as
         :meth:`check_generator` does for any other sum."""
         self.check_generator()
-        return tuple((flip, signs, coeff.imag, unit)
+        return tuple((flip, signs, coeff.imag, -unit.imag if real else unit)
                      for flip, terms, *_ in groups for signs, coeff, unit, *_ in terms)
 
-    _rotations = cached_property(lambda self: self._rotations_of(self._groups))
-    _real_rotations = cached_property(lambda self: self._rotations_of(self._real_groups))
+    _rotations = cached_property(lambda self: self._rotations_of(self._groups, False))
+    _real_rotations = cached_property(lambda self: self._rotations_of(self._real_groups, True))
 
-    def _tabulate(self, groups: tuple, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-        """``(table, flips)``, one row per term in canonical order: the
+    def _tabulate(self, groups: tuple, dtype: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(table, flips, masks)``: one row per term in canonical order, the
         folded scalar times the term's sign vector (the scalar broadcast for
-        a Z mask of 0) and its gather index ``b -> b ^ x``."""
+        a Z mask of 0); one gather index ``b -> b ^ x`` per X mask; and each
+        term's row of ``flips``."""
         dim = 1 << self.n_qubits
-        index = np.arange(dim, dtype=np.intp)
-        rows, flips = [], []
-        for flip, terms, *_ in groups:
-            gather = index if flip is None else flip
-            for signs, _, _, scalar, _ in terms:
-                rows.append(np.full(dim, scalar) if signs is None else scalar * signs)
-                flips.append(gather)
+        rows = [np.full(dim, scalar) if signs is None else scalar * signs
+                for _, terms, *_ in groups for signs, _, _, scalar, _ in terms]
+        flips = [np.arange(dim) if flip is None else flip for flip, *_ in groups]
+        masks = np.repeat(np.arange(len(groups)), [len(terms) for _, terms, *_ in groups])
         return (np.array(rows, dtype=dtype).reshape(-1, dim),
-                np.array(flips, dtype=np.intp).reshape(-1, dim))
+                np.array(flips, dtype=np.intp).reshape(-1, dim), masks)
 
     _table = cached_property(lambda self: self._tabulate(self._groups, complex))
     _real_table = cached_property(lambda self: self._tabulate(self._real_groups, float))
@@ -328,13 +333,13 @@ class CompiledSum:
         ``amps`` is one state or a stack of states, one per row, complex or,
         for a :attr:`real` sum, float64.  A state of at most
         ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
-        table in three numpy calls, any other in blocks of each X mask's
+        table in four numpy calls, any other in blocks of each X mask's
         terms (see the module doc).
         """
         real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
-            table, flips = self._real_table if real else self._table
-            gathered = amps.take(flips)
+            table, flips, masks = self._real_table if real else self._table
+            gathered = amps.take(flips).take(masks, axis=0)
             np.multiply(table, gathered, out=gathered)
             return gathered.sum(axis=0, initial=0)
         groups = self._real_groups if real else self._groups
@@ -361,23 +366,29 @@ class CompiledSum:
         ``A`` must be an anti-Hermitian sum of mutually commuting Pauli
         strings, as every pool operator is; any other sum raises
         ``ValueError``.  The terms are applied one after another with the
-        closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``.
-        ``amps`` is one state or a stack of states, one per row, complex or,
-        for a :attr:`real` generator, float64 (see the module doc).
+        closed-form rotation ``exp(i w P) = cos(w) I + i sin(w) P``: one
+        gather of the state, in-place products by the term's signs and by
+        ``sin(w)`` times its factor, then the state times ``cos(w)`` plus
+        the rotated state.  Each product has the operands of the plain
+        ``cos(w) psi + f P psi``, at most swapped, so the bytes are the
+        same; ``amps`` itself is never written.  It is one state or a stack
+        of states, one per row, complex or, for a :attr:`real` generator,
+        float64 (see the module doc).
         """
         real = amps.dtype == _FLOAT64
         rotations = self._real_rotations if real else self._rotations
         if theta == 0.0:
             return amps
-        for flip, signs, imag, unit in rotations:
+        for flip, signs, imag, factor in rotations:
             w = theta * imag
             if w == 0.0:
                 continue
-            rotated = amps if flip is None else amps.take(flip, axis=-1)
+            rotated = amps.copy() if flip is None else amps.take(flip, axis=-1)
             if signs is not None:
-                rotated = rotated * signs
-            factor = -np.sin(w) * unit.imag if real else 1j * np.sin(w) * unit
-            amps = np.cos(w) * amps + factor * rotated
+                rotated *= signs
+            rotated *= np.sin(w) * factor if real else 1j * np.sin(w) * factor
+            amps = amps * np.cos(w)
+            amps += rotated
         return amps
 
     def dense(self) -> np.ndarray:
@@ -412,18 +423,24 @@ class GeneratorBatch:
         """Every generator is :attr:`CompiledSum.real`."""
         return all(compiled.real for compiled in self.generators)
 
-    def _stack(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Each generator's term table and its gather indices into the
-        concatenated states, padded with zero rows to the longest."""
+    def _stack(self, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(table, flips, rows)``: each generator's term table, padded with
+        zero rows to the longest; the gather index of each X mask of each
+        generator into the concatenated states; and each padded term's row
+        of ``flips`` (row 0 for a padding row), None when that is every row
+        in order, as when each generator is one string."""
         dim = 1 << self.generators[0].n_qubits
         shape = (len(self.generators), max(len(g.terms) for g in self.generators), dim)
         table = np.zeros(shape, dtype=float if real else complex)
-        index = np.zeros(shape, dtype=np.intp)
+        rows = np.zeros(shape[:2], dtype=np.intp)
+        flips, start = [], 0
         for j, compiled in enumerate(self.generators):
-            rows, flips = compiled._real_table if real else compiled._table
-            table[j, :len(rows)] = rows
-            index[j, :len(rows)] = flips + j * dim
-        return table, index
+            terms, mask_flips, masks = compiled._real_table if real else compiled._table
+            table[j, :len(terms)] = terms
+            rows[j, :len(terms)] = masks + start
+            flips.append(mask_flips + j * dim)
+            start += len(mask_flips)
+        return table, np.concatenate(flips), None if start == rows.size else rows.ravel()
 
     _table = cached_property(lambda self: self._stack(real=False))
     _real_table = cached_property(lambda self: self._stack(real=True))
@@ -432,8 +449,11 @@ class GeneratorBatch:
         """Row ``j`` is ``generators[j].apply(states[j])``, byte for byte,
         for finite 1-D states of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes,
         all complex or all float64."""
-        table, index = self._real_table if states[0].dtype == _FLOAT64 else self._table
-        gathered = np.concatenate(states).take(index)
+        table, flips, rows = self._real_table if states[0].dtype == _FLOAT64 else self._table
+        gathered = np.concatenate(states).take(flips)
+        if rows is not None:
+            gathered = gathered.take(rows, axis=0)
+        gathered = gathered.reshape(table.shape)
         np.multiply(table, gathered, out=gathered)
         return gathered.sum(axis=1, initial=0)
 

@@ -21,7 +21,10 @@ order) that the compiled engine replaced, and the per-column
 central-difference Hessian built on it that the stacked gradient sweep
 replaced.  The engine must reproduce them bit for bit, except that a
 compiled exponential may give ``-0j`` where ``reference_exponential`` gives
-``0j`` (equal under ``np.array_equal``).
+``0j`` (equal under ``np.array_equal``).  ``reference_gathered_exponential``
+is the compiled exponential's own per-term expression, gather first, as it
+stood before its rotations were written in place; the engine's exponential
+must reproduce it byte for byte, signed zeros included.
 """
 
 from __future__ import annotations
@@ -211,6 +214,29 @@ def reference_exponential(amps, n_qubits, generator, theta):
             continue
         amps = np.cos(w) * amps + 1j * np.sin(w) * reference_apply_string(
             amps, n_qubits, string)
+    return amps
+
+
+def reference_gathered_exponential(amps, n_qubits, generator, theta):
+    """exp(theta * generator)|psi> term by term in canonical order, gather
+    first: ``cos(w) psi + f (s_z * psi[b ^ x])`` with ``w = theta Im(c)``,
+    ``s_z`` the term's signs after the gather and ``f`` the factor
+    ``1j sin(w) (-i)^y``, or ``-sin(w) Im((-i)^y)`` on a float64 state.
+    ``amps`` is one state or a stack of states, one per row."""
+    if theta == 0.0:
+        return amps
+    real = amps.dtype == np.float64
+    for string, coeff in generator:
+        w = theta * coeff.imag
+        if w == 0.0:
+            continue
+        x_mask, z_mask = string.x_mask, string.z_mask
+        rotated = amps.take(_flip_indices(n_qubits, x_mask), axis=-1) if x_mask else amps
+        if z_mask:
+            rotated = rotated * _parity_signs(n_qubits, z_mask)
+        unit = (1 + 0j, -1j, -1 + 0j, 1j)[(x_mask & z_mask).bit_count() % 4]
+        factor = -np.sin(w) * unit.imag if real else 1j * np.sin(w) * unit
+        amps = np.cos(w) * amps + factor * rotated
     return amps
 
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     reference_apply_sum,
     reference_energy_and_gradient,
     reference_exponential,
+    reference_gathered_exponential,
     reference_pool_gradients,
 )
 
@@ -806,10 +808,109 @@ class TestMaskBlocks:
                                          else reference).tobytes()
 
 
+def real_multi_mask_generator(n_qubits):
+    """Three mutually commuting odd-Y strings on three X masks."""
+    pad = "I" * (n_qubits - 4)
+    return PauliSum.from_text_terms([("YZII" + pad, 0.5j), ("IIYX" + pad, -0.2j),
+                                     ("YZYX" + pad, 0.1j)])
+
+
+def exponential_generators(rng, n_qubits):
+    """Generators of the QE pool (H4's at 8 and 9 qubits, H6's at 12) and of
+    the nearest-neighbour pool, a generator with the identity and a Z-only
+    term, one on four X masks, one of them the Z-only mask, and a real one
+    on three X masks."""
+    pool = build_qe_pool(n_qubits, 4 if n_qubits < 12 else 6)
+    doubles = [op for op in pool.operators if op.n_terms == 8]
+    singles = [op for op in pool.operators if op.n_terms == 2]
+    strings = build_nearest_neighbor_pool(n_qubits).operators
+    pad = "I" * (n_qubits - 4)
+    return [
+        *(doubles[int(k)] for k in rng.choice(len(doubles), 3, replace=False)),
+        *(singles[int(k)] for k in rng.choice(len(singles), 2, replace=False)),
+        *(strings[int(k)] for k in rng.choice(len(strings), 4, replace=False)),
+        PauliSum.from_text_terms([("I" * n_qubits, 0.5j), ("ZZIZ" + pad, 0.7j),
+                                  ("XXII" + pad, -0.4j), ("YYII" + pad, 0.3j)]),
+        PauliSum.from_text_terms([("YZII" + pad, 0.5j), ("IIYX" + pad, -0.2j),
+                                  ("YZYX" + pad, 0.1j), ("IZII" + pad, 0.6j)]),
+        real_multi_mask_generator(n_qubits),
+    ]
+
+
+class TestExponentialBytes:
+    """``exponential`` rotates in place on its own arrays: byte for byte the
+    per-term expression it replaced (``reference_gathered_exponential``), on
+    1-D states and stacks, complex and float64, and it never writes its
+    input, which is read-only here."""
+
+    @pytest.mark.parametrize("n_qubits", [8, 9, 12])
+    def test_matches_the_per_term_expression(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        generators = exponential_generators(rng, n_qubits)
+        assert any(not g.compiled().real for g in generators)
+        states = [random_amplitudes(rng, n_qubits), basis_amplitudes(n_qubits, 0b1111),
+                  *signed_zero_states(rng, n_qubits)]
+        states += [amps.real.copy() for amps in states]
+        states += [np.stack(states[:3]), np.stack(states[-3:])]
+        for amps in states:
+            amps.setflags(write=False)
+        for generator in generators:
+            compiled = generator.compiled()
+            for amps in states:
+                if amps.dtype == np.float64 and not compiled.real:
+                    continue
+                for theta in (0.3, -2.31):
+                    got = compiled.exponential(amps, theta)
+                    assert got.dtype == amps.dtype and got.shape == amps.shape
+                    assert got.tobytes() == reference_gathered_exponential(
+                        amps, n_qubits, generator, theta).tobytes()
+
+
 class TestTermTable:
     """A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied
     through the term table, byte for byte the per-term reference (the
     generated sums of ``TestCompiledIsBitExact`` cover 1-5 qubits)."""
+
+    @pytest.mark.parametrize("case", ["h4", "tfim8", "one_term_per_mask", "many_terms_per_mask"])
+    def test_one_gather_row_per_x_mask(self, case, request):
+        """The table holds one gather row per X mask, in canonical order,
+        and each term's row of them; ``apply`` through it is byte for byte
+        the per-term reference, on complex and float64 states, signed zeros
+        included."""
+        rng = np.random.default_rng(len(case))
+        if case == "h4":
+            operator = request.getfixturevalue("h4_equilibrium_fixture").operator
+        elif case == "tfim8":
+            operator = builtin_model("tfim", 8, with_exact=False).operator
+        elif case == "one_term_per_mask":
+            x_masks = rng.choice(256, size=40, replace=False).tolist()
+            operator = PauliSum(8, [
+                (PauliString(8, x, int(z)), 1j * coeff if (x & int(z)).bit_count() % 2 else coeff)
+                for x, z, coeff in zip(x_masks, rng.integers(0, 256, size=40), rng.normal(size=40))])
+        else:
+            operator = masked_sum(rng, 8)
+        compiled = operator.compiled()
+        x_masks = [x for x, _ in groupby(string.x_mask for string, _ in compiled.terms)]
+        if case == "one_term_per_mask":
+            assert len(x_masks) == len(compiled.terms)
+        else:
+            assert len(x_masks) < len(compiled.terms)
+        states = [random_amplitudes(rng, 8), basis_amplitudes(8, 37),
+                  *signed_zero_states(rng, 8)]
+        if compiled.real:
+            states += [amps.real.copy() for amps in states]
+        for amps in states:
+            expected = reference_apply_sum(amps.astype(complex), 8, operator)
+            if amps.dtype == np.float64:
+                expected = expected.real
+            assert compiled.apply(amps).tobytes() == expected.tobytes()
+        tables = [compiled._table] + ([compiled._real_table] if compiled.real else [])
+        for table, flips, masks in tables:
+            assert table.shape == (len(compiled.terms), 256)
+            assert flips.shape == (len(x_masks), 256) and flips.dtype == np.intp
+            for row, x in zip(flips, x_masks):
+                assert np.array_equal(row, np.arange(256) ^ x)
+            assert masks.tolist() == [x_masks.index(s.x_mask) for s, _ in compiled.terms]
 
     @pytest.mark.parametrize("n_qubits", [8, 9])
     def test_either_side_of_the_size_key(self, n_qubits):
@@ -883,31 +984,45 @@ class TestTermTable:
     @pytest.mark.parametrize("n_qubits", [4, 8])
     def test_batch_rows_match_apply(self, n_qubits):
         """``GeneratorBatch.apply_each`` against one ``apply`` per row, byte
-        for byte, over 1-, 2- and 8-term generators in mixed order (so most
-        are padded) and on states with exact zeros, where a ``-0`` surviving
-        the padding or the sum would show."""
+        for byte, over 1-, 2-, 3- and 8-term generators in mixed order (so
+        most are padded), one of them on three X masks, and over one-string
+        generators alone (one gather row per term, in order, so the batch
+        takes no row gather); on states with exact zeros, where a ``-0``
+        surviving the padding or the sum would show, complex and, for the
+        real generators, float64."""
         rng = np.random.default_rng(n_qubits)
         pool = build_qe_pool(n_qubits, 2)
         strings = build_nearest_neighbor_pool(n_qubits).operators
         doubles = [op for op in pool.operators if op.n_terms == 8]
         singles = [op for op in pool.operators if op.n_terms == 2]
-        generators = [doubles[0], strings[0], singles[0], doubles[-1], strings[-1],
-                      singles[-1], doubles[0], strings[1]]
-        batch = GeneratorBatch([gen.compiled() for gen in generators])
-        assert batch.tabled
-        state_sets = [
-            [random_amplitudes(rng, n_qubits) for _ in generators],
-            [basis_amplitudes(n_qubits, k % (1 << n_qubits)) for k in range(len(generators))],
-            [random_amplitudes(rng, n_qubits) * (rng.random(1 << n_qubits) < 0.5)
-             for _ in generators],
-        ]
-        for states in state_sets:
-            got = batch.apply_each(states)
-            assert got.shape == (len(generators), 1 << n_qubits)
-            for row, generator, amps in zip(got, generators, states):
-                assert row.tobytes() == generator.compiled().apply(amps).tobytes()
-                assert row.tobytes() == reference_apply_sum(
-                    amps, n_qubits, generator).tobytes()
+        mixed = [doubles[0], strings[0], singles[0], real_multi_mask_generator(n_qubits),
+                 doubles[-1], strings[-1], singles[-1], doubles[0], strings[1]]
+        one_string = [strings[int(k)] for k in rng.integers(0, len(strings), size=8)]
+        for generators in (mixed, one_string):
+            state_sets = [
+                [random_amplitudes(rng, n_qubits) for _ in generators],
+                [basis_amplitudes(n_qubits, k % (1 << n_qubits)) for k in range(len(generators))],
+                [random_amplitudes(rng, n_qubits) * (rng.random(1 << n_qubits) < 0.5)
+                 for _ in generators],
+                [signed_zero_states(rng, n_qubits)[k % 3] for k in range(len(generators))],
+            ]
+            real = [gen for gen in generators if gen.compiled().real]
+            assert len(real) > 1
+            for batch_generators in (generators, real):
+                batch = batch_of(batch_generators)
+                assert batch.tabled
+                for states in state_sets:
+                    if batch_generators is real:
+                        states = [amps.real.copy() for amps in states[:len(real)]]
+                    got = batch.apply_each(states)
+                    assert got.shape == (len(batch_generators), 1 << n_qubits)
+                    for row, generator, amps in zip(got, batch_generators, states):
+                        assert row.tobytes() == generator.compiled().apply(amps).tobytes()
+                        expected = reference_apply_sum(amps.astype(complex), n_qubits, generator)
+                        assert row.tobytes() == (expected.real if batch_generators is real
+                                                 else expected).tobytes()
+                _, _, rows = batch._real_table if batch_generators is real else batch._table
+                assert (rows is None) == (generators is one_string)
 
     def test_batch_stays_out_above_the_size_key(self):
         pool = build_nearest_neighbor_pool(9)

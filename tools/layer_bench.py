@@ -52,7 +52,11 @@ The cases are
   trial costs about one X-mask Hamiltonian application;
 * one stacked Hamiltonian application at 8 qubits
   (``hamiltonian_apply.h4_stack20_real``): H4 on 20 float64 states, the
-  shape of the stacked sweep of an exact Hessian of 10 operators.
+  shape of the stacked sweep of an exact Hessian of 10 operators;
+* the float64 8-qubit routes the H4 and TFIM-8 trials run: a QE double
+  and an odd-Y nearest-neighbour string (``exponential.qe_double_real``,
+  ``exponential.nn_string_real``) and the H4 Hamiltonian
+  (``hamiltonian_apply.h4_real``), each on one random float64 state.
 
 The cases added last draw their random inputs last, so every earlier case
 keeps the inputs it had before them.
@@ -247,6 +251,12 @@ def cases(rng) -> dict:
     stack20 = rng.normal(size=(20, 1 << 8))
     out["hamiltonian_apply.h4_stack20_real"] = (
         lambda c=h4.operator.compiled(): c.apply(stack20))
+    real8 = random_real_state(rng, 8)
+    real_string = next(op for op in nn_pool.operators if op.n_terms == 1 and op.compiled().real)
+    out["exponential.qe_double_real"] = (
+        lambda c=first_with_terms(h4_pool, 8).compiled(): c.exponential(real8, THETA))
+    out["exponential.nn_string_real"] = lambda c=real_string.compiled(): c.exponential(real8, THETA)
+    out["hamiltonian_apply.h4_real"] = lambda c=h4.operator.compiled(): c.apply(real8)
     return out
 
 

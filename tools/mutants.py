@@ -60,6 +60,8 @@ ONE_ROUTE = "One pool-sweep route for every generator"
 FULL_SWEEP = "The sweep keeps only the paths a caller takes"
 MASK_BLOCKS = "Above the term table, a Hamiltonian is applied one X mask at a time"
 MASK_BLOCK_TESTS = (SIM + "TestMaskBlocks::test_matches_reference_bytes",)
+IN_PLACE = "A rotation is one gather and in-place products"
+EXPONENTIAL_BYTES = (SIM + "TestExponentialBytes::test_matches_the_per_term_expression",)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ MUTANTS = (
     Mutant("norm-by-sum", TRIAL, ("tests/test_optimizer.py::test_norm_bytes_match_numpy",), (
         (OPTIMIZER, "return math.sqrt(v.dot(v))", "return math.sqrt((v * v).sum())"),)),
     Mutant("batch-index-order", TRIAL, (SIM + "TestTermTable::test_batch_rows_match_apply",), (
-        (COMPILED, "index[j, :len(rows)] = flips + j * dim",
-         "index[j, :len(rows)] = flips + (len(self.generators) - 1 - j) * dim"),)),
+        (COMPILED, "flips.append(mask_flips + j * dim)",
+         "flips.append(mask_flips + (len(self.generators) - 1 - j) * dim)"),)),
     Mutant("unshared-reference", TRIAL,
            (SIM + "TestWithParameters::test_compiled_forms_and_reference_are_shared",), (
         (SIMULATOR, "_reference_amplitudes=self._reference_amplitudes, _parameters",
@@ -138,7 +140,7 @@ MUTANTS = (
            (REAL + "test_derivative_of_a_complex_generator_from_a_real_state",), (
         (SIMULATOR, "psi = self.psi.astype(complex, copy=False)", "psi = self.psi"),)),
     Mutant("real-rotation-sign", REAL_ROUTE, (REAL + "test_real_problems_run_in_float64",), (
-        (COMPILED, "factor = -np.sin(w) * unit.imag", "factor = np.sin(w) * unit.imag"),)),
+        (COMPILED, "-unit.imag if real else unit", "unit.imag if real else unit"),)),
     Mutant("unshared-float-signs", REAL_ROUTE,
            (SIM + "TestSharedSigns::test_real_route_signs_are_shared_too",), (
         (COMPILED, "else _shared_signs(self.n_qubits, index, z, float)",
@@ -209,6 +211,18 @@ MUTANTS = (
     Mutant("mask-block-bound-off-by-one", MASK_BLOCKS, MASK_BLOCK_TESTS, (
         (COMPILED, "stop = min(start + step, len(scalars))",
          "stop = min(start + step - 1, len(scalars))"),)),
+    Mutant("rotation-writes-input", IN_PLACE, EXPONENTIAL_BYTES, (
+        (COMPILED, "amps = amps * np.cos(w)", "amps *= np.cos(w)"),)),
+    Mutant("rotation-without-signs", IN_PLACE, EXPONENTIAL_BYTES, (
+        (COMPILED, "                rotated *= signs\n", "                pass\n"),)),
+    # each term reads the previous X mask's gather row
+    Mutant("term-mask-row-off-by-one", IN_PLACE,
+           (SIM + "TestTermTable::test_one_gather_row_per_x_mask",), (
+        (COMPILED, "masks = np.repeat(np.arange(len(groups)),",
+         "masks = -1 + np.repeat(np.arange(len(groups)),"),)),
+    Mutant("batch-mask-rows-counted-by-terms", IN_PLACE,
+           (SIM + "TestTermTable::test_batch_rows_match_apply",), (
+        (COMPILED, "start += len(mask_flips)", "start += len(terms)"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
