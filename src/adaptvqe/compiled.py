@@ -1,8 +1,9 @@
 """Pauli sums compiled for the dense statevector engine.
 
 This module owns the engine's arithmetic invariants: the bit-exact rule,
-the term table, the X-mask route, batches, the pool sweep's summation order
-and the real route.  ``CHANGES.md`` holds the measurements behind each choice.
+the term table, the X-mask route, the support route, batches, the pool
+sweep's summation order and the real route.  ``CHANGES.md`` holds the
+measurements behind each choice.
 
 A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
 builds it on first use and keeps it on the sum, so an operator is analysed
@@ -49,23 +50,41 @@ table as left operand, and one sum.  That replays the per-term rounding: a
 sign is ``±1`` and rounding is symmetric under negation; the table stays the
 left operand; numpy adds the rows of a C-contiguous array along axis 0 one
 after another; and the sum starts from ``+0``, as the per-term accumulator
-did.  Larger states take the X-mask route, since there a table is large
-and slower.
+did.  Larger states take the X-mask or the support route, since there a
+table is large and slower.
 
-**X-mask route.**  Every other state, and every stack of states of shape
-``(m, 2^q)``, applied along the last axis, goes one X mask at a time: one
-gather, then, for each block of the mask's terms in canonical order (at
-most ``_STACK_ROWS`` terms and ``_STACK_AMPLITUDES`` amplitudes), one
-product of their scalars by the gathered state into one buffer allocated
-per call, one product by the block's rows of the sign stack, the
-accumulator added to the block's first row and one ``np.add.reduce`` along
-axis 0 into the accumulator.  That replays the per-term rounding too:
-``(c g) s`` and ``c (g s)`` differ at most in the sign of a zero, since
-``s = ±1``; IEEE addition commutes, so ``t + out`` is ``out + t``; the
-accumulator starts from ``+0`` and, rounding to nearest, becomes ``-0``
-only when both addends are, so no sign of a zero reaches it; and numpy adds
-the rows along axis 0 one after another.  So every row of a stack is bit
-for bit the 1-D result.
+**X-mask route.**  Every stack of states of shape ``(m, 2^q)``, applied
+along the last axis, and every larger 1-D state that the support route
+leaves, goes one X mask at a time: one gather, then, for each block of the
+mask's terms in canonical order (at most ``_STACK_ROWS`` terms and
+``_STACK_AMPLITUDES`` amplitudes), one product of their scalars by the
+gathered state into one buffer allocated per call, one product by the
+block's rows of the sign stack, the accumulator added to the block's first
+row and one ``np.add.reduce`` along axis 0 into the accumulator.  That
+replays the per-term rounding too: ``(c g) s`` and ``c (g s)`` differ at
+most in the sign of a zero, since ``s = ±1``; IEEE addition commutes, so
+``t + out`` is ``out + t``; the accumulator starts from ``+0`` and,
+rounding to nearest, becomes ``-0`` only when both addends are, so no sign
+of a zero reaches it; and numpy adds the rows along axis 0 one after
+another.  So every row of a stack is bit for bit the 1-D result.
+
+**Support route.**  A 1-D state above the cap with at most a quarter of
+its amplitudes nonzero is applied only where it is nonzero.  Its support
+``S``, the nonzero indices, is gathered once: ``b ^ x`` is in ``S`` exactly
+when ``b`` is in ``p = S ^ x``, so the gathered amplitudes are every X
+mask's gathered source at ``p``.  Per mask the route reads the sign rows
+and the accumulator at ``p`` (``S`` itself for the Z-only mask), runs the
+X-mask route's blocks on them and writes the accumulator back at ``p``.
+That is byte for byte the X-mask route: every written amplitude gets the
+same products added in the same order; every skipped product is
+``(c ±0) s = ±0``, and an accumulator that starts from ``+0`` is never
+``-0``, so adding ``±0`` leaves it as it is; and every amplitude never
+written is ``+0`` on both routes.  ``S`` always holds indices 0 and 1, so
+it has at least two: numpy drops the axis of a one-column block and sums
+it pairwise.  The route's cost grows with ``S`` and passes the X-mask
+route's between a quarter and a half of the amplitudes, so it stops at a
+quarter.  Stacks keep the X-mask route: the route reads one support per
+call, and each row of a stack has its own.
 
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
 its own small state, over their tables stacked and padded with zero rows:
@@ -159,6 +178,18 @@ def _shared_signs(n_qubits: int, index: np.ndarray, z_mask: int,
         signs.setflags(write=False)
         _SIGN_VECTORS[key] = signs
     return signs
+
+
+def _support(amps: np.ndarray) -> np.ndarray | None:
+    """The indices the support route reads of a 1-D state, in ascending
+    order: its nonzero amplitudes' and 0 and 1; None when more than a
+    quarter of its amplitudes are nonzero (see "Support route" in the module
+    doc)."""
+    nonzero = amps != 0
+    if np.count_nonzero(nonzero) > amps.size >> 2:
+        return None
+    nonzero[:2] = True
+    return np.flatnonzero(nonzero)
 
 
 def _deposit(counts: np.ndarray, masks: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -333,8 +364,9 @@ class CompiledSum:
         ``amps`` is one state or a stack of states, one per row, complex or,
         for a :attr:`real` sum, float64.  A state of at most
         ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
-        table in four numpy calls, any other in blocks of each X mask's
-        terms (see the module doc).
+        table in four numpy calls, a larger one with at most a quarter of
+        its amplitudes nonzero on its support alone, and any other state or
+        stack in blocks of each X mask's terms (see the module doc).
         """
         real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
@@ -344,11 +376,17 @@ class CompiledSum:
             return gathered.sum(axis=0, initial=0)
         groups = self._real_groups if real else self._groups
         out = np.zeros_like(amps)
+        support = _support(amps) if amps.ndim == 1 else None
+        source = amps if support is None else amps.take(support)
         longest = max((len(scalars) for *_, scalars in groups), default=0)
         step = max(1, min(_STACK_ROWS, _STACK_AMPLITUDES // max(amps.size, 1)))
-        block = np.empty((min(longest, step), *amps.shape), dtype=amps.dtype)
+        block = np.empty((min(longest, step), *source.shape), dtype=amps.dtype)
         for flip, _, signs, scalars in groups:
-            gathered = amps if flip is None else amps.take(flip, axis=-1)
+            if support is None:
+                gathered, acc = (amps if flip is None else amps.take(flip, axis=-1)), out
+            else:
+                reached = support if flip is None else flip.take(support)
+                gathered, acc, signs = source, out.take(reached), signs.take(reached, axis=1)
             if amps.ndim == 2:
                 signs, scalars = signs[:, None], scalars[:, None]
             for start in range(0, len(scalars), step):
@@ -356,8 +394,10 @@ class CompiledSum:
                 rows = block[:stop - start]
                 np.multiply(scalars[start:stop], gathered, out=rows)
                 rows *= signs[start:stop]
-                rows[0] += out
-                np.add.reduce(rows, axis=0, out=out)
+                rows[0] += acc
+                np.add.reduce(rows, axis=0, out=acc)
+            if support is not None:
+                out[reached] = acc
         return out
 
     def exponential(self, amps: np.ndarray, theta: float) -> np.ndarray:

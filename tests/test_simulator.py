@@ -26,6 +26,7 @@ from adaptvqe.simulator import (
     prepare,
 )
 
+from generate_fixtures import hydrogen_chain_operator
 from oracles import (
     commutator,
     dense_expectation,
@@ -806,6 +807,167 @@ class TestMaskBlocks:
                 reference = expected(row)
                 assert got.tobytes() == (reference.real if row.dtype == np.float64
                                          else reference).tobytes()
+
+
+def scattered_amplitudes(rng, n_qubits, count):
+    """A complex state with ``count`` nonzero amplitudes at random indices."""
+    dim = 1 << n_qubits
+    amps = np.zeros(dim, dtype=complex)
+    amps[rng.choice(dim, count, replace=False)] = (rng.normal(size=count)
+                                                   + 1j * rng.normal(size=count))
+    return amps
+
+
+def sparse_states(rng, n_qubits):
+    """Complex states either side of the support route's quarter rule: a
+    basis state, two nonzero amplitudes, exactly a quarter of them and one
+    past it, and two states with ``-0`` and ``+0`` parts both inside the
+    support and outside it (one with a single nonzero amplitude, so the
+    two added indices hold ``-0``)."""
+    dim = 1 << n_qubits
+    signed = scattered_amplitudes(rng, n_qubits, 6)
+    parts = signed.view(np.float64)
+    parts[(parts == 0) & (rng.random(2 * dim) < 0.5)] = -0.0
+    inside = np.flatnonzero(signed)
+    signed[inside[0]] = complex(-0.0, signed[inside[0]].imag)
+    signed[inside[1]] = complex(signed[inside[1]].real, 0.0)
+    signed[inside[2]] = complex(signed[inside[2]].real, -0.0)
+    lone = np.full(dim, complex(-0.0, -0.0))
+    lone[int(rng.integers(2, dim))] = 0.3 - 0.2j
+    return [basis_amplitudes(n_qubits, int(rng.integers(2, dim))),
+            scattered_amplitudes(rng, n_qubits, 2),
+            scattered_amplitudes(rng, n_qubits, dim // 4),
+            scattered_amplitudes(rng, n_qubits, dim // 4 + 1), signed, lone]
+
+
+@pytest.fixture
+def support_calls(monkeypatch):
+    """What each call of ``compiled._support`` returned, in order."""
+    calls, support = [], compiled_module._support
+
+    def spy(amps):
+        calls.append(support(amps))
+        return calls[-1]
+
+    monkeypatch.setattr(compiled_module, "_support", spy)
+    return calls
+
+
+def takes_support_route(amps):
+    """A 1-D state above the term table with at most a quarter of its
+    amplitudes nonzero."""
+    return (amps.ndim == 1 and amps.size > _TABLE_AMPLITUDE_CAP
+            and np.count_nonzero(amps) <= amps.size // 4)
+
+
+@pytest.fixture(scope="module")
+def h6_problem():
+    """The H6 STO-3G 1.0 A Hamiltonian and its QE pool."""
+    return hydrogen_chain_operator(1.0, 6)[0], build_qe_pool(12, 6)
+
+
+class TestSupportRoute:
+    """Above the term table, a 1-D state with at most a quarter of its
+    amplitudes nonzero is applied only where it is nonzero: the gathered
+    nonzero amplitudes, each X mask's signs and accumulator read and written
+    at the indices they reach.  Every byte is the per-term reference's, as on
+    the X-mask route; stacks and denser states keep that route."""
+
+    @pytest.mark.parametrize("n_qubits", [9, 10, 12])
+    def test_matches_reference_bytes(self, n_qubits, support_calls):
+        rng = np.random.default_rng(100 + n_qubits)
+        operators = [masked_sum(rng, n_qubits), random_sum(rng, n_qubits, 60, 6)]
+        states = sparse_states(rng, n_qubits)
+        states += [amps.real.copy() for amps in states]
+        for operator in operators:
+            compiled = operator.compiled()
+            assert compiled.real or operator is operators[1]
+            for amps in states:
+                if amps.dtype == np.float64 and not compiled.real:
+                    continue
+                expected = reference_apply_sum(amps.astype(complex), n_qubits, operator)
+                if amps.dtype == np.float64:
+                    expected = expected.real
+                support_calls.clear()
+                assert compiled.apply(amps).tobytes() == expected.tobytes()
+                assert len(support_calls) == 1
+                assert (support_calls[0] is not None) == takes_support_route(amps)
+        assert any(takes_support_route(amps) for amps in states)
+        assert not all(takes_support_route(amps) for amps in states)
+
+    def test_h6_adapt_states(self, h6_problem, support_calls):
+        """The H6 Hamiltonian and QE generators on states built from the
+        reference by QE exponentials, float64 and complex, which carry
+        rounding residues outside the six-electron sector."""
+        hamiltonian, pool = h6_problem
+        rng = np.random.default_rng(6)
+        reference = basis_amplitudes(12, 0b111111).real.copy()
+        acting = [op for op in pool.operators if op.compiled().apply(reference).any()]
+        picks = [acting[int(k)] for k in rng.choice(len(acting), 5, replace=False)]
+        angles = rng.normal(size=len(picks)) * 0.3
+        states = []
+        for start in (reference, reference.astype(complex)):
+            states.append(start)
+            for op, theta in zip(picks, angles):
+                states.append(op.compiled().exponential(states[-1], theta))
+        electrons = np.bitwise_count(np.arange(1 << 12))
+        assert any(np.count_nonzero(amps[electrons != 6]) for amps in states)
+        for operator in (hamiltonian, *picks, *pool.operators[:3]):
+            compiled = operator.compiled()
+            for amps in states:
+                expected = reference_apply_sum(amps.astype(complex), 12, operator)
+                if amps.dtype == np.float64:
+                    expected = expected.real
+                support_calls.clear()
+                assert compiled.apply(amps).tobytes() == expected.tobytes()
+                assert support_calls[0] is not None
+
+    def test_dense_states_and_stacks_keep_the_x_mask_route(self, support_calls):
+        rng = np.random.default_rng(7)
+        compiled = masked_sum(rng, 10).compiled()
+        sparse = scattered_amplitudes(rng, 10, 3)
+        compiled.apply(sparse)
+        compiled.apply(random_amplitudes(rng, 10))
+        assert support_calls[0] is not None and support_calls[1] is None
+        stack = np.stack([sparse, sparse.conj()])
+        for amps in (stack, stack.real.copy()):
+            got = compiled.apply(amps)
+            for row, expected in zip(amps, got):
+                assert compiled.apply(row).tobytes() == expected.tobytes()
+        # one call per row above, none for the stacks
+        assert len(support_calls) == 2 + 4
+        compiled = masked_sum(rng, 8).compiled()
+        compiled.apply(basis_amplitudes(8, 3))
+        assert len(support_calls) == 6  # the term table
+
+    @pytest.mark.parametrize("columns", [2, 3, 7])
+    def test_numpy_reduces_two_columns_row_by_row(self, columns):
+        """A block of two or more columns (at least two indices) is reduced
+        as sequential ``+=`` along axis 0, the accumulator first."""
+        rng = np.random.default_rng(columns)
+        for dtype in (float, complex):
+            rows = rng.normal(size=(16, columns)) * 10.0 ** rng.integers(-8, 8, (16, columns))
+            if dtype is complex:
+                rows = rows + 1j * rng.normal(size=(16, columns))
+            rows[:, 0] = [1.0] + [2.0 ** -53] * 15
+            acc = rng.normal(size=columns).astype(dtype)
+            expected = acc.copy()
+            for row in rows:
+                expected += row
+            rows[0] += acc
+            np.add.reduce(rows, axis=0, out=acc)
+            assert acc.tobytes() == expected.tobytes()
+
+    def test_numpy_sums_one_column_pairwise(self):
+        """A one-column block is summed pairwise, not row by row, so the
+        support route never reads fewer than two indices."""
+        rows = np.array([[1.0]] + [[2.0 ** -53]] * 15)
+        expected = np.zeros(1)
+        for row in rows:
+            expected += row
+        got = np.zeros(1)
+        np.add.reduce(rows, axis=0, out=got)
+        assert got.tobytes() != expected.tobytes()
 
 
 def real_multi_mask_generator(n_qubits):

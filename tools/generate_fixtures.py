@@ -242,21 +242,25 @@ def jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits) -> PauliSum:
     return PauliSum(n_qubits, coeffs)
 
 
-def build_hydrogen_chain(name: str, spacing_angstrom: float, n_atoms: int) -> HamiltonianFile:
+def hydrogen_chain_operator(spacing_angstrom: float, n_atoms: int) -> tuple[PauliSum, float]:
+    """The Jordan-Wigner Hamiltonian of a linear chain of ``n_atoms``
+    hydrogen atoms ``spacing_angstrom`` apart in STO-3G, and its RHF energy."""
     centers = np.array(
         [[0.0, 0.0, i * spacing_angstrom * ANGSTROM_TO_BOHR] for i in range(n_atoms)]
     )
-    charges = np.ones(n_atoms)
-    n_electrons = n_atoms
-    n_qubits = 2 * n_atoms
-
     e_hf, coeffs, mo_energies, h_core, eri, e_nuc = restricted_hartree_fock(
-        centers, charges, n_electrons
+        centers, np.ones(n_atoms), n_atoms
     )
     h_mo = coeffs.T @ h_core @ coeffs
     eri_mo = np.einsum("ap,bq,abcd,cr,ds->pqrs", coeffs, coeffs, eri, coeffs, coeffs,
                        optimize=True)
-    operator = jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, n_qubits)
+    return jordan_wigner_hamiltonian(h_mo, eri_mo, e_nuc, 2 * n_atoms), e_hf
+
+
+def build_hydrogen_chain(name: str, spacing_angstrom: float, n_atoms: int) -> HamiltonianFile:
+    n_electrons = n_atoms
+    n_qubits = 2 * n_atoms
+    operator, e_hf = hydrogen_chain_operator(spacing_angstrom, n_atoms)
 
     reference = "1" * n_electrons + "0" * (n_qubits - n_electrons)
     hf_from_operator = expectation(prepare(AnsatzState(reference)), operator)

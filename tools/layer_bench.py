@@ -56,7 +56,10 @@ The cases are
 * the float64 8-qubit routes the H4 and TFIM-8 trials run: a QE double
   and an odd-Y nearest-neighbour string (``exponential.qe_double_real``,
   ``exponential.nn_string_real``) and the H4 Hamiltonian
-  (``hamiltonian_apply.h4_real``), each on one random float64 state.
+  (``hamiltonian_apply.h4_real``), each on one random float64 state;
+* H6 on the float64 state that four QE exponentials, each acting on the
+  reference, make from it (``hamiltonian_apply.h6_adapt_real``): an ADAPT
+  state, with few nonzero amplitudes, so on the support route.
 
 The cases added last draw their random inputs last, so every earlier case
 keeps the inputs it had before them.
@@ -98,6 +101,7 @@ from adaptvqe.simulator import (
     AnsatzState,
     energy_and_gradient,
     energy_then_gradient,
+    prepare,
 )
 from generate_fixtures import build_hydrogen_chain
 
@@ -257,6 +261,12 @@ def cases(rng) -> dict:
         lambda c=first_with_terms(h4_pool, 8).compiled(): c.exponential(real8, THETA))
     out["exponential.nn_string_real"] = lambda c=real_string.compiled(): c.exponential(real8, THETA)
     out["hamiltonian_apply.h4_real"] = lambda c=h4.operator.compiled(): c.apply(real8)
+    h6_adapt = prepare(AnsatzState(h6.reference_bitstring)).amplitudes.real.copy()
+    acting = [op for op in h6_pool.operators if op.compiled().apply(h6_adapt).any()]
+    for i, theta in zip(rng.choice(len(acting), 4, replace=False), rng.normal(size=4) * 0.2):
+        h6_adapt = acting[int(i)].compiled().exponential(h6_adapt, float(theta))
+    out["hamiltonian_apply.h6_adapt_real"] = (
+        lambda c=h6.operator.compiled(), p=h6_adapt: c.apply(p))
     return out
 
 

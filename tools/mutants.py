@@ -62,6 +62,9 @@ MASK_BLOCKS = "Above the term table, a Hamiltonian is applied one X mask at a ti
 MASK_BLOCK_TESTS = (SIM + "TestMaskBlocks::test_matches_reference_bytes",)
 IN_PLACE = "A rotation is one gather and in-place products"
 EXPONENTIAL_BYTES = (SIM + "TestExponentialBytes::test_matches_the_per_term_expression",)
+SUPPORT = "A Pauli sum is applied only where the state is nonzero"
+SUPPORT_BYTES = SIM + "TestSupportRoute::test_matches_reference_bytes"
+SUPPORT_H6 = SIM + "TestSupportRoute::test_h6_adapt_states"
 
 
 @dataclass(frozen=True)
@@ -202,12 +205,12 @@ MUTANTS = (
         (SIMULATOR, "columns = np.asarray(indices, dtype=np.intp)",
          "columns = np.asarray(indices)"),)),
     Mutant("mask-block-without-accumulator", MASK_BLOCKS, MASK_BLOCK_TESTS, (
-        (COMPILED, "                rows[0] += out\n", ""),)),
+        (COMPILED, "                rows[0] += acc\n", ""),)),
     Mutant("mask-block-accumulator-from-empty", MASK_BLOCKS, MASK_BLOCK_TESTS, (
         (COMPILED, "        out = np.zeros_like(amps)\n", "        out = np.empty_like(amps)\n"),)),
     Mutant("mask-block-rows-reversed", MASK_BLOCKS, MASK_BLOCK_TESTS, (
-        (COMPILED, "np.add.reduce(rows, axis=0, out=out)",
-         "np.add.reduce(rows[::-1], axis=0, out=out)"),)),
+        (COMPILED, "np.add.reduce(rows, axis=0, out=acc)",
+         "np.add.reduce(rows[::-1], axis=0, out=acc)"),)),
     Mutant("mask-block-bound-off-by-one", MASK_BLOCKS, MASK_BLOCK_TESTS, (
         (COMPILED, "stop = min(start + step, len(scalars))",
          "stop = min(start + step - 1, len(scalars))"),)),
@@ -223,6 +226,16 @@ MUTANTS = (
     Mutant("batch-mask-rows-counted-by-terms", IN_PLACE,
            (SIM + "TestTermTable::test_batch_rows_match_apply",), (
         (COMPILED, "start += len(mask_flips)", "start += len(terms)"),)),
+    # a one-amplitude state's blocks are one column, which numpy sums pairwise
+    Mutant("support-of-one-index", SUPPORT, (SUPPORT_BYTES, SUPPORT_H6), (
+        (COMPILED, "    nonzero[:2] = True\n", ""),)),
+    Mutant("support-scatter-at-source", SUPPORT, (SUPPORT_BYTES,), (
+        (COMPILED, "out[reached] = acc", "out[support] = acc"),)),
+    Mutant("support-signs-at-source", SUPPORT, (SUPPORT_BYTES,), (
+        (COMPILED, "signs.take(reached, axis=1)", "signs.take(support, axis=1)"),)),
+    Mutant("support-accumulator-from-zeros", SUPPORT, (SUPPORT_BYTES,), (
+        (COMPILED, "gathered, acc, signs = source, out.take(reached),",
+         "gathered, acc, signs = source, np.zeros_like(source),"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
