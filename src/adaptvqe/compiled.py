@@ -68,23 +68,27 @@ rounding to nearest, becomes ``-0`` only when both addends are, so no sign
 of a zero reaches it; and numpy adds the rows along axis 0 one after
 another.  So every row of a stack is bit for bit the 1-D result.
 
-**Support route.**  A 1-D state above the cap with at most a quarter of
-its amplitudes nonzero is applied only where it is nonzero.  Its support
-``S``, the nonzero indices, is gathered once: ``b ^ x`` is in ``S`` exactly
-when ``b`` is in ``p = S ^ x``, so the gathered amplitudes are every X
-mask's gathered source at ``p``.  Per mask the route reads the sign rows
-and the accumulator at ``p`` (``S`` itself for the Z-only mask), runs the
-X-mask route's blocks on them and writes the accumulator back at ``p``.
-That is byte for byte the X-mask route: every written amplitude gets the
-same products added in the same order; every skipped product is
-``(c ±0) s = ±0``, and an accumulator that starts from ``+0`` is never
-``-0``, so adding ``±0`` leaves it as it is; and every amplitude never
-written is ``+0`` on both routes.  ``S`` always holds indices 0 and 1, so
-it has at least two: numpy drops the axis of a one-column block and sums
-it pairwise.  The route's cost grows with ``S`` and passes the X-mask
-route's between a quarter and a half of the amplitudes, so it stops at a
-quarter.  Stacks keep the X-mask route: the route reads one support per
-call, and each row of a stack has its own.
+**Support route.**  A 1-D state above the cap with at most a quarter of its
+amplitudes nonzero is applied only where it is nonzero, every term at once.
+Its support ``S``, the nonzero indices, is gathered once.  A term adds its
+scalar times ``psi[S]`` times its signs at ``S ^ x``, which are its signs
+at ``S`` times ``(-1)^popcount(x & z)``; that constant is folded into a
+column of scalars, once per sum and dtype, so every term's signs are read
+at ``S`` itself, with one shared-index ``take`` of the int8 array the
+X-mask route's stacks slice.  The terms go in canonical order, in chunks of
+``_STACK_AMPLITUDES // |S|`` terms, at least one: per chunk one product of
+the folded scalars by the gathered amplitudes, one product by the signs,
+the indices ``S ^ x`` they reach and one ``np.add.at`` of the products
+there.  That is byte for byte the X-mask route: a product by ``±1`` is
+exact, so each product is the X-mask route's save the sign of a zero;
+``np.add.at`` is unbuffered and adds in index order, so every reached
+amplitude gets the same products added from ``+0`` in the same term order;
+every skipped product is ``(c ±0) s = ±0``, and an accumulator that starts
+from ``+0`` is never ``-0``, so adding ``±0`` leaves it as it is; and every
+amplitude never reached is ``+0`` on both routes.  The route's cost grows
+with ``S``, so it stops at a quarter of the amplitudes.  Stacks keep the
+X-mask route: the route reads one support per call, and each row of a stack
+has its own.
 
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
 its own small state, over their tables stacked and padded with zero rows:
@@ -181,14 +185,12 @@ def _shared_signs(n_qubits: int, index: np.ndarray, z_mask: int,
 
 
 def _support(amps: np.ndarray) -> np.ndarray | None:
-    """The indices the support route reads of a 1-D state, in ascending
-    order: its nonzero amplitudes' and 0 and 1; None when more than a
-    quarter of its amplitudes are nonzero (see "Support route" in the module
-    doc)."""
+    """The indices of a 1-D state's nonzero amplitudes, in ascending order;
+    None when more than a quarter of them are nonzero (see "Support route"
+    in the module doc)."""
     nonzero = amps != 0
     if np.count_nonzero(nonzero) > amps.size >> 2:
         return None
-    nonzero[:2] = True
     return np.flatnonzero(nonzero)
 
 
@@ -277,6 +279,18 @@ class CompiledSum:
         return all(not scalars.imag.any() for *_, scalars in self._groups)
 
     @cached_property
+    def _sign_rows(self) -> np.ndarray:
+        """The read-only int8 array of one row ``(-1)^popcount(b & z)`` per
+        term in canonical order, filled a row at a time, so no temporary
+        outgrows a row."""
+        index = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        rows = np.empty((len(self.terms), index.size), dtype=np.int8)
+        for row, (string, _) in zip(rows, self.terms):
+            row[...] = _parity_signs(index, string.z_mask)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def _groups(self) -> tuple:
         """``((flip, terms, signs, scalars), ...)`` per X mask in canonical
         order.
@@ -284,22 +298,19 @@ class CompiledSum:
         ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
         mask; ``signs`` the mask's read-only int8 stack, one row
         ``(-1)^popcount(b & z)`` per term, and ``scalars`` the column of its
-        terms' folded scalars.  The stacks are consecutive slices of one
-        array, filled a row at a time, so no temporary outgrows a row.  Each
-        term is ``(signs, coeff, unit, scalar, z)`` with ``signs`` its sign
-        vector, None for a Z mask of 0, ``unit`` the folded phase ``(-i)^y``,
-        ``scalar = coeff * unit`` and ``z`` the Z mask.  Up to
-        ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are ``np.intp`` and a
-        term's signs the shared complex vector; above it the flips are int32
-        and a term's signs a row of its mask's stack (see the module doc).
+        terms' folded scalars.  The stacks are consecutive slices of
+        ``_sign_rows``.  Each term is ``(signs, coeff, unit, scalar, z)``
+        with ``signs`` its sign vector, None for a Z mask of 0, ``unit`` the
+        folded phase ``(-i)^y``, ``scalar = coeff * unit`` and ``z`` the Z
+        mask.  Up to ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are
+        ``np.intp`` and a term's signs the shared complex vector; above it
+        the flips are int32 and a term's signs a row of its mask's stack
+        (see the module doc).
         """
         dim = 1 << self.n_qubits
         tabled = dim <= _TABLE_AMPLITUDE_CAP
         index = np.arange(dim, dtype=np.uint64)
-        rows = np.empty((len(self.terms), dim), dtype=np.int8)
-        for row, (string, _) in zip(rows, self.terms):
-            row[...] = _parity_signs(index, string.z_mask)
-        rows.setflags(write=False)
+        rows = self._sign_rows
         groups, start = [], 0
         for x, group in groupby(self.terms, key=lambda term: term[0].x_mask):
             group = tuple(group)
@@ -358,15 +369,31 @@ class CompiledSum:
     _table = cached_property(lambda self: self._tabulate(self._groups, complex))
     _real_table = cached_property(lambda self: self._tabulate(self._real_groups, float))
 
+    def _fold(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``(scalars, masks)``, columns of one entry per term in canonical
+        order: the folded scalar times ``(-1)^popcount(x & z)``, which
+        turns the term's signs at ``b`` into its signs at ``b ^ x``, and the
+        X mask as ``np.intp`` (see "Support route" in the module doc)."""
+        scalars = [scalar for _, terms, *_ in groups for _, _, _, scalar, _ in terms]
+        folded = [-scalar if (string.x_mask & string.z_mask).bit_count() & 1 else scalar
+                  for (string, _), scalar in zip(self.terms, scalars)]
+        masks = [string.x_mask for string, _ in self.terms]
+        return np.array(folded).reshape(-1, 1), np.array(masks, dtype=np.intp).reshape(-1, 1)
+
+    _folded = cached_property(lambda self: self._fold(self._groups))
+    _real_folded = cached_property(lambda self: self._fold(self._real_groups))
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """``O|psi>``, in canonical term order, one gather per X mask.
+        """``O|psi>``, in canonical term order.
 
         ``amps`` is one state or a stack of states, one per row, complex or,
         for a :attr:`real` sum, float64.  A state of at most
         ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
-        table in four numpy calls, a larger one with at most a quarter of
-        its amplitudes nonzero on its support alone, and any other state or
-        stack in blocks of each X mask's terms (see the module doc).
+        table in four numpy calls; a larger one with at most a quarter of
+        its amplitudes nonzero on its support alone, every term at once in
+        chunks, with one in-order ``np.add.at`` scatter per chunk; and any
+        other state or stack in blocks of each X mask's terms (see the
+        module doc).
         """
         real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
@@ -374,19 +401,24 @@ class CompiledSum:
             gathered = amps.take(flips).take(masks, axis=0)
             np.multiply(table, gathered, out=gathered)
             return gathered.sum(axis=0, initial=0)
-        groups = self._real_groups if real else self._groups
         out = np.zeros_like(amps)
         support = _support(amps) if amps.ndim == 1 else None
-        source = amps if support is None else amps.take(support)
+        if support is not None:
+            folded, x_masks = self._real_folded if real else self._folded
+            source = amps.take(support)
+            chunk = max(1, _STACK_AMPLITUDES // max(support.size, 1))
+            for first in range(0, len(folded), chunk):
+                products = folded[first:first + chunk] * source
+                products *= self._sign_rows[first:first + chunk].take(support, axis=1)
+                reached = support ^ x_masks[first:first + chunk]
+                np.add.at(out, reached.ravel(), products.ravel())
+            return out
+        groups = self._real_groups if real else self._groups
         longest = max((len(scalars) for *_, scalars in groups), default=0)
         step = max(1, min(_STACK_ROWS, _STACK_AMPLITUDES // max(amps.size, 1)))
-        block = np.empty((min(longest, step), *source.shape), dtype=amps.dtype)
+        block = np.empty((min(longest, step), *amps.shape), dtype=amps.dtype)
         for flip, _, signs, scalars in groups:
-            if support is None:
-                gathered, acc = (amps if flip is None else amps.take(flip, axis=-1)), out
-            else:
-                reached = support if flip is None else flip.take(support)
-                gathered, acc, signs = source, out.take(reached), signs.take(reached, axis=1)
+            gathered = amps if flip is None else amps.take(flip, axis=-1)
             if amps.ndim == 2:
                 signs, scalars = signs[:, None], scalars[:, None]
             for start in range(0, len(scalars), step):
@@ -394,10 +426,8 @@ class CompiledSum:
                 rows = block[:stop - start]
                 np.multiply(scalars[start:stop], gathered, out=rows)
                 rows *= signs[start:stop]
-                rows[0] += acc
-                np.add.reduce(rows, axis=0, out=acc)
-            if support is not None:
-                out[reached] = acc
+                rows[0] += out
+                np.add.reduce(rows, axis=0, out=out)
         return out
 
     def exponential(self, amps: np.ndarray, theta: float) -> np.ndarray:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptvqe import compiled as compiled_module
-from adaptvqe.compiled import _STACK_ROWS, _TABLE_AMPLITUDE_CAP, CompiledSum, GeneratorBatch
+from adaptvqe.compiled import (
+    _STACK_AMPLITUDES,
+    _STACK_ROWS,
+    _TABLE_AMPLITUDE_CAP,
+    CompiledSum,
+    GeneratorBatch,
+)
 from adaptvqe.cost import CostLedger
 from adaptvqe.driver import pool_gradients, select_operator
 from adaptvqe.hamiltonians import builtin_model, dense_matrix
@@ -822,8 +828,8 @@ def sparse_states(rng, n_qubits):
     """Complex states either side of the support route's quarter rule: a
     basis state, two nonzero amplitudes, exactly a quarter of them and one
     past it, and two states with ``-0`` and ``+0`` parts both inside the
-    support and outside it (one with a single nonzero amplitude, so the
-    two added indices hold ``-0``)."""
+    support and outside it (one with a single nonzero amplitude among
+    ``-0`` ones)."""
     dim = 1 << n_qubits
     signed = scattered_amplitudes(rng, n_qubits, 6)
     parts = signed.view(np.float64)
@@ -866,12 +872,19 @@ def h6_problem():
     return hydrogen_chain_operator(1.0, 6)[0], build_qe_pool(12, 6)
 
 
+def odd_y(operator):
+    """How many of ``operator``'s strings have an odd number of Y letters,
+    whose scalars the support route folds by ``-1``."""
+    return sum((s.x_mask & s.z_mask).bit_count() & 1 for s, _ in operator)
+
+
 class TestSupportRoute:
     """Above the term table, a 1-D state with at most a quarter of its
-    amplitudes nonzero is applied only where it is nonzero: the gathered
-    nonzero amplitudes, each X mask's signs and accumulator read and written
-    at the indices they reach.  Every byte is the per-term reference's, as on
-    the X-mask route; stacks and denser states keep that route."""
+    amplitudes nonzero is applied only where it is nonzero: every term's
+    folded scalar times the gathered nonzero amplitudes and its signs there,
+    in chunks of terms, scattered in term order by ``np.add.at`` onto the
+    indices they reach.  Every byte is the per-term reference's, as on the
+    X-mask route; stacks and denser states keep that route."""
 
     @pytest.mark.parametrize("n_qubits", [9, 10, 12])
     def test_matches_reference_bytes(self, n_qubits, support_calls):
@@ -940,6 +953,73 @@ class TestSupportRoute:
         compiled.apply(basis_amplitudes(8, 3))
         assert len(support_calls) == 6  # the term table
 
+    @pytest.mark.parametrize("name", ["h6", "masked", "qe_double", "complex_scalars"])
+    def test_chunks_and_folds_match_reference_and_x_mask_route(self, name, h6_problem,
+                                                                support_calls):
+        """The zero state, one nonzero amplitude and 200 of them, which split
+        H6's 919 terms into chunks, float64 and complex, on H6, on sums with
+        odd-Y strings (whose scalars take the parity fold) and on a sum with
+        complex scalars: byte for byte the per-term reference and the X-mask
+        route, which a one-row stack takes."""
+        hamiltonian, pool = h6_problem
+        rng = np.random.default_rng(31)
+        operator = {
+            "h6": lambda: hamiltonian,
+            "masked": lambda: masked_sum(rng, 12),
+            "qe_double": lambda: next(op for op in pool.operators if op.n_terms == 8),
+            "complex_scalars": lambda: random_sum(rng, 12, 60, 6),
+        }[name]()
+        compiled = operator.compiled()
+        assert (odd_y(operator) > 0) == (name != "h6")
+        assert compiled.real == (name != "complex_scalars")
+        if name == "h6":
+            assert len(operator) > 2 * (_STACK_AMPLITUDES // 200)
+        zero = np.zeros(1 << 12, dtype=complex)
+        zero.view(np.float64)[rng.random(1 << 13) < 0.5] = -0.0
+        states = [zero, scattered_amplitudes(rng, 12, 1), scattered_amplitudes(rng, 12, 200)]
+        if compiled.real:
+            states += [amps.real.copy() for amps in states]
+        for amps in states:
+            expected = reference_apply_sum(amps.astype(complex), 12, operator)
+            if amps.dtype == np.float64:
+                expected = expected.real
+            support_calls.clear()
+            got = compiled.apply(amps)
+            assert support_calls[0] is not None
+            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == compiled.apply(amps[None])[0].tobytes()
+
+    def test_support_wider_than_a_chunk_takes_one_term_at_a_time(self, monkeypatch):
+        """A support of more than ``_STACK_AMPLITUDES`` amplitudes, as at 19
+        or more qubits, is applied one term per chunk, byte for byte."""
+        rng = np.random.default_rng(19)
+        operator = masked_sum(rng, 10)
+        amps = scattered_amplitudes(rng, 10, 200)
+        monkeypatch.setattr(compiled_module, "_STACK_AMPLITUDES", 100)
+        expected = reference_apply_sum(amps, 10, operator)
+        assert operator.compiled().apply(amps).tobytes() == expected.tobytes()
+
+    def test_numpy_add_at_adds_repeated_indices_in_order(self):
+        """``np.add.at`` is unbuffered: each index gets its values added one
+        after another in index order to the value it held, as sequential
+        ``+=`` would, float and complex.  Index 0's first values sum to 1
+        that way and to more pairwise."""
+        rng = np.random.default_rng(8)
+        index = np.concatenate([np.zeros(16, dtype=np.intp), rng.integers(0, 5, 200)])
+        for dtype in (float, complex):
+            values = rng.normal(size=index.size) * 10.0 ** rng.integers(-8, 8, index.size)
+            if dtype is complex:
+                values = values + 1j * rng.normal(size=index.size)
+            values[:16] = [1.0] + [2.0 ** -53] * 15
+            got = rng.normal(size=5).astype(dtype)
+            got[0] = 0.0
+            expected = got.copy()
+            for i, value in zip(index, values):
+                expected[i] += value
+            np.add.at(got, index, values)
+            assert got.tobytes() == expected.tobytes()
+        assert values[:16].sum() != 1.0
+
     @pytest.mark.parametrize("columns", [2, 3, 7])
     def test_numpy_reduces_two_columns_row_by_row(self, columns):
         """A block of two or more columns (at least two indices) is reduced
@@ -960,7 +1040,8 @@ class TestSupportRoute:
 
     def test_numpy_sums_one_column_pairwise(self):
         """A one-column block is summed pairwise, not row by row, so the
-        support route never reads fewer than two indices."""
+        X-mask route takes only states of two or more amplitudes, as every
+        state above the term table is."""
         rows = np.array([[1.0]] + [[2.0 ** -53]] * 15)
         expected = np.zeros(1)
         for row in rows:

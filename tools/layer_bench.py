@@ -59,7 +59,11 @@ The cases are
   (``hamiltonian_apply.h4_real``), each on one random float64 state;
 * H6 on the float64 state that four QE exponentials, each acting on the
   reference, make from it (``hamiltonian_apply.h6_adapt_real``): an ADAPT
-  state, with few nonzero amplitudes, so on the support route.
+  state, with few nonzero amplitudes, so on the support route;
+* H6 on that state as complex (``hamiltonian_apply.h6_adapt_complex``), and
+  on a state of 512 random nonzero amplitudes, an eighth of them, complex
+  and float64 (``hamiltonian_apply.h6_support512`` and ``..._real``): the
+  support route where its chunks are many.
 
 The cases added last draw their random inputs last, so every earlier case
 keeps the inputs it had before them.
@@ -267,6 +271,14 @@ def cases(rng) -> dict:
         h6_adapt = acting[int(i)].compiled().exponential(h6_adapt, float(theta))
     out["hamiltonian_apply.h6_adapt_real"] = (
         lambda c=h6.operator.compiled(), p=h6_adapt: c.apply(p))
+    out["hamiltonian_apply.h6_adapt_complex"] = (
+        lambda c=h6.operator.compiled(), p=h6_adapt.astype(complex): c.apply(p))
+    support512 = np.zeros(1 << 12, dtype=complex)
+    support512[rng.choice(1 << 12, 512, replace=False)] = random_state(rng, 9)
+    out["hamiltonian_apply.h6_support512"] = (
+        lambda c=h6.operator.compiled(), p=support512: c.apply(p))
+    out["hamiltonian_apply.h6_support512_real"] = (
+        lambda c=h6.operator.compiled(), p=support512.real.copy(): c.apply(p))
     return out
 
 

@@ -62,9 +62,9 @@ MASK_BLOCKS = "Above the term table, a Hamiltonian is applied one X mask at a ti
 MASK_BLOCK_TESTS = (SIM + "TestMaskBlocks::test_matches_reference_bytes",)
 IN_PLACE = "A rotation is one gather and in-place products"
 EXPONENTIAL_BYTES = (SIM + "TestExponentialBytes::test_matches_the_per_term_expression",)
-SUPPORT = "A Pauli sum is applied only where the state is nonzero"
+SUPPORT = "The support route applies every term at once"
 SUPPORT_BYTES = SIM + "TestSupportRoute::test_matches_reference_bytes"
-SUPPORT_H6 = SIM + "TestSupportRoute::test_h6_adapt_states"
+SUPPORT_CHUNKS = SIM + "TestSupportRoute::test_chunks_and_folds_match_reference_and_x_mask_route"
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,12 @@ MUTANTS = (
         (SIMULATOR, "columns = np.asarray(indices, dtype=np.intp)",
          "columns = np.asarray(indices)"),)),
     Mutant("mask-block-without-accumulator", MASK_BLOCKS, MASK_BLOCK_TESTS, (
-        (COMPILED, "                rows[0] += acc\n", ""),)),
+        (COMPILED, "                rows[0] += out\n", ""),)),
     Mutant("mask-block-accumulator-from-empty", MASK_BLOCKS, MASK_BLOCK_TESTS, (
         (COMPILED, "        out = np.zeros_like(amps)\n", "        out = np.empty_like(amps)\n"),)),
     Mutant("mask-block-rows-reversed", MASK_BLOCKS, MASK_BLOCK_TESTS, (
-        (COMPILED, "np.add.reduce(rows, axis=0, out=acc)",
-         "np.add.reduce(rows[::-1], axis=0, out=acc)"),)),
+        (COMPILED, "np.add.reduce(rows, axis=0, out=out)",
+         "np.add.reduce(rows[::-1], axis=0, out=out)"),)),
     Mutant("mask-block-bound-off-by-one", MASK_BLOCKS, MASK_BLOCK_TESTS, (
         (COMPILED, "stop = min(start + step, len(scalars))",
          "stop = min(start + step - 1, len(scalars))"),)),
@@ -226,16 +226,23 @@ MUTANTS = (
     Mutant("batch-mask-rows-counted-by-terms", IN_PLACE,
            (SIM + "TestTermTable::test_batch_rows_match_apply",), (
         (COMPILED, "start += len(mask_flips)", "start += len(terms)"),)),
-    # a one-amplitude state's blocks are one column, which numpy sums pairwise
-    Mutant("support-of-one-index", SUPPORT, (SUPPORT_BYTES, SUPPORT_H6), (
-        (COMPILED, "    nonzero[:2] = True\n", ""),)),
     Mutant("support-scatter-at-source", SUPPORT, (SUPPORT_BYTES,), (
-        (COMPILED, "out[reached] = acc", "out[support] = acc"),)),
-    Mutant("support-signs-at-source", SUPPORT, (SUPPORT_BYTES,), (
-        (COMPILED, "signs.take(reached, axis=1)", "signs.take(support, axis=1)"),)),
-    Mutant("support-accumulator-from-zeros", SUPPORT, (SUPPORT_BYTES,), (
-        (COMPILED, "gathered, acc, signs = source, out.take(reached),",
-         "gathered, acc, signs = source, np.zeros_like(source),"),)),
+        (COMPILED, "reached = support ^ x_masks[first:first + chunk]",
+         "reached = support + 0 * x_masks[first:first + chunk]"),)),
+    Mutant("support-parity-fold-dropped", SUPPORT, (SUPPORT_CHUNKS + "[masked]",), (
+        (COMPILED, "-scalar if (string.x_mask & string.z_mask).bit_count() & 1 else scalar",
+         "scalar"),)),
+    Mutant("support-chunks-reversed", SUPPORT, (SUPPORT_CHUNKS + "[h6]",), (
+        (COMPILED, "for first in range(0, len(folded), chunk):",
+         "for first in reversed(range(0, len(folded), chunk)):"),)),
+    Mutant("support-chunk-of-no-terms", SUPPORT,
+           (SIM + "TestSupportRoute::test_support_wider_than_a_chunk_takes_one_term_at_a_time",), (
+        (COMPILED, "chunk = max(1, _STACK_AMPLITUDES // max(support.size, 1))",
+         "chunk = _STACK_AMPLITUDES // max(support.size, 1)"),)),
+    # a repeated index keeps only its last product
+    Mutant("support-buffered-scatter", SUPPORT, (SUPPORT_BYTES,), (
+        (COMPILED, "np.add.at(out, reached.ravel(), products.ravel())",
+         "out[reached.ravel()] += products.ravel()"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
