@@ -7,25 +7,27 @@ measurements behind each choice.
 
 A :class:`CompiledSum` is what the engine applies.  :meth:`PauliSum.compiled`
 builds it on first use and keeps it on the sum, so an operator is analysed
-once.  It keeps the sum's terms and qubit count, not the sum, so a dropped
-sum and its arrays are freed at once.  A string acts as
-``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]``, with ``y = popcount(x & z)``
-its Y letters and ``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so a
-compiled sum holds
+once.  It keeps the sum's terms and qubit count, not the sum, and shares
+no array with another sum, so a dropped sum and its arrays are freed at
+once.  A string acts as ``(P psi)[b] = i^y s_z(b ^ x) psi[b ^ x]``, with
+``y = popcount(x & z)`` its Y letters and
+``s_z(b ^ x) = s_z(b) (-1)^popcount(x & z)``, so a compiled sum holds
 
-* its terms in canonical ``(x_mask, z_mask)`` order, grouped by X mask, with
-  one gather index ``b -> b ^ x`` and one read-only int8 sign stack per
-  mask, row ``k`` the ``(-1)^popcount(b & z)`` of its ``k``-th term, each
-  stack a slice of one array per sum.  Up to
-  ``_TABLE_AMPLITUDE_CAP`` amplitudes the gather indices are ``np.intp``
-  and each term's sign vector a read-only complex ``±1`` vector per Z mask,
-  shared by every sum of the process with the same qubit count, Z mask and
-  dtype: the arrays numpy would cast to on every call.  Above it the
-  indices are int32 and each term's sign vector is its row of the stack, a
-  view, so the signs take one int8 per amplitude and term;
-* each term's folded scalar, its coefficient times ``(-i)^y``;
+* its terms in canonical ``(x_mask, z_mask)`` order and one set of per-term
+  arrays in that order: ``_scalars``, each term's folded scalar (its
+  coefficient times ``(-i)^y``) in one complex column; ``_sign_rows``, one
+  read-only int8 row ``(-1)^popcount(b & z)`` per term; and ``_groups``, one
+  ``(flip, start, stop)`` per X mask, the gather index ``b -> b ^ x`` (None
+  for the Z-only mask) and the mask's slice of the other two.  Every route
+  reads slices of these and builds only what it reads;
 * for a generator, one rotation ``(flip, signs, imag, factor)`` per term,
-  built once, after the generator check;
+  built once per dtype, after the generator check.  Up to
+  ``_TABLE_AMPLITUDE_CAP`` amplitudes the signs are the term's row cast
+  once to the state's dtype, the operands numpy would cast to on every
+  call, and the flips ``np.intp``.  Above it the signs are the int8 row, a
+  view cast on every call, and the flips int32, so the arrays grow by one
+  int8 per amplitude and term: at the 20-qubit cap a float64 row would take
+  8 MB against 1 MB;
 * the Hermitian, anti-Hermitian and commuting flags, each computed on first
   use.  The first two read the coefficients against ``DEFAULT_PRUNE_TOL``,
   the package's one tolerance; two strings anticommute exactly when
@@ -43,30 +45,32 @@ of a zero, since it gathers before it multiplies, and is byte for byte
 mask, a CSR product or one Givens rotation per generator each move an ulp.
 
 **Term table.**  A 1-D state of at most ``_TABLE_AMPLITUDE_CAP`` amplitudes
-is applied over a table of one row per term, the scalar times its sign
-vector: one gather with one index row per X mask, one row gather that
-gives each term its mask's gathered row, one product in place with the
-table as left operand, and one sum.  That replays the per-term rounding: a
-sign is ``±1`` and rounding is symmetric under negation; the table stays the
-left operand; numpy adds the rows of a C-contiguous array along axis 0 one
-after another; and the sum starts from ``+0``, as the per-term accumulator
-did.  Larger states take the X-mask or the support route, since there a
-table is large and slower.
+is applied over a table of one row per term, the scalar times its sign row:
+one gather with one index row per X mask, one row gather that gives each
+term its mask's gathered row, one product in place with the table as left
+operand, and one sum.  That replays the per-term rounding: a sign is ``±1``
+and rounding is symmetric under negation; a Z mask of 0 gives the scalar
+itself, since a finite nonzero coefficient times ``1 + 0j``, times
+``1 + 0j`` again, keeps every bit; the table stays the left operand; numpy
+adds the rows of a C-contiguous array along axis 0 one after another; and
+the sum starts from ``+0``, as the per-term accumulator did.  Larger states
+take the X-mask or the support route, since there a table is large and
+slower.
 
 **X-mask route.**  Every stack of states of shape ``(m, 2^q)``, applied
 along the last axis, and every larger 1-D state that the support route
 leaves, goes one X mask at a time: one gather, then, for each block of the
 mask's terms in canonical order (at most ``_STACK_ROWS`` terms and
 ``_STACK_AMPLITUDES`` amplitudes), one product of their scalars by the
-gathered state into one buffer allocated per call, one product by the
-block's rows of the sign stack, the accumulator added to the block's first
-row and one ``np.add.reduce`` along axis 0 into the accumulator.  That
-replays the per-term rounding too: ``(c g) s`` and ``c (g s)`` differ at
-most in the sign of a zero, since ``s = ±1``; IEEE addition commutes, so
-``t + out`` is ``out + t``; the accumulator starts from ``+0`` and,
-rounding to nearest, becomes ``-0`` only when both addends are, so no sign
-of a zero reaches it; and numpy adds the rows along axis 0 one after
-another.  So every row of a stack is bit for bit the 1-D result.
+gathered state into one buffer allocated per call, one product by their
+sign rows, the accumulator added to the block's first row and one
+``np.add.reduce`` along axis 0 into the accumulator.  That replays the
+per-term rounding too: ``(c g) s`` and ``c (g s)`` differ at most in the
+sign of a zero, since ``s = ±1``; IEEE addition commutes, so ``t + out`` is
+``out + t``; the accumulator starts from ``+0`` and, rounding to nearest,
+becomes ``-0`` only when both addends are, so no sign of a zero reaches it;
+and numpy adds the rows along axis 0 one after another.  So every row of a
+stack is bit for bit the 1-D result.
 
 **Support route.**  A 1-D state above the cap with at most a quarter of its
 amplitudes nonzero is applied only where it is nonzero, every term at once.
@@ -74,21 +78,20 @@ Its support ``S``, the nonzero indices, is gathered once.  A term adds its
 scalar times ``psi[S]`` times its signs at ``S ^ x``, which are its signs
 at ``S`` times ``(-1)^popcount(x & z)``; that constant is folded into a
 column of scalars, once per sum and dtype, so every term's signs are read
-at ``S`` itself, with one shared-index ``take`` of the int8 array the
-X-mask route's stacks slice.  The terms go in canonical order, in chunks of
-``_STACK_AMPLITUDES // |S|`` terms, at least one: per chunk one product of
-the folded scalars by the gathered amplitudes, one product by the signs,
-the indices ``S ^ x`` they reach and one ``np.add.at`` of the products
-there.  That is byte for byte the X-mask route: a product by ``±1`` is
-exact, so each product is the X-mask route's save the sign of a zero;
-``np.add.at`` is unbuffered and adds in index order, so every reached
-amplitude gets the same products added from ``+0`` in the same term order;
-every skipped product is ``(c ±0) s = ±0``, and an accumulator that starts
-from ``+0`` is never ``-0``, so adding ``±0`` leaves it as it is; and every
-amplitude never reached is ``+0`` on both routes.  The route's cost grows
-with ``S``, so it stops at a quarter of the amplitudes.  Stacks keep the
-X-mask route: the route reads one support per call, and each row of a stack
-has its own.
+at ``S`` itself, with one shared-index ``take`` of ``_sign_rows``.  The
+terms go in canonical order, in chunks of ``_STACK_AMPLITUDES // |S|``
+terms, at least one: per chunk one product of the folded scalars by the
+gathered amplitudes, one product by the signs, the indices ``S ^ x`` they
+reach and one ``np.add.at`` of the products there.  That is byte for byte
+the X-mask route: a product by ``±1`` is exact, so each product is the
+X-mask route's save the sign of a zero; ``np.add.at`` is unbuffered and
+adds in index order, so every reached amplitude gets the same products
+added from ``+0`` in the same term order; every skipped product is
+``(c ±0) s = ±0``, and an accumulator that starts from ``+0`` is never
+``-0``, so adding ``±0`` leaves it as it is; and every amplitude never
+reached is ``+0`` on both routes.  The route's cost grows with ``S``, so it
+stops at a quarter of the amplitudes.  Stacks keep the X-mask route: the
+route reads one support per call, and each row of a stack has its own.
 
 **Batches.**  A :class:`GeneratorBatch` applies several generators, each to
 its own small state, over their tables stacked and padded with zero rows:
@@ -120,11 +123,12 @@ generators nor on the BLAS kernel.  It runs in float64 when ``psi`` and
 scalar is real: real coefficients on even-Y strings, or imaginary ones on
 odd-Y strings.  Such a sum keeps a real state real, so ``apply``,
 ``exponential`` and :meth:`GeneratorBatch.apply_each` also take float64
-states, chosen by dtype, with real scalars and tables, shared float64 signs
-up to the cap and the rotation factor ``sin(w) (-unit.imag)``.  IEEE products
+states, chosen by dtype, with the real scalars ``_real_scalars``, the same
+int8 rows and the rotation factor ``sin(w) (-unit.imag)``.  IEEE products
 and sums of operands with zero imaginary parts have the real results as
 real parts, save the sign of an exact zero, so each result is the complex
-route's real part.  Any other sum raises ``ValueError`` on a float64 state.
+route's real part.  ``_real_scalars`` raises ``ValueError`` for any other
+sum, so every route refuses it on a float64 state.
 """
 
 from __future__ import annotations
@@ -159,29 +163,11 @@ _SWEEP_BLOCK = 1 << 13
 
 _FLOAT64 = np.dtype(np.float64)  # a real state's; cheaper to compare than np.float64
 
-# One read-only sign vector per (n_qubits, z_mask, dtype), shared by every
-# compiled sum for the life of the process.
-_SIGN_VECTORS: dict[tuple[int, int, type], np.ndarray] = {}
-
 
 def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
     """(-1)^popcount(b & z_mask) for every basis index b."""
     parity = np.bitwise_count(index & z_mask) & 1
     return (1 - 2 * parity).astype(np.int8)
-
-
-def _shared_signs(n_qubits: int, index: np.ndarray, z_mask: int,
-                  dtype: type) -> np.ndarray:
-    """The read-only ``dtype`` sign vector of ``z_mask`` on ``n_qubits``,
-    built from the basis ``index`` on first request and shared from then
-    on."""
-    key = (n_qubits, z_mask, dtype)
-    signs = _SIGN_VECTORS.get(key)
-    if signs is None:
-        signs = _parity_signs(index, z_mask).astype(dtype, copy=False)
-        signs.setflags(write=False)
-        _SIGN_VECTORS[key] = signs
-    return signs
 
 
 def _support(amps: np.ndarray) -> np.ndarray | None:
@@ -273,16 +259,30 @@ class CompiledSum:
             raise ValueError("generator terms do not mutually commute")
 
     @cached_property
+    def _scalars(self) -> np.ndarray:
+        """The column of every term's folded scalar, its coefficient times
+        ``(-i)^y``, in canonical order."""
+        return np.array([coeff * _UNIT_PHASES[3 * (s.x_mask & s.z_mask).bit_count() % 4]
+                         for s, coeff in self.terms], dtype=complex).reshape(-1, 1)
+
+    @cached_property
     def real(self) -> bool:
         """Every folded scalar is real, so a float64 state stays real (see
         "Real problems" in the module doc)."""
-        return all(not scalars.imag.any() for *_, scalars in self._groups)
+        return not self._scalars.imag.any()
+
+    @cached_property
+    def _real_scalars(self) -> np.ndarray:
+        """The real parts of ``_scalars``, for float64 states; the one check
+        that refuses a sum that is not :attr:`real`."""
+        if not self.real:
+            raise ValueError("a float64 state needs a sum with real scalars")
+        return self._scalars.real.copy()
 
     @cached_property
     def _sign_rows(self) -> np.ndarray:
-        """The read-only int8 array of one row ``(-1)^popcount(b & z)`` per
-        term in canonical order, filled a row at a time, so no temporary
-        outgrows a row."""
+        """The read-only int8 sign rows (see the module doc), filled a row at
+        a time, so no temporary outgrows a row."""
         index = np.arange(1 << self.n_qubits, dtype=np.uint64)
         rows = np.empty((len(self.terms), index.size), dtype=np.int8)
         for row, (string, _) in zip(rows, self.terms):
@@ -292,108 +292,71 @@ class CompiledSum:
 
     @cached_property
     def _groups(self) -> tuple:
-        """``((flip, terms, signs, scalars), ...)`` per X mask in canonical
-        order.
-
-        ``flip`` is the gather index ``b -> b ^ x``, None for the Z-only
-        mask; ``signs`` the mask's read-only int8 stack, one row
-        ``(-1)^popcount(b & z)`` per term, and ``scalars`` the column of its
-        terms' folded scalars.  The stacks are consecutive slices of
-        ``_sign_rows``.  Each term is ``(signs, coeff, unit, scalar, z)``
-        with ``signs`` its sign vector, None for a Z mask of 0, ``unit`` the
-        folded phase ``(-i)^y``, ``scalar = coeff * unit`` and ``z`` the Z
-        mask.  Up to ``_TABLE_AMPLITUDE_CAP`` amplitudes the flips are
-        ``np.intp`` and a term's signs the shared complex vector; above it
-        the flips are int32 and a term's signs a row of its mask's stack
-        (see the module doc).
-        """
+        """``(flip, start, stop)`` per X mask in canonical order: the gather
+        index ``b -> b ^ x`` (see the module doc) and the mask's slice of the
+        per-term arrays."""
         dim = 1 << self.n_qubits
-        tabled = dim <= _TABLE_AMPLITUDE_CAP
         index = np.arange(dim, dtype=np.uint64)
-        rows = self._sign_rows
-        groups, start = [], 0
-        for x, group in groupby(self.terms, key=lambda term: term[0].x_mask):
-            group = tuple(group)
-            stack, start = rows[start:start + len(group)], start + len(group)
-            terms = []
-            for (string, coeff), row in zip(group, stack):
-                z = string.z_mask
-                signs = (None if not z else _shared_signs(self.n_qubits, index, z, complex)
-                         if tabled else row)
-                unit = _UNIT_PHASES[3 * (x & z).bit_count() % 4]
-                terms.append((signs, coeff, unit, coeff * unit, z))
-            flip = (index ^ np.uint64(x)).astype(np.intp if tabled else np.int32) if x else None
-            groups.append((flip, tuple(terms), stack, np.array([[term[3]] for term in terms])))
+        dtype = np.intp if dim <= _TABLE_AMPLITUDE_CAP else np.int32
+        groups, stop = [], 0
+        for x, group in groupby(string.x_mask for string, _ in self.terms):
+            start, stop = stop, stop + sum(1 for _ in group)
+            groups.append(((index ^ np.uint64(x)).astype(dtype) if x else None, start, stop))
         return tuple(groups)
 
-    @cached_property
-    def _real_groups(self) -> tuple:
-        """``_groups`` for float64 states: the same flips and stacks, each
-        scalar's real part and, up to ``_TABLE_AMPLITUDE_CAP`` amplitudes,
-        shared float64 signs."""
-        if not self.real:
-            raise ValueError("a float64 state needs a sum with real scalars")
-        index = np.arange(1 << self.n_qubits, dtype=np.uint64)
-        return tuple((flip, tuple(
-            (signs if signs is None or signs.dtype == np.int8
-             else _shared_signs(self.n_qubits, index, z, float), coeff, unit, scalar.real, z)
-            for signs, coeff, unit, scalar, z in terms), stack, scalars.real.copy())
-            for flip, terms, stack, scalars in self._groups)
-
-    def _rotations_of(self, groups: tuple, real: bool) -> tuple:
+    def _rotations_of(self, real: bool) -> tuple:
         """``(flip, signs, imag, factor)`` per term of a generator in
-        canonical order, ``imag`` the imaginary part of its coefficient and
-        ``factor`` what ``sin(w)`` is scaled by: ``-unit.imag`` on the real
-        route, the folded phase ``unit`` on the complex one.  Raises as
-        :meth:`check_generator` does for any other sum."""
+        canonical order (see the module doc; ``signs`` is None for a Z mask
+        of 0): ``imag`` the imaginary part of its coefficient and ``factor``
+        what ``sin(w)`` is scaled by, ``-unit.imag`` on the real route and
+        the folded phase ``unit`` on the complex one.  Raises as
+        :meth:`check_generator` and ``_real_scalars`` do."""
         self.check_generator()
-        return tuple((flip, signs, coeff.imag, -unit.imag if real else unit)
-                     for flip, terms, *_ in groups for signs, coeff, unit, *_ in terms)
+        dtype = self._real_scalars.dtype if real else self._scalars.dtype
+        cast = 1 << self.n_qubits <= _TABLE_AMPLITUDE_CAP
+        rotations = []
+        for flip, start, stop in self._groups:
+            for (string, coeff), row in zip(self.terms[start:stop], self._sign_rows[start:stop]):
+                unit = _UNIT_PHASES[3 * (string.x_mask & string.z_mask).bit_count() % 4]
+                signs = None if not string.z_mask else row.astype(dtype) if cast else row
+                rotations.append((flip, signs, coeff.imag, -unit.imag if real else unit))
+        return tuple(rotations)
 
-    _rotations = cached_property(lambda self: self._rotations_of(self._groups, False))
-    _real_rotations = cached_property(lambda self: self._rotations_of(self._real_groups, True))
+    _rotations = cached_property(lambda self: self._rotations_of(real=False))
+    _real_rotations = cached_property(lambda self: self._rotations_of(real=True))
 
-    def _tabulate(self, groups: tuple, dtype: type) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _tabulate(self, scalars: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(table, flips, masks)``: one row per term in canonical order, the
-        folded scalar times the term's sign vector (the scalar broadcast for
-        a Z mask of 0); one gather index ``b -> b ^ x`` per X mask; and each
-        term's row of ``flips``."""
+        folded scalar times the term's sign row; one gather index
+        ``b -> b ^ x`` per X mask; and each term's row of ``flips``."""
         dim = 1 << self.n_qubits
-        rows = [np.full(dim, scalar) if signs is None else scalar * signs
-                for _, terms, *_ in groups for signs, _, _, scalar, _ in terms]
-        flips = [np.arange(dim) if flip is None else flip for flip, *_ in groups]
-        masks = np.repeat(np.arange(len(groups)), [len(terms) for _, terms, *_ in groups])
-        return (np.array(rows, dtype=dtype).reshape(-1, dim),
-                np.array(flips, dtype=np.intp).reshape(-1, dim), masks)
+        flips = [np.arange(dim) if flip is None else flip for flip, *_ in self._groups]
+        masks = np.repeat(np.arange(len(self._groups)),
+                          [stop - start for _, start, stop in self._groups])
+        return scalars * self._sign_rows, np.array(flips, dtype=np.intp).reshape(-1, dim), masks
 
-    _table = cached_property(lambda self: self._tabulate(self._groups, complex))
-    _real_table = cached_property(lambda self: self._tabulate(self._real_groups, float))
+    _table = cached_property(lambda self: self._tabulate(self._scalars))
+    _real_table = cached_property(lambda self: self._tabulate(self._real_scalars))
 
-    def _fold(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``(scalars, masks)``, columns of one entry per term in canonical
-        order: the folded scalar times ``(-1)^popcount(x & z)``, which
-        turns the term's signs at ``b`` into its signs at ``b ^ x``, and the
-        X mask as ``np.intp`` (see "Support route" in the module doc)."""
-        scalars = [scalar for _, terms, *_ in groups for _, _, _, scalar, _ in terms]
-        folded = [-scalar if (string.x_mask & string.z_mask).bit_count() & 1 else scalar
-                  for (string, _), scalar in zip(self.terms, scalars)]
-        masks = [string.x_mask for string, _ in self.terms]
-        return np.array(folded).reshape(-1, 1), np.array(masks, dtype=np.intp).reshape(-1, 1)
+    def _fold(self, scalars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(scalars, masks)``, one column entry per term: ``scalars`` times
+        ``(-1)^popcount(x & z)`` and the X mask as ``np.intp`` (see "Support
+        route" in the module doc)."""
+        odd = np.array([(s.x_mask & s.z_mask).bit_count() & 1 for s, _ in self.terms], dtype=bool)
+        masks = np.array([s.x_mask for s, _ in self.terms], dtype=np.intp)
+        return np.where(odd[:, None], -scalars, scalars), masks[:, None]
 
-    _folded = cached_property(lambda self: self._fold(self._groups))
-    _real_folded = cached_property(lambda self: self._fold(self._real_groups))
+    _folded = cached_property(lambda self: self._fold(self._scalars))
+    _real_folded = cached_property(lambda self: self._fold(self._real_scalars))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """``O|psi>``, in canonical term order.
 
         ``amps`` is one state or a stack of states, one per row, complex or,
-        for a :attr:`real` sum, float64.  A state of at most
-        ``_TABLE_AMPLITUDE_CAP`` amplitudes is applied through the term
-        table in four numpy calls; a larger one with at most a quarter of
-        its amplitudes nonzero on its support alone, every term at once in
-        chunks, with one in-order ``np.add.at`` scatter per chunk; and any
-        other state or stack in blocks of each X mask's terms (see the
-        module doc).
+        for a :attr:`real` sum, float64.  A 1-D state takes the term table up
+        to ``_TABLE_AMPLITUDE_CAP`` amplitudes, and above it the support
+        route when at most a quarter of it is nonzero; any other state or
+        stack takes the X-mask route (see the module doc).
         """
         real = amps.dtype == _FLOAT64
         if amps.ndim == 1 and amps.size <= _TABLE_AMPLITUDE_CAP:
@@ -413,19 +376,19 @@ class CompiledSum:
                 reached = support ^ x_masks[first:first + chunk]
                 np.add.at(out, reached.ravel(), products.ravel())
             return out
-        groups = self._real_groups if real else self._groups
-        longest = max((len(scalars) for *_, scalars in groups), default=0)
+        scalars, signs = self._real_scalars if real else self._scalars, self._sign_rows
+        if amps.ndim == 2:
+            scalars, signs = scalars[:, None], signs[:, None]
+        longest = max((stop - start for _, start, stop in self._groups), default=0)
         step = max(1, min(_STACK_ROWS, _STACK_AMPLITUDES // max(amps.size, 1)))
         block = np.empty((min(longest, step), *amps.shape), dtype=amps.dtype)
-        for flip, _, signs, scalars in groups:
+        for flip, start, stop in self._groups:
             gathered = amps if flip is None else amps.take(flip, axis=-1)
-            if amps.ndim == 2:
-                signs, scalars = signs[:, None], scalars[:, None]
-            for start in range(0, len(scalars), step):
-                stop = min(start + step, len(scalars))
-                rows = block[:stop - start]
-                np.multiply(scalars[start:stop], gathered, out=rows)
-                rows *= signs[start:stop]
+            for first in range(start, stop, step):
+                last = min(first + step, stop)
+                rows = block[:last - first]
+                np.multiply(scalars[first:last], gathered, out=rows)
+                rows *= signs[first:last]
                 rows[0] += out
                 np.add.reduce(rows, axis=0, out=out)
         return out
@@ -462,18 +425,15 @@ class CompiledSum:
         return amps
 
     def dense(self) -> np.ndarray:
-        """The one full-dimension matrix form of the sum, read from the same
-        groups as :meth:`apply`, site 0 least significant: each term in
-        canonical order adds its folded scalar times its sign vector at the
-        entries ``(b, b ^ x)`` of an all-zero matrix, so each entry is
+        """The one full-dimension matrix form of the sum, site 0 least
+        significant: each term in canonical order adds its term-table row at
+        the entries ``(b, b ^ x)`` of an all-zero matrix, so each entry is
         rounded as in a dense sum of the terms' matrices."""
-        dim = 1 << self.n_qubits
-        index = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        for flip, terms, *_ in self._groups:
-            cols = index if flip is None else flip
-            for signs, _, _, scalar, _ in terms:
-                out[index, cols] += scalar if signs is None else scalar * signs
+        table, flips, masks = self._tabulate(self._scalars)
+        index = np.arange(1 << self.n_qubits)
+        out = np.zeros((index.size, index.size), dtype=complex)
+        for row, mask in zip(table, masks):
+            out[index, flips[mask]] += row
         return out
 
 

@@ -395,8 +395,8 @@ def assert_bit_exact(ansatz, hamiltonian, amps):
 def assert_rows_bit_exact(compiled, stack, theta=None):
     """``apply`` (and ``exponential`` at ``theta``) on a stack of states
     against one 1-D call per row, byte for byte.  A small 1-D state goes
-    through the term table and a stack term by term, so for ``apply`` this
-    compares the two routes."""
+    through the term table and a stack through the X-mask route, so for
+    ``apply`` this compares the two routes."""
     applied = compiled.apply(stack)
     for row, got in zip(stack, applied):
         assert got.tobytes() == compiled.apply(row).tobytes()
@@ -599,149 +599,201 @@ def test_exponential_matches_reference_up_to_the_sign_of_a_zero():
             assert np.all(parts[differ] == 0.0)
 
 
-def signs_by_z_mask(compiled):
-    """Z mask -> the sign vector a compiled sum holds for it."""
-    held = [signs for _, terms, *_ in compiled._groups for signs, *_ in terms]
-    return {string.z_mask: signs for (string, _), signs in zip(compiled.terms, held)
-            if string.z_mask}
-
-
-def assert_signs_are_stack_rows(groups, n_qubits):
-    """Above the size key: one read-only int8 stack per X mask, row ``k``
-    the ``(-1)^popcount(b & z)`` of its ``k``-th term, and each term's signs
-    that row, a view (None for a Z mask of 0).  The stacks are consecutive
-    views of one array of the sum, so no two masks share a row."""
-    index = np.arange(1 << n_qubits, dtype=np.uint64)
-    rows = groups[0][2].base
-    assert rows is not None and not rows.flags.writeable
-    for _, terms, stack, _ in groups:
-        assert stack.dtype == np.int8 and not stack.flags.writeable
-        assert stack.shape == (len(terms), 1 << n_qubits) and stack.base is rows
-        for k, (signs, *_, z) in enumerate(terms):
-            assert stack[k].tobytes() == compiled_module._parity_signs(index, z).tobytes()
-            if z:
-                assert signs.base is rows
-                assert signs.__array_interface__ == stack[k].__array_interface__
-            else:
+def assert_one_layout(compiled, n_qubits):
+    """A compiled sum's one set of per-term arrays, in canonical order:
+    ``_scalars`` one complex column of folded scalars, ``coeff (-i)^y``;
+    ``_sign_rows`` one read-only int8 row ``(-1)^popcount(b & z)`` per term;
+    and ``_groups`` one ``(flip, start, stop)`` per X mask, consecutive
+    slices over every term, the flip ``b ^ x`` (None for ``x = 0``),
+    ``np.intp`` up to the size key and int32 above.  A generator's rotations
+    take their mask's flip and, up to the key, their row cast to the
+    route's dtype, an array of their own; above it the int8 row, a view."""
+    dim, terms, rows = 1 << n_qubits, compiled.terms, compiled._sign_rows
+    index = np.arange(dim)
+    units = [(1, -1j, -1, 1j)[(s.x_mask & s.z_mask).bit_count() % 4] for s, _ in terms]
+    assert compiled._scalars.shape == (len(terms), 1) and compiled._scalars.dtype == complex
+    assert np.array_equal(compiled._scalars[:, 0], [c * u for (_, c), u in zip(terms, units)])
+    assert rows.dtype == np.int8 and rows.shape == (len(terms), dim)
+    assert not rows.flags.writeable
+    for row, (string, _) in zip(rows, terms):
+        assert np.array_equal(row, np.where(np.bitwise_count(index & string.z_mask) & 1, -1, 1))
+    flips, covered = [], 0
+    for flip, start, stop in compiled._groups:
+        assert start == covered < stop
+        x = terms[start][0].x_mask
+        assert {s.x_mask for s, _ in terms[start:stop]} == {x}
+        assert x != (terms[start - 1][0].x_mask if start else -1)
+        if x:
+            assert flip.dtype == (np.intp if dim <= _TABLE_AMPLITUDE_CAP else np.int32)
+            assert np.array_equal(flip, index ^ x)
+        else:
+            assert flip is None
+        flips += [flip] * (stop - start)
+        covered = stop
+    assert covered == len(terms)
+    if not (compiled.anti_hermitian and compiled.commuting):
+        return
+    routes = [(compiled._rotations, complex)]
+    routes += [(compiled._real_rotations, float)] if compiled.real else []
+    for rotations, dtype in routes:
+        assert len(rotations) == len(terms)
+        for (flip, signs, *_), mask_flip, row, (string, _) in zip(rotations, flips, rows, terms):
+            assert flip is mask_flip
+            if not string.z_mask:
                 assert signs is None
-    assert sum(len(stack) for _, _, stack, _ in groups) == len(rows)
+            elif dim <= _TABLE_AMPLITUDE_CAP:
+                assert signs.dtype == dtype and not np.shares_memory(signs, rows)
+                assert np.array_equal(signs, row)
+            else:
+                assert signs.base is rows
+                assert signs.__array_interface__ == row.__array_interface__
+
+
+def held_arrays(compiled):
+    """Every array a compiled sum holds in its per-term arrays and rotations."""
+    held = [compiled._scalars, compiled._sign_rows]
+    held += [flip for flip, *_ in compiled._groups if flip is not None]
+    for name in ("_rotations", "_real_rotations"):
+        held += [signs for _, signs, *_ in vars(compiled).get(name, ()) if signs is not None]
+    return held
+
+
+def with_private_arrays(compiled):
+    """Make each per-term array of ``compiled``, and each rotation's signs,
+    a private copy, so no route reads a view of another's array."""
+    rows = compiled._sign_rows.copy()
+    rows.setflags(write=False)
+    compiled._sign_rows, compiled._scalars = rows, compiled._scalars.copy()
+    compiled._groups = tuple((None if flip is None else flip.copy(), start, stop)
+                             for flip, start, stop in compiled._groups)
+    for name, real in (("_rotations", False), ("_real_rotations", True)):
+        if compiled.anti_hermitian and compiled.commuting and (compiled.real or not real):
+            setattr(compiled, name, tuple(
+                (flip, None if signs is None else signs.copy(), *rest)
+                for flip, signs, *rest in getattr(compiled, name)))
+            assert not any(np.shares_memory(signs, rows)
+                           for _, signs, *_ in getattr(compiled, name) if signs is not None)
+
+
+def layout_outputs(operators, states, private):
+    """``apply`` of each operator, and ``exponential`` of each generator, on
+    every state, as bytes, from new compiled forms (with private arrays when
+    ``private``)."""
+    out = []
+    for operator in operators:
+        compiled = CompiledSum(operator)
+        if private:
+            with_private_arrays(compiled)
+        for amps in states:
+            if amps.dtype == np.float64 and not compiled.real:
+                continue
+            out.append(compiled.apply(amps).tobytes())
+            if compiled.anti_hermitian:
+                out.append(compiled.exponential(amps, 0.3).tobytes())
+    return out
 
 
 class TestSharedSigns:
-    @pytest.mark.parametrize("n_qubits", [8, 12])
-    def test_sums_with_a_common_z_mask_share_one_read_only_vector(self, n_qubits):
-        """Up to the size key, sums with a common Z mask share one read-only
-        complex vector; above it each X mask holds one read-only int8 stack
-        and each term's signs are a row of it."""
-        pad = "I" * (n_qubits - 4)
-        first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
-        second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
-        if n_qubits == 12:
-            for operator in (first, second):
-                assert_signs_are_stack_rows(operator.compiled()._groups, n_qubits)
-            return
-        first_signs = signs_by_z_mask(first.compiled())
-        second_signs = signs_by_z_mask(second.compiled())
-        common = set(first_signs) & set(second_signs)
-        assert common == {0b0011}  # ZZ.. and YY.. read the same Z mask
-        for z in common:
-            assert first_signs[z] is second_signs[z]
-        for signs in (*first_signs.values(), *second_signs.values()):
-            assert not signs.flags.writeable
-            assert signs.dtype == (complex if n_qubits == 8 else np.int8)
+    """A sum's routes share its one set of per-term arrays (see the
+    ``compiled`` module doc), and no array is shared between sums, so a
+    dropped sum frees them all."""
 
     @pytest.mark.parametrize("n_qubits", [8, 12])
-    def test_real_route_signs_are_shared_too(self, n_qubits):
-        """The float64 route holds one read-only float64 sign vector per
-        qubit count and Z mask up to the size key, and above it the int8
-        stacks of the complex route and their rows."""
+    def test_one_layout_per_sum(self, n_qubits):
+        """Hermitian sums with a common Z mask and real and complex
+        generators (one with a Z mask of 0), after ``apply`` and
+        ``exponential`` on 1-D states and stacks: each holds the one layout,
+        and no two share an array."""
         pad = "I" * (n_qubits - 4)
-        first = PauliSum.from_text_terms([("ZZIX" + pad, 1.0), ("XIZI" + pad, 0.5)])
-        second = PauliSum.from_text_terms([("YYII" + pad, -2.0), ("IIZZ" + pad, 0.3)])
-        index = np.arange(1 << n_qubits, dtype=np.uint64)
-        for operator in (first, second):
-            compiled = operator.compiled()
-            assert compiled.real
-            if n_qubits == 12:
-                assert_signs_are_stack_rows(compiled._real_groups, n_qubits)
-                for (_, real_terms, real_stack, _), (_, terms, stack, _) in zip(
-                        compiled._real_groups, compiled._groups):
-                    assert real_stack is stack
-                    assert all(a[0] is b[0] for a, b in zip(real_terms, terms))
-                continue
-            held = [signs for _, terms, *_ in compiled._real_groups for signs, *_ in terms]
-            for (string, _), signs in zip(compiled.terms, held):
-                assert signs is compiled_module._shared_signs(
-                    n_qubits, index, string.z_mask, float)
-                assert signs.dtype == np.float64 and not signs.flags.writeable
+        sums = [PauliSum.from_text_terms([(text + pad, c) for text, c in terms]) for terms in (
+            [("ZZIX", 1.0), ("XIZI", 0.5)], [("YYII", -2.0), ("IIZZ", 0.3)],
+            [("XYII", 0.5j), ("YXII", -0.5j), ("IIXY", 0.25j)],
+            [("XXII", 1j), ("YYII", 0.5j), ("IIZZ", 0.3j)])]
+        rng = np.random.default_rng(n_qubits)
+        states = [random_amplitudes(rng, n_qubits), basis_amplitudes(n_qubits, 0b0101)]
+        states += [np.stack(states)]
+        compiled_sums = [operator.compiled() for operator in sums]
+        assert [compiled.real for compiled in compiled_sums] == [True, True, True, False]
+        for compiled in compiled_sums:
+            for amps in states + ([amps.real.copy() for amps in states] if compiled.real else []):
+                compiled.apply(amps)
+                if compiled.anti_hermitian:
+                    compiled.exponential(amps, 0.3)
+            assert_one_layout(compiled, n_qubits)
+        for k, compiled in enumerate(compiled_sums):
+            for other in compiled_sums[:k]:
+                assert not any(np.shares_memory(a, b)
+                               for a in held_arrays(compiled) for b in held_arrays(other))
 
-    def test_h4_bytes_do_not_depend_on_sharing(self, h4_equilibrium_fixture, monkeypatch):
-        """``apply`` and ``exponential`` of the H4 Hamiltonian and QE pool
-        with the shared vectors against sums that each build their own."""
+    def test_h4_bytes_do_not_depend_on_sharing(self, h4_equilibrium_fixture):
+        """``apply`` and ``exponential`` of the H4 Hamiltonian and QE pool, on
+        complex and float64 1-D states and stacks, with every route reading
+        one set of per-term arrays, against sums whose arrays and rotation
+        signs are private copies; and ``apply`` against the per-term
+        reference."""
         hamiltonian = h4_equilibrium_fixture.operator
         pool = build_qe_pool(8, h4_equilibrium_fixture.n_electrons)
         rng = np.random.default_rng(4)
         states = [random_amplitudes(rng, 8), basis_amplitudes(8, 0b1111)]
-        stack = np.stack(states)
-
-        def outputs():
-            out = []
-            for operator in (hamiltonian, *pool.operators):
-                compiled = CompiledSum(operator)
-                for amps in (*states, stack):
-                    out.append(compiled.apply(amps).tobytes())
-                    if operator is not hamiltonian:
-                        out.append(compiled.exponential(amps, 0.3).tobytes())
-            return out
-
-        shared = outputs()
-        for amps in states:
+        states += [amps.real.copy() for amps in states]
+        states += [np.stack(states[:2]), np.stack(states[2:])]
+        operators = (hamiltonian, *pool.operators)
+        assert (layout_outputs(operators, states, private=False)
+                == layout_outputs(operators, states, private=True))
+        for amps in states[:2]:
             assert (CompiledSum(hamiltonian).apply(amps).tobytes()
                     == reference_apply_sum(amps, 8, hamiltonian).tobytes())
 
-        def own_signs(n_qubits, index, z_mask, dtype):
-            return compiled_module._parity_signs(index, z_mask).astype(dtype)
-
-        monkeypatch.setattr(compiled_module, "_shared_signs", own_signs)
-        assert outputs() == shared
-
     def test_12_qubit_bytes_do_not_depend_on_the_stack_rows(self):
         """At 12 qubits, ``apply`` and ``exponential`` of a sum with many
-        terms per X mask and of QE generators, complex and float64, on 1-D
-        states and stacks, with each term's signs a row of its mask's stack
-        against the same sums with every stack and row a private copy; and
-        ``apply`` against the per-term reference."""
+        terms per X mask and of QE generators, complex and float64, on dense
+        and sparse 1-D states and on stacks, with the X-mask route's blocks,
+        the support route's rows and the rotations' signs views of one int8
+        array, against the same sums with private copies; and ``apply``
+        against the per-term reference."""
         rng = np.random.default_rng(12)
         hamiltonian = masked_sum(rng, 12)
         pool = build_qe_pool(12, 6)
         generators = [pool.operators[int(k)] for k in rng.choice(len(pool), 4, replace=False)]
         states = [random_amplitudes(rng, 12), basis_amplitudes(12, 0b111111)]
         states += [amps.real.copy() for amps in states]
-        stacks = [np.stack(states[:2]), np.stack(states[2:])]
-
-        def outputs(compiled_sums):
-            out = []
-            for operator, compiled in zip((hamiltonian, *generators), compiled_sums):
-                for amps in (*states, *stacks):
-                    out.append(compiled.apply(amps).tobytes())
-                    if operator is not hamiltonian:
-                        out.append(compiled.exponential(amps, 0.3).tobytes())
-            return out
-
-        viewed = [CompiledSum(operator) for operator in (hamiltonian, *generators)]
-        copied = [CompiledSum(operator) for operator in (hamiltonian, *generators)]
-        for compiled in copied:
-            compiled._groups = tuple(
-                (flip, tuple((None if signs is None else signs.copy(), *rest)
-                             for signs, *rest in terms), stack.copy(), scalars)
-                for flip, terms, stack, scalars in compiled._groups)
-            assert not any(np.shares_memory(signs, stack)
-                           for _, terms, stack, _ in compiled._groups
-                           for signs, *_ in terms if signs is not None)
-        assert outputs(viewed) == outputs(copied)
+        states += [np.stack(states[:2]), np.stack(states[2:])]
+        operators = (hamiltonian, *generators)
+        assert (layout_outputs(operators, states, private=False)
+                == layout_outputs(operators, states, private=True))
         for amps in states[:2]:
-            assert (viewed[0].apply(amps).tobytes()
+            assert (CompiledSum(hamiltonian).apply(amps).tobytes()
                     == reference_apply_sum(amps, 12, hamiltonian).tobytes())
+
+    def test_rotation_signs_are_freed_with_their_sum(self):
+        """Up to the size key a generator's rotation signs are casts of its
+        own rows, so they go when the sum does: a process-wide cache of sign
+        vectors would keep them."""
+        rng = np.random.default_rng(8)
+        generator = PauliSum.from_text_terms([("XYIIIIII", 0.5j), ("YXIIIIII", -0.5j)])
+        amps = random_amplitudes(rng, 8)
+        for state in (amps, amps.real.copy()):
+            generator.compiled().exponential(state, 0.3)
+        compiled = generator.compiled()
+        refs = [weakref.ref(signs) for rotations in (compiled._rotations, compiled._real_rotations)
+                for _, signs, *_ in rotations]
+        assert len(refs) == 4 and all(ref() is not None for ref in refs)
+        del generator, compiled
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_support_route_builds_no_gather_indices(self):
+        """A 12-qubit sum applied only to sparse 1-D states, complex and
+        float64, reads its scalars and sign rows and never builds the gather
+        indices of its X masks."""
+        rng = np.random.default_rng(6)
+        operator = masked_sum(rng, 12)
+        compiled = operator.compiled()
+        for amps in (scattered_amplitudes(rng, 12, 20), basis_amplitudes(12, 0b111111)):
+            expected = reference_apply_sum(amps, 12, operator)
+            assert compiled.apply(amps).tobytes() == expected.tobytes()
+            assert compiled.apply(amps.real.copy()).tobytes() == expected.real.tobytes()
+        assert "_groups" not in vars(compiled)
 
 
 def random_sum(rng, n_qubits, n_terms, n_masks):
@@ -791,7 +843,7 @@ class TestMaskBlocks:
         operator = masked_sum(rng, n_qubits)
         compiled = operator.compiled()
         assert compiled.real
-        sizes = [len(scalars) for *_, scalars in compiled._groups]
+        sizes = [stop - start for _, start, stop in compiled._groups]
         assert compiled._groups[0][0] is None  # the Z-only mask
         assert max(sizes) > _STACK_ROWS and any(size % _STACK_ROWS for size in sizes)
         states = [random_amplitudes(rng, n_qubits), *signed_zero_states(rng, n_qubits)]
@@ -1163,13 +1215,14 @@ class TestTermTable:
         for amps in (random_amplitudes(rng, n_qubits), basis_amplitudes(n_qubits, 37)):
             expected = reference_apply_sum(amps, n_qubits, operator)
             assert compiled.apply(amps).tobytes() == expected.tobytes()
-        # the key is pinned at 8 qubits: larger states keep the per-term route
+        # the key is pinned at 8 qubits: larger states take the X-mask route
         assert ("_table" in vars(compiled)) == (n_qubits == 8)
 
     @pytest.mark.parametrize("n_qubits", [8, 9])
     def test_rotations_either_side_of_the_size_key(self, monkeypatch, n_qubits):
-        """Up to the key a sum holds ``np.intp`` flips and complex signs,
-        above it int32 flips and int8 signs that numpy casts on every call.
+        """Up to the key a generator's rotations hold ``np.intp`` flips and
+        complex signs, above it int32 flips and int8 signs that numpy casts
+        on every call.
         QE generators match the per-term reference either way, as a 1-D
         exponential and as a stacked exponential and apply, and each stacked
         row is the 1-D result byte for byte.  At 8 qubits the key is also
@@ -1193,8 +1246,7 @@ class TestTermTable:
                 # a fresh compiled form, built under the current key
                 compiled = PauliSum(n_qubits, generator.items()).compiled()
                 flips = {flip.dtype for flip, *_ in compiled._groups if flip is not None}
-                signs = {signs.dtype for _, terms, *_ in compiled._groups
-                         for signs, *_ in terms if signs is not None}
+                signs = {signs.dtype for _, signs, *_ in compiled._rotations if signs is not None}
                 assert flips == {np.dtype(np.intp if precast else np.int32)}
                 assert signs == {np.dtype(complex if precast else np.int8)}
                 for amps in states:
@@ -1291,7 +1343,8 @@ def real_problem(case, request):
     1.0 and 2.0 A with their QE pools, TFIM-8 with the odd-Y strings of its
     nn pool (an even-Y string has zero gradient at a real state, so the
     growth loop never picks one), and Heisenberg-10 with a QE pool, above
-    the term-table key, so on the int8 per-term route."""
+    the term-table key, so on the support and X-mask routes with int8 sign
+    rows."""
     if case == "heisenberg10":
         hfile, pool = builtin_model("heisenberg", 10, with_exact=False), build_qe_pool(10, 5)
         reference = "1111100000"

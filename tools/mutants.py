@@ -65,6 +65,7 @@ EXPONENTIAL_BYTES = (SIM + "TestExponentialBytes::test_matches_the_per_term_expr
 SUPPORT = "The support route applies every term at once"
 SUPPORT_BYTES = SIM + "TestSupportRoute::test_matches_reference_bytes"
 SUPPORT_CHUNKS = SIM + "TestSupportRoute::test_chunks_and_folds_match_reference_and_x_mask_route"
+LAYOUT = "A compiled sum keeps one set of per-term arrays"
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ MUTANTS = (
     Mutant("real-route-without-flag", REAL_ROUTE,
            (REAL + "test_other_problems_keep_complex_states",), (
         (SIMULATOR, "if compiled_h.real and self.batch.real:", "if self.batch.real:"),)),
-    Mutant("real-groups-unchecked", REAL_ROUTE, (REAL + "test_float_state_needs_a_real_sum",), (
+    Mutant("real-scalars-unchecked", REAL_ROUTE, (REAL + "test_float_state_needs_a_real_sum",), (
         (COMPILED, '        if not self.real:\n            raise ValueError("a float64 state '
                    'needs a sum with real scalars")\n', ""),)),
     Mutant("real-route-without-flag-or-check", REAL_ROUTE,
@@ -144,10 +145,6 @@ MUTANTS = (
         (SIMULATOR, "psi = self.psi.astype(complex, copy=False)", "psi = self.psi"),)),
     Mutant("real-rotation-sign", REAL_ROUTE, (REAL + "test_real_problems_run_in_float64",), (
         (COMPILED, "-unit.imag if real else unit", "unit.imag if real else unit"),)),
-    Mutant("unshared-float-signs", REAL_ROUTE,
-           (SIM + "TestSharedSigns::test_real_route_signs_are_shared_too",), (
-        (COMPILED, "else _shared_signs(self.n_qubits, index, z, float)",
-         "else _parity_signs(index, z).astype(float)"),)),
     # module-list-keeps-every-table now keeps the table that replaced the
     # folded diagonals
     Mutant("uncached-pool-batch", DIAGONAL,
@@ -212,8 +209,7 @@ MUTANTS = (
         (COMPILED, "np.add.reduce(rows, axis=0, out=out)",
          "np.add.reduce(rows[::-1], axis=0, out=out)"),)),
     Mutant("mask-block-bound-off-by-one", MASK_BLOCKS, MASK_BLOCK_TESTS, (
-        (COMPILED, "stop = min(start + step, len(scalars))",
-         "stop = min(start + step - 1, len(scalars))"),)),
+        (COMPILED, "last = min(first + step, stop)", "last = min(first + step - 1, stop)"),)),
     Mutant("rotation-writes-input", IN_PLACE, EXPONENTIAL_BYTES, (
         (COMPILED, "amps = amps * np.cos(w)", "amps *= np.cos(w)"),)),
     Mutant("rotation-without-signs", IN_PLACE, EXPONENTIAL_BYTES, (
@@ -221,8 +217,8 @@ MUTANTS = (
     # each term reads the previous X mask's gather row
     Mutant("term-mask-row-off-by-one", IN_PLACE,
            (SIM + "TestTermTable::test_one_gather_row_per_x_mask",), (
-        (COMPILED, "masks = np.repeat(np.arange(len(groups)),",
-         "masks = -1 + np.repeat(np.arange(len(groups)),"),)),
+        (COMPILED, "masks = np.repeat(np.arange(len(self._groups)),",
+         "masks = -1 + np.repeat(np.arange(len(self._groups)),"),)),
     Mutant("batch-mask-rows-counted-by-terms", IN_PLACE,
            (SIM + "TestTermTable::test_batch_rows_match_apply",), (
         (COMPILED, "start += len(mask_flips)", "start += len(terms)"),)),
@@ -230,8 +226,7 @@ MUTANTS = (
         (COMPILED, "reached = support ^ x_masks[first:first + chunk]",
          "reached = support + 0 * x_masks[first:first + chunk]"),)),
     Mutant("support-parity-fold-dropped", SUPPORT, (SUPPORT_CHUNKS + "[masked]",), (
-        (COMPILED, "-scalar if (string.x_mask & string.z_mask).bit_count() & 1 else scalar",
-         "scalar"),)),
+        (COMPILED, "np.where(odd[:, None], -scalars, scalars)", "scalars"),)),
     Mutant("support-chunks-reversed", SUPPORT, (SUPPORT_CHUNKS + "[h6]",), (
         (COMPILED, "for first in range(0, len(folded), chunk):",
          "for first in reversed(range(0, len(folded), chunk)):"),)),
@@ -243,6 +238,12 @@ MUTANTS = (
     Mutant("support-buffered-scatter", SUPPORT, (SUPPORT_BYTES,), (
         (COMPILED, "np.add.at(out, reached.ravel(), products.ravel())",
          "out[reached.ravel()] += products.ravel()"),)),
+    # a process-wide list keeps every rotation's signs alive
+    Mutant("rotation-signs-kept-in-a-module-list", LAYOUT,
+           (SIM + "TestSharedSigns::test_rotation_signs_are_freed_with_their_sum",), (
+        (COMPILED, "signs = None if not string.z_mask else row.astype(dtype) if cast else row\n",
+         "signs = None if not string.z_mask else row.astype(dtype) if cast else row\n"
+         "                globals().setdefault('_KEPT', []).append(signs)\n"),)),
 )
 
 # Mutants no test can catch yet, each with the CHANGES.md line on it.
